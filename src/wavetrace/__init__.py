@@ -41,7 +41,6 @@ from .spectra import (
     ball_eigenfunction,
     eigenfunction_normal_derivative,
     make_single_layer_indicator,
-    single_layer_eig_sweep,
     single_layer_matrix,
     single_layer_symbol,
     static_row_integral,
@@ -54,6 +53,8 @@ from .sweep import (
     completeness_indicator,
     detect_dips,
     estimate_multiplicity,
+    find_dips,
+    make_trace_indicator,
     refine_dip,
     seed_interior_points,
     sweep_k,

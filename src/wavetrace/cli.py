@@ -1,9 +1,9 @@
 """Command-line front-end: sweeps, eigenvalue oracles, verification, fits.
 
 Every artifact embeds the full run configuration and seed, so any CSV or
-JSON output can be regenerated byte-identically. Exit codes follow the CI
-contract: 0 success, 1 verification failure, 2 usage/config error,
-3 numerical failure.
+JSON output can be regenerated byte-identically on the same machine and
+BLAS configuration. Exit codes follow the CI contract: 0 success,
+1 verification failure, 2 usage/config error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,27 +20,22 @@ import numpy as np
 
 from .herglotz import fit_trace
 from .specfun import HarmonicIndex, sph_harm
-from .spectra import (
-    ball_dirichlet_eigs,
-    EigenvalueRecord,
-    make_single_layer_indicator,
-    single_layer_eig_sweep,
-)
+from .spectra import ball_dirichlet_eigs, EigenvalueRecord, make_single_layer_indicator
 from .surface import (
     DegenerateSurfaceError,
+    _spherical_coords,
     make_direction_grid,
     make_sphere,
     make_star_surface,
 )
 from .sweep import (
+    DEFAULT_QR_RTOL,
     BracketError,
     IllPosedIndicatorError,
-    estimate_multiplicity,
-    golden_section_minimize,
-    refine_dip,
+    default_interior_count,
+    find_dips,
+    make_trace_indicator,
     seed_interior_points,
-    sweep_k,
-    Dip,
     SweepResult,
 )
 from .verify import InconclusiveCheckError, run_default_suite
@@ -177,6 +172,20 @@ def _build_dirs(cfg: RunConfig):
         raise click.UsageError(f"bad direction grid: {exc}")
 
 
+def _check_sweep_args(cfg: RunConfig):
+    """Usage errors shared by the two k sweeps, raised before any work."""
+    if not (0 < cfg.k_min < cfg.k_max):
+        raise click.UsageError(f"need 0 < kmin < kmax, got [{cfg.k_min}, {cfg.k_max}]")
+    if cfg.samples < 2:
+        raise click.UsageError(f"need at least 2 samples, got {cfg.samples}")
+    if not cfg.refine_tol > 0:
+        raise click.UsageError(f"refine tolerance must be positive, got {cfg.refine_tol}")
+    if cfg.interior_count is not None and cfg.interior_count < 1:
+        raise click.UsageError(f"interior count must be positive, got {cfg.interior_count}")
+    if cfg.band_limit < 0:
+        raise click.UsageError(f"band limit must be nonnegative, got {cfg.band_limit}")
+
+
 def _check_writable(path: str):
     parent = Path(path).resolve().parent
     if not parent.is_dir() or not os.access(parent, os.W_OK):
@@ -221,52 +230,40 @@ def cmd_sweep(ctx, coefficients, out_csv, out_json, config_path, **flags):
     """Sweep the completeness indicator over k and report dips."""
     flags["coefficients"] = _parse_coef(coefficients)
     cfg = _merge_config(ctx, config_path, **flags).resolved()
-    if not (0 < cfg.k_min < cfg.k_max):
-        raise click.UsageError(f"need 0 < kmin < kmax, got [{cfg.k_min}, {cfg.k_max}]")
-    if cfg.samples < 2:
-        raise click.UsageError(f"need at least 2 samples, got {cfg.samples}")
+    _check_sweep_args(cfg)
     _check_writable(out_csv)
     _check_writable(out_json)
     grid = _build_surface(cfg)
     dirs = _build_dirs(cfg)
+    interior_count = cfg.interior_count or default_interior_count(dirs)
+    interior = seed_interior_points(grid, interior_count, cfg.seed)
+    ks = np.linspace(cfg.k_min, cfg.k_max, cfg.samples)
     try:
-        result = sweep_k(
-            cfg.k_min,
-            cfg.k_max,
-            cfg.samples,
-            grid,
-            dirs,
-            interior_seed=cfg.seed,
-            interior_count=cfg.interior_count,
-            depth_ratio=cfg.depth_ratio,
-            threads=cfg.threads,
+        values, refined = find_dips(
+            make_trace_indicator(grid, dirs, interior),
+            ks,
+            cfg.depth_ratio,
+            cfg.refine_tol,
+            cfg.gap_ratio,
+            cfg.threads,
         )
-        interior = seed_interior_points(
-            grid, cfg.interior_count or max(2 * dirs.n_directions, 500), cfg.seed
-        )
-        half_width = 2.0 * (cfg.k_max - cfg.k_min) / (cfg.samples - 1)
-        refined = []
-        for dip in result.dips:
-            k_star, ind_min = refine_dip(
-                dip.k,
-                half_width,
-                grid,
-                dirs,
-                interior_seed=cfg.seed,
-                tol=cfg.refine_tol,
-                interior_count=cfg.interior_count,
-            )
-            mult = estimate_multiplicity(k_star, grid, dirs, interior, gap_ratio=cfg.gap_ratio)
-            refined.append(Dip(k=k_star, indicator=ind_min, multiplicity=mult))
     except NUMERICAL_ERRORS as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
-    final = SweepResult(
-        k_samples=result.k_samples,
-        indicator=result.indicator,
-        dips=refined,
-        config={**result.config, "run_config": cfg.to_dict()},
-    )
+    config = {
+        "indicator": "trace-subspace",
+        "surface": grid.descriptor,
+        "directions": dirs.descriptor,
+        "k_lo": float(cfg.k_min),
+        "k_hi": float(cfg.k_max),
+        "n_samples": int(cfg.samples),
+        "interior_seed": int(cfg.seed),
+        "interior_count": int(interior_count),
+        "qr_rtol": float(DEFAULT_QR_RTOL),
+        "depth_ratio": float(cfg.depth_ratio),
+        "run_config": cfg.to_dict(),
+    }
+    final = SweepResult(k_samples=ks, indicator=values, dips=refined, config=config)
     _write_text(out_csv, final.to_csv_text())
     _write_text(out_json, final.to_json())
     click.echo(f"{len(refined)} dip(s) in [{cfg.k_min}, {cfg.k_max}]:")
@@ -304,28 +301,26 @@ def cmd_eigs(ctx, coefficients, method, out_json, config_path, **flags):
             raise click.UsageError("analytic spectrum exists only for the ball")
         records = ball_dirichlet_eigs(cfg.radius, cfg.k_max)
     else:
-        if not (0 < cfg.k_min < cfg.k_max):
-            raise click.UsageError(f"need 0 < kmin < kmax, got [{cfg.k_min}, {cfg.k_max}]")
+        _check_sweep_args(cfg)
         grid = _build_surface(cfg)
         try:
-            result = single_layer_eig_sweep(
-                cfg.k_min, cfg.k_max, cfg.samples, grid, band_limit=cfg.band_limit
+            # Serial on purpose: each evaluation holds several N x N complex
+            # temporaries, so a thread pool multiplies the peak memory.
+            _, dips = find_dips(
+                make_single_layer_indicator(grid, band_limit=cfg.band_limit),
+                np.linspace(cfg.k_min, cfg.k_max, cfg.samples),
+                cfg.depth_ratio,
+                cfg.refine_tol,
+                cfg.gap_ratio,
+                threads=1,
             )
-            indicator = make_single_layer_indicator(grid, band_limit=cfg.band_limit)
-            half_width = 2.0 * (cfg.k_max - cfg.k_min) / (cfg.samples - 1)
-            records = []
-            for dip in result.dips:
-                k_star, _ = golden_section_minimize(
-                    indicator, dip.k - half_width, dip.k + half_width, cfg.refine_tol
-                )
-                svals = indicator.singular_values(k_star)
-                mult = max(1, int((svals < np.median(svals) / cfg.gap_ratio).sum()))
-                records.append(
-                    EigenvalueRecord(k=k_star, multiplicity=mult, source="single-layer")
-                )
         except NUMERICAL_ERRORS as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
+        records = [
+            EigenvalueRecord(k=dip.k, multiplicity=dip.multiplicity, source="single-layer")
+            for dip in dips
+        ]
     payload = {
         "run_config": cfg.to_dict(),
         "method": method,
@@ -398,9 +393,7 @@ def cmd_fit(ctx, target, k_value, out_json, config_path, **flags):
     _check_writable(out_json)
     grid = _build_surface(cfg)
     dirs = _build_dirs(cfg)
-    r = np.linalg.norm(grid.nodes, axis=1)
-    theta = np.arccos(np.clip(grid.nodes[:, 2] / r, -1, 1))
-    phi = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
+    _, theta, phi = _spherical_coords(grid.nodes)
     try:
         residual, density = fit_trace(k_value, grid, sph_harm(idx, theta, phi), dirs, ridge=cfg.ridge)
     except NUMERICAL_ERRORS as exc:

@@ -124,11 +124,6 @@ class TraceMatrix:
             for row in flat:
                 f.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
-    def dump_binary(self, path):
-        """Row-major float64 dump, complex as interleaved real/imag."""
-        a = self.stacked()
-        np.ascontiguousarray(a).view(np.float64).tofile(path)
-
 
 def plane_wave_trace(k: float, beta, grid: SurfaceGrid) -> np.ndarray:
     """Values e^{i k beta . s_m} of one plane wave at the surface nodes."""

@@ -39,7 +39,7 @@ from .specfun import (
     sph_hankel1,
     sph_harm,
 )
-from .surface import SurfaceGrid, _star_radius_terms, _normalize_perturbation
+from .surface import SurfaceGrid, _normalize_perturbation, _spherical_coords, _star_radius_terms
 
 __all__ = [
     "EigenvalueRecord",
@@ -52,7 +52,6 @@ __all__ = [
     "single_layer_matrix",
     "bandlimited_basis",
     "make_single_layer_indicator",
-    "single_layer_eig_sweep",
 ]
 
 
@@ -75,7 +74,7 @@ class EigenvalueRecord:
             raise ValueError(f"eigenvalue wavenumber must be positive, got {self.k}")
         if self.multiplicity < 1:
             raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
-        if self.source not in ("ball-analytic", "trace-sweep", "single-layer"):
+        if self.source not in ("ball-analytic", "single-layer"):
             raise ValueError(f"unknown source {self.source!r}")
 
     def to_dict(self) -> dict:
@@ -122,14 +121,6 @@ def ball_dirichlet_eigs(R: float, k_max: float) -> list[EigenvalueRecord]:
     return records
 
 
-def _angles_of(points: np.ndarray):
-    r = np.linalg.norm(points, axis=-1)
-    safe = np.where(r > 0, r, 1.0)
-    theta = np.arccos(np.clip(points[..., 2] / safe, -1.0, 1.0))
-    phi = np.arctan2(points[..., 1], points[..., 0])
-    return r, theta, phi
-
-
 def ball_eigenfunction(idx: HarmonicIndex, n: int, R: float, points) -> np.ndarray:
     """u(x) = j_l(k r) Y_lm(x_hat) with k = z_{l,n}/R; vanishes on |x| = R."""
     if not isinstance(idx, HarmonicIndex):
@@ -138,7 +129,7 @@ def ball_eigenfunction(idx: HarmonicIndex, n: int, R: float, points) -> np.ndarr
     if R <= 0:
         raise ValueError(f"radius must be positive, got {R}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    r, theta, phi = _angles_of(points)
+    r, theta, phi = _spherical_coords(points)
     if np.any(r > R * (1 + 1e-12)):
         raise ValueError(f"point outside the closed ball of radius {R}")
     k = bessel_zero(idx.l, n) / R
@@ -160,7 +151,7 @@ def eigenfunction_normal_derivative(
             "normal derivative of a ball eigenfunction needs a sphere grid of matching radius"
         )
     k = bessel_zero(idx.l, n) / R
-    _, theta, phi = _angles_of(grid.nodes)
+    _, theta, phi = _spherical_coords(grid.nodes)
     return k * sph_bessel_j_deriv(idx.l, k * R) * sph_harm(idx, theta, phi)
 
 
@@ -209,7 +200,7 @@ def static_row_integral(grid: SurfaceGrid, n_alpha: int = 32, n_rad: int = 32) -
     pert = _normalize_perturbation(desc["perturbation"])
     ga, wa = leggauss(n_alpha)
     gr, wr = leggauss(n_rad)
-    _, theta0, phi0 = _angles_of(grid.nodes)
+    _, theta0, phi0 = _spherical_coords(grid.nodes)
     out = np.empty(grid.n_nodes)
     for m in range(grid.n_nodes):
         t0, p0 = theta0[m], phi0[m]
@@ -245,6 +236,25 @@ def static_row_integral(grid: SurfaceGrid, n_alpha: int = 32, n_rad: int = 32) -
     return out
 
 
+def _nystrom_statics(grid: SurfaceGrid, static_integral: np.ndarray):
+    """k-independent parts of the weighted Nystrom matrix: weights, node
+    distances (unit diagonal), square-root weights, static diagonal term."""
+    nodes, w = grid.nodes, grid.weights
+    dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
+    np.fill_diagonal(dist, 1.0)
+    static = 1.0 / (4 * np.pi * dist)
+    static_offdiag_rowsum = (static * w[None, :]).sum(axis=1) - static.diagonal() * w
+    return w, dist, np.sqrt(w), static_integral - static_offdiag_rowsum
+
+
+def _nystrom_matrix(k: float, w, dist, sw, static_diag) -> np.ndarray:
+    kern = np.exp(1j * k * dist) / (4 * np.pi * dist)
+    A = sw[:, None] * kern * sw[None, :]
+    idx = np.arange(len(w))
+    A[idx, idx] = 1j * k * w / (4 * np.pi) + static_diag
+    return A
+
+
 def single_layer_matrix(
     k: float, grid: SurfaceGrid, static_integral: np.ndarray | None = None
 ) -> np.ndarray:
@@ -261,23 +271,12 @@ def single_layer_matrix(
         raise ValueError(f"wavenumber k must be positive, got {k}")
     if static_integral is None:
         static_integral = static_row_integral(grid)
-    nodes, w = grid.nodes, grid.weights
-    dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
-    np.fill_diagonal(dist, 1.0)
-    kern = np.exp(1j * k * dist) / (4 * np.pi * dist)
-    static = 1.0 / (4 * np.pi * dist)
-    sw = np.sqrt(w)
-    A = sw[:, None] * kern * sw[None, :]
-    static_offdiag_rowsum = (static * w[None, :]).sum(axis=1) - static.diagonal() * w
-    diag = 1j * k * w / (4 * np.pi) + (static_integral - static_offdiag_rowsum)
-    idx = np.arange(len(w))
-    A[idx, idx] = diag
-    return A
+    return _nystrom_matrix(k, *_nystrom_statics(grid, static_integral))
 
 
 def bandlimited_basis(grid: SurfaceGrid, band_limit: int) -> np.ndarray:
     """Orthonormal basis (in surface weights) of the angular harmonics l <= L."""
-    _, theta, phi = _angles_of(grid.nodes)
+    _, theta, phi = _spherical_coords(grid.nodes)
     cols = []
     for l in range(band_limit + 1):
         for m in range(-l, l + 1):
@@ -293,26 +292,19 @@ def make_single_layer_indicator(
     n_alpha: int = 32,
     n_rad: int = 32,
 ):
-    """Callable k -> sigma_min of the bandlimit-compressed single-layer matrix.
+    """Callable k -> sigma_min of the bandlimit-compressed single-layer matrix,
+    with .singular_values(k) giving the whole compressed spectrum.
 
     Precomputes the node distances, the static row integral and the
     bandlimited basis once; each evaluation only rebuilds the oscillatory
     kernel.
     """
     g = static_row_integral(grid, n_alpha=n_alpha, n_rad=n_rad)
-    nodes, w = grid.nodes, grid.weights
-    dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
-    np.fill_diagonal(dist, 1.0)
-    static = 1.0 / (4 * np.pi * dist)
-    static_offdiag_rowsum = (static * w[None, :]).sum(axis=1) - static.diagonal() * w
-    sw = np.sqrt(w)
+    statics = _nystrom_statics(grid, g)
     Q = bandlimited_basis(grid, band_limit)
-    idx = np.arange(len(w))
 
     def singular_values(k: float) -> np.ndarray:
-        kern = np.exp(1j * float(k) * dist) / (4 * np.pi * dist)
-        A = sw[:, None] * kern * sw[None, :]
-        A[idx, idx] = 1j * float(k) * w / (4 * np.pi) + (g - static_offdiag_rowsum)
+        A = _nystrom_matrix(float(k), *statics)
         B = Q.conj().T @ (A @ Q)
         return np.linalg.svd(B, compute_uv=False)
 
@@ -321,47 +313,3 @@ def make_single_layer_indicator(
 
     indicator.singular_values = singular_values
     return indicator
-
-
-def single_layer_eig_sweep(
-    k_lo: float,
-    k_hi: float,
-    n_samples: int,
-    grid: SurfaceGrid,
-    band_limit: int = 8,
-):
-    """Sweep sigma_min of the compressed single-layer operator over k.
-
-    Returns a SweepResult whose dips mark Dirichlet eigenvalue candidates;
-    refine with sweep.refine_dip(indicator=...) for sharp locations.
-    """
-    from .sweep import SweepResult, detect_dips
-
-    if not (0 < k_lo < k_hi):
-        raise ValueError(f"need 0 < k_lo < k_hi, got [{k_lo}, {k_hi}]")
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
-    indicator = make_single_layer_indicator(grid, band_limit=band_limit)
-    ks = np.linspace(k_lo, k_hi, n_samples)
-    vals = np.array([indicator(k) for k in ks])
-    result = SweepResult(
-        k_samples=ks,
-        indicator=vals,
-        dips=[],
-        config={
-            "indicator": "single-layer",
-            "surface": grid.descriptor,
-            "band_limit": band_limit,
-            "k_lo": float(k_lo),
-            "k_hi": float(k_hi),
-            "n_samples": int(n_samples),
-        },
-        bounded_by_one=False,
-    )
-    return SweepResult(
-        k_samples=result.k_samples,
-        indicator=result.indicator,
-        dips=detect_dips(result),
-        config=result.config,
-        bounded_by_one=False,
-    )

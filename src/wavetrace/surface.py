@@ -134,6 +134,15 @@ def _unit_vectors(theta, phi):
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
+def _spherical_coords(points: np.ndarray):
+    """Cartesian points (..., 3) -> (r, theta, phi); theta = 0 at the origin."""
+    r = np.linalg.norm(points, axis=-1)
+    safe = np.where(r > 0, r, 1.0)
+    theta = np.arccos(np.clip(points[..., 2] / safe, -1.0, 1.0))
+    phi = np.arctan2(points[..., 1], points[..., 0])
+    return r, theta, phi
+
+
 def _normalize_perturbation(perturbation):
     out = []
     for item in perturbation:

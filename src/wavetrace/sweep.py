@@ -12,9 +12,14 @@ combination is O(1) inside the domain but vanishes on the surface (on the
 ball, h = Y_lm gives w = 4 pi i^l j_l(kr) Y_lm with j_l(kR) = 0), driving
 the indicator toward zero; away from the spectrum it stays O(1).
 
-Sweeps over k are deterministic given the interior-point seed; dips are
-flagged scale-free against the sweep median, refined by golden-section
-minimization, and classified by counting collapsed singular values.
+Both eigenvalue oracles share one indicator protocol: a callable
+k -> float, the smallest singular value of a k-dependent matrix, whose
+.singular_values(k) returns all of them (make_trace_indicator here,
+make_single_layer_indicator in spectra). find_dips takes any such
+indicator through one path: sample it over k, flag dips scale-free against
+the sweep median, refine each by golden-section minimization, and classify
+it by counting collapsed singular values. Trace sweeps are deterministic
+given the interior points.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .herglotz import assemble_trace_matrix
-from .surface import DirectionGrid, SurfaceGrid, surface_radius
+from .surface import DirectionGrid, SurfaceGrid, _spherical_coords, surface_radius
 
 __all__ = [
     "Dip",
@@ -38,11 +43,13 @@ __all__ = [
     "seed_interior_points",
     "completeness_indicator",
     "boundary_subspace_singular_values",
+    "make_trace_indicator",
     "sweep_k",
     "detect_dips",
     "refine_dip",
     "estimate_multiplicity",
     "golden_section_minimize",
+    "find_dips",
 ]
 
 # Columns whose R-diagonal falls below ~1e-8 of the leading one carry
@@ -86,7 +93,6 @@ class SweepResult:
     indicator: np.ndarray
     dips: list[Dip] = field(default_factory=list)
     config: dict = field(default_factory=dict)
-    bounded_by_one: bool = True
 
     def __post_init__(self):
         ks = np.asarray(self.k_samples, dtype=float)
@@ -99,7 +105,7 @@ class SweepResult:
             raise ValueError("k_samples must be positive and strictly ascending")
         if np.any(vals < 0):
             raise ValueError("indicator values must be nonnegative")
-        if self.bounded_by_one and np.any(vals > 1 + 1e-12):
+        if np.any(vals > 1 + 1e-12):
             raise ValueError("subspace-angle indicator must lie in [0, 1]")
         for dip in self.dips:
             if not (ks[0] <= dip.k <= ks[-1]):
@@ -157,11 +163,8 @@ def _check_interior(grid: SurfaceGrid, interior: np.ndarray):
     interior = np.atleast_2d(np.asarray(interior, dtype=float))
     if interior.shape[1] != 3:
         raise ValueError("interior points must have shape (P, 3)")
-    kind = grid.descriptor.get("kind")
-    if kind in ("sphere", "star"):
-        r = np.linalg.norm(interior, axis=1)
-        theta = np.arccos(np.clip(np.divide(interior[:, 2], np.where(r > 0, r, 1.0)), -1, 1))
-        phi = np.arctan2(interior[:, 1], interior[:, 0])
+    if grid.descriptor.get("kind") in ("sphere", "star"):
+        r, theta, phi = _spherical_coords(interior)
         rho = surface_radius(grid.descriptor, theta, phi)
         if np.any(r >= rho * (1 - 1e-9)):
             raise ValueError("interior point on or outside the surface")
@@ -224,67 +227,46 @@ def completeness_indicator(
     return float(min(s[-1], 1.0))
 
 
-def sweep_k(
-    k_lo: float,
-    k_hi: float,
-    n_samples: int,
+def make_trace_indicator(
     grid: SurfaceGrid,
     dirs: DirectionGrid,
-    interior_seed: int,
-    interior_count: int | None = None,
+    interior,
     rtol: float = DEFAULT_QR_RTOL,
-    depth_ratio: float = DEFAULT_DEPTH_RATIO,
-    threads: int | None = None,
-) -> SweepResult:
-    """Evaluate the completeness indicator on a uniform k-grid.
+):
+    """Callable k -> completeness indicator at fixed interior points, with
+    .singular_values(k) giving the whole boundary-block spectrum."""
 
-    Interior points are drawn once from the seed and shared by every
-    sample, so the result is deterministic; evaluations at distinct k run
-    on a thread pool (BLAS releases the GIL) and merge in k order.
-    """
-    if not (0 < k_lo < k_hi):
-        raise ValueError(f"need 0 < k_lo < k_hi, got [{k_lo}, {k_hi}]")
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
-    if interior_count is None:
-        interior_count = default_interior_count(dirs)
-    interior = seed_interior_points(grid, interior_count, interior_seed)
-    ks = np.linspace(k_lo, k_hi, n_samples)
+    def singular_values(k: float) -> np.ndarray:
+        return boundary_subspace_singular_values(k, grid, dirs, interior, rtol=rtol)
 
-    def one(k: float) -> float:
+    def indicator(k: float) -> float:
         return completeness_indicator(k, grid, dirs, interior, rtol=rtol)
 
+    indicator.singular_values = singular_values
+    return indicator
+
+
+def sweep_k(indicator, ks, threads: int | None = None) -> np.ndarray:
+    """Evaluate an indicator on an ascending k-grid.
+
+    Evaluations at distinct k run on a thread pool (BLAS releases the GIL)
+    and merge in k order; threads=None sizes the pool to the CPU count and
+    threads <= 1 evaluates serially.
+    """
+    ks = np.asarray(ks, dtype=float)
+    if ks.ndim != 1 or len(ks) < 2 or ks[0] <= 0 or np.any(np.diff(ks) <= 0):
+        raise ValueError("need at least 2 positive, strictly ascending k samples")
     if threads is None:
         threads = os.cpu_count() or 1
     if threads <= 1:
-        vals = np.array([one(k) for k in ks])
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = np.array(list(pool.map(one, ks)))
-    config = {
-        "indicator": "trace-subspace",
-        "surface": grid.descriptor,
-        "directions": dirs.descriptor,
-        "k_lo": float(k_lo),
-        "k_hi": float(k_hi),
-        "n_samples": int(n_samples),
-        "interior_seed": int(interior_seed),
-        "interior_count": int(interior_count),
-        "qr_rtol": float(rtol),
-        "depth_ratio": float(depth_ratio),
-    }
-    result = SweepResult(k_samples=ks, indicator=vals, dips=[], config=config)
-    return SweepResult(
-        k_samples=ks,
-        indicator=vals,
-        dips=detect_dips(result, depth_ratio=depth_ratio),
-        config=config,
-    )
+        return np.array([indicator(k) for k in ks])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.array(list(pool.map(indicator, ks)))
 
 
-def detect_dips(result: SweepResult, depth_ratio: float = DEFAULT_DEPTH_RATIO) -> list[Dip]:
+def detect_dips(ks, values, depth_ratio: float = DEFAULT_DEPTH_RATIO) -> list[Dip]:
     """Flag samples below depth_ratio * median; merge adjacent flags into dips."""
-    vals = result.indicator
+    vals = np.asarray(values, dtype=float)
     if len(vals) == 0:
         return []
     threshold = depth_ratio * float(np.median(vals))
@@ -297,7 +279,7 @@ def detect_dips(result: SweepResult, depth_ratio: float = DEFAULT_DEPTH_RATIO) -
             while j + 1 < len(vals) and flagged[j + 1]:
                 j += 1
             local = i + int(np.argmin(vals[i : j + 1]))
-            dips.append(Dip(k=float(result.k_samples[local]), indicator=float(vals[local])))
+            dips.append(Dip(k=float(ks[local]), indicator=float(vals[local])))
             i = j + 1
         else:
             i += 1
@@ -306,6 +288,8 @@ def detect_dips(result: SweepResult, depth_ratio: float = DEFAULT_DEPTH_RATIO) -
 
 def golden_section_minimize(f, a: float, b: float, tol: float):
     """Golden-section search; requires f to have an interior minimum in [a, b]."""
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     fa, fb = f(a), f(b)
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
@@ -326,50 +310,42 @@ def golden_section_minimize(f, a: float, b: float, tol: float):
     return k_star, min(fc, fd)
 
 
-def refine_dip(
-    k_center: float,
-    half_width: float,
-    grid: SurfaceGrid | None = None,
-    dirs: DirectionGrid | None = None,
-    interior_seed: int = 0,
-    tol: float = DEFAULT_REFINE_TOL,
-    interior_count: int | None = None,
-    rtol: float = DEFAULT_QR_RTOL,
-    indicator=None,
-):
-    """Golden-section refinement of one dip to bracket width <= tol.
-
-    By default minimizes the completeness indicator (interior points drawn
-    from interior_seed); pass indicator=callable to refine any other
-    1-d dip function, e.g. a single-layer sweep's.
-    """
+def refine_dip(indicator, k_center: float, half_width: float, tol: float = DEFAULT_REFINE_TOL):
+    """Golden-section refinement of one dip to bracket width <= tol."""
     if half_width <= 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
-    if indicator is None:
-        if grid is None or dirs is None:
-            raise ValueError("grid and dirs are required without an indicator override")
-        if interior_count is None:
-            interior_count = default_interior_count(dirs)
-        interior = seed_interior_points(grid, interior_count, interior_seed)
-
-        def indicator(k):
-            return completeness_indicator(k, grid, dirs, interior, rtol=rtol)
-
     return golden_section_minimize(indicator, k_center - half_width, k_center + half_width, tol)
 
 
-def estimate_multiplicity(
-    k_star: float,
-    grid: SurfaceGrid,
-    dirs: DirectionGrid,
-    interior,
-    gap_ratio: float = DEFAULT_GAP_RATIO,
-    rtol: float = DEFAULT_QR_RTOL,
-) -> int:
-    """Number of collapsed directions at a refined dip.
+def estimate_multiplicity(indicator, k_star: float, gap_ratio: float = DEFAULT_GAP_RATIO) -> int:
+    """Number of collapsed directions at a refined dip, at least 1.
 
-    Counts singular values of the boundary block below median/gap_ratio;
-    on the ball this recovers the eigenvalue multiplicity 2l+1.
+    Counts the indicator's singular values below median/gap_ratio; on the
+    ball this recovers the eigenvalue multiplicity 2l+1. A refined dip is a
+    collapse by construction, so a count of 0 is reported as 1.
     """
-    s = boundary_subspace_singular_values(k_star, grid, dirs, interior, rtol=rtol)
-    return int((s < np.median(s) / gap_ratio).sum())
+    s = indicator.singular_values(k_star)
+    return max(1, int((s < np.median(s) / gap_ratio).sum()))
+
+
+def find_dips(
+    indicator,
+    ks,
+    depth_ratio: float = DEFAULT_DEPTH_RATIO,
+    refine_tol: float = DEFAULT_REFINE_TOL,
+    gap_ratio: float = DEFAULT_GAP_RATIO,
+    threads: int | None = None,
+):
+    """Sweep, detect, refine and classify: returns (sampled values, dips).
+
+    Each dip is refined within two sample spacings of its sampled minimum.
+    """
+    ks = np.asarray(ks, dtype=float)
+    values = sweep_k(indicator, ks, threads)
+    half_width = 2.0 * (ks[-1] - ks[0]) / (len(ks) - 1)
+    dips = []
+    for dip in detect_dips(ks, values, depth_ratio):
+        k_star, ind_min = refine_dip(indicator, dip.k, half_width, refine_tol)
+        mult = estimate_multiplicity(indicator, k_star, gap_ratio)
+        dips.append(Dip(k=k_star, indicator=ind_min, multiplicity=mult))
+    return values, dips

@@ -32,7 +32,7 @@ from numpy.polynomial.legendre import leggauss
 from .herglotz import HerglotzDensity, assemble_trace_matrix, herglotz_eval
 from .specfun import HarmonicIndex, bessel_zero, sph_bessel_j, sph_bessel_j_deriv, sph_harm
 from .spectra import eigenfunction_normal_derivative
-from .surface import DirectionGrid, SurfaceGrid, make_direction_grid
+from .surface import DirectionGrid, SurfaceGrid, _spherical_coords, make_direction_grid
 
 __all__ = [
     "VerificationReport",
@@ -225,7 +225,7 @@ def check_green_reduction(
     k = bessel_zero(v_idx.l, n) / R
 
     # angular factor <Y_F, conj-paired Y_v> on the provided grid
-    _, theta, phi = _grid_angles(angular_grid.directions)
+    _, theta, phi = _spherical_coords(angular_grid.directions)
     y_f = sph_harm(idx, theta, phi)
     y_v = sph_harm(v_idx, theta, phi)
     angular = complex(np.sum(angular_grid.weights * y_f * np.conj(y_v)))
@@ -264,13 +264,6 @@ def check_green_reduction(
     )
 
 
-def _grid_angles(unit_vectors: np.ndarray):
-    r = np.linalg.norm(unit_vectors, axis=1)
-    theta = np.arccos(np.clip(unit_vectors[:, 2] / r, -1, 1))
-    phi = np.arctan2(unit_vectors[:, 1], unit_vectors[:, 0])
-    return r, theta, phi
-
-
 def _eigen_indices_at(k: float, R: float, l_max: int, tol: float = 1e-10):
     """Ball eigen-degrees whose j_l(kR) vanishes at this k (n recovered)."""
     found = []
@@ -301,7 +294,7 @@ def check_decomposition(
     Projection uses the left singular vectors of the weighted column stack
     above a relative cutoff; residual is the relative unprojected norm.
     """
-    _, theta, phi = _grid_angles(grid.nodes)
+    _, theta, phi = _spherical_coords(grid.nodes)
     if isinstance(psi, np.ndarray):
         psi_values = np.asarray(psi, dtype=complex)
         psi_label = "explicit values"
@@ -377,7 +370,7 @@ def run_default_suite(
                 check_lemma1_orthogonality(HarmonicIndex(l, min(l, 1)), n, 1.0, grid1, dirs, 20, seed=seed)
             )
     if inject_off_spectrum:
-        _, theta, phi = _grid_angles(grid1.nodes)
+        _, theta, phi = _spherical_coords(grid1.nodes)
         y00 = sph_harm(HarmonicIndex(0, 0), theta, phi)
         reports.append(
             check_lemma1_orthogonality(

@@ -20,15 +20,16 @@ from wavetrace import (
     check_lemma1_orthogonality,
     check_necessity,
     completeness_indicator,
+    detect_dips,
     estimate_multiplicity,
     fit_trace,
     make_direction_grid,
     make_single_layer_indicator,
     make_sphere,
     make_star_surface,
+    make_trace_indicator,
     refine_dip,
     seed_interior_points,
-    single_layer_eig_sweep,
     sph_harm,
     sweep_k,
 )
@@ -58,19 +59,19 @@ def ball_sweep():
     grid = make_sphere(1.0, 24, 48)
     dirs = make_direction_grid(12, 24)
     t0 = time.perf_counter()
-    result = sweep_k(3.0, 6.5, 350, grid, dirs, interior_seed=0)
     interior = seed_interior_points(grid, 2 * dirs.n_directions, seed=0)
+    indicator = make_trace_indicator(grid, dirs, interior)
+    ks = np.linspace(3.0, 6.5, 350)
     refined = []
-    for dip in result.dips:
-        k_star, ind_min = refine_dip(dip.k, 0.02, grid, dirs, interior_seed=0, tol=1e-4)
-        mult = estimate_multiplicity(k_star, grid, dirs, interior)
+    for dip in detect_dips(ks, sweep_k(indicator, ks)):
+        k_star, ind_min = refine_dip(indicator, dip.k, 0.02, tol=1e-4)
+        mult = estimate_multiplicity(indicator, k_star)
         refined.append((k_star, ind_min, mult))
     controls = [completeness_indicator(k, grid, dirs, interior) for k in CONTROL_POINTS]
     elapsed = time.perf_counter() - t0
     return {
         "grid": grid,
         "dirs": dirs,
-        "result": result,
         "refined": refined,
         "controls": controls,
         "elapsed": elapsed,
@@ -205,18 +206,15 @@ class TestCriterion6CrossOracle:
     def test_star_surface_agreement(self):
         star = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48)
         dirs = make_direction_grid(10, 20)
-        trace_sweep = sweep_k(2.9, 3.4, 26, star, dirs, interior_seed=11, interior_count=500)
-        assert len(trace_sweep.dips) == 1
-        k_trace, _ = refine_dip(
-            trace_sweep.dips[0].k, 0.03, star, dirs, interior_seed=11,
-            interior_count=500, tol=1e-4,
-        )
-        sl_result = single_layer_eig_sweep(2.9, 3.4, 26, star, band_limit=8)
-        assert len(sl_result.dips) == 1
+        ks = np.linspace(2.9, 3.4, 26)
+        trace = make_trace_indicator(star, dirs, seed_interior_points(star, 500, seed=11))
+        trace_dips = detect_dips(ks, sweep_k(trace, ks))
+        assert len(trace_dips) == 1
+        k_trace, _ = refine_dip(trace, trace_dips[0].k, 0.03, tol=1e-4)
         sl = make_single_layer_indicator(star, band_limit=8)
-        k_sl, _ = golden_section_minimize(
-            sl, sl_result.dips[0].k - 0.03, sl_result.dips[0].k + 0.03, 1e-4
-        )
+        sl_dips = detect_dips(ks, sweep_k(sl, ks, threads=1))
+        assert len(sl_dips) == 1
+        k_sl, _ = golden_section_minimize(sl, sl_dips[0].k - 0.03, sl_dips[0].k + 0.03, 1e-4)
         ok = abs(k_trace - k_sl) <= 5e-3
         assert report(
             6, ok, f"star: trace dip {k_trace:.6f} vs single-layer dip {k_sl:.6f} "

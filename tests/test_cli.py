@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import wavetrace.spectra
 from wavetrace.cli import main
 
 
@@ -18,6 +19,30 @@ FAST_SWEEP = [
     "--dirs-ntheta", "6", "--dirs-nphi", "12",
     "--interior-count", "200", "--seed", "42",
 ]
+
+STAR_SINGLE_LAYER = [
+    "eigs", "--surface", "star", "--coef", "2,0,0.1", "--method", "single-layer",
+    "--kmin", "2.9", "--kmax", "3.4", "--samples", "26",
+    "--ntheta", "16", "--nphi", "32", "--band-limit", "6",
+]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [*STAR_SINGLE_LAYER, "--samples", "1"],
+        [*STAR_SINGLE_LAYER, "--band-limit", "-1"],
+        ["sweep", *FAST_SWEEP, "--interior-count", "0"],
+        ["sweep", *FAST_SWEEP, "--refine-tol", "0"],
+    ],
+    ids=["eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0"],
+)
+def test_bad_numeric_input_is_usage_error(runner, tmp_path, args):
+    out = ["--out-json", str(tmp_path / "out.json")]
+    if args[0] == "sweep":
+        out += ["--out-csv", str(tmp_path / "out.csv")]
+    result = runner.invoke(main, [*args, *out])
+    assert result.exit_code == 2, result.output
 
 
 class TestSweepCommand:
@@ -119,17 +144,24 @@ class TestEigsCommand:
 
     def test_star_single_layer_source(self, runner, tmp_path):
         json_path = tmp_path / "eigs.json"
-        result = runner.invoke(
-            main,
-            ["eigs", "--surface", "star", "--coef", "2,0,0.1", "--method", "single-layer",
-             "--kmin", "2.9", "--kmax", "3.4", "--samples", "26",
-             "--ntheta", "16", "--nphi", "32", "--band-limit", "6",
-             "--out-json", str(json_path)],
-        )
+        result = runner.invoke(main, [*STAR_SINGLE_LAYER, "--out-json", str(json_path)])
         assert result.exit_code == 0, result.output
         payload = json.loads(json_path.read_text())
         assert len(payload["records"]) == 1
         assert payload["records"][0]["source"] == "single-layer"
+
+    def test_star_static_integral_computed_once(self, runner, tmp_path, monkeypatch):
+        calls = []
+        original = wavetrace.spectra.static_row_integral
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(wavetrace.spectra, "static_row_integral", counting)
+        result = runner.invoke(main, [*STAR_SINGLE_LAYER, "--out-json", str(tmp_path / "e.json")])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
 
     def test_analytic_star_is_usage_error(self, runner):
         result = runner.invoke(main, ["eigs", "--surface", "star", "--coef", "2,0,0.1"])

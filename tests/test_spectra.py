@@ -8,16 +8,17 @@ from wavetrace import (
     ball_dirichlet_eigs,
     ball_eigenfunction,
     bessel_zero,
+    detect_dips,
     eigenfunction_normal_derivative,
     make_single_layer_indicator,
     make_sphere,
     make_star_surface,
-    single_layer_eig_sweep,
     single_layer_matrix,
     single_layer_symbol,
     sph_bessel_j,
     sph_bessel_j_deriv,
     static_row_integral,
+    sweep_k,
 )
 
 
@@ -210,17 +211,19 @@ class TestSingleLayerSweep:
     def test_star_with_zero_perturbation_equals_sphere_run(self):
         sphere = make_sphere(1.0, 12, 24)
         star0 = make_star_surface(1.0, [(2, 0, 0.0)], 12, 24)
-        a = single_layer_eig_sweep(3.0, 3.3, 7, sphere, band_limit=6)
-        b = single_layer_eig_sweep(3.0, 3.3, 7, star0, band_limit=6)
-        assert np.abs(a.indicator - b.indicator).max() <= 1e-12
+        ks = np.linspace(3.0, 3.3, 7)
+        a = sweep_k(make_single_layer_indicator(sphere, band_limit=6), ks, threads=1)
+        b = sweep_k(make_single_layer_indicator(star0, band_limit=6), ks, threads=1)
+        assert np.abs(a - b).max() <= 1e-12
 
     def test_sphere_dip_near_pi(self):
         grid = make_sphere(1.0, 16, 32)
-        result = single_layer_eig_sweep(2.9, 3.4, 41, grid, band_limit=8)
-        assert len(result.dips) == 1
-        assert abs(result.dips[0].k - np.pi) <= 0.02  # coarse localization
-        assert result.config["indicator"] == "single-layer"
+        ks = np.linspace(2.9, 3.4, 41)
+        indicator = make_single_layer_indicator(grid, band_limit=8)
+        dips = detect_dips(ks, sweep_k(indicator, ks, threads=1))
+        assert len(dips) == 1
+        assert abs(dips[0].k - np.pi) <= 0.02  # coarse localization
 
     def test_invalid_range(self, sphere_24_48):
         with pytest.raises(ValueError):
-            single_layer_eig_sweep(3.0, 2.0, 10, sphere_24_48)
+            sweep_k(make_single_layer_indicator(sphere_24_48), np.linspace(3.0, 2.0, 10))

@@ -10,14 +10,17 @@ from wavetrace import (
     completeness_indicator,
     detect_dips,
     estimate_multiplicity,
+    find_dips,
     make_direction_grid,
+    make_single_layer_indicator,
     make_sphere,
     make_star_surface,
+    make_trace_indicator,
     refine_dip,
     seed_interior_points,
     sweep_k,
 )
-from wavetrace.sweep import golden_section_minimize
+from wavetrace.sweep import default_interior_count, golden_section_minimize
 
 
 @pytest.fixture(scope="module")
@@ -97,24 +100,45 @@ class TestCompletenessIndicator:
 
 class TestSweepK:
     def test_invalid_range(self, ball_setup):
-        grid, dirs, _ = ball_setup
+        grid, dirs, interior = ball_setup
         with pytest.raises(ValueError):
-            sweep_k(5.0, 3.0, 10, grid, dirs, interior_seed=0)
+            sweep_k(make_trace_indicator(grid, dirs, interior), np.linspace(5.0, 3.0, 10))
 
     def test_deterministic_given_seed(self):
         grid = make_sphere(1.0, 16, 32)
         dirs = make_direction_grid(8, 16)
-        a = sweep_k(1.5, 2.5, 9, grid, dirs, interior_seed=42, interior_count=400)
-        b = sweep_k(1.5, 2.5, 9, grid, dirs, interior_seed=42, interior_count=400)
+        ks = np.linspace(1.5, 2.5, 9)
+        runs = []
+        for _ in range(2):
+            interior = seed_interior_points(grid, 400, seed=42)
+            values = sweep_k(make_trace_indicator(grid, dirs, interior), ks)
+            runs.append(SweepResult(k_samples=ks, indicator=values))
+        a, b = runs
         assert np.array_equal(a.indicator, b.indicator)
         assert a.to_csv_text() == b.to_csv_text()
 
     def test_finds_the_pi_dip(self):
         grid = make_sphere(1.0, 20, 40)
         dirs = make_direction_grid(10, 20)
-        result = sweep_k(2.9, 3.4, 26, grid, dirs, interior_seed=0, interior_count=450)
-        assert len(result.dips) == 1
-        assert abs(result.dips[0].k - np.pi) <= 0.02
+        ks = np.linspace(2.9, 3.4, 26)
+        indicator = make_trace_indicator(grid, dirs, seed_interior_points(grid, 450, seed=0))
+        dips = detect_dips(ks, sweep_k(indicator, ks))
+        assert len(dips) == 1
+        assert abs(dips[0].k - np.pi) <= 0.02
+
+    @pytest.mark.parametrize("kind", ["trace", "single-layer"])
+    def test_values_independent_of_thread_count(self, kind):
+        # Criterion-8 problem: 16x32 sphere, 8x16 directions, 300 points, seed 42
+        grid = make_sphere(1.0, 16, 32)
+        if kind == "trace":
+            dirs = make_direction_grid(8, 16)
+            indicator = make_trace_indicator(grid, dirs, seed_interior_points(grid, 300, seed=42))
+        else:
+            indicator = make_single_layer_indicator(grid)
+        ks = np.linspace(3.0, 3.3, 12)
+        serial = sweep_k(indicator, ks, threads=1)
+        pooled = sweep_k(indicator, ks, threads=2)
+        assert serial.tobytes() == pooled.tobytes()
 
     def test_result_validation(self):
         with pytest.raises(ValueError):
@@ -130,41 +154,42 @@ class TestSweepK:
 
 
 class TestDetectDips:
-    def _result(self, values):
-        ks = np.linspace(1.0, 2.0, len(values))
-        return SweepResult(k_samples=ks, indicator=np.asarray(values), dips=[])
+    def _samples(self, values):
+        return np.linspace(1.0, 2.0, len(values)), np.asarray(values)
 
     def test_flat_indicator_no_dips(self):
-        assert detect_dips(self._result(np.full(50, 0.4))) == []
+        assert detect_dips(*self._samples(np.full(50, 0.4))) == []
 
     def test_zero_depth_ratio_no_dips(self):
         vals = np.full(50, 0.4)
         vals[25] = 1e-9
-        assert detect_dips(self._result(vals), depth_ratio=0.0) == []
+        assert detect_dips(*self._samples(vals), depth_ratio=0.0) == []
 
     def test_two_dips_with_merging(self):
         vals = np.full(60, 0.5)
         vals[10] = 1e-3
         vals[11] = 2e-3  # adjacent flagged samples merge into one dip
         vals[40] = 5e-4
-        dips = detect_dips(self._result(vals))
+        dips = detect_dips(*self._samples(vals))
         assert len(dips) == 2
         assert dips[0].indicator == pytest.approx(1e-3)
         assert dips[1].indicator == pytest.approx(5e-4)
 
 
 class TestRefineDip:
+    def test_nonpositive_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            golden_section_minimize(lambda x: (x - 1.0) ** 2, 0.5, 1.5, 0.0)
+
     def test_stub_quadratic_recovers_minimum(self):
         target = 3.21
-        k, v = refine_dip(
-            3.2, 0.1, tol=1e-6, indicator=lambda x: (x - target) ** 2 + 0.25
-        )
+        k, v = refine_dip(lambda x: (x - target) ** 2 + 0.25, 3.2, 0.1, tol=1e-6)
         assert k == pytest.approx(target, abs=1e-5)
         assert v == pytest.approx(0.25, abs=1e-9)
 
     def test_monotone_function_raises_bracket_error(self):
         with pytest.raises(BracketError):
-            refine_dip(2.0, 0.5, tol=1e-5, indicator=lambda x: x)
+            refine_dip(lambda x: x, 2.0, 0.5, tol=1e-5)
 
     def test_golden_section_contracts_to_tolerance(self):
         k, _ = golden_section_minimize(lambda x: abs(x - 1.0) + 0.1, 0.5, 1.4, 1e-7)
@@ -173,7 +198,8 @@ class TestRefineDip:
     def test_refines_ball_eigenvalue(self):
         grid = make_sphere(1.0, 20, 40)
         dirs = make_direction_grid(10, 20)
-        k, v = refine_dip(3.14, 0.02, grid, dirs, interior_seed=0, tol=1e-4)
+        interior = seed_interior_points(grid, default_interior_count(dirs), seed=0)
+        k, v = refine_dip(make_trace_indicator(grid, dirs, interior), 3.14, 0.02, tol=1e-4)
         assert abs(k - np.pi) <= 1e-3
         assert v <= 1e-3
 
@@ -181,8 +207,20 @@ class TestRefineDip:
 class TestEstimateMultiplicity:
     def test_simple_eigenvalue(self, ball_setup):
         grid, dirs, interior = ball_setup
-        assert estimate_multiplicity(np.pi, grid, dirs, interior) == 1
+        assert estimate_multiplicity(make_trace_indicator(grid, dirs, interior), np.pi) == 1
 
     def test_triple_eigenvalue(self, ball_setup):
         grid, dirs, interior = ball_setup
-        assert estimate_multiplicity(bessel_zero(1, 1), grid, dirs, interior) == 3
+        indicator = make_trace_indicator(grid, dirs, interior)
+        assert estimate_multiplicity(indicator, bessel_zero(1, 1)) == 3
+
+    def test_no_collapsed_value_counts_as_simple(self):
+        # a dip whose spectrum shows no gap is still one collapsed direction
+        def indicator(k):
+            return abs(k - 3.2) + 1e-3
+
+        indicator.singular_values = lambda k: np.array([1.0, 0.9, 0.8])
+        assert estimate_multiplicity(indicator, 3.2) == 1
+        _, dips = find_dips(indicator, np.linspace(3.0, 3.4, 21), threads=1)
+        assert len(dips) == 1
+        assert dips[0].multiplicity == 1
