@@ -221,7 +221,7 @@ def main():
 @click.option("--interior-count", type=int, default=None)
 @click.option("--depth-ratio", type=float, default=0.1, show_default=True)
 @click.option("--refine-tol", type=float, default=1e-4, show_default=True)
-@click.option("--threads", type=int, default=None, help="Cap on parallel k evaluations.")
+@click.option("--threads", type=int, default=None, help="Size of the sweep-and-refinement pool (default: CPU count).")
 @click.option("--out-csv", type=str, default="sweep.csv", show_default=True)
 @click.option("--out-json", type=str, default="sweep.json", show_default=True)
 @click.option("--config", "config_path", type=str, default=None, help="JSON config file.")

@@ -276,6 +276,8 @@ def single_layer_matrix(
 
 def bandlimited_basis(grid: SurfaceGrid, band_limit: int) -> np.ndarray:
     """Orthonormal basis (in surface weights) of the angular harmonics l <= L."""
+    if band_limit < 0:
+        raise ValueError(f"band limit must be nonnegative, got {band_limit}")
     _, theta, phi = _spherical_coords(grid.nodes)
     cols = []
     for l in range(band_limit + 1):

@@ -20,19 +20,30 @@ indicator through one path: sample it over k, flag dips scale-free against
 the sweep median, refine each by golden-section minimization, and classify
 it by counting collapsed singular values. Trace sweeps are deterministic
 given the interior points.
+
+The sweep layer owns the machine's parallelism: while sweep_k, refine_dip,
+estimate_multiplicity and find_dips run, the OpenBLAS builds bundled with
+numpy and scipy are pinned to one thread, and find_dips samples, refines
+and classifies on one thread pool. Each evaluation therefore runs the same
+single-threaded arithmetic whatever the pool size or OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg as la
 
-from .herglotz import assemble_trace_matrix
+from .herglotz import _check_wavenumber
 from .surface import DirectionGrid, SurfaceGrid, _spherical_coords, surface_radius
 
 __all__ = [
@@ -59,6 +70,72 @@ DEFAULT_QR_RTOL = 1e-8
 DEFAULT_DEPTH_RATIO = 0.1
 DEFAULT_GAP_RATIO = 10.0
 DEFAULT_REFINE_TOL = 1e-4
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS builds bundled in the
+    numpy and scipy wheels; empty for any other BLAS."""
+    controls = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so")):
+            lib = ctypes.CDLL(str(path))
+            for suffix in ("64_", ""):
+                try:
+                    get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                    put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+def _blas_threads() -> tuple:
+    """Current thread count of each bundled OpenBLAS."""
+    return tuple(get() for get, _ in _openblas_thread_controls())
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin every bundled OpenBLAS to one thread; restore the counts on exit.
+
+    The setting is process-wide, so pool workers run under their caller's
+    pin. A nested pin finds 1 and restores 1, so workers never race.
+    """
+    controls = _openblas_thread_controls()
+    previous = _blas_threads()
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(controls, previous):
+            put(n)
+
+
+@contextmanager
+def _pool(threads: int | None, running=None):
+    """The running pool if given; else a new one of `threads` workers (None:
+    the CPU count), or None to run serially when threads <= 1."""
+    if running is not None:
+        yield running
+        return
+    if threads is None:
+        threads = os.cpu_count() or 1
+    if threads <= 1:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield pool
+
+
+def _map(fn, items, pool) -> list:
+    """fn over items, results in item order, on the pool or serially."""
+    return list(map(fn, items) if pool is None else pool.map(fn, items))
 
 
 class IllPosedIndicatorError(RuntimeError):
@@ -192,27 +269,61 @@ def _rank_cutoff(diag: np.ndarray, rtol: float) -> int:
     return int((rel > rtol).sum())
 
 
+class _TraceAssembly:
+    """The stacked trace matrix [boundary; interior] of herglotz's
+    assemble_trace_matrix, with everything but the k-dependent exponential
+    computed once: the phases beta_j . x and the row and column weights.
+
+    Each stacked(k) fills exp(i k phase) into one new array and applies the
+    weights in place in the same order, (row weight * E) * column weight, so
+    it equals assemble_trace_matrix(...).stacked() bit for bit.
+    """
+
+    def __init__(self, grid: SurfaceGrid, dirs: DirectionGrid, interior):
+        self.interior = _check_interior(grid, interior)
+        beta = dirs.directions.T
+        self.n_boundary = grid.n_nodes
+        self.phase = np.vstack([grid.nodes @ beta, self.interior @ beta])
+        uniform = np.sqrt(grid.area / len(self.interior))
+        self.row_weights = np.concatenate(
+            [np.sqrt(grid.weights), np.full(len(self.interior), uniform)]
+        )[:, None]
+        self.col_weights = np.sqrt(dirs.weights)[None, :]
+
+    def stacked(self, k: float) -> np.ndarray:
+        A = np.multiply(1j * _check_wavenumber(k), self.phase, dtype=complex)
+        np.exp(A, out=A)
+        A *= self.row_weights
+        A *= self.col_weights
+        return A
+
+
 def boundary_subspace_singular_values(
     k: float,
     grid: SurfaceGrid,
     dirs: DirectionGrid,
     interior,
     rtol: float = DEFAULT_QR_RTOL,
+    assembly: _TraceAssembly | None = None,
 ) -> np.ndarray:
     """Singular values (descending) of the boundary block of the orthonormal
-    factor of the stacked trace matrix; the last one is the indicator."""
-    interior = _check_interior(grid, interior)
-    tm = assemble_trace_matrix(k, grid, dirs, interior_points=interior)
-    A = tm.stacked()
-    Q, R, _ = la.qr(A, mode="economic", pivoting=True)
+    factor of the stacked trace matrix; the last one is the indicator.
+
+    `assembly` is the precomputed assembly of these grids and interior
+    points (make_trace_indicator passes its own); None builds one.
+    """
+    if assembly is None:
+        assembly = _TraceAssembly(grid, dirs, interior)
+    Q, R, _ = la.qr(assembly.stacked(k), mode="economic", pivoting=True)
     cutoff = _rank_cutoff(np.abs(np.diag(R)), rtol)
     if cutoff == 0:
         raise IllPosedIndicatorError("trace matrix is numerically zero")
-    if len(interior) < cutoff:
+    n_interior = len(assembly.interior)
+    if n_interior < cutoff:
         raise IllPosedIndicatorError(
-            f"{len(interior)} interior points cannot control a rank-{cutoff} column space"
+            f"{n_interior} interior points cannot control a rank-{cutoff} column space"
         )
-    return la.svd(Q[: tm.n_boundary, :cutoff], compute_uv=False)
+    return la.svd(Q[: assembly.n_boundary, :cutoff], compute_uv=False)
 
 
 def completeness_indicator(
@@ -221,9 +332,10 @@ def completeness_indicator(
     dirs: DirectionGrid,
     interior,
     rtol: float = DEFAULT_QR_RTOL,
+    assembly: _TraceAssembly | None = None,
 ) -> float:
     """Smallest principal-angle sine between traces and the boundary; in [0, 1]."""
-    s = boundary_subspace_singular_values(k, grid, dirs, interior, rtol=rtol)
+    s = boundary_subspace_singular_values(k, grid, dirs, interior, rtol, assembly)
     return float(min(s[-1], 1.0))
 
 
@@ -234,34 +346,37 @@ def make_trace_indicator(
     rtol: float = DEFAULT_QR_RTOL,
 ):
     """Callable k -> completeness indicator at fixed interior points, with
-    .singular_values(k) giving the whole boundary-block spectrum."""
+    .singular_values(k) giving the whole boundary-block spectrum.
+
+    Checks the interior points and precomputes the assembly once.
+    """
+    with _one_blas_thread():
+        assembly = _TraceAssembly(grid, dirs, interior)
+    interior = assembly.interior
 
     def singular_values(k: float) -> np.ndarray:
-        return boundary_subspace_singular_values(k, grid, dirs, interior, rtol=rtol)
+        return boundary_subspace_singular_values(k, grid, dirs, interior, rtol, assembly)
 
     def indicator(k: float) -> float:
-        return completeness_indicator(k, grid, dirs, interior, rtol=rtol)
+        return completeness_indicator(k, grid, dirs, interior, rtol, assembly)
 
     indicator.singular_values = singular_values
     return indicator
 
 
-def sweep_k(indicator, ks, threads: int | None = None) -> np.ndarray:
+def sweep_k(indicator, ks, threads: int | None = None, pool=None) -> np.ndarray:
     """Evaluate an indicator on an ascending k-grid.
 
-    Evaluations at distinct k run on a thread pool (BLAS releases the GIL)
-    and merge in k order; threads=None sizes the pool to the CPU count and
-    threads <= 1 evaluates serially.
+    Evaluations at distinct k run on a thread pool (BLAS releases the GIL),
+    one BLAS thread each, and merge in k order; threads=None sizes the pool
+    to the CPU count and threads <= 1 evaluates serially. A running `pool`
+    is used instead of a new one (find_dips passes its own).
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or len(ks) < 2 or ks[0] <= 0 or np.any(np.diff(ks) <= 0):
         raise ValueError("need at least 2 positive, strictly ascending k samples")
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1:
-        return np.array([indicator(k) for k in ks])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(indicator, ks)))
+    with _one_blas_thread(), _pool(threads, pool) as workers:
+        return np.array(_map(indicator, ks, workers))
 
 
 def detect_dips(ks, values, depth_ratio: float = DEFAULT_DEPTH_RATIO) -> list[Dip]:
@@ -314,7 +429,8 @@ def refine_dip(indicator, k_center: float, half_width: float, tol: float = DEFAU
     """Golden-section refinement of one dip to bracket width <= tol."""
     if half_width <= 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
-    return golden_section_minimize(indicator, k_center - half_width, k_center + half_width, tol)
+    with _one_blas_thread():
+        return golden_section_minimize(indicator, k_center - half_width, k_center + half_width, tol)
 
 
 def estimate_multiplicity(indicator, k_star: float, gap_ratio: float = DEFAULT_GAP_RATIO) -> int:
@@ -324,7 +440,8 @@ def estimate_multiplicity(indicator, k_star: float, gap_ratio: float = DEFAULT_G
     ball this recovers the eigenvalue multiplicity 2l+1. A refined dip is a
     collapse by construction, so a count of 0 is reported as 1.
     """
-    s = indicator.singular_values(k_star)
+    with _one_blas_thread():
+        s = indicator.singular_values(k_star)
     return max(1, int((s < np.median(s) / gap_ratio).sum()))
 
 
@@ -339,13 +456,19 @@ def find_dips(
     """Sweep, detect, refine and classify: returns (sampled values, dips).
 
     Each dip is refined within two sample spacings of its sampled minimum.
+    The dips are refined and classified concurrently on the pool that
+    sampled them; each keeps its own golden-section sequence, so the
+    results do not depend on the pool size.
     """
     ks = np.asarray(ks, dtype=float)
-    values = sweep_k(indicator, ks, threads)
-    half_width = 2.0 * (ks[-1] - ks[0]) / (len(ks) - 1)
-    dips = []
-    for dip in detect_dips(ks, values, depth_ratio):
+
+    def refine_and_classify(dip: Dip) -> Dip:
         k_star, ind_min = refine_dip(indicator, dip.k, half_width, refine_tol)
         mult = estimate_multiplicity(indicator, k_star, gap_ratio)
-        dips.append(Dip(k=k_star, indicator=ind_min, multiplicity=mult))
+        return Dip(k=k_star, indicator=ind_min, multiplicity=mult)
+
+    with _one_blas_thread(), _pool(threads) as pool:
+        values = sweep_k(indicator, ks, threads, pool)
+        half_width = 2.0 * (ks[-1] - ks[0]) / (len(ks) - 1)
+        dips = _map(refine_and_classify, detect_dips(ks, values, depth_ratio), pool)
     return values, dips

@@ -34,6 +34,7 @@ from wavetrace import (
     sweep_k,
 )
 from wavetrace.cli import main as cli_main
+from wavetrace.surface import _spherical_coords
 from wavetrace.sweep import golden_section_minimize
 
 BALL_EIGENVALUES = [np.pi, 4.4934094579090642, 5.7634591968945498, 2 * np.pi]
@@ -47,9 +48,7 @@ def report(criterion: int, ok: bool, detail: str):
 
 
 def harmonic_trace(grid, l, m):
-    r = np.linalg.norm(grid.nodes, axis=1)
-    theta = np.arccos(np.clip(grid.nodes[:, 2] / r, -1, 1))
-    phi = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
+    _, theta, phi = _spherical_coords(grid.nodes)
     return sph_harm(HarmonicIndex(l, m), theta, phi)
 
 

@@ -1,11 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import wavetrace
 import wavetrace.spectra
+import wavetrace.sweep
+from wavetrace import BracketError
 from wavetrace.cli import main
+from wavetrace.sweep import _blas_threads
 
 
 @pytest.fixture()
@@ -18,6 +26,13 @@ FAST_SWEEP = [
     "--ntheta", "12", "--nphi", "24",
     "--dirs-ntheta", "6", "--dirs-nphi", "12",
     "--interior-count", "200", "--seed", "42",
+]
+
+# Criterion-8 problem: one dip, at pi
+CRITERION8_SWEEP = [
+    "sweep", "--kmin", "3.0", "--kmax", "3.3", "--samples", "12",
+    "--ntheta", "16", "--nphi", "32", "--dirs-ntheta", "8", "--dirs-nphi", "16",
+    "--interior-count", "300", "--seed", "42",
 ]
 
 STAR_SINGLE_LAYER = [
@@ -76,6 +91,38 @@ class TestSweepCommand:
             assert result.exit_code == 0, result.output
             outs.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_artifacts_independent_of_blas_threads(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(wavetrace.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        artifacts = []
+        for n in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = n
+            csv_path, json_path = tmp_path / f"{n}.csv", tmp_path / f"{n}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "wavetrace.cli", *CRITERION8_SWEEP,
+                 "--out-csv", str(csv_path), "--out-json", str(json_path)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            artifacts.append((csv_path.read_bytes(), json_path.read_bytes()))
+        assert artifacts[0][0] == artifacts[1][0]
+        assert artifacts[0][1] == artifacts[1][1]
+
+    def test_refinement_failure_exits_3_with_blas_restored(self, runner, tmp_path, monkeypatch):
+        def no_bracket(f, a, b, tol):
+            raise BracketError(f"no interior minimum detected in [{a}, {b}]")
+
+        monkeypatch.setattr(wavetrace.sweep, "golden_section_minimize", no_bracket)
+        before = _blas_threads()
+        result = runner.invoke(
+            main,
+            [*CRITERION8_SWEEP, "--threads", "2",
+             "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(tmp_path / "s.json")],
+        )
+        assert result.exit_code == 3, result.output
+        assert _blas_threads() == before
 
     def test_detects_pi_dip_with_multiplicity(self, runner, tmp_path):
         json_path = tmp_path / "dip.json"

@@ -18,14 +18,13 @@ from wavetrace import (
     sph_bessel_j,
     sph_harm,
 )
+from wavetrace.surface import _spherical_coords
 
 EZ = np.array([0.0, 0.0, 1.0])
 
 
 def harmonic_trace(grid, l, m):
-    r = np.linalg.norm(grid.nodes, axis=1)
-    theta = np.arccos(np.clip(grid.nodes[:, 2] / r, -1, 1))
-    phi = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
+    _, theta, phi = _spherical_coords(grid.nodes)
     return sph_harm(HarmonicIndex(l, m), theta, phi)
 
 

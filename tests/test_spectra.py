@@ -20,14 +20,14 @@ from wavetrace import (
     static_row_integral,
     sweep_k,
 )
+from wavetrace.spectra import bandlimited_basis
+from wavetrace.surface import _spherical_coords
 
 
 def harmonic_on(grid, l, m):
     from wavetrace import sph_harm
 
-    r = np.linalg.norm(grid.nodes, axis=1)
-    theta = np.arccos(np.clip(grid.nodes[:, 2] / r, -1, 1))
-    phi = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
+    _, theta, phi = _spherical_coords(grid.nodes)
     return sph_harm(HarmonicIndex(l, m), theta, phi)
 
 
@@ -205,6 +205,13 @@ class TestSingleLayerMatrix:
     def test_invalid_wavenumber(self, sphere_24_48):
         with pytest.raises(ValueError):
             single_layer_matrix(-2.0, sphere_24_48)
+
+    def test_negative_band_limit_rejected(self):
+        grid = make_sphere(1.0, 8, 16)
+        with pytest.raises(ValueError):
+            bandlimited_basis(grid, -1)
+        with pytest.raises(ValueError):
+            make_single_layer_indicator(grid, band_limit=-1)
 
 
 class TestSingleLayerSweep:

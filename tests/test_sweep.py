@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,14 @@ from wavetrace import (
     seed_interior_points,
     sweep_k,
 )
-from wavetrace.sweep import default_interior_count, golden_section_minimize
+import wavetrace.sweep
+from wavetrace.herglotz import assemble_trace_matrix
+from wavetrace.sweep import (
+    _TraceAssembly,
+    _blas_threads,
+    default_interior_count,
+    golden_section_minimize,
+)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +106,39 @@ class TestCompletenessIndicator:
         a = completeness_indicator(k, star, dirs, interior)
         b = completeness_indicator(k, star_rot, dirs_rot, interior @ rot.T)
         assert abs(a - b) <= 1e-10
+
+
+class TestTraceAssembly:
+    @pytest.mark.parametrize("surface", ["sphere", "star"])
+    def test_equals_assembled_matrix_byte_for_byte(self, surface):
+        if surface == "sphere":
+            grid = make_sphere(1.0, 16, 32)
+        else:
+            grid = make_star_surface(1.0, [(2, 0, 0.1)], 16, 32)
+        dirs = make_direction_grid(8, 16)
+        interior = seed_interior_points(grid, 300, seed=42)
+        assembly = _TraceAssembly(grid, dirs, interior)
+        for k in (3.0, np.pi, np.float64(4.4934), 6.1):
+            expected = assemble_trace_matrix(k, grid, dirs, interior_points=interior).stacked()
+            got = assembly.stacked(k)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_interior_checked_once_per_indicator(self, monkeypatch):
+        star = make_star_surface(1.0, [(2, 0, 0.1)], 12, 24)
+        interior = seed_interior_points(star, 200, seed=1)
+        calls = []
+        real = wavetrace.sweep.surface_radius
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wavetrace.sweep, "surface_radius", counting)
+        indicator = make_trace_indicator(star, make_direction_grid(6, 12), interior)
+        sweep_k(indicator, np.linspace(2.0, 2.5, 5), threads=1)
+        indicator.singular_values(2.2)
+        assert len(calls) == 1
 
 
 class TestSweepK:
@@ -224,3 +267,58 @@ class TestEstimateMultiplicity:
         _, dips = find_dips(indicator, np.linspace(3.0, 3.4, 21), threads=1)
         assert len(dips) == 1
         assert dips[0].multiplicity == 1
+
+
+def ball_two_dips():
+    """Criterion-8 grids over [3.0, 4.6]: dips at pi (simple) and z_11 (triple)."""
+    grid = make_sphere(1.0, 16, 32)
+    dirs = make_direction_grid(8, 16)
+    indicator = make_trace_indicator(grid, dirs, seed_interior_points(grid, 300, seed=42))
+    return indicator, np.linspace(3.0, 4.6, 33)
+
+
+class TestFindDips:
+    def test_pool_size_does_not_change_dips(self):
+        indicator, ks = ball_two_dips()
+        serial_values, serial = find_dips(indicator, ks, threads=1)
+        pooled_values, pooled = find_dips(indicator, ks, threads=2)
+        assert [d.multiplicity for d in serial] == [1, 3]
+        assert pooled == serial
+        assert pooled_values.tobytes() == serial_values.tobytes()
+
+    def test_blas_pinned_during_and_restored_after(self):
+        # more workers than cores and frequent thread switches, so nested
+        # pins interleave
+        indicator, ks = ball_two_dips()
+        seen = set()
+
+        def recording(k):
+            seen.add(_blas_threads())
+            return indicator(k)
+
+        def singular_values(k):
+            seen.add(_blas_threads())
+            return indicator.singular_values(k)
+
+        recording.singular_values = singular_values
+        before = _blas_threads()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, dips = find_dips(recording, ks, threads=min(2 * (os.cpu_count() or 1), 16))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(dips) == 2
+        assert seen == {(1,) * len(before)}
+        assert _blas_threads() == before
+
+    def test_blas_restored_after_bracket_error(self):
+        # decreasing past 3.9: the last samples dip, but the refinement
+        # bracket's minimum is its right end, not an interior point
+        def indicator(k):
+            return 1.0 / (1.0 + 1e4 * max(0.0, k - 3.9) ** 2)
+
+        before = _blas_threads()
+        with pytest.raises(BracketError):
+            find_dips(indicator, np.linspace(3.0, 4.0, 11), threads=2)
+        assert _blas_threads() == before
