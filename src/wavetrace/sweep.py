@@ -23,9 +23,10 @@ given the interior points.
 
 The sweep layer owns the machine's parallelism: while sweep_k, refine_dip,
 estimate_multiplicity and find_dips run, the OpenBLAS builds bundled with
-numpy and scipy are pinned to one thread, and find_dips samples, refines
-and classifies on one thread pool. Each evaluation therefore runs the same
-single-threaded arithmetic whatever the pool size or OPENBLAS_NUM_THREADS.
+numpy and scipy are pinned to one thread, and find_dips samples, then
+refines and classifies, on pools of `threads` workers. Each evaluation
+therefore runs the same single-threaded arithmetic whatever the pool size
+or OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import ctypes
 import functools
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -43,7 +45,7 @@ import numpy as np
 import scipy
 import scipy.linalg as la
 
-from .herglotz import _check_wavenumber
+from .herglotz import assemble_trace_matrix
 from .surface import DirectionGrid, SurfaceGrid, _spherical_coords, surface_radius
 
 __all__ = [
@@ -99,31 +101,43 @@ def _blas_threads() -> tuple:
     return tuple(get() for get, _ in _openblas_thread_controls())
 
 
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved: tuple = ()
+
+
 @contextmanager
 def _one_blas_thread():
     """Pin every bundled OpenBLAS to one thread; restore the counts on exit.
 
     The setting is process-wide, so pool workers run under their caller's
-    pin. A nested pin finds 1 and restores 1, so workers never race.
+    pin. Pins are counted across threads: the first to enter saves the
+    counts and sets 1, and the last to leave restores them, so pins that
+    nest (pool workers) or overlap (sweeps on two threads) never unpin an
+    evaluation that is still running.
     """
+    global _pin_depth, _pin_saved
     controls = _openblas_thread_controls()
-    previous = _blas_threads()
-    for _, put in controls:
-        put(1)
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = _blas_threads()
+            for _, put in controls:
+                put(1)
+        _pin_depth += 1
     try:
         yield
     finally:
-        for (_, put), n in zip(controls, previous):
-            put(n)
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for (_, put), n in zip(controls, _pin_saved):
+                    put(n)
 
 
 @contextmanager
-def _pool(threads: int | None, running=None):
-    """The running pool if given; else a new one of `threads` workers (None:
-    the CPU count), or None to run serially when threads <= 1."""
-    if running is not None:
-        yield running
-        return
+def _pool(threads: int | None):
+    """A pool of `threads` workers (None: the CPU count), or None to run
+    serially when threads <= 1."""
     if threads is None:
         threads = os.cpu_count() or 1
     if threads <= 1:
@@ -269,61 +283,27 @@ def _rank_cutoff(diag: np.ndarray, rtol: float) -> int:
     return int((rel > rtol).sum())
 
 
-class _TraceAssembly:
-    """The stacked trace matrix [boundary; interior] of herglotz's
-    assemble_trace_matrix, with everything but the k-dependent exponential
-    computed once: the phases beta_j . x and the row and column weights.
-
-    Each stacked(k) fills exp(i k phase) into one new array and applies the
-    weights in place in the same order, (row weight * E) * column weight, so
-    it equals assemble_trace_matrix(...).stacked() bit for bit.
-    """
-
-    def __init__(self, grid: SurfaceGrid, dirs: DirectionGrid, interior):
-        self.interior = _check_interior(grid, interior)
-        beta = dirs.directions.T
-        self.n_boundary = grid.n_nodes
-        self.phase = np.vstack([grid.nodes @ beta, self.interior @ beta])
-        uniform = np.sqrt(grid.area / len(self.interior))
-        self.row_weights = np.concatenate(
-            [np.sqrt(grid.weights), np.full(len(self.interior), uniform)]
-        )[:, None]
-        self.col_weights = np.sqrt(dirs.weights)[None, :]
-
-    def stacked(self, k: float) -> np.ndarray:
-        A = np.multiply(1j * _check_wavenumber(k), self.phase, dtype=complex)
-        np.exp(A, out=A)
-        A *= self.row_weights
-        A *= self.col_weights
-        return A
-
-
 def boundary_subspace_singular_values(
     k: float,
     grid: SurfaceGrid,
     dirs: DirectionGrid,
     interior,
     rtol: float = DEFAULT_QR_RTOL,
-    assembly: _TraceAssembly | None = None,
 ) -> np.ndarray:
     """Singular values (descending) of the boundary block of the orthonormal
-    factor of the stacked trace matrix; the last one is the indicator.
-
-    `assembly` is the precomputed assembly of these grids and interior
-    points (make_trace_indicator passes its own); None builds one.
-    """
-    if assembly is None:
-        assembly = _TraceAssembly(grid, dirs, interior)
-    Q, R, _ = la.qr(assembly.stacked(k), mode="economic", pivoting=True)
+    factor of the stacked trace matrix; the last one is the indicator."""
+    interior = _check_interior(grid, interior)
+    tm = assemble_trace_matrix(k, grid, dirs, interior_points=interior)
+    A = tm.stacked()
+    Q, R, _ = la.qr(A, mode="economic", pivoting=True)
     cutoff = _rank_cutoff(np.abs(np.diag(R)), rtol)
     if cutoff == 0:
         raise IllPosedIndicatorError("trace matrix is numerically zero")
-    n_interior = len(assembly.interior)
-    if n_interior < cutoff:
+    if len(interior) < cutoff:
         raise IllPosedIndicatorError(
-            f"{n_interior} interior points cannot control a rank-{cutoff} column space"
+            f"{len(interior)} interior points cannot control a rank-{cutoff} column space"
         )
-    return la.svd(Q[: assembly.n_boundary, :cutoff], compute_uv=False)
+    return la.svd(Q[: tm.n_boundary, :cutoff], compute_uv=False)
 
 
 def completeness_indicator(
@@ -332,10 +312,9 @@ def completeness_indicator(
     dirs: DirectionGrid,
     interior,
     rtol: float = DEFAULT_QR_RTOL,
-    assembly: _TraceAssembly | None = None,
 ) -> float:
     """Smallest principal-angle sine between traces and the boundary; in [0, 1]."""
-    s = boundary_subspace_singular_values(k, grid, dirs, interior, rtol, assembly)
+    s = boundary_subspace_singular_values(k, grid, dirs, interior, rtol=rtol)
     return float(min(s[-1], 1.0))
 
 
@@ -346,37 +325,30 @@ def make_trace_indicator(
     rtol: float = DEFAULT_QR_RTOL,
 ):
     """Callable k -> completeness indicator at fixed interior points, with
-    .singular_values(k) giving the whole boundary-block spectrum.
-
-    Checks the interior points and precomputes the assembly once.
-    """
-    with _one_blas_thread():
-        assembly = _TraceAssembly(grid, dirs, interior)
-    interior = assembly.interior
+    .singular_values(k) giving the whole boundary-block spectrum."""
 
     def singular_values(k: float) -> np.ndarray:
-        return boundary_subspace_singular_values(k, grid, dirs, interior, rtol, assembly)
+        return boundary_subspace_singular_values(k, grid, dirs, interior, rtol=rtol)
 
     def indicator(k: float) -> float:
-        return completeness_indicator(k, grid, dirs, interior, rtol, assembly)
+        return completeness_indicator(k, grid, dirs, interior, rtol=rtol)
 
     indicator.singular_values = singular_values
     return indicator
 
 
-def sweep_k(indicator, ks, threads: int | None = None, pool=None) -> np.ndarray:
+def sweep_k(indicator, ks, threads: int | None = None) -> np.ndarray:
     """Evaluate an indicator on an ascending k-grid.
 
     Evaluations at distinct k run on a thread pool (BLAS releases the GIL),
     one BLAS thread each, and merge in k order; threads=None sizes the pool
-    to the CPU count and threads <= 1 evaluates serially. A running `pool`
-    is used instead of a new one (find_dips passes its own).
+    to the CPU count and threads <= 1 evaluates serially.
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or len(ks) < 2 or ks[0] <= 0 or np.any(np.diff(ks) <= 0):
         raise ValueError("need at least 2 positive, strictly ascending k samples")
-    with _one_blas_thread(), _pool(threads, pool) as workers:
-        return np.array(_map(indicator, ks, workers))
+    with _one_blas_thread(), _pool(threads) as pool:
+        return np.array(_map(indicator, ks, pool))
 
 
 def detect_dips(ks, values, depth_ratio: float = DEFAULT_DEPTH_RATIO) -> list[Dip]:
@@ -456,8 +428,8 @@ def find_dips(
     """Sweep, detect, refine and classify: returns (sampled values, dips).
 
     Each dip is refined within two sample spacings of its sampled minimum.
-    The dips are refined and classified concurrently on the pool that
-    sampled them; each keeps its own golden-section sequence, so the
+    The dips are refined and classified concurrently on a pool of the same
+    size as the sweep's; each keeps its own golden-section sequence, so the
     results do not depend on the pool size.
     """
     ks = np.asarray(ks, dtype=float)
@@ -467,8 +439,9 @@ def find_dips(
         mult = estimate_multiplicity(indicator, k_star, gap_ratio)
         return Dip(k=k_star, indicator=ind_min, multiplicity=mult)
 
-    with _one_blas_thread(), _pool(threads) as pool:
-        values = sweep_k(indicator, ks, threads, pool)
+    with _one_blas_thread():
+        values = sweep_k(indicator, ks, threads)
         half_width = 2.0 * (ks[-1] - ks[0]) / (len(ks) - 1)
-        dips = _map(refine_and_classify, detect_dips(ks, values, depth_ratio), pool)
+        with _pool(threads) as pool:
+            dips = _map(refine_and_classify, detect_dips(ks, values, depth_ratio), pool)
     return values, dips

@@ -23,13 +23,17 @@ from wavetrace import (
     seed_interior_points,
     sweep_k,
 )
-import wavetrace.sweep
-from wavetrace.herglotz import assemble_trace_matrix
 from wavetrace.sweep import (
-    _TraceAssembly,
     _blas_threads,
+    _one_blas_thread,
+    _openblas_thread_controls,
     default_interior_count,
     golden_section_minimize,
+)
+
+needs_openblas_controls = pytest.mark.skipif(
+    not _openblas_thread_controls(),
+    reason="the BLAS exposes no scipy_openblas thread controls, so nothing is pinned",
 )
 
 
@@ -106,39 +110,6 @@ class TestCompletenessIndicator:
         a = completeness_indicator(k, star, dirs, interior)
         b = completeness_indicator(k, star_rot, dirs_rot, interior @ rot.T)
         assert abs(a - b) <= 1e-10
-
-
-class TestTraceAssembly:
-    @pytest.mark.parametrize("surface", ["sphere", "star"])
-    def test_equals_assembled_matrix_byte_for_byte(self, surface):
-        if surface == "sphere":
-            grid = make_sphere(1.0, 16, 32)
-        else:
-            grid = make_star_surface(1.0, [(2, 0, 0.1)], 16, 32)
-        dirs = make_direction_grid(8, 16)
-        interior = seed_interior_points(grid, 300, seed=42)
-        assembly = _TraceAssembly(grid, dirs, interior)
-        for k in (3.0, np.pi, np.float64(4.4934), 6.1):
-            expected = assemble_trace_matrix(k, grid, dirs, interior_points=interior).stacked()
-            got = assembly.stacked(k)
-            assert got.dtype == expected.dtype and got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes()
-
-    def test_interior_checked_once_per_indicator(self, monkeypatch):
-        star = make_star_surface(1.0, [(2, 0, 0.1)], 12, 24)
-        interior = seed_interior_points(star, 200, seed=1)
-        calls = []
-        real = wavetrace.sweep.surface_radius
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(wavetrace.sweep, "surface_radius", counting)
-        indicator = make_trace_indicator(star, make_direction_grid(6, 12), interior)
-        sweep_k(indicator, np.linspace(2.0, 2.5, 5), threads=1)
-        indicator.singular_values(2.2)
-        assert len(calls) == 1
 
 
 class TestSweepK:
@@ -286,6 +257,7 @@ class TestFindDips:
         assert pooled == serial
         assert pooled_values.tobytes() == serial_values.tobytes()
 
+    @needs_openblas_controls
     def test_blas_pinned_during_and_restored_after(self):
         # more workers than cores and frequent thread switches, so nested
         # pins interleave
@@ -312,6 +284,7 @@ class TestFindDips:
         assert seen == {(1,) * len(before)}
         assert _blas_threads() == before
 
+    @needs_openblas_controls
     def test_blas_restored_after_bracket_error(self):
         # decreasing past 3.9: the last samples dip, but the refinement
         # bracket's minimum is its right end, not an interior point
@@ -322,3 +295,24 @@ class TestFindDips:
         with pytest.raises(BracketError):
             find_dips(indicator, np.linspace(3.0, 4.0, 11), threads=2)
         assert _blas_threads() == before
+
+
+@needs_openblas_controls
+def test_overlapping_pins_restore_only_when_the_last_leaves():
+    # two sweeps on two threads: the first pin leaves while the second is
+    # still evaluating
+    controls = _openblas_thread_controls()
+    before = _blas_threads()
+    for _, put in controls:
+        put(2)
+    try:
+        first, second = _one_blas_thread(), _one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert _blas_threads() == (1,) * len(controls)
+        second.__exit__(None, None, None)
+        assert _blas_threads() == (2,) * len(controls)
+    finally:
+        for (_, put), n in zip(controls, before):
+            put(n)
