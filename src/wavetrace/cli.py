@@ -304,15 +304,13 @@ def cmd_eigs(ctx, coefficients, method, out_json, config_path, **flags):
         _check_sweep_args(cfg)
         grid = _build_surface(cfg)
         try:
-            # Serial on purpose: each evaluation holds several N x N complex
-            # temporaries, so a thread pool multiplies the peak memory.
             _, dips = find_dips(
                 make_single_layer_indicator(grid, band_limit=cfg.band_limit),
                 np.linspace(cfg.k_min, cfg.k_max, cfg.samples),
                 cfg.depth_ratio,
                 cfg.refine_tol,
                 cfg.gap_ratio,
-                threads=1,
+                cfg.threads,
             )
         except NUMERICAL_ERRORS as exc:
             click.echo(f"numerical failure: {exc}", err=True)

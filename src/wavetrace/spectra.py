@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .herglotz import _check_wavenumber
 from .specfun import (
     HarmonicIndex,
     bessel_zero,
@@ -53,6 +54,11 @@ __all__ = [
     "bandlimited_basis",
     "make_single_layer_indicator",
 ]
+
+
+# Rows of the node-distance matrix filled at once: bounds the row block's
+# N x 3 coordinate differences to a few MB at the grids used here.
+_STATICS_ROW_BLOCK = 64
 
 
 class UnsupportedSurfaceError(ValueError):
@@ -238,18 +244,36 @@ def static_row_integral(grid: SurfaceGrid, n_alpha: int = 32, n_rad: int = 32) -
 
 def _nystrom_statics(grid: SurfaceGrid, static_integral: np.ndarray):
     """k-independent parts of the weighted Nystrom matrix: weights, node
-    distances (unit diagonal), square-root weights, static diagonal term."""
+    distances (unit diagonal) and their 4 pi multiples, square-root weights,
+    static diagonal term.
+
+    Filled _STATICS_ROW_BLOCK rows at a time, so the coordinate differences
+    never occupy more than a row block; every entry equals the whole-matrix
+    expression's.
+    """
     nodes, w = grid.nodes, grid.weights
-    dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
-    np.fill_diagonal(dist, 1.0)
-    static = 1.0 / (4 * np.pi * dist)
-    static_offdiag_rowsum = (static * w[None, :]).sum(axis=1) - static.diagonal() * w
-    return w, dist, np.sqrt(w), static_integral - static_offdiag_rowsum
+    n = len(w)
+    dist = np.empty((n, n))
+    four_pi_dist = np.empty((n, n))
+    static_offdiag_rowsum = np.empty(n)
+    for start in range(0, n, _STATICS_ROW_BLOCK):
+        rows = slice(start, start + _STATICS_ROW_BLOCK)
+        block = dist[rows]
+        block[:] = np.linalg.norm(nodes[rows, None, :] - nodes[None, :, :], axis=-1)
+        np.fill_diagonal(block[:, start:], 1.0)
+        np.multiply(4 * np.pi, block, out=four_pi_dist[rows])
+        static_offdiag_rowsum[rows] = ((1.0 / four_pi_dist[rows]) * w[None, :]).sum(axis=1)
+    static_offdiag_rowsum -= (1.0 / (4 * np.pi)) * w
+    return w, dist, four_pi_dist, np.sqrt(w), static_integral - static_offdiag_rowsum
 
 
-def _nystrom_matrix(k: float, w, dist, sw, static_diag) -> np.ndarray:
-    kern = np.exp(1j * k * dist) / (4 * np.pi * dist)
-    A = sw[:, None] * kern * sw[None, :]
+def _nystrom_matrix(k: float, w, dist, four_pi_dist, sw, static_diag) -> np.ndarray:
+    """The weighted Nystrom matrix at k, built in one N x N complex buffer."""
+    A = np.multiply(1j * k, dist, dtype=complex)
+    np.exp(A, out=A)
+    np.divide(A, four_pi_dist, out=A)
+    np.multiply(sw[:, None], A, out=A)
+    np.multiply(A, sw[None, :], out=A)
     idx = np.arange(len(w))
     A[idx, idx] = 1j * k * w / (4 * np.pi) + static_diag
     return A
@@ -266,9 +290,7 @@ def single_layer_matrix(
     constants. Symmetric (not Hermitian), spectrum equal to the plain
     Nystrom K diag(sigma).
     """
-    k = float(k)
-    if k <= 0:
-        raise ValueError(f"wavenumber k must be positive, got {k}")
+    k = _check_wavenumber(k)
     if static_integral is None:
         static_integral = static_row_integral(grid)
     return _nystrom_matrix(k, *_nystrom_statics(grid, static_integral))
@@ -299,14 +321,15 @@ def make_single_layer_indicator(
 
     Precomputes the node distances, the static row integral and the
     bandlimited basis once; each evaluation only rebuilds the oscillatory
-    kernel.
+    kernel, in one N x N complex buffer of its own, so evaluations may run
+    concurrently. k must be positive and finite (ValueError otherwise).
     """
     g = static_row_integral(grid, n_alpha=n_alpha, n_rad=n_rad)
     statics = _nystrom_statics(grid, g)
     Q = bandlimited_basis(grid, band_limit)
 
     def singular_values(k: float) -> np.ndarray:
-        A = _nystrom_matrix(float(k), *statics)
+        A = _nystrom_matrix(_check_wavenumber(k), *statics)
         B = Q.conj().T @ (A @ Q)
         return np.linalg.svd(B, compute_uv=False)
 

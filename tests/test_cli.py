@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -213,6 +214,29 @@ class TestEigsCommand:
         result = runner.invoke(main, [*STAR_SINGLE_LAYER, "--out-json", str(tmp_path / "e.json")])
         assert result.exit_code == 0, result.output
         assert len(calls) == 1
+
+    def test_star_single_layer_independent_of_pool_size(self, runner, tmp_path, monkeypatch):
+        seen = []
+        original = wavetrace.cli.find_dips
+
+        def spy(*args, **kwargs):
+            seen.append(inspect.signature(original).bind(*args, **kwargs).arguments["threads"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(wavetrace.cli, "find_dips", spy)
+        texts = []
+        for threads in (1, 2):
+            cfg_path = tmp_path / f"threads{threads}.json"
+            cfg_path.write_text(json.dumps({"threads": threads}))
+            json_path = tmp_path / f"eigs{threads}.json"
+            result = runner.invoke(
+                main, [*STAR_SINGLE_LAYER, "--config", str(cfg_path), "--out-json", str(json_path)]
+            )
+            assert result.exit_code == 0, result.output
+            texts.append(json_path.read_text())
+        assert seen == [1, 2]
+        # the artifact records its run configuration, so only that line may differ
+        assert texts[0].replace('"threads": 1', '"threads": 2') == texts[1]
 
     def test_analytic_star_is_usage_error(self, runner):
         result = runner.invoke(main, ["eigs", "--surface", "star", "--coef", "2,0,0.1"])

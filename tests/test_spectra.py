@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,34 @@ from wavetrace import (
     static_row_integral,
     sweep_k,
 )
-from wavetrace.spectra import bandlimited_basis
+from wavetrace.spectra import _nystrom_matrix, _nystrom_statics, bandlimited_basis
 from wavetrace.surface import _spherical_coords
+
+
+def nystrom_reference(k, grid, static_integral):
+    """The weighted Nystrom matrix written as whole-matrix expressions, with
+    no row blocks or shared buffers: the bit-level oracle for
+    single_layer_matrix."""
+    nodes, w = grid.nodes, grid.weights
+    dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
+    np.fill_diagonal(dist, 1.0)
+    static = 1.0 / (4 * np.pi * dist)
+    static_diag = static_integral - ((static * w[None, :]).sum(axis=1) - static.diagonal() * w)
+    sw = np.sqrt(w)
+    A = sw[:, None] * (np.exp(1j * k * dist) / (4 * np.pi * dist)) * sw[None, :]
+    idx = np.arange(len(w))
+    A[idx, idx] = 1j * k * w / (4 * np.pi) + static_diag
+    return A
+
+
+def traced_peak_bytes(fn, *args):
+    """Peak bytes traced by tracemalloc while fn(*args) runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def harmonic_on(grid, l, m):
@@ -205,6 +233,33 @@ class TestSingleLayerMatrix:
     def test_invalid_wavenumber(self, sphere_24_48):
         with pytest.raises(ValueError):
             single_layer_matrix(-2.0, sphere_24_48)
+
+    @pytest.mark.parametrize("k", [-1.0, 0.0, np.nan, np.inf])
+    def test_indicator_rejects_invalid_wavenumber(self, k):
+        indicator = make_single_layer_indicator(make_sphere(1.0, 8, 16), band_limit=4)
+        with pytest.raises(ValueError, match="wavenumber k must be positive"):
+            indicator(k)
+        with pytest.raises(ValueError, match="wavenumber k must be positive"):
+            indicator.singular_values(k)
+
+    @pytest.mark.parametrize("surface", ["sphere", "star"])
+    def test_bit_identical_to_whole_matrix_expression(self, surface, sphere_24_48):
+        # the sphere's 1152 nodes fill 18 row blocks; the star's 288 end in a partial one
+        grid = sphere_24_48 if surface == "sphere" else make_star_surface(1.0, [(2, 0, 0.1)], 12, 24)
+        g = static_row_integral(grid)
+        for k in (3.1, 5.6301, 6.4):
+            A = single_layer_matrix(k, grid, g)
+            assert np.array_equal(A.view(float), nystrom_reference(k, grid, g).view(float))
+
+    def test_memory_one_buffer_per_evaluation(self, sphere_24_48):
+        # a whole-matrix build holds about 8 N^2-byte arrays for the statics
+        # and 3 N^2 complex ones per evaluation
+        g = static_row_integral(sphere_24_48)
+        n = sphere_24_48.n_nodes
+        statics_peak, statics = traced_peak_bytes(_nystrom_statics, sphere_24_48, g)
+        assert statics_peak <= 3 * 8 * n * n
+        matrix_peak, _ = traced_peak_bytes(_nystrom_matrix, 5.6301, *statics)
+        assert matrix_peak <= 1.5 * 16 * n * n
 
     def test_negative_band_limit_rejected(self):
         grid = make_sphere(1.0, 8, 16)
