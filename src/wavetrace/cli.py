@@ -4,6 +4,11 @@ Every artifact embeds the full run configuration and seed, so any CSV or
 JSON output can be regenerated byte-identically on the same machine and
 BLAS configuration. Exit codes follow the CI contract: 0 success,
 1 verification failure, 2 usage/config error, 3 numerical failure.
+
+RunConfig declares every run parameter once: --help shows its defaults,
+and RunConfig.check sends a flag or config value of the wrong type or out
+of range to exit 2 before any work. The `wavetrace` group maps a numerical
+failure in any subcommand to exit 3.
 """
 
 from __future__ import annotations
@@ -12,11 +17,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .herglotz import fit_trace
 from .specfun import HarmonicIndex, sph_harm
@@ -29,7 +36,10 @@ from .surface import (
     make_star_surface,
 )
 from .sweep import (
+    DEFAULT_DEPTH_RATIO,
+    DEFAULT_GAP_RATIO,
     DEFAULT_QR_RTOL,
+    DEFAULT_REFINE_TOL,
     BracketError,
     IllPosedIndicatorError,
     default_interior_count,
@@ -40,9 +50,7 @@ from .sweep import (
 )
 from .verify import InconclusiveCheckError, run_default_suite
 
-EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
-EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 NUMERICAL_ERRORS = (
@@ -55,7 +63,11 @@ NUMERICAL_ERRORS = (
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; embedded verbatim in every artifact."""
+    """Everything a run needs; embedded verbatim in every artifact.
+
+    The one place a run parameter's default is written: the commands'
+    options show these, and `check` holds each field's range.
+    """
 
     surface: str = "ball"
     radius: float = 1.0
@@ -69,12 +81,34 @@ class RunConfig:
     samples: int = 350
     seed: int = 0
     interior_count: int | None = None
-    depth_ratio: float = 0.1
-    refine_tol: float = 1e-4
-    gap_ratio: float = 10.0
+    depth_ratio: float = DEFAULT_DEPTH_RATIO
+    refine_tol: float = DEFAULT_REFINE_TOL
+    gap_ratio: float = DEFAULT_GAP_RATIO
     ridge: float | None = None
     band_limit: int = 8
     threads: int | None = None
+
+    def check(self, k_sweep: bool):
+        """Usage error for any field of the wrong type or out of range,
+        raised before any work.
+
+        A bool is not an int; an int may stand for a float. The
+        0 < k_min < k_max relation binds only where a k sweep runs.
+        """
+        hints = typing.get_type_hints(RunConfig)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+            if float in kinds:
+                kinds += (int,)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise click.UsageError(f"{f.name} must be {f.type}, got {value!r}")
+        for name, (ok, rule) in _RANGES.items():
+            value = getattr(self, name)
+            if value is not None and not ok(value):
+                raise click.UsageError(f"{name} must be {rule}, got {value!r}")
+        if k_sweep and not (0 < self.k_min < self.k_max):
+            raise click.UsageError(f"need 0 < kmin < kmax, got [{self.k_min}, {self.k_max}]")
 
     def resolved(self) -> "RunConfig":
         """Fill resolution defaults from the wavenumber range (k R rules)."""
@@ -94,6 +128,22 @@ class RunConfig:
         return asdict(self)
 
 
+_RANGES = {
+    "surface": (lambda v: v in ("ball", "star"), "'ball' or 'star'"),
+    "radius": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "k_max": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "samples": (lambda v: v >= 2, "at least 2"),
+    "seed": (lambda v: v >= 0, "nonnegative"),
+    "interior_count": (lambda v: v >= 1, "positive"),
+    "depth_ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "refine_tol": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "gap_ratio": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "ridge": (lambda v: 0 <= v < math.inf, "nonnegative and finite"),
+    "band_limit": (lambda v: v >= 0, "nonnegative"),
+    "threads": (lambda v: v >= 1, "positive"),
+}
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -107,24 +157,23 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _merge_config(ctx: click.Context, config_path: str | None, **flags) -> RunConfig:
-    """Precedence: explicit flags > config file > dataclass defaults."""
+def _run_config(ctx: click.Context, config_path: str | None, k_sweep: bool, **flags) -> RunConfig:
+    """RunConfig defaults, then config-file keys, then flags given on the
+    command line; checked, then resolved."""
     cfg = RunConfig()
-    file_values = _load_config_file(config_path)
-    for key, value in file_values.items():
-        if not hasattr(cfg, key):
+    names = {f.name for f in fields(RunConfig)}
+    for key, value in _load_config_file(config_path).items():
+        if key not in names:
             raise click.UsageError(f"unknown config key {key!r}")
         setattr(cfg, key, value)
     for key, value in flags.items():
-        source = ctx.get_parameter_source(key)
-        if source is not None and source.name == "COMMANDLINE":
+        if ctx.get_parameter_source(key) is ParameterSource.COMMANDLINE:
             setattr(cfg, key, value)
-        elif value is not None and key not in file_values and getattr(cfg, key, None) is None:
-            setattr(cfg, key, value)
-    return cfg
+    cfg.check(k_sweep)
+    return cfg.resolved()
 
 
-def _parse_coef(values) -> list:
+def _parse_coef(ctx, param, values) -> list:
     out = []
     for text in values:
         parts = text.split(",")
@@ -140,7 +189,7 @@ def _parse_coef(values) -> list:
     return out
 
 
-def _parse_target(text: str) -> HarmonicIndex:
+def _parse_target(ctx, param, text: str) -> HarmonicIndex:
     parts = text.split(",")
     if len(parts) != 2:
         raise click.UsageError(f"--target wants 'l,m', got {text!r}")
@@ -158,11 +207,9 @@ def _build_surface(cfg: RunConfig):
     try:
         if cfg.surface == "ball":
             return make_sphere(cfg.radius, cfg.n_theta, cfg.n_phi)
-        if cfg.surface == "star":
-            return make_star_surface(cfg.radius, cfg.coefficients, cfg.n_theta, cfg.n_phi)
-    except (DegenerateSurfaceError, ValueError) as exc:
+        return make_star_surface(cfg.radius, cfg.coefficients, cfg.n_theta, cfg.n_phi)
+    except (DegenerateSurfaceError, TypeError, ValueError) as exc:
         raise click.UsageError(f"bad surface configuration: {exc}")
-    raise click.UsageError(f"unknown surface kind {cfg.surface!r}")
 
 
 def _build_dirs(cfg: RunConfig):
@@ -170,20 +217,6 @@ def _build_dirs(cfg: RunConfig):
         return make_direction_grid(cfg.dirs_n_theta, cfg.dirs_n_phi)
     except ValueError as exc:
         raise click.UsageError(f"bad direction grid: {exc}")
-
-
-def _check_sweep_args(cfg: RunConfig):
-    """Usage errors shared by the two k sweeps, raised before any work."""
-    if not (0 < cfg.k_min < cfg.k_max):
-        raise click.UsageError(f"need 0 < kmin < kmax, got [{cfg.k_min}, {cfg.k_max}]")
-    if cfg.samples < 2:
-        raise click.UsageError(f"need at least 2 samples, got {cfg.samples}")
-    if not cfg.refine_tol > 0:
-        raise click.UsageError(f"refine tolerance must be positive, got {cfg.refine_tol}")
-    if cfg.interior_count is not None and cfg.interior_count < 1:
-        raise click.UsageError(f"interior count must be positive, got {cfg.interior_count}")
-    if cfg.band_limit < 0:
-        raise click.UsageError(f"band limit must be nonnegative, got {cfg.band_limit}")
 
 
 def _check_writable(path: str):
@@ -201,36 +234,46 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-@click.group()
+class _Main(click.Group):
+    """The `wavetrace` group: a numerical failure in any subcommand exits 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NUMERICAL_ERRORS as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            ctx.exit(EXIT_NUMERICAL)
+
+
+@click.group(cls=_Main)
 def main():
     """Plane-wave trace completeness testbed."""
 
 
 @main.command("sweep")
-@click.option("--surface", type=click.Choice(["ball", "star"]), default="ball", show_default=True)
-@click.option("--radius", type=float, default=1.0, show_default=True)
-@click.option("--coef", "coefficients", multiple=True, help="Star perturbation 'l,m,eps'; repeatable.")
-@click.option("--ntheta", "n_theta", type=int, default=None, help="Surface polar resolution.")
-@click.option("--nphi", "n_phi", type=int, default=None, help="Surface azimuthal resolution.")
-@click.option("--dirs-ntheta", "dirs_n_theta", type=int, default=None)
-@click.option("--dirs-nphi", "dirs_n_phi", type=int, default=None)
-@click.option("--kmin", "k_min", type=float, default=3.0, show_default=True)
-@click.option("--kmax", "k_max", type=float, default=6.5, show_default=True)
-@click.option("--samples", type=int, default=350, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--interior-count", type=int, default=None)
-@click.option("--depth-ratio", type=float, default=0.1, show_default=True)
-@click.option("--refine-tol", type=float, default=1e-4, show_default=True)
-@click.option("--threads", type=int, default=None, help="Size of the sweep-and-refinement pool (default: CPU count).")
+@click.option("--surface", type=click.Choice(["ball", "star"]), default=RunConfig.surface, show_default=True)
+@click.option("--radius", type=float, default=RunConfig.radius, show_default=True)
+@click.option("--coef", "coefficients", multiple=True, callback=_parse_coef,
+              help="Star perturbation 'l,m,eps'; repeatable.")
+@click.option("--ntheta", "n_theta", type=int, help="Surface polar resolution.")
+@click.option("--nphi", "n_phi", type=int, help="Surface azimuthal resolution.")
+@click.option("--dirs-ntheta", "dirs_n_theta", type=int)
+@click.option("--dirs-nphi", "dirs_n_phi", type=int)
+@click.option("--kmin", "k_min", type=float, default=RunConfig.k_min, show_default=True)
+@click.option("--kmax", "k_max", type=float, default=RunConfig.k_max, show_default=True)
+@click.option("--samples", type=int, default=RunConfig.samples, show_default=True)
+@click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
+@click.option("--interior-count", type=int)
+@click.option("--depth-ratio", type=float, default=RunConfig.depth_ratio, show_default=True)
+@click.option("--refine-tol", type=float, default=RunConfig.refine_tol, show_default=True)
+@click.option("--threads", type=int, help="Size of the sweep-and-refinement pool (default: CPU count).")
 @click.option("--out-csv", type=str, default="sweep.csv", show_default=True)
 @click.option("--out-json", type=str, default="sweep.json", show_default=True)
 @click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
 @click.pass_context
-def cmd_sweep(ctx, coefficients, out_csv, out_json, config_path, **flags):
+def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     """Sweep the completeness indicator over k and report dips."""
-    flags["coefficients"] = _parse_coef(coefficients)
-    cfg = _merge_config(ctx, config_path, **flags).resolved()
-    _check_sweep_args(cfg)
+    cfg = _run_config(ctx, config_path, k_sweep=True, **flags)
     _check_writable(out_csv)
     _check_writable(out_json)
     grid = _build_surface(cfg)
@@ -238,18 +281,14 @@ def cmd_sweep(ctx, coefficients, out_csv, out_json, config_path, **flags):
     interior_count = cfg.interior_count or default_interior_count(dirs)
     interior = seed_interior_points(grid, interior_count, cfg.seed)
     ks = np.linspace(cfg.k_min, cfg.k_max, cfg.samples)
-    try:
-        values, refined = find_dips(
-            make_trace_indicator(grid, dirs, interior),
-            ks,
-            cfg.depth_ratio,
-            cfg.refine_tol,
-            cfg.gap_ratio,
-            cfg.threads,
-        )
-    except NUMERICAL_ERRORS as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    values, refined = find_dips(
+        make_trace_indicator(grid, dirs, interior),
+        ks,
+        cfg.depth_ratio,
+        cfg.refine_tol,
+        cfg.gap_ratio,
+        cfg.threads,
+    )
     config = {
         "indicator": "trace-subspace",
         "surface": grid.descriptor,
@@ -265,56 +304,47 @@ def cmd_sweep(ctx, coefficients, out_csv, out_json, config_path, **flags):
     }
     final = SweepResult(k_samples=ks, indicator=values, dips=refined, config=config)
     _write_text(out_csv, final.to_csv_text())
-    _write_text(out_json, final.to_json())
+    _write_text(out_json, _json_dumps(final.to_json_dict()))
     click.echo(f"{len(refined)} dip(s) in [{cfg.k_min}, {cfg.k_max}]:")
     click.echo("k_refined        indicator    multiplicity")
     for dip in refined:
         click.echo(f"{dip.k:<16.10g} {dip.indicator:<12.3e} {dip.multiplicity}")
-    sys.exit(EXIT_OK)
 
 
 @main.command("eigs")
-@click.option("--surface", type=click.Choice(["ball", "star"]), default="ball", show_default=True)
-@click.option("--radius", type=float, default=1.0, show_default=True)
-@click.option("--coef", "coefficients", multiple=True)
+@click.option("--surface", type=click.Choice(["ball", "star"]), default=RunConfig.surface, show_default=True)
+@click.option("--radius", type=float, default=RunConfig.radius, show_default=True)
+@click.option("--coef", "coefficients", multiple=True, callback=_parse_coef)
 @click.option("--method", type=click.Choice(["analytic", "single-layer"]), default="analytic",
               show_default=True)
-@click.option("--ntheta", "n_theta", type=int, default=None)
-@click.option("--nphi", "n_phi", type=int, default=None)
-@click.option("--kmin", "k_min", type=float, default=3.0, show_default=True)
-@click.option("--kmax", "k_max", type=float, default=6.5, show_default=True)
-@click.option("--samples", type=int, default=200, show_default=True)
-@click.option("--refine-tol", type=float, default=1e-4, show_default=True)
-@click.option("--band-limit", type=int, default=8, show_default=True)
+@click.option("--ntheta", "n_theta", type=int)
+@click.option("--nphi", "n_phi", type=int)
+@click.option("--kmin", "k_min", type=float, default=RunConfig.k_min, show_default=True)
+@click.option("--kmax", "k_max", type=float, default=RunConfig.k_max, show_default=True)
+@click.option("--samples", type=int, default=RunConfig.samples, show_default=True)
+@click.option("--refine-tol", type=float, default=RunConfig.refine_tol, show_default=True)
+@click.option("--band-limit", type=int, default=RunConfig.band_limit, show_default=True)
 @click.option("--out-json", type=str, default="eigs.json", show_default=True)
 @click.option("--config", "config_path", type=str, default=None)
 @click.pass_context
-def cmd_eigs(ctx, coefficients, method, out_json, config_path, **flags):
+def cmd_eigs(ctx, method, out_json, config_path, **flags):
     """List Dirichlet eigenvalue candidates from an oracle."""
-    flags["coefficients"] = _parse_coef(coefficients)
-    cfg = _merge_config(ctx, config_path, **flags).resolved()
-    if cfg.k_max <= 0:
-        raise click.UsageError(f"kmax must be positive, got {cfg.k_max}")
+    cfg = _run_config(ctx, config_path, k_sweep=method == "single-layer", **flags)
     _check_writable(out_json)
     if method == "analytic":
         if cfg.surface != "ball":
             raise click.UsageError("analytic spectrum exists only for the ball")
         records = ball_dirichlet_eigs(cfg.radius, cfg.k_max)
     else:
-        _check_sweep_args(cfg)
         grid = _build_surface(cfg)
-        try:
-            _, dips = find_dips(
-                make_single_layer_indicator(grid, band_limit=cfg.band_limit),
-                np.linspace(cfg.k_min, cfg.k_max, cfg.samples),
-                cfg.depth_ratio,
-                cfg.refine_tol,
-                cfg.gap_ratio,
-                cfg.threads,
-            )
-        except NUMERICAL_ERRORS as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL)
+        _, dips = find_dips(
+            make_single_layer_indicator(grid, band_limit=cfg.band_limit),
+            np.linspace(cfg.k_min, cfg.k_max, cfg.samples),
+            cfg.depth_ratio,
+            cfg.refine_tol,
+            cfg.gap_ratio,
+            cfg.threads,
+        )
         records = [
             EigenvalueRecord(k=dip.k, multiplicity=dip.multiplicity, source="single-layer")
             for dip in dips
@@ -329,7 +359,6 @@ def cmd_eigs(ctx, coefficients, method, out_json, config_path, **flags):
     for rec in records:
         tag = "" if rec.l is None else f"  l={rec.l} n={rec.n}"
         click.echo(f"k = {rec.k:.10g}  mult = {rec.multiplicity}  [{rec.source}]{tag}")
-    sys.exit(EXIT_OK)
 
 
 @main.command("verify")
@@ -339,13 +368,11 @@ def cmd_eigs(ctx, coefficients, method, out_json, config_path, **flags):
 @click.option("--out", "out_path", type=str, default=None, help="Also write the JSON lines here.")
 def cmd_verify(seed, inject_off_spectrum, out_path):
     """Run the full proof-step verification suite; exit 0 iff all pass."""
+    if seed < 0:
+        raise click.UsageError(f"seed must be nonnegative, got {seed}")
     if out_path is not None:
         _check_writable(out_path)
-    try:
-        reports = run_default_suite(seed=seed, inject_off_spectrum=inject_off_spectrum)
-    except NUMERICAL_ERRORS as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    reports = run_default_suite(seed=seed, inject_off_spectrum=inject_off_spectrum)
     lines = [r.to_json_line() for r in reports]
     for line in lines:
         click.echo(line)
@@ -364,50 +391,40 @@ def cmd_verify(seed, inject_off_spectrum, out_path):
         for r in vacuous_controls:
             click.echo(f"CONTROL DID NOT DISCRIMINATE: {r.check_name}", err=True)
         sys.exit(EXIT_VERIFY_FAIL)
-    sys.exit(EXIT_OK)
 
 
 @main.command("fit")
-@click.option("--target", required=True, help="Spherical-harmonic target 'l,m'.")
-@click.option("--k", "k_value", type=float, required=True)
-@click.option("--surface", type=click.Choice(["ball"]), default="ball", show_default=True)
-@click.option("--radius", type=float, default=1.0, show_default=True)
-@click.option("--ntheta", "n_theta", type=int, default=None)
-@click.option("--nphi", "n_phi", type=int, default=None)
-@click.option("--dirs-ntheta", "dirs_n_theta", type=int, default=None)
-@click.option("--dirs-nphi", "dirs_n_phi", type=int, default=None)
-@click.option("--ridge", type=float, default=None, help="Default: 1e-12 * ||A||^2.")
+@click.option("--target", required=True, callback=_parse_target, help="Spherical-harmonic target 'l,m'.")
+@click.option("--k", "k_max", type=float, required=True)
+@click.option("--surface", type=click.Choice(["ball"]), default=RunConfig.surface, show_default=True)
+@click.option("--radius", type=float, default=RunConfig.radius, show_default=True)
+@click.option("--ntheta", "n_theta", type=int)
+@click.option("--nphi", "n_phi", type=int)
+@click.option("--dirs-ntheta", "dirs_n_theta", type=int)
+@click.option("--dirs-nphi", "dirs_n_phi", type=int)
+@click.option("--ridge", type=float, help="Default: 1e-12 * ||A||^2.")
 @click.option("--out-json", type=str, default="fit.json", show_default=True)
 @click.option("--config", "config_path", type=str, default=None)
 @click.pass_context
-def cmd_fit(ctx, target, k_value, out_json, config_path, **flags):
+def cmd_fit(ctx, target, out_json, config_path, **flags):
     """Fit one spherical-harmonic trace against the plane-wave trace span."""
-    idx = _parse_target(target)
-    if k_value <= 0:
-        raise click.UsageError(f"k must be positive, got {k_value}")
-    cfg = _merge_config(ctx, config_path, **flags)
-    cfg.k_max = k_value  # resolution rules key off the working wavenumber
-    cfg = cfg.resolved()
+    # --k is the working wavenumber, so the resolution rules key off it as k_max
+    cfg = _run_config(ctx, config_path, k_sweep=False, **flags)
     _check_writable(out_json)
     grid = _build_surface(cfg)
     dirs = _build_dirs(cfg)
     _, theta, phi = _spherical_coords(grid.nodes)
-    try:
-        residual, density = fit_trace(k_value, grid, sph_harm(idx, theta, phi), dirs, ridge=cfg.ridge)
-    except NUMERICAL_ERRORS as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    residual, density = fit_trace(cfg.k_max, grid, sph_harm(target, theta, phi), dirs, ridge=cfg.ridge)
     payload = {
         "run_config": cfg.to_dict(),
-        "target": [idx.l, idx.m],
-        "k": k_value,
+        "target": [target.l, target.m],
+        "k": cfg.k_max,
         "residual": residual,
         "density_norm": density.norm(dirs),
     }
     _write_text(out_json, _json_dumps(payload))
     click.echo(f"relative residual = {residual:.12g}")
     click.echo(f"density L2 norm   = {density.norm(dirs):.12g}")
-    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -215,9 +214,6 @@ class SweepResult:
             "indicator": [float(v) for v in self.indicator],
             "dips": [d.to_dict() for d in self.dips],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def seed_interior_points(
@@ -412,6 +408,8 @@ def estimate_multiplicity(indicator, k_star: float, gap_ratio: float = DEFAULT_G
     ball this recovers the eigenvalue multiplicity 2l+1. A refined dip is a
     collapse by construction, so a count of 0 is reported as 1.
     """
+    if not gap_ratio > 0:
+        raise ValueError(f"gap_ratio must be positive, got {gap_ratio}")
     with _one_blas_thread():
         s = indicator.singular_values(k_star)
     return max(1, int((s < np.median(s) / gap_ratio).sum()))

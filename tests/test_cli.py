@@ -1,10 +1,12 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -13,7 +15,7 @@ import wavetrace
 import wavetrace.spectra
 import wavetrace.sweep
 from wavetrace import BracketError
-from wavetrace.cli import main
+from wavetrace.cli import RunConfig, main
 from wavetrace.sweep import _blas_threads, _openblas_thread_controls
 
 
@@ -43,20 +45,91 @@ STAR_SINGLE_LAYER = [
 ]
 
 
+# The flags of every subcommand, as `--help` lists them: adding or removing
+# one changes the command-line contract, so it must change this set too
+CLI_FLAGS = {
+    "sweep": {
+        "--surface", "--radius", "--coef", "--ntheta", "--nphi", "--dirs-ntheta", "--dirs-nphi",
+        "--kmin", "--kmax", "--samples", "--seed", "--interior-count", "--depth-ratio",
+        "--refine-tol", "--threads", "--out-csv", "--out-json", "--config", "--help",
+    },
+    "eigs": {
+        "--surface", "--radius", "--coef", "--method", "--ntheta", "--nphi", "--kmin", "--kmax",
+        "--samples", "--refine-tol", "--band-limit", "--out-json", "--config", "--help",
+    },
+    "verify": {"--seed", "--inject-off-spectrum", "--out", "--help"},
+    "fit": {
+        "--target", "--k", "--surface", "--radius", "--ntheta", "--nphi", "--dirs-ntheta",
+        "--dirs-nphi", "--ridge", "--out-json", "--config", "--help",
+    },
+}
+
+
+def test_flag_sets_unchanged(runner):
+    assert set(main.commands) == set(CLI_FLAGS)
+    for command, flags in CLI_FLAGS.items():
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0, result.output
+        assert set(re.findall(r"^  (--[\w-]+)", result.output, re.M)) == flags, command
+
+
+@pytest.mark.parametrize("command", ["sweep", "eigs", "fit"])
+def test_help_shows_run_config_defaults(command):
+    cmd = main.commands[command]
+    ctx = click.Context(cmd, info_name=command)
+    defaults = RunConfig()
+    bound = [p for p in cmd.params if hasattr(defaults, p.name) and not p.required]
+    assert bound
+    for param in bound:
+        _, help_text = param.get_help_record(ctx)
+        default = getattr(defaults, param.name)
+        if default is None or default == []:
+            assert "[default:" not in help_text, param.name
+        else:
+            assert f"[default: {default}]" in help_text, param.name
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, config",
     [
-        [*STAR_SINGLE_LAYER, "--samples", "1"],
-        [*STAR_SINGLE_LAYER, "--band-limit", "-1"],
-        ["sweep", *FAST_SWEEP, "--interior-count", "0"],
-        ["sweep", *FAST_SWEEP, "--refine-tol", "0"],
+        ([*STAR_SINGLE_LAYER, "--samples", "1"], None),
+        ([*STAR_SINGLE_LAYER, "--band-limit", "-1"], None),
+        (["sweep", *FAST_SWEEP, "--interior-count", "0"], None),
+        (["sweep", *FAST_SWEEP, "--refine-tol", "0"], None),
+        (["eigs", "--radius", "0"], None),
+        (["eigs", "--radius", "-1"], None),
+        (["fit", "--target", "0,0", "--k", "1.0", "--ridge", "-1"], None),
+        (["fit", "--target", "0,0", "--k", "nan"], None),
+        (["sweep", *FAST_SWEEP, "--kmax", "inf"], None),
+        (["sweep", *FAST_SWEEP, "--seed", "-1"], None),
+        (["verify", "--seed", "-1"], None),
+        (["sweep", *FAST_SWEEP, "--depth-ratio", "1"], None),
+        (["sweep", *FAST_SWEEP, "--threads", "0"], None),
+        (["eigs"], {"samples": "40"}),
+        (["eigs"], {"threads": "2"}),
+        (["eigs"], {"band_limit": True}),
+        (["eigs"], {"gap_ratio": 0}),
+        (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [5]}),
     ],
-    ids=["eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0"],
+    ids=[
+        "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
+        "eigs-radius-0", "eigs-radius-negative", "fit-ridge-negative", "fit-k-nan", "sweep-kmax-inf",
+        "sweep-seed-negative", "verify-seed-negative", "sweep-depth-ratio-1", "sweep-threads-0",
+        "config-samples-string", "config-threads-string", "config-bool-for-int", "config-gap-ratio-0",
+        "config-coefficient-not-a-triple",
+    ],
 )
-def test_bad_numeric_input_is_usage_error(runner, tmp_path, args):
-    out = ["--out-json", str(tmp_path / "out.json")]
+def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
+    if args[0] == "verify":
+        out = ["--out", str(tmp_path / "out.jsonl")]
+    else:
+        out = ["--out-json", str(tmp_path / "out.json")]
     if args[0] == "sweep":
         out += ["--out-csv", str(tmp_path / "out.csv")]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out += ["--config", str(cfg_path)]
     result = runner.invoke(main, [*args, *out])
     assert result.exit_code == 2, result.output
 
@@ -237,6 +310,20 @@ class TestEigsCommand:
         assert seen == [1, 2]
         # the artifact records its run configuration, so only that line may differ
         assert texts[0].replace('"threads": 1', '"threads": 2') == texts[1]
+
+    def test_single_layer_default_samples(self, runner, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(indicator, ks, *args):
+            seen.append(len(ks))
+            return np.ones(len(ks)), []
+
+        monkeypatch.setattr(wavetrace.cli, "make_single_layer_indicator", lambda grid, band_limit: None)
+        monkeypatch.setattr(wavetrace.cli, "find_dips", spy)
+        args = [a for a in STAR_SINGLE_LAYER if a not in ("--samples", "26")]
+        result = runner.invoke(main, [*args, "--out-json", str(tmp_path / "e.json")])
+        assert result.exit_code == 0, result.output
+        assert seen == [RunConfig.samples] == [350]
 
     def test_analytic_star_is_usage_error(self, runner):
         result = runner.invoke(main, ["eigs", "--surface", "star", "--coef", "2,0,0.1"])

@@ -239,6 +239,16 @@ class TestEstimateMultiplicity:
         assert len(dips) == 1
         assert dips[0].multiplicity == 1
 
+    @pytest.mark.parametrize("gap_ratio", [0.0, -1.0, float("nan")])
+    def test_nonpositive_gap_ratio_rejected(self, gap_ratio):
+        # gap_ratio 0 would count every singular value, -1 none
+        def indicator(k):
+            return abs(k - 3.2) + 1e-3
+
+        indicator.singular_values = lambda k: np.array([1.0, 0.9, 0.8, 0.7, 0.6])
+        with pytest.raises(ValueError, match="gap_ratio"):
+            estimate_multiplicity(indicator, 3.2, gap_ratio)
+
 
 def ball_two_dips():
     """Criterion-8 grids over [3.0, 4.6]: dips at pi (simple) and z_11 (triple)."""
