@@ -107,21 +107,21 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not ok(value):
                 raise click.UsageError(f"{name} must be {rule}, got {value!r}")
+        for name, default in _grid_defaults(self.k_max * self.radius).items():
+            value = getattr(self, name)
+            if value is not None and value > _GRID_CAP * default:
+                raise click.UsageError(
+                    f"{name} must be at most {_GRID_CAP * default} ({_GRID_CAP}x its k R default), got {value!r}"
+                )
         if k_sweep and not (0 < self.k_min < self.k_max):
             raise click.UsageError(f"need 0 < kmin < kmax, got [{self.k_min}, {self.k_max}]")
 
     def resolved(self) -> "RunConfig":
         """Fill resolution defaults from the wavenumber range (k R rules)."""
         cfg = RunConfig(**asdict(self))
-        k_scale = cfg.k_max * cfg.radius
-        if cfg.n_theta is None:
-            cfg.n_theta = max(20, math.ceil(2 * k_scale) + 10)
-        if cfg.n_phi is None:
-            cfg.n_phi = 2 * cfg.n_theta
-        if cfg.dirs_n_theta is None:
-            cfg.dirs_n_theta = max(8, math.ceil(k_scale) + 5)
-        if cfg.dirs_n_phi is None:
-            cfg.dirs_n_phi = 2 * cfg.dirs_n_theta
+        for name, default in _grid_defaults(cfg.k_max * cfg.radius).items():
+            if getattr(cfg, name) is None:
+                setattr(cfg, name, default)
         return cfg
 
     def to_dict(self) -> dict:
@@ -142,6 +142,18 @@ _RANGES = {
     "band_limit": (lambda v: v >= 0, "nonnegative"),
     "threads": (lambda v: v >= 1, "positive"),
 }
+
+
+# Grid resolutions above _GRID_CAP times their k R default are refused: they
+# add no accuracy and their trace matrices outgrow memory.
+_GRID_CAP = 4
+
+
+def _grid_defaults(k_scale: float) -> dict:
+    """Default surface and direction grid resolutions at k R = k_scale."""
+    n_theta = max(20, math.ceil(2 * k_scale) + 10)
+    dirs_n_theta = max(8, math.ceil(k_scale) + 5)
+    return {"n_theta": n_theta, "n_phi": 2 * n_theta, "dirs_n_theta": dirs_n_theta, "dirs_n_phi": 2 * dirs_n_theta}
 
 
 def _load_config_file(path: str | None) -> dict:

@@ -17,9 +17,9 @@ k -> float, the smallest singular value of a k-dependent matrix, whose
 .singular_values(k) returns all of them (make_trace_indicator here,
 make_single_layer_indicator in spectra). find_dips takes any such
 indicator through one path: sample it over k, flag dips scale-free against
-the sweep median, refine each by golden-section minimization, and classify
-it by counting collapsed singular values. Trace sweeps are deterministic
-given the interior points.
+the sweep median, refine each by bounded Brent minimization of the squared
+indicator, and classify it by the largest gap among its collapsed singular
+values. Trace sweeps are deterministic given the interior points.
 
 The sweep layer owns the machine's parallelism: while sweep_k, refine_dip,
 estimate_multiplicity and find_dips run, the OpenBLAS builds bundled with
@@ -43,6 +43,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 import scipy.linalg as la
+from scipy.optimize import minimize_scalar
 
 from .herglotz import assemble_trace_matrix
 from .surface import DirectionGrid, SurfaceGrid, _spherical_coords, surface_radius
@@ -60,7 +61,6 @@ __all__ = [
     "detect_dips",
     "refine_dip",
     "estimate_multiplicity",
-    "golden_section_minimize",
     "find_dips",
 ]
 
@@ -71,6 +71,7 @@ DEFAULT_QR_RTOL = 1e-8
 DEFAULT_DEPTH_RATIO = 0.1
 DEFAULT_GAP_RATIO = 10.0
 DEFAULT_REFINE_TOL = 1e-4
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 @functools.cache
@@ -156,7 +157,7 @@ class IllPosedIndicatorError(RuntimeError):
 
 
 class BracketError(RuntimeError):
-    """Golden-section bracket does not contain an interior minimum."""
+    """Refinement bracket does not contain an interior minimum."""
 
 
 @dataclass(frozen=True)
@@ -369,50 +370,57 @@ def detect_dips(ks, values, depth_ratio: float = DEFAULT_DEPTH_RATIO) -> list[Di
     return dips
 
 
-def golden_section_minimize(f, a: float, b: float, tol: float):
-    """Golden-section search; requires f to have an interior minimum in [a, b]."""
+def refine_dip(indicator, k_center: float, half_width: float, tol: float = DEFAULT_REFINE_TOL):
+    """Refine one dip: (k*, indicator(k*)) minimizing the indicator over
+    k_center +- half_width.
+
+    Near a simple eigenvalue the indicator has a kink, c|k - k*|, but its
+    square is smooth, so bounded Brent minimization of indicator(k)**2
+    takes superlinear parabolic steps. k* is the best evaluated point and
+    the value is the indicator there. The final bracket is at most tol wide
+    whenever tol exceeds the floating-point floor of about 6 sqrt(eps) |k|;
+    below that floor k* is as resolved as floating point allows. A k* within
+    Brent's final step tolerance of a bracket end means the bracket holds no
+    interior minimum, and raises BracketError.
+    """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    fa, fb = f(a), f(b)
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    if min(fc, fd) >= min(fa, fb):
-        raise BracketError(f"no interior minimum detected in [{a}, {b}]")
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    k_star = 0.5 * (a + b)
-    return k_star, min(fc, fd)
-
-
-def refine_dip(indicator, k_center: float, half_width: float, tol: float = DEFAULT_REFINE_TOL):
-    """Golden-section refinement of one dip to bracket width <= tol."""
     if half_width <= 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
+    a, b = k_center - half_width, k_center + half_width
+    # Brent's final bracket is <= 4 (sqrt(eps) |k| + xatol / 3) wide. With tol
+    # capped at half_width, an interior minimizer stays out of the end test's reach.
+    xatol = min(tol, half_width) / 4
+    seen = {}
+
+    def squared(k):
+        seen[k] = indicator(k)
+        return seen[k] ** 2
+
     with _one_blas_thread():
-        return golden_section_minimize(indicator, k_center - half_width, k_center + half_width, tol)
+        k_star = minimize_scalar(squared, bounds=(a, b), method="bounded", options={"xatol": xatol}).x
+    if min(k_star - a, b - k_star) <= 2 * (_SQRT_EPS * abs(k_star) + xatol / 3):
+        raise BracketError(f"no interior minimum detected in [{a}, {b}]")
+    return float(k_star), seen[k_star]
 
 
 def estimate_multiplicity(indicator, k_star: float, gap_ratio: float = DEFAULT_GAP_RATIO) -> int:
     """Number of collapsed directions at a refined dip, at least 1.
 
-    Counts the indicator's singular values below median/gap_ratio; on the
-    ball this recovers the eigenvalue multiplicity 2l+1. A refined dip is a
-    collapse by construction, so a count of 0 is reported as 1.
+    Among the n singular values below median/gap_ratio, cuts at the largest
+    ratio between consecutive sorted values, the first value above the
+    threshold included, and counts the values below the cut. A neighbouring
+    split eigenvalue's half-collapsed values thus stay out of the count; on
+    the ball this recovers the eigenvalue multiplicity 2l+1. A refined dip
+    is a collapse by construction, so n = 0 is reported as 1.
     """
     if not gap_ratio > 0:
         raise ValueError(f"gap_ratio must be positive, got {gap_ratio}")
     with _one_blas_thread():
-        s = indicator.singular_values(k_star)
-    return max(1, int((s < np.median(s) / gap_ratio).sum()))
+        s = np.sort(indicator.singular_values(k_star))
+    n = int((s < np.median(s) / gap_ratio).sum())
+    gaps = s[1 : n + 1] / s[: min(n, len(s) - 1)]
+    return 1 + int(np.argmax(gaps)) if len(gaps) else 1
 
 
 def find_dips(
@@ -427,8 +435,8 @@ def find_dips(
 
     Each dip is refined within two sample spacings of its sampled minimum.
     The dips are refined and classified concurrently on a pool of the same
-    size as the sweep's; each keeps its own golden-section sequence, so the
-    results do not depend on the pool size.
+    size as the sweep's; each keeps its own Brent sequence, so the results
+    do not depend on the pool size.
     """
     ks = np.asarray(ks, dtype=float)
 

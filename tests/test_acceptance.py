@@ -21,7 +21,7 @@ from wavetrace import (
     check_necessity,
     completeness_indicator,
     detect_dips,
-    estimate_multiplicity,
+    find_dips,
     fit_trace,
     make_direction_grid,
     make_single_layer_indicator,
@@ -35,7 +35,6 @@ from wavetrace import (
 )
 from wavetrace.cli import main as cli_main
 from wavetrace.surface import _spherical_coords
-from wavetrace.sweep import golden_section_minimize
 
 BALL_EIGENVALUES = [np.pi, 4.4934094579090642, 5.7634591968945498, 2 * np.pi]
 BALL_MULTIPLICITIES = [1, 3, 5, 1]
@@ -54,18 +53,27 @@ def harmonic_trace(grid, l, m):
 
 @pytest.fixture(scope="module")
 def ball_sweep():
-    """Criterion-1 artifact: full sweep, refined dips, controls, wall time."""
+    """Criterion-1 artifact: full sweep, refined dips, controls, wall time,
+    and the indicator calls spent refining and classifying the dips."""
     grid = make_sphere(1.0, 24, 48)
     dirs = make_direction_grid(12, 24)
     t0 = time.perf_counter()
     interior = seed_interior_points(grid, 2 * dirs.n_directions, seed=0)
     indicator = make_trace_indicator(grid, dirs, interior)
+    calls = []  # list.append is atomic, so the pool's workers can share it
+
+    def counted(k):
+        calls.append(k)
+        return indicator(k)
+
+    def counted_singular_values(k):
+        calls.append(k)
+        return indicator.singular_values(k)
+
+    counted.singular_values = counted_singular_values
     ks = np.linspace(3.0, 6.5, 350)
-    refined = []
-    for dip in detect_dips(ks, sweep_k(indicator, ks)):
-        k_star, ind_min = refine_dip(indicator, dip.k, 0.02, tol=1e-4)
-        mult = estimate_multiplicity(indicator, k_star)
-        refined.append((k_star, ind_min, mult))
+    _, dips = find_dips(counted, ks, refine_tol=1e-4)
+    refined = [(dip.k, dip.indicator, dip.multiplicity) for dip in dips]
     controls = [completeness_indicator(k, grid, dirs, interior) for k in CONTROL_POINTS]
     elapsed = time.perf_counter() - t0
     return {
@@ -74,6 +82,7 @@ def ball_sweep():
         "refined": refined,
         "controls": controls,
         "elapsed": elapsed,
+        "dip_calls": len(calls) - len(ks),
     }
 
 
@@ -86,6 +95,17 @@ class TestCriterion1TheoremDichotomy:
             ok = all(e <= 1e-3 for e in errs)
         detail = f"{len(refined)} dips at {[f'{k:.5f}' for k, _, _ in refined]}"
         assert report(1, ok and len(refined) == 4, f"dichotomy dips: {detail}")
+
+    def test_refined_dips_match_analytic_eigenvalues(self, ball_sweep):
+        refined = ball_sweep["refined"]
+        errs = [abs(k - t) for (k, _, _), t in zip(refined, BALL_EIGENVALUES)]
+        worst = max(errs, default=np.inf)
+        ok = len(refined) == 4 and worst <= 1e-5
+        assert report(1, ok, f"refined dips within {worst:.1e} of the analytic eigenvalues (<= 1e-5)")
+
+    def test_indicator_calls_per_dip(self, ball_sweep):
+        per_dip = ball_sweep["dip_calls"] / len(ball_sweep["refined"])
+        assert report(1, per_dip <= 12, f"{per_dip:.2f} indicator calls per dip, refinement + classification (<= 12)")
 
     def test_multiplicities(self, ball_sweep):
         mults = [m for (_, _, m) in ball_sweep["refined"]]
@@ -189,7 +209,7 @@ class TestCriterion6CrossOracle:
         sl = make_single_layer_indicator(grid, band_limit=8)
         sl_dips = []
         for center in trace_dips:
-            k_star, _ = golden_section_minimize(sl, center - 0.03, center + 0.03, 1e-4)
+            k_star, _ = refine_dip(sl, center, 0.03, tol=1e-4)
             sl_dips.append(k_star)
         pair_err = max(abs(a - b) for a, b in zip(trace_dips, sl_dips))
         analytic_err = max(
@@ -213,7 +233,7 @@ class TestCriterion6CrossOracle:
         sl = make_single_layer_indicator(star, band_limit=8)
         sl_dips = detect_dips(ks, sweep_k(sl, ks, threads=1))
         assert len(sl_dips) == 1
-        k_sl, _ = golden_section_minimize(sl, sl_dips[0].k - 0.03, sl_dips[0].k + 0.03, 1e-4)
+        k_sl, _ = refine_dip(sl, sl_dips[0].k, 0.03, tol=1e-4)
         ok = abs(k_trace - k_sl) <= 5e-3
         assert report(
             6, ok, f"star: trace dip {k_trace:.6f} vs single-layer dip {k_sl:.6f} "

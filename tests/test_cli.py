@@ -110,13 +110,15 @@ def test_help_shows_run_config_defaults(command):
         (["eigs"], {"band_limit": True}),
         (["eigs"], {"gap_ratio": 0}),
         (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [5]}),
+        (["sweep", "--surface", "star"], {"n_theta": 100000000}),
+        (["sweep", *FAST_SWEEP, "--dirs-nphi", "100000"], None),
     ],
     ids=[
         "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
         "eigs-radius-0", "eigs-radius-negative", "fit-ridge-negative", "fit-k-nan", "sweep-kmax-inf",
         "sweep-seed-negative", "verify-seed-negative", "sweep-depth-ratio-1", "sweep-threads-0",
         "config-samples-string", "config-threads-string", "config-bool-for-int", "config-gap-ratio-0",
-        "config-coefficient-not-a-triple",
+        "config-coefficient-not-a-triple", "config-star-ntheta-huge", "sweep-dirs-nphi-huge",
     ],
 )
 def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
@@ -189,10 +191,10 @@ class TestSweepCommand:
         assert artifacts[0][1] == artifacts[1][1]
 
     def test_refinement_failure_exits_3_with_blas_restored(self, runner, tmp_path, monkeypatch):
-        def no_bracket(f, a, b, tol):
-            raise BracketError(f"no interior minimum detected in [{a}, {b}]")
+        def no_bracket(fun, bounds, **options):
+            raise BracketError(f"no interior minimum detected in {list(bounds)}")
 
-        monkeypatch.setattr(wavetrace.sweep, "golden_section_minimize", no_bracket)
+        monkeypatch.setattr(wavetrace.sweep, "minimize_scalar", no_bracket)
         before = _blas_threads()
         result = runner.invoke(
             main,

@@ -28,7 +28,6 @@ from wavetrace.sweep import (
     _one_blas_thread,
     _openblas_thread_controls,
     default_interior_count,
-    golden_section_minimize,
 )
 
 needs_openblas_controls = pytest.mark.skipif(
@@ -193,7 +192,7 @@ class TestDetectDips:
 class TestRefineDip:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            golden_section_minimize(lambda x: (x - 1.0) ** 2, 0.5, 1.5, 0.0)
+            refine_dip(lambda x: (x - 1.0) ** 2, 1.0, 0.5, tol=0.0)
 
     def test_stub_quadratic_recovers_minimum(self):
         target = 3.21
@@ -205,9 +204,37 @@ class TestRefineDip:
         with pytest.raises(BracketError):
             refine_dip(lambda x: x, 2.0, 0.5, tol=1e-5)
 
-    def test_golden_section_contracts_to_tolerance(self):
-        k, _ = golden_section_minimize(lambda x: abs(x - 1.0) + 0.1, 0.5, 1.4, 1e-7)
+    def test_kink_contracts_to_tolerance(self):
+        k, _ = refine_dip(lambda x: abs(x - 1.0) + 0.1, 0.95, 0.45, tol=1e-7)
         assert k == pytest.approx(1.0, abs=1e-6)
+
+    def test_tolerance_wider_than_bracket_still_refines(self):
+        k, _ = refine_dip(lambda x: abs(x - 3.21) + 1e-3, 3.2, 0.04, tol=1.0)
+        assert abs(k - 3.21) <= 0.02
+
+    def test_reports_the_evaluated_minimizer(self):
+        seen = {}
+
+        def indicator(x):
+            seen[x] = abs(x - 3.14159) + 0.1
+            return seen[x]
+
+        k, v = refine_dip(indicator, 3.15, 0.05, tol=1e-4)
+        assert seen[k] == v == min(seen.values())
+
+    def test_tolerance_below_floating_point_floor_terminates(self):
+        # a bracket cannot shrink below an ulp; the stub fails loudly rather
+        # than letting a search that never stops hang the suite
+        calls = []
+
+        def indicator(x):
+            calls.append(x)
+            if len(calls) > 200:
+                raise RuntimeError("refinement did not terminate")
+            return abs(x - 3.14159) + 0.1
+
+        k, _ = refine_dip(indicator, 3.15, 0.05, tol=1e-17)
+        assert k == pytest.approx(3.14159, abs=1e-6)
 
     def test_refines_ball_eigenvalue(self):
         grid = make_sphere(1.0, 20, 40)
@@ -238,6 +265,28 @@ class TestEstimateMultiplicity:
         _, dips = find_dips(indicator, np.linspace(3.0, 3.4, 21), threads=1)
         assert len(dips) == 1
         assert dips[0].multiplicity == 1
+
+    @pytest.mark.parametrize(
+        "collapsed, expected",
+        [
+            # the smallest sigma at the refined star trace dips (r = 1 + 0.1 Re Y_20):
+            # the 6e-2 values belong to the neighbouring split eigenvalue
+            ([3.9e-5, 6.2e-2, 6.3e-2, 0.16], 1),  # k = 5.6296, m = 0
+            ([4.2e-6, 4.3e-6, 6.4e-2, 0.11], 2),  # k = 5.7140, |m| = 1
+            ([5.4e-6, 5.6e-6, 0.11, 0.12], 2),  # k = 5.8702, |m| = 2; the gap is to the first value above the threshold
+            # a ball l = 2 cluster with one neighbour below the threshold
+            ([1e-6, 2e-6, 3e-6, 4e-6, 5e-6, 5e-2, 0.3], 5),
+        ],
+        ids=["star-m0", "star-m1", "star-m2", "ball-l2"],
+    )
+    def test_counts_below_the_largest_gap(self, collapsed, expected):
+        spectrum = np.sort(np.concatenate([collapsed, np.full(40, 0.976)]))[::-1]
+
+        def indicator(k):
+            return float(spectrum[-1])
+
+        indicator.singular_values = lambda k: spectrum
+        assert estimate_multiplicity(indicator, 5.7) == expected
 
     @pytest.mark.parametrize("gap_ratio", [0.0, -1.0, float("nan")])
     def test_nonpositive_gap_ratio_rejected(self, gap_ratio):
