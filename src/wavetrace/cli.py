@@ -107,7 +107,9 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not ok(value):
                 raise click.UsageError(f"{name} must be {rule}, got {value!r}")
-        for name, default in _grid_defaults(self.k_max * self.radius).items():
+        n_theta, dirs_n_theta = _theta_defaults(self.k_max * self.radius)
+        caps = {"n_theta": n_theta, "n_phi": 2 * n_theta, "dirs_n_theta": dirs_n_theta, "dirs_n_phi": 2 * dirs_n_theta}
+        for name, default in caps.items():
             value = getattr(self, name)
             if value is not None and value > _GRID_CAP * default:
                 raise click.UsageError(
@@ -119,9 +121,15 @@ class RunConfig:
     def resolved(self) -> "RunConfig":
         """Fill resolution defaults from the wavenumber range (k R rules)."""
         cfg = RunConfig(**asdict(self))
-        for name, default in _grid_defaults(cfg.k_max * cfg.radius).items():
-            if getattr(cfg, name) is None:
-                setattr(cfg, name, default)
+        n_theta, dirs_n_theta = _theta_defaults(cfg.k_max * cfg.radius)
+        if cfg.n_theta is None:
+            cfg.n_theta = n_theta
+        if cfg.n_phi is None:
+            cfg.n_phi = 2 * cfg.n_theta
+        if cfg.dirs_n_theta is None:
+            cfg.dirs_n_theta = dirs_n_theta
+        if cfg.dirs_n_phi is None:
+            cfg.dirs_n_phi = 2 * cfg.dirs_n_theta
         return cfg
 
     def to_dict(self) -> dict:
@@ -149,11 +157,10 @@ _RANGES = {
 _GRID_CAP = 4
 
 
-def _grid_defaults(k_scale: float) -> dict:
-    """Default surface and direction grid resolutions at k R = k_scale."""
-    n_theta = max(20, math.ceil(2 * k_scale) + 10)
-    dirs_n_theta = max(8, math.ceil(k_scale) + 5)
-    return {"n_theta": n_theta, "n_phi": 2 * n_theta, "dirs_n_theta": dirs_n_theta, "dirs_n_phi": 2 * dirs_n_theta}
+def _theta_defaults(k_scale: float) -> tuple[int, int]:
+    """Default (surface, direction) grid theta resolutions at k R = k_scale.
+    A phi resolution defaults to twice the theta resolution in use."""
+    return max(20, math.ceil(2 * k_scale) + 10), max(8, math.ceil(k_scale) + 5)
 
 
 def _load_config_file(path: str | None) -> dict:

@@ -89,6 +89,23 @@ def test_help_shows_run_config_defaults(command):
             assert f"[default: {default}]" in help_text, param.name
 
 
+def test_phi_resolution_defaults_to_twice_the_theta_in_use():
+    cfg = RunConfig(n_theta=32, dirs_n_theta=14).resolved()
+    assert (cfg.n_phi, cfg.dirs_n_phi) == (64, 28)
+    default = RunConfig().resolved()
+    assert (default.n_phi, default.dirs_n_phi) == (2 * default.n_theta, 2 * default.dirs_n_theta)
+
+
+def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
+    # at k_max 6.5 the k R theta defaults are 23 and 12, capped at 4x
+    RunConfig(n_theta=92, dirs_n_theta=48).check(k_sweep=True)
+    cfg = RunConfig(n_theta=92, dirs_n_theta=48).resolved()
+    cfg.check(k_sweep=True)
+    for name, value in [("n_theta", 93), ("n_phi", 185), ("dirs_n_theta", 49), ("dirs_n_phi", 97)]:
+        with pytest.raises(click.UsageError, match=name):
+            RunConfig(**{name: value}).check(k_sweep=True)
+
+
 @pytest.mark.parametrize(
     "args, config",
     [

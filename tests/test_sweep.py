@@ -23,7 +23,9 @@ from wavetrace import (
     seed_interior_points,
     sweep_k,
 )
+from scipy.optimize import minimize_scalar
 from wavetrace.sweep import (
+    _SQRT_EPS,
     _blas_threads,
     _one_blas_thread,
     _openblas_thread_controls,
@@ -235,6 +237,21 @@ class TestRefineDip:
 
         k, _ = refine_dip(indicator, 3.15, 0.05, tol=1e-17)
         assert k == pytest.approx(3.14159, abs=1e-6)
+
+    @pytest.mark.parametrize("a, b, xatol", [(1.5, 2.5, 2.5e-6), (3.1, 3.2, 1e-17), (6.0, 6.04, 2.5e-6)])
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_end_tolerance_matches_installed_scipy(self, a, b, xatol, slope):
+        # refine_dip's no-interior-minimum test copies fminbound's stopping
+        # rule; on a monotone function scipy must stop within it of the low end
+        k = minimize_scalar(lambda x: slope * x, bounds=(a, b), method="bounded", options={"xatol": xatol}).x
+        end = a if slope > 0 else b
+        assert abs(k - end) <= 2 * (_SQRT_EPS * abs(k) + xatol / 3)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_minimum_one_tolerance_inside_an_end_is_interior(self, side):
+        target = 3.2 - side * (0.05 - 1e-5)
+        k, _ = refine_dip(lambda x: abs(x - target) + 0.1, 3.2, 0.05, tol=1e-5)
+        assert k == pytest.approx(target, abs=1e-6)
 
     def test_refines_ball_eigenvalue(self):
         grid = make_sphere(1.0, 20, 40)
