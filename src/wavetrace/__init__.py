@@ -17,8 +17,6 @@ from .surface import (
     DegenerateSurfaceError,
     DirectionGrid,
     SurfaceGrid,
-    grid_from_json,
-    grid_to_json,
     integrate_surface,
     make_direction_grid,
     make_sphere,
@@ -26,7 +24,6 @@ from .surface import (
 )
 from .herglotz import (
     HerglotzDensity,
-    TraceMatrix,
     assemble_trace_matrix,
     fit_trace,
     funk_hecke,

@@ -26,7 +26,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from .herglotz import fit_trace
-from .specfun import HarmonicIndex, sph_harm
+from .specfun import MAX_DEGREE, HarmonicIndex, sph_harm
 from .spectra import ball_dirichlet_eigs, EigenvalueRecord, make_single_layer_indicator
 from .surface import (
     DegenerateSurfaceError,
@@ -240,8 +240,8 @@ def _build_dirs(cfg: RunConfig):
 
 def _check_writable(path: str):
     parent = Path(path).resolve().parent
-    if not parent.is_dir() or not os.access(parent, os.W_OK):
-        raise click.UsageError(f"output path {path} is not writable")
+    if Path(path).is_dir() or not parent.is_dir() or not os.access(parent, os.W_OK):
+        raise click.UsageError(f"output path {path} is not a writable file")
 
 
 def _write_text(path: str, text: str):
@@ -353,6 +353,10 @@ def cmd_eigs(ctx, method, out_json, config_path, **flags):
     if method == "analytic":
         if cfg.surface != "ball":
             raise click.UsageError("analytic spectrum exists only for the ball")
+        if cfg.k_max * cfg.radius >= MAX_DEGREE:
+            raise click.UsageError(
+                f"analytic spectrum needs kmax * radius < {MAX_DEGREE}, got {cfg.k_max * cfg.radius}"
+            )
         records = ball_dirichlet_eigs(cfg.radius, cfg.k_max)
     else:
         grid = _build_surface(cfg)

@@ -30,7 +30,6 @@ from .surface import DirectionGrid, SurfaceGrid
 
 __all__ = [
     "HerglotzDensity",
-    "TraceMatrix",
     "plane_wave_trace",
     "herglotz_eval",
     "helmholtz_residual",
@@ -84,47 +83,6 @@ class HerglotzDensity:
             )
 
 
-@dataclass(frozen=True)
-class TraceMatrix:
-    """Weighted plane-wave trace matrix at fixed k.
-
-    boundary[m, j] = sqrt(sigma_m) e^{i k beta_j . s_m} sqrt(w_j); the
-    optional interior block carries e^{i k beta_j . x_p} at collocation
-    points x_p with one uniform row weight sqrt(area(S)/P) so both blocks
-    are commensurate.
-    """
-
-    k: float
-    boundary: np.ndarray
-    interior: np.ndarray | None = None
-
-    @property
-    def n_boundary(self) -> int:
-        return self.boundary.shape[0]
-
-    @property
-    def n_directions(self) -> int:
-        return self.boundary.shape[1]
-
-    def stacked(self) -> np.ndarray:
-        if self.interior is None:
-            return self.boundary
-        return np.vstack([self.boundary, self.interior])
-
-    def gram(self) -> np.ndarray:
-        """Hermitian PSD Gram matrix A^H A of the stacked matrix."""
-        a = self.stacked()
-        return a.conj().T @ a
-
-    def dump_csv(self, path):
-        """Row-major dump, complex entries as interleaved real/imag columns."""
-        a = self.stacked()
-        flat = np.ascontiguousarray(a).view(np.float64).reshape(a.shape[0], 2 * a.shape[1])
-        with open(path, "w", encoding="utf-8") as f:
-            for row in flat:
-                f.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def plane_wave_trace(k: float, beta, grid: SurfaceGrid) -> np.ndarray:
     """Values e^{i k beta . s_m} of one plane wave at the surface nodes."""
     k = _check_wavenumber(k)
@@ -171,21 +129,32 @@ def assemble_trace_matrix(
     grid: SurfaceGrid,
     dirs: DirectionGrid,
     interior_points=None,
-) -> TraceMatrix:
-    """Assemble the weighted trace matrix, optionally with an interior block."""
+) -> np.ndarray:
+    """Weighted trace matrix at k: N boundary rows, then P interior rows.
+
+    Boundary row m is sqrt(sigma_m) e^{i k beta_j . s_m} sqrt(w_j); the
+    optional interior rows carry e^{i k beta_j . x_p} at collocation points
+    x_p with one uniform row weight sqrt(area(S)/P), so both blocks are
+    commensurate. Each block is computed in place in its rows.
+    """
     k = _check_wavenumber(k)
-    sqrt_w = np.sqrt(dirs.weights)[None, :]
-    boundary = np.sqrt(grid.weights)[:, None] * np.exp(
-        1j * k * (grid.nodes @ dirs.directions.T)
-    ) * sqrt_w
-    interior = None
+    blocks = [(grid.nodes, np.sqrt(grid.weights)[:, None])]
     if interior_points is not None:
         pts = np.atleast_2d(np.asarray(interior_points, dtype=float))
         if pts.shape[1] != 3:
             raise ValueError("interior points must have shape (P, 3)")
-        uniform = np.sqrt(grid.area / len(pts))
-        interior = uniform * np.exp(1j * k * (pts @ dirs.directions.T)) * sqrt_w
-    return TraceMatrix(k=k, boundary=boundary, interior=interior)
+        blocks.append((pts, np.sqrt(grid.area / len(pts))))
+    A = np.empty((sum(len(pts) for pts, _ in blocks), dirs.n_directions), dtype=complex)
+    sqrt_w = np.sqrt(dirs.weights)[None, :]
+    start = 0
+    for pts, row_weight in blocks:
+        rows = A[start : start + len(pts)]
+        np.multiply(1j * k, pts @ dirs.directions.T, out=rows)
+        np.exp(rows, out=rows)
+        np.multiply(row_weight, rows, out=rows)
+        np.multiply(rows, sqrt_w, out=rows)
+        start += len(pts)
+    return A
 
 
 def funk_hecke(idx: HarmonicIndex, k: float, R: float, beta) -> complex:
@@ -237,7 +206,7 @@ def fit_trace(
     b_norm = np.linalg.norm(b)
     if b_norm == 0:
         raise ValueError("zero target: relative residual undefined")
-    A = assemble_trace_matrix(k, grid, dirs).boundary
+    A = assemble_trace_matrix(k, grid, dirs)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     c = U.conj().T @ b
     if ridge is None:

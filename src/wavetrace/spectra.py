@@ -60,6 +60,10 @@ __all__ = [
 # N x 3 coordinate differences to a few MB at the grids used here.
 _STATICS_ROW_BLOCK = 64
 
+# Gauss-Legendre nodes of the static row integral, in each polar-angle
+# segment and along each ray.
+_POLAR_QUAD_NODES = 32
+
 
 class UnsupportedSurfaceError(ValueError):
     """Raised when an operation needs a surface kind it does not support."""
@@ -188,7 +192,7 @@ def _rectangle_polar_segments(t0: float, p0: float):
     return np.array(angles + [angles[0] + 2 * np.pi])
 
 
-def static_row_integral(grid: SurfaceGrid, n_alpha: int = 32, n_rad: int = 32) -> np.ndarray:
+def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
     """g(x_m) = integral_S ds(y) / (4 pi |x_m - y|) for every node.
 
     Sphere:  exact closed form g = R.
@@ -204,8 +208,7 @@ def static_row_integral(grid: SurfaceGrid, n_alpha: int = 32, n_rad: int = 32) -
         raise UnsupportedSurfaceError(f"static row integral needs a sphere or star grid, got {kind!r}")
     R0 = float(desc["R0"])
     pert = _normalize_perturbation(desc["perturbation"])
-    ga, wa = leggauss(n_alpha)
-    gr, wr = leggauss(n_rad)
+    ga, wa = gr, wr = leggauss(_POLAR_QUAD_NODES)
     _, theta0, phi0 = _spherical_coords(grid.nodes)
     out = np.empty(grid.n_nodes)
     for m in range(grid.n_nodes):
@@ -310,12 +313,7 @@ def bandlimited_basis(grid: SurfaceGrid, band_limit: int) -> np.ndarray:
     return Q
 
 
-def make_single_layer_indicator(
-    grid: SurfaceGrid,
-    band_limit: int = 8,
-    n_alpha: int = 32,
-    n_rad: int = 32,
-):
+def make_single_layer_indicator(grid: SurfaceGrid, band_limit: int = 8):
     """Callable k -> sigma_min of the bandlimit-compressed single-layer matrix,
     with .singular_values(k) giving the whole compressed spectrum.
 
@@ -324,7 +322,7 @@ def make_single_layer_indicator(
     kernel, in one N x N complex buffer of its own, so evaluations may run
     concurrently. k must be positive and finite (ValueError otherwise).
     """
-    g = static_row_integral(grid, n_alpha=n_alpha, n_rad=n_rad)
+    g = static_row_integral(grid)
     statics = _nystrom_statics(grid, g)
     Q = bandlimited_basis(grid, band_limit)
 

@@ -12,7 +12,6 @@ parametrization, so the quadrature keeps spectral accuracy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +28,6 @@ __all__ = [
     "make_direction_grid",
     "integrate_surface",
     "surface_radius",
-    "grid_to_json",
-    "grid_from_json",
 ]
 
 
@@ -253,43 +250,3 @@ def surface_radius(descriptor: dict, theta, phi):
         r, _, _ = _star_radius_terms(theta, np.asarray(phi, dtype=float), descriptor["R0"], pert)
         return r
     raise ValueError(f"no radius function for surface kind {kind!r}")
-
-
-def grid_to_json(grid) -> str:
-    """Serialize a SurfaceGrid or DirectionGrid to JSON for reproducibility."""
-    if isinstance(grid, SurfaceGrid):
-        payload = {
-            "type": "SurfaceGrid",
-            "descriptor": grid.descriptor,
-            "nodes": grid.nodes.tolist(),
-            "weights": grid.weights.tolist(),
-            "normals": grid.normals.tolist(),
-        }
-    elif isinstance(grid, DirectionGrid):
-        payload = {
-            "type": "DirectionGrid",
-            "descriptor": grid.descriptor,
-            "directions": grid.directions.tolist(),
-            "weights": grid.weights.tolist(),
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(grid).__name__}")
-    return json.dumps(payload, sort_keys=True)
-
-
-def grid_from_json(text: str):
-    payload = json.loads(text)
-    if payload.get("type") == "SurfaceGrid":
-        return SurfaceGrid(
-            nodes=np.array(payload["nodes"]),
-            weights=np.array(payload["weights"]),
-            normals=np.array(payload["normals"]),
-            descriptor=payload.get("descriptor", {}),
-        )
-    if payload.get("type") == "DirectionGrid":
-        return DirectionGrid(
-            directions=np.array(payload["directions"]),
-            weights=np.array(payload["weights"]),
-            descriptor=payload.get("descriptor", {}),
-        )
-    raise ValueError(f"unknown grid type {payload.get('type')!r}")

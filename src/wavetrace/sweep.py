@@ -71,6 +71,8 @@ DEFAULT_QR_RTOL = 1e-8
 DEFAULT_DEPTH_RATIO = 0.1
 DEFAULT_GAP_RATIO = 10.0
 DEFAULT_REFINE_TOL = 1e-4
+# Interior points stay within this fraction of the local surface radius.
+_INTERIOR_RADIUS_FRACTION = 0.95
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
@@ -134,22 +136,17 @@ def _one_blas_thread():
                     put(n)
 
 
-@contextmanager
-def _pool(threads: int | None):
-    """A pool of `threads` workers (None: the CPU count), or None to run
-    serially when threads <= 1."""
+def _map(fn, items, threads: int | None) -> list:
+    """fn over items with BLAS pinned to one thread, results in item order,
+    on a pool of `threads` workers (None: the CPU count), or serially when
+    threads <= 1."""
     if threads is None:
         threads = os.cpu_count() or 1
-    if threads <= 1:
-        yield None
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield pool
-
-
-def _map(fn, items, pool) -> list:
-    """fn over items, results in item order, on the pool or serially."""
-    return list(map(fn, items) if pool is None else pool.map(fn, items))
+    with _one_blas_thread():
+        if threads <= 1:
+            return list(map(fn, items))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
 
 
 class IllPosedIndicatorError(RuntimeError):
@@ -217,22 +214,15 @@ class SweepResult:
         }
 
 
-def seed_interior_points(
-    grid: SurfaceGrid,
-    count: int,
-    seed: int,
-    max_radius_fraction: float = 0.95,
-) -> np.ndarray:
+def seed_interior_points(grid: SurfaceGrid, count: int, seed: int) -> np.ndarray:
     """Seeded quasi-uniform points strictly inside the surface.
 
-    Directions are isotropic Gaussian draws; radii scale as u^(1/3) of the
-    local surface radius times max_radius_fraction, so the cloud fills the
-    volume and stays strictly interior.
+    Directions are isotropic Gaussian draws; radii scale as u^(1/3) of 0.95
+    times the local surface radius, so the cloud fills the volume and stays
+    strictly interior.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    if not (0 < max_radius_fraction < 1):
-        raise ValueError("max_radius_fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, 3))
     v /= np.linalg.norm(v, axis=1)[:, None]
@@ -240,7 +230,7 @@ def seed_interior_points(
     theta = np.arccos(np.clip(v[:, 2], -1.0, 1.0))
     phi = np.arctan2(v[:, 1], v[:, 0])
     rho = surface_radius(grid.descriptor, theta, phi)
-    return v * (max_radius_fraction * rho * np.cbrt(u))[:, None]
+    return v * (_INTERIOR_RADIUS_FRACTION * rho * np.cbrt(u))[:, None]
 
 
 def default_interior_count(dirs: DirectionGrid) -> int:
@@ -259,9 +249,9 @@ def _check_interior(grid: SurfaceGrid, interior: np.ndarray):
     return interior
 
 
-def _rank_cutoff(diag: np.ndarray, rtol: float) -> int:
+def _rank_cutoff(diag: np.ndarray) -> int:
     """Retained column count: cut at the first >= 10x drop of the R-diagonal
-    within two decades of rtol.
+    within two decades of DEFAULT_QR_RTOL.
 
     The trace spectrum decays in well-separated degree bands, so cutting at
     a decade gap keeps whole bands together. A hard threshold would land
@@ -273,62 +263,46 @@ def _rank_cutoff(diag: np.ndarray, rtol: float) -> int:
     if diag[0] <= 0:
         return 0
     rel = diag / diag[0]
-    window = np.nonzero((rel[:-1] >= rtol * 1e-2) & (rel[:-1] <= rtol * 1e2))[0]
+    window = np.nonzero((rel[:-1] >= DEFAULT_QR_RTOL * 1e-2) & (rel[:-1] <= DEFAULT_QR_RTOL * 1e2))[0]
     for i in window:
         if rel[i + 1] <= 0.1 * rel[i]:
             return int(i) + 1
-    return int((rel > rtol).sum())
+    return int((rel > DEFAULT_QR_RTOL).sum())
 
 
 def boundary_subspace_singular_values(
-    k: float,
-    grid: SurfaceGrid,
-    dirs: DirectionGrid,
-    interior,
-    rtol: float = DEFAULT_QR_RTOL,
+    k: float, grid: SurfaceGrid, dirs: DirectionGrid, interior
 ) -> np.ndarray:
     """Singular values (descending) of the boundary block of the orthonormal
     factor of the stacked trace matrix; the last one is the indicator."""
     interior = _check_interior(grid, interior)
-    tm = assemble_trace_matrix(k, grid, dirs, interior_points=interior)
-    A = tm.stacked()
+    A = assemble_trace_matrix(k, grid, dirs, interior_points=interior)
     Q, R, _ = la.qr(A, mode="economic", pivoting=True)
-    cutoff = _rank_cutoff(np.abs(np.diag(R)), rtol)
+    cutoff = _rank_cutoff(np.abs(np.diag(R)))
     if cutoff == 0:
         raise IllPosedIndicatorError("trace matrix is numerically zero")
     if len(interior) < cutoff:
         raise IllPosedIndicatorError(
             f"{len(interior)} interior points cannot control a rank-{cutoff} column space"
         )
-    return la.svd(Q[: tm.n_boundary, :cutoff], compute_uv=False)
+    return la.svd(Q[: grid.n_nodes, :cutoff], compute_uv=False)
 
 
-def completeness_indicator(
-    k: float,
-    grid: SurfaceGrid,
-    dirs: DirectionGrid,
-    interior,
-    rtol: float = DEFAULT_QR_RTOL,
-) -> float:
+def completeness_indicator(k: float, grid: SurfaceGrid, dirs: DirectionGrid, interior) -> float:
     """Smallest principal-angle sine between traces and the boundary; in [0, 1]."""
-    s = boundary_subspace_singular_values(k, grid, dirs, interior, rtol=rtol)
+    s = boundary_subspace_singular_values(k, grid, dirs, interior)
     return float(min(s[-1], 1.0))
 
 
-def make_trace_indicator(
-    grid: SurfaceGrid,
-    dirs: DirectionGrid,
-    interior,
-    rtol: float = DEFAULT_QR_RTOL,
-):
+def make_trace_indicator(grid: SurfaceGrid, dirs: DirectionGrid, interior):
     """Callable k -> completeness indicator at fixed interior points, with
     .singular_values(k) giving the whole boundary-block spectrum."""
 
     def singular_values(k: float) -> np.ndarray:
-        return boundary_subspace_singular_values(k, grid, dirs, interior, rtol=rtol)
+        return boundary_subspace_singular_values(k, grid, dirs, interior)
 
     def indicator(k: float) -> float:
-        return completeness_indicator(k, grid, dirs, interior, rtol=rtol)
+        return completeness_indicator(k, grid, dirs, interior)
 
     indicator.singular_values = singular_values
     return indicator
@@ -344,8 +318,7 @@ def sweep_k(indicator, ks, threads: int | None = None) -> np.ndarray:
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or len(ks) < 2 or ks[0] <= 0 or np.any(np.diff(ks) <= 0):
         raise ValueError("need at least 2 positive, strictly ascending k samples")
-    with _one_blas_thread(), _pool(threads) as pool:
-        return np.array(_map(indicator, ks, pool))
+    return np.array(_map(indicator, ks, threads))
 
 
 def detect_dips(ks, values, depth_ratio: float = DEFAULT_DEPTH_RATIO) -> list[Dip]:
@@ -433,21 +406,24 @@ def find_dips(
 ):
     """Sweep, detect, refine and classify: returns (sampled values, dips).
 
-    Each dip is refined within two sample spacings of its sampled minimum.
-    The dips are refined and classified concurrently on a pool of the same
-    size as the sweep's; each keeps its own Brent sequence, so the results
-    do not depend on the pool size.
+    Each dip is refined within two sample spacings of its sampled minimum,
+    clipped to the sweep range, so a minimum beyond the range raises
+    BracketError. The dips are refined and classified concurrently on a
+    pool of the same size as the sweep's; each keeps its own Brent
+    sequence, so the results do not depend on the pool size.
     """
     ks = np.asarray(ks, dtype=float)
 
     def refine_and_classify(dip: Dip) -> Dip:
-        k_star, ind_min = refine_dip(indicator, dip.k, half_width, refine_tol)
+        center, half = dip.k, half_width
+        # an in-range bracket is passed on as it is, so its arithmetic is unchanged
+        if not ks[0] <= center - half < center + half <= ks[-1]:
+            lo, hi = max(center - half, ks[0]), min(center + half, ks[-1])
+            center, half = (lo + hi) / 2, (hi - lo) / 2
+        k_star, ind_min = refine_dip(indicator, center, half, refine_tol)
         mult = estimate_multiplicity(indicator, k_star, gap_ratio)
         return Dip(k=k_star, indicator=ind_min, multiplicity=mult)
 
-    with _one_blas_thread():
-        values = sweep_k(indicator, ks, threads)
-        half_width = 2.0 * (ks[-1] - ks[0]) / (len(ks) - 1)
-        with _pool(threads) as pool:
-            dips = _map(refine_and_classify, detect_dips(ks, values, depth_ratio), pool)
-    return values, dips
+    values = sweep_k(indicator, ks, threads)
+    half_width = 2.0 * (ks[-1] - ks[0]) / (len(ks) - 1)
+    return values, _map(refine_and_classify, detect_dips(ks, values, depth_ratio), threads)

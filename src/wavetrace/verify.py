@@ -316,7 +316,7 @@ def check_decomposition(
     if b_norm < 1e-14:
         raise InconclusiveCheckError("zero target function; nothing to decompose")
 
-    columns = [assemble_trace_matrix(k, grid, dirs).boundary]
+    columns = [assemble_trace_matrix(k, grid, dirs)]
     eigen_indices = _eigen_indices_at(k, R, band_limit + 2) if include_eigenspace else []
     for l, n in eigen_indices:
         for m in range(-l, l + 1):

@@ -129,6 +129,8 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [5]}),
         (["sweep", "--surface", "star"], {"n_theta": 100000000}),
         (["sweep", *FAST_SWEEP, "--dirs-nphi", "100000"], None),
+        (["eigs", "--kmax", "64"], None),
+        (["eigs", "--radius", "2", "--kmax", "32"], None),
     ],
     ids=[
         "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
@@ -136,6 +138,7 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         "sweep-seed-negative", "verify-seed-negative", "sweep-depth-ratio-1", "sweep-threads-0",
         "config-samples-string", "config-threads-string", "config-bool-for-int", "config-gap-ratio-0",
         "config-coefficient-not-a-triple", "config-star-ntheta-huge", "sweep-dirs-nphi-huge",
+        "eigs-analytic-kmax-64", "eigs-analytic-kmax-r-64",
     ],
 )
 def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
@@ -241,10 +244,23 @@ class TestSweepCommand:
         assert dip["multiplicity"] == 1
 
     def test_unwritable_output_is_usage_error(self, runner, tmp_path):
+        # a missing parent directory, and an existing directory
+        for path in (tmp_path / "nope" / "x.csv", tmp_path):
+            result = runner.invoke(main, ["sweep", *FAST_SWEEP, "--out-csv", str(path)])
+            assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize("k_range", [("3.0", "3.14"), ("3.15", "3.3")], ids=["below-pi", "above-pi"])
+    def test_dip_beyond_the_range_exits_3(self, runner, tmp_path, k_range):
+        # the edge sample dips toward pi, which lies outside the range; the
+        # later --kmin/--kmax override the Criterion-8 ones
         result = runner.invoke(
-            main, ["sweep", *FAST_SWEEP, "--out-csv", str(tmp_path / "nope" / "x.csv")]
+            main,
+            [*CRITERION8_SWEEP, "--kmin", k_range[0], "--kmax", k_range[1],
+             "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(tmp_path / "s.json")],
         )
-        assert result.exit_code == 2
+        assert result.exit_code == 3, result.output
+        assert "numerical failure" in result.output
+        assert not (tmp_path / "s.csv").exists()
 
     def test_config_file_with_flag_precedence(self, runner, tmp_path):
         cfg = {"k_min": 1.5, "k_max": 2.5, "samples": 10, "n_theta": 12, "n_phi": 24,
@@ -368,8 +384,9 @@ class TestVerifyCommand:
         assert all(not r["passed"] for r in controls)
 
     def test_unwritable_output(self, runner, tmp_path):
-        result = runner.invoke(main, ["verify", "--out", str(tmp_path / "no" / "x.jsonl")])
-        assert result.exit_code == 2
+        for path in (tmp_path / "no" / "x.jsonl", tmp_path):
+            result = runner.invoke(main, ["verify", "--out", str(path)])
+            assert result.exit_code == 2, result.output
 
 
 class TestFitCommand:

@@ -14,7 +14,9 @@ from wavetrace import (
     herglotz_eval,
     make_direction_grid,
     make_sphere,
+    make_star_surface,
     plane_wave_trace,
+    seed_interior_points,
     sph_bessel_j,
     sph_harm,
 )
@@ -114,43 +116,46 @@ class TestHelmholtzResidual:
 
 
 class TestAssembleTraceMatrix:
+    @pytest.mark.parametrize(
+        "star, dirs_shape, n_points",
+        [(False, (12, 24), 576), (True, (10, 20), 500), (False, (12, 24), None)],
+        ids=["ball", "star", "no-interior"],
+    )
+    def test_bit_identical_to_stacked_blocks(self, star, dirs_shape, n_points):
+        # against the boundary and interior blocks as separate whole-matrix
+        # expressions, stacked by a copy
+        grid = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48) if star else make_sphere(1.0, 24, 48)
+        dirs = make_direction_grid(*dirs_shape)
+        pts = None if n_points is None else seed_interior_points(grid, n_points, seed=0)
+        for k in (3.0, np.pi, 5.7):
+            sqrt_w = np.sqrt(dirs.weights)[None, :]
+            expected = np.sqrt(grid.weights)[:, None] * np.exp(1j * k * (grid.nodes @ dirs.directions.T)) * sqrt_w
+            if pts is not None:
+                interior = np.sqrt(grid.area / len(pts)) * np.exp(1j * k * (pts @ dirs.directions.T)) * sqrt_w
+                expected = np.vstack([expected, interior])
+            A = assemble_trace_matrix(k, grid, dirs, interior_points=pts)
+            assert np.array_equal(A.view(float), expected.view(float))
+
     def test_column_norms_equal_weighted_area(self, sphere_30_60, dirs_12_24):
         tm = assemble_trace_matrix(2.0, sphere_30_60, dirs_12_24)
-        norms2 = np.sum(np.abs(tm.boundary) ** 2, axis=0)
+        norms2 = np.sum(np.abs(tm) ** 2, axis=0)
         assert norms2 == pytest.approx(dirs_12_24.weights * sphere_30_60.area, rel=1e-12)
 
     def test_constant_orthogonal_to_columns_at_pi(self, sphere_30_60, dirs_12_24):
         # integral_S e^{i pi beta . s} ds = 4 pi j_0(pi) = 0
         tm = assemble_trace_matrix(np.pi, sphere_30_60, dirs_12_24)
         const = np.sqrt(sphere_30_60.weights)
-        overlaps = tm.boundary.conj().T @ const
+        overlaps = tm.conj().T @ const
         assert np.abs(overlaps).max() <= 1e-10
 
     def test_singular_values_match_refined_gram_oracle(self, dirs_10_20):
         coarse = make_sphere(1.0, 24, 48)
         fine = make_sphere(1.0, 48, 96)
         tm = assemble_trace_matrix(1.0, coarse, dirs_10_20)
-        s_direct = np.linalg.svd(tm.boundary, compute_uv=False)
+        s_direct = np.linalg.svd(tm, compute_uv=False)
         s_oracle = brute_force_gram_singular_values(1.0, fine, dirs_10_20)
         n = min(40, len(s_direct))  # modes above the noise floor
         assert np.abs(s_direct[:n] - s_oracle[:n]).max() <= 1e-8
-
-    def test_gram_hermitian_psd(self, sphere_30_60, dirs_10_20):
-        tm = assemble_trace_matrix(2.5, sphere_30_60, dirs_10_20)
-        g = tm.gram()
-        assert np.abs(g - g.conj().T).max() <= 1e-12 * np.abs(g).max()
-        eigmin = np.linalg.eigvalsh(g).min()
-        smax2 = np.linalg.svd(tm.boundary, compute_uv=False)[0] ** 2
-        assert eigmin >= -1e-12 * smax2
-
-    def test_csv_dump_roundtrip(self, tmp_path, dirs_10_20):
-        grid = make_sphere(1.0, 12, 24)
-        tm = assemble_trace_matrix(1.0, grid, dirs_10_20, interior_points=np.zeros((2, 3)))
-        path = tmp_path / "trace.csv"
-        tm.dump_csv(path)
-        data = np.loadtxt(path, delimiter=",")
-        back = data[:, 0::2] + 1j * data[:, 1::2]
-        assert np.abs(back - tm.stacked()).max() <= 1e-16
 
     def test_invalid_wavenumber(self, sphere_30_60, dirs_10_20):
         with pytest.raises(ValueError):

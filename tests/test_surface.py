@@ -5,8 +5,6 @@ from oracles import sphere_plane_wave_integral
 from wavetrace import (
     DegenerateSurfaceError,
     HarmonicIndex,
-    grid_from_json,
-    grid_to_json,
     integrate_surface,
     make_direction_grid,
     make_sphere,
@@ -158,19 +156,3 @@ class TestIntegrateSurface:
         grid = make_sphere(1.0, 12, 24)
         with pytest.raises(ValueError):
             integrate_surface(grid, np.ones(grid.n_nodes - 1))
-
-
-class TestSerialization:
-    def test_surface_roundtrip(self):
-        grid = make_star_surface(1.0, [(2, 0, 0.1)], 12, 24)
-        back = grid_from_json(grid_to_json(grid))
-        assert np.array_equal(back.nodes, grid.nodes)
-        assert np.array_equal(back.weights, grid.weights)
-        assert np.array_equal(back.normals, grid.normals)
-        assert back.descriptor == grid.descriptor
-
-    def test_direction_roundtrip(self):
-        dirs = make_direction_grid(10, 20)
-        back = grid_from_json(grid_to_json(dirs))
-        assert np.array_equal(back.directions, dirs.directions)
-        assert np.array_equal(back.weights, dirs.weights)

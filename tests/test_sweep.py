@@ -372,6 +372,25 @@ class TestFindDips:
             find_dips(indicator, np.linspace(3.0, 4.0, 11), threads=2)
         assert _blas_threads() == before
 
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below-kmin", "above-kmax"])
+    def test_brackets_stay_inside_the_sweep_range(self, side):
+        # the minimum lies one spacing past an end of the range: the edge
+        # sample dips, and its bracket is clipped to the range, so the
+        # refinement ends on the bracket end
+        ks = np.linspace(3.0, 4.0, 11)
+        spacing = ks[1] - ks[0]
+        k_min = (ks[-1] if side > 0 else ks[0]) + side * spacing
+        seen = []
+
+        def indicator(k):
+            seen.append(k)
+            return 1.0 - np.exp(-(((k - k_min) / (4 * spacing)) ** 2))
+
+        indicator.singular_values = lambda k: np.array([1.0])
+        with pytest.raises(BracketError):
+            find_dips(indicator, ks, threads=1)
+        assert ks[0] <= min(seen) and max(seen) <= ks[-1]
+
 
 @needs_openblas_controls
 def test_overlapping_pins_restore_only_when_the_last_leaves():
