@@ -13,6 +13,7 @@ are pure (no shared mutable state).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.optimize import brentq
@@ -102,34 +103,34 @@ def sph_hankel1(l: int, x):
     return spherical_jn(l, x) + 1j * spherical_yn(l, x)
 
 
-def bessel_zero(l: int, n: int) -> float:
-    """n-th positive zero z_{l,n} of j_l, absolute accuracy ~1e-14.
+def _bessel_zeros(l: int):
+    """Positive zeros of j_l in ascending order, absolute accuracy ~1e-14.
 
     Sign changes are bracketed on a grid of spacing pi/8 starting just above
-    max(l, previous zero) -- z_{l,1} > l, so no zero can be missed -- and
-    each bracket is refined by Brent's method.
+    l -- z_{l,1} > l, so no zero can be missed -- and each bracket is refined
+    by Brent's method.
     """
     l = _check_degree(l)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"zero index n must be >= 1, got {n}")
     f = lambda x: spherical_jn(l, x)
     step = np.pi / 8
     x0 = max(float(l), step / 2)
     f0 = f(x0)
-    zeros_found = 0
     while True:
         x1 = x0 + step
         f1 = f(x1)
         if f0 == 0.0:
-            root = x0
-            zeros_found += 1
+            yield x0
         elif f0 * f1 < 0:
-            root = brentq(f, x0, x1, xtol=1e-14, rtol=8.9e-16)
-            zeros_found += 1
-        if zeros_found == n:
-            return float(root)
+            yield float(brentq(f, x0, x1, xtol=1e-14, rtol=8.9e-16))
         x0, f0 = x1, f1
+
+
+def bessel_zero(l: int, n: int) -> float:
+    """n-th positive zero z_{l,n} of j_l, absolute accuracy ~1e-14."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"zero index n must be >= 1, got {n}")
+    return next(islice(_bessel_zeros(l), n - 1, None))
 
 
 def sph_harm(idx: HarmonicIndex, theta, phi):

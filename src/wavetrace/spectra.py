@@ -27,6 +27,7 @@ spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -34,6 +35,7 @@ from numpy.polynomial.legendre import leggauss
 from .herglotz import _check_wavenumber
 from .specfun import (
     HarmonicIndex,
+    _bessel_zeros,
     bessel_zero,
     sph_bessel_j,
     sph_bessel_j_deriv,
@@ -100,35 +102,22 @@ class EigenvalueRecord:
 def ball_dirichlet_eigs(R: float, k_max: float) -> list[EigenvalueRecord]:
     """All ball Dirichlet eigenvalues k = z_{l,n}/R <= k_max, ascending.
 
-    Degrees are scanned while z_{l,1} <= k_max*R; since z_{l,1} > l the scan
-    terminates and misses nothing.
+    Degrees l <= k_max*R are scanned; since z_{l,1} > l no higher degree
+    can fit.
     """
     R = float(R)
     k_max = float(k_max)
-    if R <= 0:
-        raise ValueError(f"radius must be positive, got {R}")
-    if k_max <= 0:
-        raise ValueError(f"k_max must be positive, got {k_max}")
-    records = []
+    if not 0 < R < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {R}")
+    if not 0 < k_max < np.inf:
+        raise ValueError(f"k_max must be positive and finite, got {k_max}")
     cap = k_max * R
-    l = 0
-    while True:
-        z = bessel_zero(l, 1)
-        if z > cap:
-            if l > cap:  # z_{l,1} > l: no higher degree can fit
-                break
-            l += 1
-            continue
-        n = 1
-        while z <= cap:
-            records.append(
-                EigenvalueRecord(k=z / R, multiplicity=2 * l + 1, source="ball-analytic", l=l, n=n)
-            )
-            n += 1
-            z = bessel_zero(l, n)
-        l += 1
-    records.sort(key=lambda rec: rec.k)
-    return records
+    records = (
+        EigenvalueRecord(k=z / R, multiplicity=2 * l + 1, source="ball-analytic", l=l, n=n)
+        for l in range(int(cap) + 1)
+        for n, z in enumerate(takewhile(lambda z: z <= cap, _bessel_zeros(l)), start=1)
+    )
+    return sorted(records, key=lambda rec: rec.k)
 
 
 def ball_eigenfunction(idx: HarmonicIndex, n: int, R: float, points) -> np.ndarray:

@@ -188,7 +188,10 @@ def make_star_surface(R0: float, perturbation, n_theta: int, n_phi: int) -> Surf
     """
     if R0 <= 0:
         raise ValueError(f"base radius must be positive, got {R0}")
-    pert = [(idx, eps) for idx, eps in _normalize_perturbation(perturbation) if eps != 0.0]
+    pert = _normalize_perturbation(perturbation)
+    if not all(np.isfinite(eps) for _, eps in pert):
+        raise ValueError(f"perturbation coefficients must be finite, got {[eps for _, eps in pert]}")
+    pert = [(idx, eps) for idx, eps in pert if eps != 0.0]
     if not pert:
         return make_sphere(R0, n_theta, n_phi)  # canonical: zero perturbation IS the sphere
     theta, phi, w = _product_angles(n_theta, n_phi)

@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .herglotz import HerglotzDensity, assemble_trace_matrix, herglotz_eval
+from .herglotz import _check_wavenumber, assemble_trace_matrix
 from .specfun import HarmonicIndex, bessel_zero, sph_bessel_j, sph_bessel_j_deriv, sph_harm
-from .spectra import eigenfunction_normal_derivative
-from .surface import DirectionGrid, SurfaceGrid, _spherical_coords, make_direction_grid
+from .spectra import ball_dirichlet_eigs, eigenfunction_normal_derivative
+from .surface import DirectionGrid, SurfaceGrid, _spherical_coords, make_direction_grid, make_sphere
 
 __all__ = [
     "VerificationReport",
@@ -45,6 +45,16 @@ __all__ = [
 ]
 
 EPS_GUARD = 1e-300  # additive floor so normalized residuals never divide by zero
+
+# Decomposition: degree bound of the random target and relative cutoff of
+# the projection's singular values.
+_DECOMPOSITION_BAND_LIMIT = 4
+_DECOMPOSITION_SVD_CUTOFF = 1e-10
+
+# A ball eigenvalue k_{l,n} counts as present at k within this relative
+# distance: near a zero |j_l(kR)| is about |k/k_{l,n} - 1|, so this stands
+# for the test |j_l(kR)| <= 1e-10.
+_EIGEN_MATCH_RTOL = 1e-10
 
 
 class InconclusiveCheckError(RuntimeError):
@@ -99,7 +109,6 @@ def check_necessity(
     grid: SurfaceGrid,
     n_directions: int,
     seed: int = 7,
-    tolerance: float = 1e-8,
     k_factor: float = 1.0,
 ) -> VerificationReport:
     """Annihilation of all plane-wave traces by f = u_N at an eigenvalue.
@@ -133,7 +142,7 @@ def check_necessity(
             "u_N_norm": norm,
         },
         residual=residual,
-        tolerance=tolerance,
+        tolerance=1e-8,
         expected_failure=(k_factor != 1.0),
     )
 
@@ -146,7 +155,6 @@ def check_lemma1_orthogonality(
     dirs: DirectionGrid,
     n_random_densities: int,
     seed: int = 7,
-    tolerance: float = 1e-7,
     k_override: float | None = None,
     reference_override: np.ndarray | None = None,
 ) -> VerificationReport:
@@ -163,15 +171,14 @@ def check_lemma1_orthogonality(
         v = np.asarray(reference_override, dtype=complex)
     else:
         v = eigenfunction_normal_derivative(idx, n, R, grid)
-    k = k_override if k_override is not None else bessel_zero(idx.l, n) / R
+    k = _check_wavenumber(k_override if k_override is not None else bessel_zero(idx.l, n) / R)
+    waves = np.exp(1j * k * (grid.nodes @ dirs.directions.T))
     rng = np.random.default_rng(seed)
     worst = 0.0
     v_norm = _surface_norm(grid, v)
     for _ in range(n_random_densities):
-        h = HerglotzDensity(
-            rng.standard_normal(dirs.n_directions) + 1j * rng.standard_normal(dirs.n_directions)
-        )
-        w_trace = herglotz_eval(k, h, dirs, grid.nodes)
+        h = rng.standard_normal(dirs.n_directions) + 1j * rng.standard_normal(dirs.n_directions)
+        w_trace = waves @ (dirs.weights * h)
         inner = np.sum(grid.weights * w_trace * np.conj(v))
         rel = abs(inner) / (_surface_norm(grid, w_trace) * v_norm + EPS_GUARD)
         worst = max(worst, float(rel))
@@ -190,7 +197,7 @@ def check_lemma1_orthogonality(
             "reference": "override" if reference_override is not None else "eigen-normal-derivative",
         },
         residual=worst,
-        tolerance=tolerance,
+        tolerance=1e-7,
         expected_failure=(k_override is not None or reference_override is not None),
     )
 
@@ -200,9 +207,7 @@ def check_green_reduction(
     n: int,
     R: float,
     n_radial: int = 64,
-    angular_grid: DirectionGrid | None = None,
     v_idx: HarmonicIndex | None = None,
-    tolerance: float = 1e-8,
 ) -> VerificationReport:
     """Volume-to-surface reduction for the harmonic extension F = (r/R)^l Y_lm.
 
@@ -220,11 +225,10 @@ def check_green_reduction(
         v_idx = HarmonicIndex(*v_idx)
     if n_radial < 2:
         raise ValueError(f"need at least 2 radial nodes, got {n_radial}")
-    if angular_grid is None:
-        angular_grid = make_direction_grid(16, 32)
+    angular_grid = make_direction_grid(16, 32)
     k = bessel_zero(v_idx.l, n) / R
 
-    # angular factor <Y_F, conj-paired Y_v> on the provided grid
+    # angular factor <Y_F, conj-paired Y_v>
     _, theta, phi = _spherical_coords(angular_grid.directions)
     y_f = sph_harm(idx, theta, phi)
     y_v = sph_harm(v_idx, theta, phi)
@@ -260,20 +264,8 @@ def check_green_reduction(
             "surface_side": [surface_side.real, surface_side.imag],
         },
         residual=residual,
-        tolerance=tolerance,
+        tolerance=1e-8,
     )
-
-
-def _eigen_indices_at(k: float, R: float, l_max: int, tol: float = 1e-10):
-    """Ball eigen-degrees whose j_l(kR) vanishes at this k (n recovered)."""
-    found = []
-    for l in range(l_max + 1):
-        if abs(sph_bessel_j(l, k * R)) <= tol:
-            n = 1
-            while bessel_zero(l, n) < k * R - 0.5:
-                n += 1
-            found.append((l, n))
-    return found
 
 
 def check_decomposition(
@@ -282,15 +274,13 @@ def check_decomposition(
     grid: SurfaceGrid,
     dirs: DirectionGrid,
     seed: int = 7,
-    band_limit: int = 4,
     psi: HarmonicIndex | np.ndarray | None = None,
     include_eigenspace: bool = True,
     tolerance: float = 1e-5,
-    svd_cutoff: float = 1e-10,
 ) -> VerificationReport:
     """Split a bandlimited surface function across traces + eigen normal span.
 
-    psi defaults to a seeded random combination of Y_lm, l <= band_limit.
+    psi defaults to a seeded random combination of Y_lm, l <= 4.
     Projection uses the left singular vectors of the weighted column stack
     above a relative cutoff; residual is the relative unprojected norm.
     """
@@ -306,25 +296,26 @@ def check_decomposition(
     else:
         rng = np.random.default_rng(seed)
         psi_values = np.zeros(grid.n_nodes, dtype=complex)
-        for l in range(band_limit + 1):
+        for l in range(_DECOMPOSITION_BAND_LIMIT + 1):
             for m in range(-l, l + 1):
                 c = rng.standard_normal() + 1j * rng.standard_normal()
                 psi_values += c * sph_harm(HarmonicIndex(l, m), theta, phi)
-        psi_label = f"random band-limited l<={band_limit}"
+        psi_label = f"random band-limited l<={_DECOMPOSITION_BAND_LIMIT}"
     b = psi_values * np.sqrt(grid.weights)
     b_norm = np.linalg.norm(b)
     if b_norm < 1e-14:
         raise InconclusiveCheckError("zero target function; nothing to decompose")
 
     columns = [assemble_trace_matrix(k, grid, dirs)]
-    eigen_indices = _eigen_indices_at(k, R, band_limit + 2) if include_eigenspace else []
+    eigs = ball_dirichlet_eigs(R, k * (1 + _EIGEN_MATCH_RTOL)) if include_eigenspace else []
+    eigen_indices = [(rec.l, rec.n) for rec in eigs if abs(rec.k - k) <= _EIGEN_MATCH_RTOL * k]
     for l, n in eigen_indices:
         for m in range(-l, l + 1):
             v_n = eigenfunction_normal_derivative(HarmonicIndex(l, m), n, R, grid)
             columns.append((v_n * np.sqrt(grid.weights))[:, None])
     stack = np.hstack(columns)
     U, s, _ = np.linalg.svd(stack, full_matrices=False)
-    keep = s > s[0] * svd_cutoff
+    keep = s > s[0] * _DECOMPOSITION_SVD_CUTOFF
     coeff = U[:, keep].conj().T @ b
     residual = float(np.sqrt(max(b_norm**2 - np.linalg.norm(coeff) ** 2, 0.0)) / b_norm)
     return VerificationReport(
@@ -334,12 +325,12 @@ def check_decomposition(
             "R": R,
             "psi": psi_label,
             "seed": seed,
-            "band_limit": band_limit,
+            "band_limit": _DECOMPOSITION_BAND_LIMIT,
             "include_eigenspace": include_eigenspace,
             "eigen_indices": eigen_indices,
             "surface": grid.descriptor,
             "directions": dirs.descriptor,
-            "svd_cutoff": svd_cutoff,
+            "svd_cutoff": _DECOMPOSITION_SVD_CUTOFF,
         },
         residual=residual,
         tolerance=tolerance,
@@ -350,12 +341,10 @@ def run_default_suite(
     seed: int = 7, inject_off_spectrum: bool = False
 ) -> list[VerificationReport]:
     """The full ball verification suite with the default desk-scale grids."""
-    from .surface import make_sphere
-
     reports = []
     dirs = make_direction_grid(12, 24)
-    for R in (0.7, 1.0, 2.0):
-        grid = make_sphere(R, 40, 80)
+    spheres = {R: make_sphere(R, 40, 80) for R in (0.7, 1.0, 2.0)}
+    for R, grid in spheres.items():
         for l in range(4):
             for n in (1, 2):
                 reports.append(check_necessity(HarmonicIndex(l, 0), n, R, grid, 100, seed=seed))
@@ -363,7 +352,7 @@ def run_default_suite(
             reports.append(
                 check_necessity(HarmonicIndex(0, 0), 1, R, grid, 100, seed=seed, k_factor=1.01)
             )
-    grid1 = make_sphere(1.0, 40, 80)
+    grid1 = spheres[1.0]
     for l in range(3):
         for n in (1, 2):
             reports.append(

@@ -131,6 +131,9 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         (["sweep", *FAST_SWEEP, "--dirs-nphi", "100000"], None),
         (["eigs", "--kmax", "64"], None),
         (["eigs", "--radius", "2", "--kmax", "32"], None),
+        (["sweep", *FAST_SWEEP, "--surface", "star", "--coef", "2,0,nan"], None),
+        ([*STAR_SINGLE_LAYER, "--coef", "2,0,inf"], None),
+        (["eigs", "--surface", "star", "--method", "single-layer"], {"coefficients": [[2, 0, float("nan")]]}),
     ],
     ids=[
         "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
@@ -138,7 +141,8 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         "sweep-seed-negative", "verify-seed-negative", "sweep-depth-ratio-1", "sweep-threads-0",
         "config-samples-string", "config-threads-string", "config-bool-for-int", "config-gap-ratio-0",
         "config-coefficient-not-a-triple", "config-star-ntheta-huge", "sweep-dirs-nphi-huge",
-        "eigs-analytic-kmax-64", "eigs-analytic-kmax-r-64",
+        "eigs-analytic-kmax-64", "eigs-analytic-kmax-r-64", "sweep-coef-nan", "eigs-coef-inf",
+        "config-coefficient-nan",
     ],
 )
 def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):

@@ -84,6 +84,20 @@ class TestBallDirichletEigs:
             assert rec.multiplicity == 2 * rec.l + 1
             assert rec.source == "ball-analytic"
 
+    def test_records_are_the_bessel_zeros(self):
+        # every degree up to the analytic CLI's k R < 64 cap, bit for bit
+        recs = ball_dirichlet_eigs(1.0, 63.9)
+        assert len(recs) == 497
+        assert all(rec.k == bessel_zero(rec.l, rec.n) / 1.0 for rec in recs)
+
+    @pytest.mark.parametrize(
+        "R, k_max", [(1.0, np.inf), (1.0, np.nan), (np.inf, 1.0), (np.nan, 1.0)]
+    )
+    def test_nonfinite_input_rejected(self, R, k_max):
+        # an infinite or NaN k_max R would scan degrees forever
+        with pytest.raises(ValueError, match="finite"):
+            ball_dirichlet_eigs(R, k_max)
+
     def test_sorted_and_complete_against_dense_scan(self):
         # brute-force scan of j_l sign changes, l <= 9, as a completeness oracle
         recs = ball_dirichlet_eigs(1.0, 9.0)

@@ -64,6 +64,11 @@ class TestMakeStarSurface:
         with pytest.raises(DegenerateSurfaceError):
             make_star_surface(1.0, [(1, 0, -5.0)], 20, 40)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_coefficient_raises(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            make_star_surface(1.0, [(2, 0, 0.1), (2, 0, eps)], 20, 40)
+
     def test_normals_orthogonal_to_tangents_and_outward(self):
         # finite-difference tangents of the parametrization at interior angles
         pert = [(2, 0, 0.1), (3, 2, 0.05)]

@@ -29,6 +29,7 @@ from wavetrace.sweep import (
     _blas_threads,
     _one_blas_thread,
     _openblas_thread_controls,
+    _rank_cutoff,
     default_interior_count,
 )
 
@@ -390,6 +391,44 @@ class TestFindDips:
         with pytest.raises(BracketError):
             find_dips(indicator, ks, threads=1)
         assert ks[0] <= min(seen) and max(seen) <= ks[-1]
+
+
+class TestRankCutoffStability:
+    """An equivalent factorization of the trace matrix moves the retained
+    rank by 1-3 columns; the dips and their multiplicities must not care."""
+
+    RANK_SHIFTS = [-3, -2, -1, 1, 2, 3]
+
+    @pytest.fixture(scope="class")
+    def ball(self):
+        indicator, ks = ball_two_dips()
+        return indicator, ks, find_dips(indicator, ks)[1]
+
+    @pytest.fixture(scope="class")
+    def star_indicator(self):
+        star = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48)
+        return make_trace_indicator(
+            star, make_direction_grid(10, 20), seed_interior_points(star, 500, seed=0)
+        )
+
+    @staticmethod
+    def shift_rank_cutoff(monkeypatch, shift):
+        monkeypatch.setattr("wavetrace.sweep._rank_cutoff", lambda diag: _rank_cutoff(diag) + shift)
+
+    @pytest.mark.parametrize("shift", RANK_SHIFTS)
+    def test_ball_dips(self, monkeypatch, ball, shift):
+        indicator, ks, reference = ball
+        self.shift_rank_cutoff(monkeypatch, shift)
+        _, dips = find_dips(indicator, ks)
+        assert [d.multiplicity for d in dips] == [d.multiplicity for d in reference] == [1, 3]
+        assert [d.k for d in dips] == pytest.approx([d.k for d in reference], abs=1e-8)
+
+    @pytest.mark.parametrize("shift", RANK_SHIFTS)
+    def test_star_multiplicities(self, monkeypatch, star_indicator, shift):
+        # the refined trace dips of r = 1 + 0.1 Re Y_20: |m| = 0, 1, 2
+        self.shift_rank_cutoff(monkeypatch, shift)
+        ks = [5.629593, 5.713974, 5.870238]
+        assert [estimate_multiplicity(star_indicator, k) for k in ks] == [1, 2, 2]
 
 
 @needs_openblas_controls
