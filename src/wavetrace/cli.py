@@ -26,7 +26,7 @@ import numpy as np
 from click.core import ParameterSource
 
 from .herglotz import fit_trace
-from .specfun import MAX_DEGREE, HarmonicIndex, sph_harm
+from .specfun import HarmonicIndex, sph_harm
 from .spectra import ball_dirichlet_eigs, EigenvalueRecord, make_single_layer_indicator
 from .surface import (
     DegenerateSurfaceError,
@@ -37,7 +37,6 @@ from .surface import (
 )
 from .sweep import (
     DEFAULT_DEPTH_RATIO,
-    DEFAULT_GAP_RATIO,
     DEFAULT_QR_RTOL,
     DEFAULT_REFINE_TOL,
     BracketError,
@@ -58,6 +57,7 @@ NUMERICAL_ERRORS = (
     BracketError,
     InconclusiveCheckError,
     np.linalg.LinAlgError,
+    MemoryError,
 )
 
 
@@ -81,9 +81,7 @@ class RunConfig:
     samples: int = 350
     seed: int = 0
     interior_count: int | None = None
-    depth_ratio: float = DEFAULT_DEPTH_RATIO
     refine_tol: float = DEFAULT_REFINE_TOL
-    gap_ratio: float = DEFAULT_GAP_RATIO
     ridge: float | None = None
     band_limit: int = 8
     threads: int | None = None
@@ -143,9 +141,7 @@ _RANGES = {
     "samples": (lambda v: v >= 2, "at least 2"),
     "seed": (lambda v: v >= 0, "nonnegative"),
     "interior_count": (lambda v: v >= 1, "positive"),
-    "depth_ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
     "refine_tol": (lambda v: 0 < v < math.inf, "positive and finite"),
-    "gap_ratio": (lambda v: 0 < v < math.inf, "positive and finite"),
     "ridge": (lambda v: 0 <= v < math.inf, "nonnegative and finite"),
     "band_limit": (lambda v: v >= 0, "nonnegative"),
     "threads": (lambda v: v >= 1, "positive"),
@@ -283,7 +279,6 @@ def main():
 @click.option("--samples", type=int, default=RunConfig.samples, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--interior-count", type=int)
-@click.option("--depth-ratio", type=float, default=RunConfig.depth_ratio, show_default=True)
 @click.option("--refine-tol", type=float, default=RunConfig.refine_tol, show_default=True)
 @click.option("--threads", type=int, help="Size of the sweep-and-refinement pool (default: CPU count).")
 @click.option("--out-csv", type=str, default="sweep.csv", show_default=True)
@@ -300,14 +295,7 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     interior_count = cfg.interior_count or default_interior_count(dirs)
     interior = seed_interior_points(grid, interior_count, cfg.seed)
     ks = np.linspace(cfg.k_min, cfg.k_max, cfg.samples)
-    values, refined = find_dips(
-        make_trace_indicator(grid, dirs, interior),
-        ks,
-        cfg.depth_ratio,
-        cfg.refine_tol,
-        cfg.gap_ratio,
-        cfg.threads,
-    )
+    values, refined = find_dips(make_trace_indicator(grid, dirs, interior), ks, cfg.refine_tol, cfg.threads)
     config = {
         "indicator": "trace-subspace",
         "surface": grid.descriptor,
@@ -318,7 +306,7 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
         "interior_seed": int(cfg.seed),
         "interior_count": int(interior_count),
         "qr_rtol": float(DEFAULT_QR_RTOL),
-        "depth_ratio": float(cfg.depth_ratio),
+        "depth_ratio": float(DEFAULT_DEPTH_RATIO),
         "run_config": cfg.to_dict(),
     }
     final = SweepResult(k_samples=ks, indicator=values, dips=refined, config=config)
@@ -353,19 +341,16 @@ def cmd_eigs(ctx, method, out_json, config_path, **flags):
     if method == "analytic":
         if cfg.surface != "ball":
             raise click.UsageError("analytic spectrum exists only for the ball")
-        if cfg.k_max * cfg.radius >= MAX_DEGREE:
-            raise click.UsageError(
-                f"analytic spectrum needs kmax * radius < {MAX_DEGREE}, got {cfg.k_max * cfg.radius}"
-            )
-        records = ball_dirichlet_eigs(cfg.radius, cfg.k_max)
+        try:
+            records = ball_dirichlet_eigs(cfg.radius, cfg.k_max)
+        except ValueError as exc:
+            raise click.UsageError(f"bad analytic spectrum request: {exc}")
     else:
         grid = _build_surface(cfg)
         _, dips = find_dips(
             make_single_layer_indicator(grid, band_limit=cfg.band_limit),
             np.linspace(cfg.k_min, cfg.k_max, cfg.samples),
-            cfg.depth_ratio,
             cfg.refine_tol,
-            cfg.gap_ratio,
             cfg.threads,
         )
         records = [

@@ -166,8 +166,6 @@ def funk_hecke(idx: HarmonicIndex, k: float, R: float, beta) -> complex:
     The conjugation convention (Y_lm(beta), not its conjugate) is pinned by
     matching direct quadrature at a non-symmetric index; see the test suite.
     """
-    if not isinstance(idx, HarmonicIndex):
-        idx = HarmonicIndex(*idx)
     k = _check_wavenumber(k)
     R = float(R)
     if R <= 0:

@@ -79,7 +79,7 @@ def sph_bessel_j(l: int, x):
 
 
 def sph_bessel_j_deriv(l: int, x):
-    """Derivative j_l'(x), via j_l' = j_{l-1} - (l+1)/x * j_l."""
+    """Derivative j_l'(x), from scipy's spherical_jn(l, x, derivative=True)."""
     l = _check_degree(l)
     x = _check_argument(x)
     return spherical_jn(l, x, derivative=True)
@@ -139,15 +139,11 @@ def sph_harm(idx: HarmonicIndex, theta, phi):
     theta is the polar angle in [0, pi], phi the azimuth; Condon-Shortley
     phase included.
     """
-    if not isinstance(idx, HarmonicIndex):
-        idx = HarmonicIndex(*idx)
     return sph_harm_y(idx.l, idx.m, np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
 
 
 def sph_harm_with_grad(idx: HarmonicIndex, theta, phi):
     """Y_lm together with its angular derivatives (dY/dtheta, dY/dphi)."""
-    if not isinstance(idx, HarmonicIndex):
-        idx = HarmonicIndex(*idx)
     val, grad = sph_harm_y(
         idx.l, idx.m, np.asarray(theta, dtype=float), np.asarray(phi, dtype=float), diff_n=1
     )

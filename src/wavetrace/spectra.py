@@ -34,6 +34,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .herglotz import _check_wavenumber
 from .specfun import (
+    MAX_DEGREE,
     HarmonicIndex,
     _bessel_zeros,
     bessel_zero,
@@ -103,7 +104,7 @@ def ball_dirichlet_eigs(R: float, k_max: float) -> list[EigenvalueRecord]:
     """All ball Dirichlet eigenvalues k = z_{l,n}/R <= k_max, ascending.
 
     Degrees l <= k_max*R are scanned; since z_{l,1} > l no higher degree
-    can fit.
+    can fit. k_max*R must stay below MAX_DEGREE (ValueError before any scan).
     """
     R = float(R)
     k_max = float(k_max)
@@ -112,6 +113,8 @@ def ball_dirichlet_eigs(R: float, k_max: float) -> list[EigenvalueRecord]:
     if not 0 < k_max < np.inf:
         raise ValueError(f"k_max must be positive and finite, got {k_max}")
     cap = k_max * R
+    if cap >= MAX_DEGREE:
+        raise ValueError(f"k_max * R must be below {MAX_DEGREE}, got {cap}")
     records = (
         EigenvalueRecord(k=z / R, multiplicity=2 * l + 1, source="ball-analytic", l=l, n=n)
         for l in range(int(cap) + 1)
@@ -122,8 +125,6 @@ def ball_dirichlet_eigs(R: float, k_max: float) -> list[EigenvalueRecord]:
 
 def ball_eigenfunction(idx: HarmonicIndex, n: int, R: float, points) -> np.ndarray:
     """u(x) = j_l(k r) Y_lm(x_hat) with k = z_{l,n}/R; vanishes on |x| = R."""
-    if not isinstance(idx, HarmonicIndex):
-        idx = HarmonicIndex(*idx)
     R = float(R)
     if R <= 0:
         raise ValueError(f"radius must be positive, got {R}")
@@ -142,8 +143,6 @@ def eigenfunction_normal_derivative(
 
     Nonvanishing by construction: j_l' cannot share a zero with j_l.
     """
-    if not isinstance(idx, HarmonicIndex):
-        idx = HarmonicIndex(*idx)
     desc = grid.descriptor
     if desc.get("kind") != "sphere" or abs(desc.get("radius", -1.0) - R) > 1e-12 * max(R, 1.0):
         raise UnsupportedSurfaceError(
@@ -170,7 +169,10 @@ def single_layer_symbol(l: int, k: float, R: float) -> complex:
 
 
 def _rectangle_polar_segments(t0: float, p0: float):
-    """Corner angles of the rectangle [0,pi] x [p0-pi, p0+pi] seen from (t0,p0)."""
+    """Corner angles of the rectangle [0,pi] x [p0-pi, p0+pi] seen from (t0,p0).
+
+    For t0 in [0, pi] consecutive corners are at least pi/4 apart.
+    """
     corners = [
         (0.0, p0 - np.pi),
         (0.0, p0 + np.pi),
@@ -206,15 +208,12 @@ def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
         total = 0.0
         segments = _rectangle_polar_segments(t0, p0)
         for a0, a1 in zip(segments[:-1], segments[1:]):
-            if a1 - a0 < 1e-13:
-                continue
             alpha = 0.5 * (a0 + a1) + 0.5 * (a1 - a0) * ga
             w_alpha = 0.5 * (a1 - a0) * wa
             ca, sa = np.cos(alpha), np.sin(alpha)
             # ray length to the rectangle boundary (phi edges at p0 +- pi)
             with np.errstate(divide="ignore"):
-                lim = np.full_like(ca, np.inf)
-                lim = np.minimum(lim, np.where(ca > 1e-14, (np.pi - t0) / ca, np.inf))
+                lim = np.where(ca > 1e-14, (np.pi - t0) / ca, np.inf)
                 lim = np.minimum(lim, np.where(ca < -1e-14, -t0 / ca, np.inf))
                 lim = np.minimum(lim, np.where(sa > 1e-14, np.pi / sa, np.inf))
                 lim = np.minimum(lim, np.where(sa < -1e-14, -np.pi / sa, np.inf))

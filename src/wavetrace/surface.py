@@ -141,15 +141,7 @@ def _spherical_coords(points: np.ndarray):
 
 
 def _normalize_perturbation(perturbation):
-    out = []
-    for item in perturbation:
-        if len(item) == 2 and isinstance(item[0], HarmonicIndex):
-            idx, eps = item
-        else:
-            l, m, eps = item
-            idx = HarmonicIndex(int(l), int(m))
-        out.append((idx, float(eps)))
-    return out
+    return [(HarmonicIndex(int(l), int(m)), float(eps)) for l, m, eps in perturbation]
 
 
 def _star_radius_terms(theta, phi, R0, perturbation):
@@ -167,8 +159,8 @@ def _star_radius_terms(theta, phi, R0, perturbation):
 
 def make_sphere(R: float, n_theta: int, n_phi: int) -> SurfaceGrid:
     """Sphere of radius R: GL x uniform product grid, radial normals."""
-    if R <= 0:
-        raise ValueError(f"radius must be positive, got {R}")
+    if not 0 < R < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {R}")
     theta, phi, w = _product_angles(n_theta, n_phi)
     shat = _unit_vectors(theta, phi)
     desc = {"kind": "sphere", "radius": float(R), "n_theta": int(n_theta), "n_phi": int(n_phi)}
@@ -186,8 +178,8 @@ def make_star_surface(R0: float, perturbation, n_theta: int, n_phi: int) -> Surf
     Raises DegenerateSurfaceError when the radius drops below 0.2*R0
     anywhere on the grid.
     """
-    if R0 <= 0:
-        raise ValueError(f"base radius must be positive, got {R0}")
+    if not 0 < R0 < np.inf:
+        raise ValueError(f"base radius must be positive and finite, got {R0}")
     pert = _normalize_perturbation(perturbation)
     if not all(np.isfinite(eps) for _, eps in pert):
         raise ValueError(f"perturbation coefficients must be finite, got {[eps for _, eps in pert]}")

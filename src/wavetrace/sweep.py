@@ -321,12 +321,12 @@ def sweep_k(indicator, ks, threads: int | None = None) -> np.ndarray:
     return np.array(_map(indicator, ks, threads))
 
 
-def detect_dips(ks, values, depth_ratio: float = DEFAULT_DEPTH_RATIO) -> list[Dip]:
-    """Flag samples below depth_ratio * median; merge adjacent flags into dips."""
+def detect_dips(ks, values) -> list[Dip]:
+    """Flag samples below DEFAULT_DEPTH_RATIO * median; merge adjacent flags into dips."""
     vals = np.asarray(values, dtype=float)
     if len(vals) == 0:
         return []
-    threshold = depth_ratio * float(np.median(vals))
+    threshold = DEFAULT_DEPTH_RATIO * float(np.median(vals))
     flagged = vals <= threshold
     dips = []
     i = 0
@@ -377,33 +377,24 @@ def refine_dip(indicator, k_center: float, half_width: float, tol: float = DEFAU
     return float(k_star), seen[k_star]
 
 
-def estimate_multiplicity(indicator, k_star: float, gap_ratio: float = DEFAULT_GAP_RATIO) -> int:
+def estimate_multiplicity(indicator, k_star: float) -> int:
     """Number of collapsed directions at a refined dip, at least 1.
 
-    Among the n singular values below median/gap_ratio, cuts at the largest
-    ratio between consecutive sorted values, the first value above the
-    threshold included, and counts the values below the cut. A neighbouring
-    split eigenvalue's half-collapsed values thus stay out of the count; on
-    the ball this recovers the eigenvalue multiplicity 2l+1. A refined dip
-    is a collapse by construction, so n = 0 is reported as 1.
+    Among the n singular values below median/DEFAULT_GAP_RATIO, cuts at the
+    largest ratio between consecutive sorted values, the first value above
+    the threshold included, and counts the values below the cut. A
+    neighbouring split eigenvalue's half-collapsed values thus stay out of
+    the count; on the ball this recovers the eigenvalue multiplicity 2l+1.
+    A refined dip is a collapse by construction, so n = 0 is reported as 1.
     """
-    if not gap_ratio > 0:
-        raise ValueError(f"gap_ratio must be positive, got {gap_ratio}")
     with _one_blas_thread():
         s = np.sort(indicator.singular_values(k_star))
-    n = int((s < np.median(s) / gap_ratio).sum())
+    n = int((s < np.median(s) / DEFAULT_GAP_RATIO).sum())
     gaps = s[1 : n + 1] / s[: min(n, len(s) - 1)]
     return 1 + int(np.argmax(gaps)) if len(gaps) else 1
 
 
-def find_dips(
-    indicator,
-    ks,
-    depth_ratio: float = DEFAULT_DEPTH_RATIO,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-    gap_ratio: float = DEFAULT_GAP_RATIO,
-    threads: int | None = None,
-):
+def find_dips(indicator, ks, refine_tol: float = DEFAULT_REFINE_TOL, threads: int | None = None):
     """Sweep, detect, refine and classify: returns (sampled values, dips).
 
     Each dip is refined within two sample spacings of its sampled minimum,
@@ -421,9 +412,9 @@ def find_dips(
             lo, hi = max(center - half, ks[0]), min(center + half, ks[-1])
             center, half = (lo + hi) / 2, (hi - lo) / 2
         k_star, ind_min = refine_dip(indicator, center, half, refine_tol)
-        mult = estimate_multiplicity(indicator, k_star, gap_ratio)
+        mult = estimate_multiplicity(indicator, k_star)
         return Dip(k=k_star, indicator=ind_min, multiplicity=mult)
 
     values = sweep_k(indicator, ks, threads)
     half_width = 2.0 * (ks[-1] - ks[0]) / (len(ks) - 1)
-    return values, _map(refine_and_classify, detect_dips(ks, values, depth_ratio), threads)
+    return values, _map(refine_and_classify, detect_dips(ks, values), threads)

@@ -117,8 +117,6 @@ def check_necessity(
     k_factor != 1 shifts the trace wavenumber off the spectrum and serves
     as a negative control (the residual must then be large).
     """
-    if not isinstance(idx, HarmonicIndex):
-        idx = HarmonicIndex(*idx)
     u_n = eigenfunction_normal_derivative(idx, n, R, grid)
     norm = _surface_norm(grid, u_n)
     if not norm > 0:
@@ -165,8 +163,6 @@ def check_lemma1_orthogonality(
     together with reference_override (e.g. a Y_00 trace) builds the
     negative control where orthogonality must fail.
     """
-    if not isinstance(idx, HarmonicIndex):
-        idx = HarmonicIndex(*idx)
     if reference_override is not None:
         v = np.asarray(reference_override, dtype=complex)
     else:
@@ -217,12 +213,8 @@ def check_green_reduction(
     sides, which degenerates the normalization and raises
     InconclusiveCheckError (carrying either side for inspection).
     """
-    if not isinstance(idx, HarmonicIndex):
-        idx = HarmonicIndex(*idx)
     if v_idx is None:
         v_idx = idx
-    elif not isinstance(v_idx, HarmonicIndex):
-        v_idx = HarmonicIndex(*v_idx)
     if n_radial < 2:
         raise ValueError(f"need at least 2 radial nodes, got {n_radial}")
     angular_grid = make_direction_grid(16, 32)
@@ -289,8 +281,6 @@ def check_decomposition(
         psi_values = np.asarray(psi, dtype=complex)
         psi_label = "explicit values"
     elif psi is not None:
-        if not isinstance(psi, HarmonicIndex):
-            psi = HarmonicIndex(*psi)
         psi_values = sph_harm(psi, theta, phi)
         psi_label = str(psi)
     else:

@@ -50,8 +50,8 @@ STAR_SINGLE_LAYER = [
 CLI_FLAGS = {
     "sweep": {
         "--surface", "--radius", "--coef", "--ntheta", "--nphi", "--dirs-ntheta", "--dirs-nphi",
-        "--kmin", "--kmax", "--samples", "--seed", "--interior-count", "--depth-ratio",
-        "--refine-tol", "--threads", "--out-csv", "--out-json", "--config", "--help",
+        "--kmin", "--kmax", "--samples", "--seed", "--interior-count", "--refine-tol",
+        "--threads", "--out-csv", "--out-json", "--config", "--help",
     },
     "eigs": {
         "--surface", "--radius", "--coef", "--method", "--ntheta", "--nphi", "--kmin", "--kmax",
@@ -71,6 +71,19 @@ def test_flag_sets_unchanged(runner):
         result = runner.invoke(main, [command, "--help"])
         assert result.exit_code == 0, result.output
         assert set(re.findall(r"^  (--[\w-]+)", result.output, re.M)) == flags, command
+
+
+# The RunConfig fields, which every artifact embeds as its run_config: adding
+# or removing one changes the artifact schema, so it must change this set too
+RUN_CONFIG_FIELDS = {
+    "surface", "radius", "coefficients", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi",
+    "k_min", "k_max", "samples", "seed", "interior_count", "refine_tol", "ridge", "band_limit",
+    "threads",
+}
+
+
+def test_run_config_fields_unchanged():
+    assert set(RunConfig().to_dict()) == RUN_CONFIG_FIELDS
 
 
 @pytest.mark.parametrize("command", ["sweep", "eigs", "fit"])
@@ -134,6 +147,8 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         (["sweep", *FAST_SWEEP, "--surface", "star", "--coef", "2,0,nan"], None),
         ([*STAR_SINGLE_LAYER, "--coef", "2,0,inf"], None),
         (["eigs", "--surface", "star", "--method", "single-layer"], {"coefficients": [[2, 0, float("nan")]]}),
+        (["sweep", *FAST_SWEEP, "--depth-ratio", "0.1"], None),
+        (["eigs"], {"gap_ratio": 10.0}),
     ],
     ids=[
         "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
@@ -142,7 +157,7 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         "config-samples-string", "config-threads-string", "config-bool-for-int", "config-gap-ratio-0",
         "config-coefficient-not-a-triple", "config-star-ntheta-huge", "sweep-dirs-nphi-huge",
         "eigs-analytic-kmax-64", "eigs-analytic-kmax-r-64", "sweep-coef-nan", "eigs-coef-inf",
-        "config-coefficient-nan",
+        "config-coefficient-nan", "sweep-depth-ratio-flag-removed", "config-gap-ratio-key-removed",
     ],
 )
 def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
@@ -416,3 +431,15 @@ class TestFitCommand:
     def test_invalid_harmonic_index(self, runner):
         result = runner.invoke(main, ["fit", "--target", "5,9", "--k", "1.0"])
         assert result.exit_code == 2
+
+    def test_allocation_failure_exits_3(self, runner, tmp_path, monkeypatch):
+        # stands in for a --k too large to allocate; nothing large is allocated
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 TiB")
+
+        monkeypatch.setattr(wavetrace.cli, "fit_trace", out_of_memory)
+        result = runner.invoke(
+            main, ["fit", "--target", "0,0", "--k", "1.0", "--out-json", str(tmp_path / "fit.json")]
+        )
+        assert result.exit_code == 3, result.output
+        assert "numerical failure" in result.output

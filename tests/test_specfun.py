@@ -133,8 +133,6 @@ class TestSphHarm:
     def test_invalid_order_raises(self):
         with pytest.raises(ValueError):
             HarmonicIndex(2, 3)
-        with pytest.raises(ValueError):
-            sph_harm((1, 2), 0.3, 0.1)
 
 
 class TestAnalyticInvariants:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import wavetrace.spectra
 from wavetrace import (
     EigenvalueRecord,
     HarmonicIndex,
@@ -85,7 +86,7 @@ class TestBallDirichletEigs:
             assert rec.source == "ball-analytic"
 
     def test_records_are_the_bessel_zeros(self):
-        # every degree up to the analytic CLI's k R < 64 cap, bit for bit
+        # every degree below the k R < MAX_DEGREE cap, bit for bit
         recs = ball_dirichlet_eigs(1.0, 63.9)
         assert len(recs) == 497
         assert all(rec.k == bessel_zero(rec.l, rec.n) / 1.0 for rec in recs)
@@ -96,6 +97,15 @@ class TestBallDirichletEigs:
     def test_nonfinite_input_rejected(self, R, k_max):
         # an infinite or NaN k_max R would scan degrees forever
         with pytest.raises(ValueError, match="finite"):
+            ball_dirichlet_eigs(R, k_max)
+
+    @pytest.mark.parametrize("R, k_max", [(1.0, 70.0), (1.0, 64.0), (2.0, 32.0)])
+    def test_degree_cap_rejected_before_any_scan(self, R, k_max, monkeypatch):
+        def no_scan(l):
+            raise AssertionError(f"scanned the zeros of j_{l}")
+
+        monkeypatch.setattr(wavetrace.spectra, "_bessel_zeros", no_scan)
+        with pytest.raises(ValueError, match="below 64"):
             ball_dirichlet_eigs(R, k_max)
 
     def test_sorted_and_complete_against_dense_scan(self):

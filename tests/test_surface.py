@@ -47,6 +47,11 @@ class TestMakeSphere:
         with pytest.raises(ValueError):
             make_sphere(-1.0, 20, 40)
 
+    @pytest.mark.parametrize("R", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_nonpositive_or_nonfinite_radius_raises(self, R):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            make_sphere(R, 8, 16)
+
 
 class TestMakeStarSurface:
     def test_zero_perturbation_matches_sphere(self):
@@ -63,6 +68,11 @@ class TestMakeStarSurface:
     def test_negative_radius_raises(self):
         with pytest.raises(DegenerateSurfaceError):
             make_star_surface(1.0, [(1, 0, -5.0)], 20, 40)
+
+    @pytest.mark.parametrize("R0", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_nonpositive_or_nonfinite_base_radius_raises(self, R0):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            make_star_surface(R0, [(2, 0, 0.1)], 8, 16)
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_coefficient_raises(self, eps):

@@ -176,11 +176,6 @@ class TestDetectDips:
     def test_flat_indicator_no_dips(self):
         assert detect_dips(*self._samples(np.full(50, 0.4))) == []
 
-    def test_zero_depth_ratio_no_dips(self):
-        vals = np.full(50, 0.4)
-        vals[25] = 1e-9
-        assert detect_dips(*self._samples(vals), depth_ratio=0.0) == []
-
     def test_two_dips_with_merging(self):
         vals = np.full(60, 0.5)
         vals[10] = 1e-3
@@ -305,16 +300,6 @@ class TestEstimateMultiplicity:
 
         indicator.singular_values = lambda k: spectrum
         assert estimate_multiplicity(indicator, 5.7) == expected
-
-    @pytest.mark.parametrize("gap_ratio", [0.0, -1.0, float("nan")])
-    def test_nonpositive_gap_ratio_rejected(self, gap_ratio):
-        # gap_ratio 0 would count every singular value, -1 none
-        def indicator(k):
-            return abs(k - 3.2) + 1e-3
-
-        indicator.singular_values = lambda k: np.array([1.0, 0.9, 0.8, 0.7, 0.6])
-        with pytest.raises(ValueError, match="gap_ratio"):
-            estimate_multiplicity(indicator, 3.2, gap_ratio)
 
 
 def ball_two_dips():
