@@ -126,8 +126,8 @@ def ball_dirichlet_eigs(R: float, k_max: float) -> list[EigenvalueRecord]:
 def ball_eigenfunction(idx: HarmonicIndex, n: int, R: float, points) -> np.ndarray:
     """u(x) = j_l(k r) Y_lm(x_hat) with k = z_{l,n}/R; vanishes on |x| = R."""
     R = float(R)
-    if R <= 0:
-        raise ValueError(f"radius must be positive, got {R}")
+    if not 0 < R < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {R}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     r, theta, phi = _spherical_coords(points)
     if np.any(r > R * (1 + 1e-12)):

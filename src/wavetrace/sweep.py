@@ -12,6 +12,13 @@ combination is O(1) inside the domain but vanishes on the surface (on the
 ball, h = Y_lm gives w = 4 pi i^l j_l(kr) Y_lm with j_l(kR) = 0), driving
 the indicator toward zero; away from the spectrum it stays O(1).
 
+Every step is Householder. The column-pivoted QR of the whole stacked
+matrix (geqp3) sets the retained rank at a decade gap of R's diagonal;
+only the retained columns of Q are formed (ungqr), and the singular values
+of their boundary rows are those of the triangle of an R-only QR of that
+block (geqrf), taken by a dense SVD of size rank x rank. The tall steps
+run in LAPACK calls that release the GIL; only that small SVD holds it.
+
 Both eigenvalue oracles share one indicator protocol: a callable
 k -> float, the smallest singular value of a k-dependent matrix, whose
 .singular_values(k) returns all of them (make_trace_indicator here,
@@ -277,15 +284,25 @@ def boundary_subspace_singular_values(
     factor of the stacked trace matrix; the last one is the indicator."""
     interior = _check_interior(grid, interior)
     A = assemble_trace_matrix(k, grid, dirs, interior_points=interior)
-    Q, R, _ = la.qr(A, mode="economic", pivoting=True)
-    cutoff = _rank_cutoff(np.abs(np.diag(R)))
+    (qr, tau), _, _ = la.qr(A, mode="raw", pivoting=True)
+    del A  # factored in a copy; freed before the tall steps below
+    cutoff = _rank_cutoff(np.abs(np.diag(qr)))
     if cutoff == 0:
         raise IllPosedIndicatorError("trace matrix is numerically zero")
     if len(interior) < cutoff:
         raise IllPosedIndicatorError(
             f"{len(interior)} interior points cannot control a rank-{cutoff} column space"
         )
-    return la.svd(Q[: grid.n_nodes, :cutoff], compute_uv=False)
+    # form only the retained columns of Q, in place over their reflectors
+    ungqr = la.get_lapack_funcs("ungqr", (qr,))
+    lwork = ungqr(qr[:, :cutoff], tau[:cutoff], lwork=-1, overwrite_a=1)[1][0].real
+    Q, _, info = ungqr(qr[:, :cutoff], tau[:cutoff], lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        raise la.LinAlgError(f"ungqr returned info={info}")
+    # the boundary rows share their singular values with their R factor,
+    # which mode="raw" returns square (mode="r" pads it with zero rows)
+    _, R = la.qr(Q[: grid.n_nodes], mode="raw", check_finite=False)
+    return la.svd(R, compute_uv=False)
 
 
 def completeness_indicator(k: float, grid: SurfaceGrid, dirs: DirectionGrid, interior) -> float:
@@ -311,9 +328,11 @@ def make_trace_indicator(grid: SurfaceGrid, dirs: DirectionGrid, interior):
 def sweep_k(indicator, ks, threads: int | None = None) -> np.ndarray:
     """Evaluate an indicator on an ascending k-grid.
 
-    Evaluations at distinct k run on a thread pool (BLAS releases the GIL),
-    one BLAS thread each, and merge in k order; threads=None sizes the pool
-    to the CPU count and threads <= 1 evaluates serially.
+    Evaluations at distinct k run on a thread pool, one BLAS thread each,
+    and merge in k order; they overlap only while they sit in calls that
+    release the GIL, as the trace indicator's tall factorization steps do.
+    threads=None sizes the pool to the CPU count and threads <= 1
+    evaluates serially.
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or len(ks) < 2 or ks[0] <= 0 or np.any(np.diff(ks) <= 0):

@@ -157,6 +157,12 @@ class TestBallEigenfunction:
         with pytest.raises(ValueError):
             ball_eigenfunction(HarmonicIndex(0, 0), 1, 1.0, np.array([[1.2, 0, 0]]))
 
+    @pytest.mark.parametrize("R", [np.inf, np.nan, 0.0])
+    def test_radius_outside_positive_reals_rejected(self, R):
+        # an infinite radius gave k = z/R = 0 and returned j_0(0) Y_00
+        with pytest.raises(ValueError):
+            ball_eigenfunction(HarmonicIndex(0, 0), 1, R, np.array([[0.1, 0, 0]]))
+
 
 class TestNormalDerivative:
     def test_l0_closed_form(self, sphere_30_60):

@@ -9,6 +9,7 @@ from wavetrace import (
     Dip,
     IllPosedIndicatorError,
     SweepResult,
+    assemble_trace_matrix,
     bessel_zero,
     completeness_indicator,
     detect_dips,
@@ -23,6 +24,7 @@ from wavetrace import (
     seed_interior_points,
     sweep_k,
 )
+import scipy.linalg as la
 from scipy.optimize import minimize_scalar
 from wavetrace.sweep import (
     _SQRT_EPS,
@@ -30,6 +32,7 @@ from wavetrace.sweep import (
     _one_blas_thread,
     _openblas_thread_controls,
     _rank_cutoff,
+    boundary_subspace_singular_values,
     default_interior_count,
 )
 
@@ -89,7 +92,9 @@ class TestCompletenessIndicator:
         with pytest.raises(IllPosedIndicatorError):
             completeness_indicator(2.0, grid, dirs, few)
 
-    def test_rotation_invariance(self):
+    # away from the star's spectrum, where the indicator is well conditioned
+    @pytest.mark.parametrize("k", [2.2, 3.0, 4.0])
+    def test_rotation_invariance(self, k):
         # same rotation applied to surface, interior points, and directions
         from wavetrace import SurfaceGrid, DirectionGrid
 
@@ -108,10 +113,56 @@ class TestCompletenessIndicator:
             descriptor={"kind": "custom"},
         )
         dirs_rot = DirectionGrid(directions=dirs.directions @ rot.T, weights=dirs.weights)
-        k = 2.2  # away from the star's spectrum, where the indicator is well conditioned
         a = completeness_indicator(k, star, dirs, interior)
         b = completeness_indicator(k, star_rot, dirs_rot, interior @ rot.T)
         assert abs(a - b) <= 1e-10
+
+
+def thin_q_reference(k, grid, dirs, interior):
+    """The indicator's spectrum written out the plain way: the thin Q of the
+    pivoted QR, all columns formed, then a dense SVD of its retained
+    boundary rows. Returns (cutoff, singular values)."""
+    A = assemble_trace_matrix(k, grid, dirs, interior_points=interior)
+    Q, R, _ = la.qr(A, mode="economic", pivoting=True)
+    cutoff = _rank_cutoff(np.abs(np.diag(R)))
+    return cutoff, la.svd(Q[: grid.n_nodes, :cutoff], compute_uv=False)
+
+
+class TestFactorization:
+    """boundary_subspace_singular_values forms only the retained columns of Q
+    and takes the boundary block's SVD through its R factor; it must agree
+    with the thin-Q reference and keep every tall step out of la.svd."""
+
+    KS = [3.0, np.pi, 4.4934, 5.7, 6.3]
+
+    @pytest.fixture(scope="class", params=["ball", "star"])
+    def problem(self, request):
+        if request.param == "ball":  # Criterion-8 problem
+            grid = make_sphere(1.0, 16, 32)
+            return grid, make_direction_grid(8, 16), seed_interior_points(grid, 300, seed=42)
+        star = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48)
+        return star, make_direction_grid(10, 20), seed_interior_points(star, 500, seed=0)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_matches_thin_q_reference(self, problem, k):
+        cutoff, expected = thin_q_reference(k, *problem)
+        s = boundary_subspace_singular_values(k, *problem)
+        assert len(s) == cutoff
+        assert np.abs(s - expected).max() <= 1e-13
+
+    def test_svd_sees_only_the_small_triangle(self, monkeypatch, problem):
+        shapes = []
+        svd = la.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(la, "svd", spy)
+        for k in self.KS:
+            shapes.clear()
+            cutoff = len(boundary_subspace_singular_values(k, *problem))
+            assert shapes and all(m == n <= cutoff for m, n in shapes)
 
 
 class TestSweepK:
