@@ -33,6 +33,7 @@ from .herglotz import (
 )
 from .spectra import (
     EigenvalueRecord,
+    InterpolationError,
     UnsupportedSurfaceError,
     ball_dirichlet_eigs,
     ball_eigenfunction,

@@ -27,7 +27,13 @@ from click.core import ParameterSource
 
 from .herglotz import fit_trace
 from .specfun import HarmonicIndex, sph_harm
-from .spectra import ball_dirichlet_eigs, EigenvalueRecord, make_single_layer_indicator
+from .spectra import (
+    EigenvalueRecord,
+    InterpolationError,
+    _check_band_limit,
+    ball_dirichlet_eigs,
+    make_single_layer_indicator,
+)
 from .surface import (
     DegenerateSurfaceError,
     _spherical_coords,
@@ -56,6 +62,7 @@ NUMERICAL_ERRORS = (
     IllPosedIndicatorError,
     BracketError,
     InconclusiveCheckError,
+    InterpolationError,
     np.linalg.LinAlgError,
     MemoryError,
 )
@@ -347,8 +354,12 @@ def cmd_eigs(ctx, method, out_json, config_path, **flags):
             raise click.UsageError(f"bad analytic spectrum request: {exc}")
     else:
         grid = _build_surface(cfg)
+        try:
+            _check_band_limit(grid, cfg.band_limit)
+        except ValueError as exc:
+            raise click.UsageError(f"bad band limit: {exc}")
         _, dips = find_dips(
-            make_single_layer_indicator(grid, band_limit=cfg.band_limit),
+            make_single_layer_indicator(grid, cfg.band_limit, cfg.k_min, cfg.k_max, cfg.threads),
             np.linspace(cfg.k_min, cfg.k_max, cfg.samples),
             cfg.refine_tol,
             cfg.threads,

@@ -206,7 +206,7 @@ class TestCriterion6CrossOracle:
     def test_sphere_three_way_agreement(self, ball_sweep):
         trace_dips = sorted(k for (k, _, _) in ball_sweep["refined"])
         grid = make_sphere(1.0, 24, 48)
-        sl = make_single_layer_indicator(grid, band_limit=8)
+        sl = make_single_layer_indicator(grid, 8, trace_dips[0] - 0.03, trace_dips[-1] + 0.03)
         sl_dips = []
         for center in trace_dips:
             k_star, _ = refine_dip(sl, center, 0.03, tol=1e-4)
@@ -230,7 +230,7 @@ class TestCriterion6CrossOracle:
         trace_dips = detect_dips(ks, sweep_k(trace, ks))
         assert len(trace_dips) == 1
         k_trace, _ = refine_dip(trace, trace_dips[0].k, 0.03, tol=1e-4)
-        sl = make_single_layer_indicator(star, band_limit=8)
+        sl = make_single_layer_indicator(star, 8, ks[0], ks[-1])
         sl_dips = detect_dips(ks, sweep_k(sl, ks, threads=1))
         assert len(sl_dips) == 1
         k_sl, _ = refine_dip(sl, sl_dips[0].k, 0.03, tol=1e-4)

@@ -149,6 +149,10 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         (["eigs", "--surface", "star", "--method", "single-layer"], {"coefficients": [[2, 0, float("nan")]]}),
         (["sweep", *FAST_SWEEP, "--depth-ratio", "0.1"], None),
         (["eigs"], {"gap_ratio": 10.0}),
+        (["eigs", "--surface", "star", "--coef", "2,0,0.1", "--ntheta", "12", "--nphi", "24",
+          "--kmin", "5", "--kmax", "5.2", "--samples", "5", "--method", "single-layer",
+          "--band-limit", "20"], None),
+        ([*STAR_SINGLE_LAYER, "--ntheta", "48", "--nphi", "96", "--band-limit", "65"], None),
     ],
     ids=[
         "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
@@ -158,6 +162,7 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         "config-coefficient-not-a-triple", "config-star-ntheta-huge", "sweep-dirs-nphi-huge",
         "eigs-analytic-kmax-64", "eigs-analytic-kmax-r-64", "sweep-coef-nan", "eigs-coef-inf",
         "config-coefficient-nan", "sweep-depth-ratio-flag-removed", "config-gap-ratio-key-removed",
+        "eigs-band-limit-above-node-count", "eigs-band-limit-above-max-degree",
     ],
 )
 def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
@@ -372,7 +377,7 @@ class TestEigsCommand:
             seen.append(len(ks))
             return np.ones(len(ks)), []
 
-        monkeypatch.setattr(wavetrace.cli, "make_single_layer_indicator", lambda grid, band_limit: None)
+        monkeypatch.setattr(wavetrace.cli, "make_single_layer_indicator", lambda grid, band_limit, k_min, k_max, threads: None)
         monkeypatch.setattr(wavetrace.cli, "find_dips", spy)
         args = [a for a in STAR_SINGLE_LAYER if a not in ("--samples", "26")]
         result = runner.invoke(main, [*args, "--out-json", str(tmp_path / "e.json")])

@@ -201,7 +201,7 @@ class TestSweepK:
             dirs = make_direction_grid(8, 16)
             indicator = make_trace_indicator(grid, dirs, seed_interior_points(grid, 300, seed=42))
         else:
-            indicator = make_single_layer_indicator(grid)
+            indicator = make_single_layer_indicator(grid, 8, 3.0, 3.3)
         ks = np.linspace(3.0, 3.3, 12)
         serial = sweep_k(indicator, ks, threads=1)
         pooled = sweep_k(indicator, ks, threads=2)
