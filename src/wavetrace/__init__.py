@@ -38,7 +38,7 @@ from .spectra import (
     ball_dirichlet_eigs,
     ball_eigenfunction,
     eigenfunction_normal_derivative,
-    make_single_layer_indicator,
+    make_single_layer_spectrum,
     single_layer_matrix,
     single_layer_symbol,
     static_row_integral,
@@ -48,11 +48,10 @@ from .sweep import (
     Dip,
     IllPosedIndicatorError,
     SweepResult,
-    completeness_indicator,
+    boundary_subspace_singular_values,
     detect_dips,
     estimate_multiplicity,
     find_dips,
-    make_trace_indicator,
     refine_dip,
     seed_interior_points,
     sweep_k,

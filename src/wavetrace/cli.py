@@ -13,6 +13,7 @@ failure in any subcommand to exit 3.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from .spectra import (
     InterpolationError,
     _check_band_limit,
     ball_dirichlet_eigs,
-    make_single_layer_indicator,
+    make_single_layer_spectrum,
 )
 from .surface import (
     DegenerateSurfaceError,
@@ -47,9 +48,9 @@ from .sweep import (
     DEFAULT_REFINE_TOL,
     BracketError,
     IllPosedIndicatorError,
+    boundary_subspace_singular_values,
     default_interior_count,
     find_dips,
-    make_trace_indicator,
     seed_interior_points,
     SweepResult,
 )
@@ -302,7 +303,8 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     interior_count = cfg.interior_count or default_interior_count(dirs)
     interior = seed_interior_points(grid, interior_count, cfg.seed)
     ks = np.linspace(cfg.k_min, cfg.k_max, cfg.samples)
-    values, refined = find_dips(make_trace_indicator(grid, dirs, interior), ks, cfg.refine_tol, cfg.threads)
+    spectrum = functools.partial(boundary_subspace_singular_values, grid=grid, dirs=dirs, interior=interior)
+    values, refined = find_dips(spectrum, ks, cfg.refine_tol, cfg.threads)
     config = {
         "indicator": "trace-subspace",
         "surface": grid.descriptor,
@@ -359,7 +361,7 @@ def cmd_eigs(ctx, method, out_json, config_path, **flags):
         except ValueError as exc:
             raise click.UsageError(f"bad band limit: {exc}")
         _, dips = find_dips(
-            make_single_layer_indicator(grid, cfg.band_limit, cfg.k_min, cfg.k_max, cfg.threads),
+            make_single_layer_spectrum(grid, cfg.band_limit, cfg.k_min, cfg.k_max, cfg.threads),
             np.linspace(cfg.k_min, cfg.k_max, cfg.samples),
             cfg.refine_tol,
             cfg.threads,

@@ -20,18 +20,19 @@ Because the continuous operator is compact, raw smallest singular values
 of a fine discretization are dominated by unresolved high-degree junk at
 every k. Eigenvalue sweeps therefore compress the matrix onto a
 bandlimited angular subspace (orthonormalized Y_lm, l <= L, in surface
-weights) before taking sigma_min; dips of that indicator mark the
-spectrum.
+weights) and take the singular values of the compressed matrix: the
+spectrum that find_dips samples, refines and classifies. Dips of its
+smallest value mark the Dirichlet spectrum.
 
-The compressed matrix B(k) = Q^H A(k) Q is entire in k, so the indicator
-is built once per k range as a Chebyshev interpolant (Effenberger &
-Kressner 2012; Trefethen, ATAP, 2013): B is formed directly at
-Chebyshev-Lobatto points of [k_min, k_max], doubling their number (the
-old points nest in the new) until the last three Chebyshev coefficients
-fall below 1e-14 of the leading one, and evaluated by the barycentric
-formula. On the 24x48 star over [5, 6.5] at band limit 8 that is 33 N x N
-kernel builds, against one per evaluation (108 for a 76-sample sweep and
-its refinements); an evaluation then costs an 81 x 81 SVD, about 2 ms.
+The compressed matrix B(k) = Q^H A(k) Q is entire in k, so it is built
+once per k range as a Chebyshev interpolant (Effenberger & Kressner 2012;
+Trefethen, ATAP, 2013): B is formed directly at Chebyshev-Lobatto points
+of [k_min, k_max], doubling their number (the old points nest in the new)
+until the last three Chebyshev coefficients fall below 1e-14 of the
+leading one, and evaluated by the barycentric formula. On the 24x48 star
+over [5, 6.5] at band limit 8 that is 33 N x N kernel builds, against one
+per evaluation (104 for a 76-sample sweep and its refinements); an
+evaluation then costs an 81 x 81 SVD, about 2 ms.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ __all__ = [
     "static_row_integral",
     "single_layer_matrix",
     "bandlimited_basis",
-    "make_single_layer_indicator",
+    "make_single_layer_spectrum",
 ]
 
 
@@ -363,12 +364,12 @@ def _chebyshev_tail(values: np.ndarray) -> float:
     return float(norms[1:].max() / norms[0])
 
 
-def make_single_layer_indicator(
+def make_single_layer_spectrum(
     grid: SurfaceGrid, band_limit: int, k_min: float, k_max: float, threads: int | None = None
 ):
-    """Callable k -> sigma_min of the bandlimit-compressed single-layer matrix
-    B(k) = Q^H A(k) Q on [k_min, k_max], with .singular_values(k) giving the
-    whole compressed spectrum.
+    """Callable k -> singular values (descending) of the bandlimit-compressed
+    single-layer matrix B(k) = Q^H A(k) Q on [k_min, k_max]; the last one is
+    the indicator.
 
     B is built by the direct route at _CHEB_START_DEGREE + 1 Chebyshev-Lobatto
     points of the range, and their number doubles, the built ones kept, until
@@ -419,8 +420,4 @@ def make_single_layer_indicator(
     def singular_values(k: float) -> np.ndarray:
         return np.linalg.svd(compressed(k), compute_uv=False)
 
-    def indicator(k: float) -> float:
-        return float(singular_values(k)[-1])
-
-    indicator.singular_values = singular_values
-    return indicator
+    return singular_values

@@ -19,21 +19,22 @@ of their boundary rows are those of the triangle of an R-only QR of that
 block (geqrf), taken by a dense SVD of size rank x rank. The tall steps
 run in LAPACK calls that release the GIL; only that small SVD holds it.
 
-Both eigenvalue oracles share one indicator protocol: a callable
-k -> float, the smallest singular value of a k-dependent matrix, whose
-.singular_values(k) returns all of them (make_trace_indicator here,
-make_single_layer_indicator in spectra). find_dips takes any such
-indicator through one path: sample it over k, flag dips scale-free against
-the sweep median, refine each by bounded Brent minimization of the squared
-indicator, and classify it by the largest gap among its collapsed singular
-values. Trace sweeps are deterministic given the interior points.
+Both eigenvalue oracles share one spectrum protocol: a callable k -> the
+singular values of a k-dependent matrix, descending as the SVD returns
+them, whose last entry is the indicator (boundary_subspace_singular_values
+with its grid, directions and interior points bound here;
+make_single_layer_spectrum in spectra). find_dips takes any such spectrum
+through one path: sample its last entry over k, flag dips scale-free
+against the sweep median, refine each by bounded Brent minimization of its
+square, and classify it by the largest gap among the collapsed values of
+the spectrum Brent evaluated at k*. Trace sweeps are deterministic given
+the interior points.
 
-The sweep layer owns the machine's parallelism: while sweep_k, refine_dip,
-estimate_multiplicity and find_dips run, the OpenBLAS builds bundled with
-numpy and scipy are pinned to one thread, and find_dips samples, then
-refines and classifies, on pools of `threads` workers. Each evaluation
-therefore runs the same single-threaded arithmetic whatever the pool size
-or OPENBLAS_NUM_THREADS.
+The sweep layer owns the machine's parallelism: while sweep_k, refine_dip
+and find_dips run, the OpenBLAS builds bundled with numpy and scipy are
+pinned to one thread, and find_dips samples, then refines and classifies,
+on pools of `threads` workers. Each evaluation therefore runs the same
+single-threaded arithmetic whatever the pool size or OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -61,9 +62,7 @@ __all__ = [
     "IllPosedIndicatorError",
     "BracketError",
     "seed_interior_points",
-    "completeness_indicator",
     "boundary_subspace_singular_values",
-    "make_trace_indicator",
     "sweep_k",
     "detect_dips",
     "refine_dip",
@@ -196,6 +195,8 @@ class SweepResult:
         object.__setattr__(self, "indicator", vals)
         if ks.shape != vals.shape or ks.ndim != 1 or len(ks) == 0:
             raise ValueError("k_samples and indicator must be equal-length 1-d arrays")
+        if not (np.isfinite(ks).all() and np.isfinite(vals).all()):
+            raise ValueError("k_samples and indicator values must be finite")
         if np.any(ks <= 0) or np.any(np.diff(ks) <= 0):
             raise ValueError("k_samples must be positive and strictly ascending")
         if np.any(vals < 0):
@@ -281,7 +282,8 @@ def boundary_subspace_singular_values(
     k: float, grid: SurfaceGrid, dirs: DirectionGrid, interior
 ) -> np.ndarray:
     """Singular values (descending) of the boundary block of the orthonormal
-    factor of the stacked trace matrix; the last one is the indicator."""
+    factor of the stacked trace matrix, sines of principal angles and so
+    clipped to at most 1; the last one is the indicator."""
     interior = _check_interior(grid, interior)
     A = assemble_trace_matrix(k, grid, dirs, interior_points=interior)
     (qr, tau), _, _ = la.qr(A, mode="raw", pivoting=True)
@@ -302,42 +304,22 @@ def boundary_subspace_singular_values(
     # the boundary rows share their singular values with their R factor,
     # which mode="raw" returns square (mode="r" pads it with zero rows)
     _, R = la.qr(Q[: grid.n_nodes], mode="raw", check_finite=False)
-    return la.svd(R, compute_uv=False)
+    return np.minimum(la.svd(R, compute_uv=False), 1.0)
 
 
-def completeness_indicator(k: float, grid: SurfaceGrid, dirs: DirectionGrid, interior) -> float:
-    """Smallest principal-angle sine between traces and the boundary; in [0, 1]."""
-    s = boundary_subspace_singular_values(k, grid, dirs, interior)
-    return float(min(s[-1], 1.0))
-
-
-def make_trace_indicator(grid: SurfaceGrid, dirs: DirectionGrid, interior):
-    """Callable k -> completeness indicator at fixed interior points, with
-    .singular_values(k) giving the whole boundary-block spectrum."""
-
-    def singular_values(k: float) -> np.ndarray:
-        return boundary_subspace_singular_values(k, grid, dirs, interior)
-
-    def indicator(k: float) -> float:
-        return completeness_indicator(k, grid, dirs, interior)
-
-    indicator.singular_values = singular_values
-    return indicator
-
-
-def sweep_k(indicator, ks, threads: int | None = None) -> np.ndarray:
-    """Evaluate an indicator on an ascending k-grid.
+def sweep_k(spectrum, ks, threads: int | None = None) -> np.ndarray:
+    """The indicator, spectrum(k)[-1], on an ascending k-grid.
 
     Evaluations at distinct k run on a thread pool, one BLAS thread each,
     and merge in k order; they overlap only while they sit in calls that
-    release the GIL, as the trace indicator's tall factorization steps do.
+    release the GIL, as the trace spectrum's tall factorization steps do.
     threads=None sizes the pool to the CPU count and threads <= 1
     evaluates serially.
     """
     ks = np.asarray(ks, dtype=float)
-    if ks.ndim != 1 or len(ks) < 2 or ks[0] <= 0 or np.any(np.diff(ks) <= 0):
-        raise ValueError("need at least 2 positive, strictly ascending k samples")
-    return np.array(_map(indicator, ks, threads))
+    if ks.ndim != 1 or len(ks) < 2 or not np.isfinite(ks).all() or ks[0] <= 0 or np.any(np.diff(ks) <= 0):
+        raise ValueError("need at least 2 positive, finite, strictly ascending k samples")
+    return np.array(_map(lambda k: spectrum(k)[-1], ks, threads))
 
 
 def detect_dips(ks, values) -> list[Dip]:
@@ -362,18 +344,18 @@ def detect_dips(ks, values) -> list[Dip]:
     return dips
 
 
-def refine_dip(indicator, k_center: float, half_width: float, tol: float = DEFAULT_REFINE_TOL):
-    """Refine one dip: (k*, indicator(k*)) minimizing the indicator over
-    k_center +- half_width.
+def refine_dip(spectrum, k_center: float, half_width: float, tol: float = DEFAULT_REFINE_TOL):
+    """Refine one dip: (k*, spectrum(k*)) with k* minimizing the indicator,
+    the spectrum's last entry, over k_center +- half_width.
 
     Near a simple eigenvalue the indicator has a kink, c|k - k*|, but its
-    square is smooth, so bounded Brent minimization of indicator(k)**2
-    takes superlinear parabolic steps. k* is the best evaluated point and
-    the value is the indicator there. The final bracket is at most tol wide
-    whenever tol exceeds the floating-point floor of about 6 sqrt(eps) |k|;
-    below that floor k* is as resolved as floating point allows. A k* within
-    Brent's final step tolerance of a bracket end means the bracket holds no
-    interior minimum, and raises BracketError.
+    square is smooth, so bounded Brent minimization of the squared indicator
+    takes superlinear parabolic steps. k* is the best evaluated point, and
+    its spectrum is the one evaluated there. The final bracket is at most
+    tol wide whenever tol exceeds the floating-point floor of about
+    6 sqrt(eps) |k|; below that floor k* is as resolved as floating point
+    allows. A k* within Brent's final step tolerance of a bracket end means
+    the bracket holds no interior minimum, and raises BracketError.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -386,8 +368,8 @@ def refine_dip(indicator, k_center: float, half_width: float, tol: float = DEFAU
     seen = {}
 
     def squared(k):
-        seen[k] = indicator(k)
-        return seen[k] ** 2
+        seen[k] = spectrum(k)
+        return float(seen[k][-1]) ** 2
 
     with _one_blas_thread():
         k_star = minimize_scalar(squared, bounds=(a, b), method="bounded", options={"xatol": xatol}).x
@@ -396,8 +378,8 @@ def refine_dip(indicator, k_center: float, half_width: float, tol: float = DEFAU
     return float(k_star), seen[k_star]
 
 
-def estimate_multiplicity(indicator, k_star: float) -> int:
-    """Number of collapsed directions at a refined dip, at least 1.
+def estimate_multiplicity(singular_values) -> int:
+    """Number of collapsed directions in a refined dip's spectrum, at least 1.
 
     Among the n singular values below median/DEFAULT_GAP_RATIO, cuts at the
     largest ratio between consecutive sorted values, the first value above
@@ -406,21 +388,21 @@ def estimate_multiplicity(indicator, k_star: float) -> int:
     the count; on the ball this recovers the eigenvalue multiplicity 2l+1.
     A refined dip is a collapse by construction, so n = 0 is reported as 1.
     """
-    with _one_blas_thread():
-        s = np.sort(indicator.singular_values(k_star))
+    s = np.sort(singular_values)
     n = int((s < np.median(s) / DEFAULT_GAP_RATIO).sum())
     gaps = s[1 : n + 1] / s[: min(n, len(s) - 1)]
     return 1 + int(np.argmax(gaps)) if len(gaps) else 1
 
 
-def find_dips(indicator, ks, refine_tol: float = DEFAULT_REFINE_TOL, threads: int | None = None):
+def find_dips(spectrum, ks, refine_tol: float = DEFAULT_REFINE_TOL, threads: int | None = None):
     """Sweep, detect, refine and classify: returns (sampled values, dips).
 
     Each dip is refined within two sample spacings of its sampled minimum,
     clipped to the sweep range, so a minimum beyond the range raises
     BracketError. The dips are refined and classified concurrently on a
     pool of the same size as the sweep's; each keeps its own Brent
-    sequence, so the results do not depend on the pool size.
+    sequence, so the results do not depend on the pool size. Each is
+    classified from the spectrum its refinement evaluated at k*.
     """
     ks = np.asarray(ks, dtype=float)
 
@@ -430,10 +412,9 @@ def find_dips(indicator, ks, refine_tol: float = DEFAULT_REFINE_TOL, threads: in
         if not ks[0] <= center - half < center + half <= ks[-1]:
             lo, hi = max(center - half, ks[0]), min(center + half, ks[-1])
             center, half = (lo + hi) / 2, (hi - lo) / 2
-        k_star, ind_min = refine_dip(indicator, center, half, refine_tol)
-        mult = estimate_multiplicity(indicator, k_star)
-        return Dip(k=k_star, indicator=ind_min, multiplicity=mult)
+        k_star, s = refine_dip(spectrum, center, half, refine_tol)
+        return Dip(k=k_star, indicator=float(s[-1]), multiplicity=estimate_multiplicity(s))
 
-    values = sweep_k(indicator, ks, threads)
+    values = sweep_k(spectrum, ks, threads)
     half_width = 2.0 * (ks[-1] - ks[0]) / (len(ks) - 1)
     return values, _map(refine_and_classify, detect_dips(ks, values), threads)

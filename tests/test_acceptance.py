@@ -5,6 +5,7 @@ the captured output on failure). Expensive artifacts (the full ball sweep,
 the star cross-oracle runs) are computed once in module-scoped fixtures.
 """
 
+import functools
 import json
 import time
 
@@ -18,16 +19,15 @@ from wavetrace import (
     check_green_reduction,
     check_decomposition,
     check_lemma1_orthogonality,
+    boundary_subspace_singular_values,
     check_necessity,
-    completeness_indicator,
     detect_dips,
     find_dips,
     fit_trace,
     make_direction_grid,
-    make_single_layer_indicator,
+    make_single_layer_spectrum,
     make_sphere,
     make_star_surface,
-    make_trace_indicator,
     refine_dip,
     seed_interior_points,
     sph_harm,
@@ -59,22 +59,16 @@ def ball_sweep():
     dirs = make_direction_grid(12, 24)
     t0 = time.perf_counter()
     interior = seed_interior_points(grid, 2 * dirs.n_directions, seed=0)
-    indicator = make_trace_indicator(grid, dirs, interior)
     calls = []  # list.append is atomic, so the pool's workers can share it
 
     def counted(k):
         calls.append(k)
-        return indicator(k)
+        return boundary_subspace_singular_values(k, grid, dirs, interior)
 
-    def counted_singular_values(k):
-        calls.append(k)
-        return indicator.singular_values(k)
-
-    counted.singular_values = counted_singular_values
     ks = np.linspace(3.0, 6.5, 350)
     _, dips = find_dips(counted, ks, refine_tol=1e-4)
     refined = [(dip.k, dip.indicator, dip.multiplicity) for dip in dips]
-    controls = [completeness_indicator(k, grid, dirs, interior) for k in CONTROL_POINTS]
+    controls = [boundary_subspace_singular_values(k, grid, dirs, interior)[-1] for k in CONTROL_POINTS]
     elapsed = time.perf_counter() - t0
     return {
         "grid": grid,
@@ -206,7 +200,7 @@ class TestCriterion6CrossOracle:
     def test_sphere_three_way_agreement(self, ball_sweep):
         trace_dips = sorted(k for (k, _, _) in ball_sweep["refined"])
         grid = make_sphere(1.0, 24, 48)
-        sl = make_single_layer_indicator(grid, 8, trace_dips[0] - 0.03, trace_dips[-1] + 0.03)
+        sl = make_single_layer_spectrum(grid, 8, trace_dips[0] - 0.03, trace_dips[-1] + 0.03)
         sl_dips = []
         for center in trace_dips:
             k_star, _ = refine_dip(sl, center, 0.03, tol=1e-4)
@@ -226,11 +220,12 @@ class TestCriterion6CrossOracle:
         star = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48)
         dirs = make_direction_grid(10, 20)
         ks = np.linspace(2.9, 3.4, 26)
-        trace = make_trace_indicator(star, dirs, seed_interior_points(star, 500, seed=11))
+        interior = seed_interior_points(star, 500, seed=11)
+        trace = functools.partial(boundary_subspace_singular_values, grid=star, dirs=dirs, interior=interior)
         trace_dips = detect_dips(ks, sweep_k(trace, ks))
         assert len(trace_dips) == 1
         k_trace, _ = refine_dip(trace, trace_dips[0].k, 0.03, tol=1e-4)
-        sl = make_single_layer_indicator(star, 8, ks[0], ks[-1])
+        sl = make_single_layer_spectrum(star, 8, ks[0], ks[-1])
         sl_dips = detect_dips(ks, sweep_k(sl, ks, threads=1))
         assert len(sl_dips) == 1
         k_sl, _ = refine_dip(sl, sl_dips[0].k, 0.03, tol=1e-4)

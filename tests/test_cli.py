@@ -373,11 +373,11 @@ class TestEigsCommand:
     def test_single_layer_default_samples(self, runner, tmp_path, monkeypatch):
         seen = []
 
-        def spy(indicator, ks, *args):
+        def spy(spectrum, ks, *args):
             seen.append(len(ks))
             return np.ones(len(ks)), []
 
-        monkeypatch.setattr(wavetrace.cli, "make_single_layer_indicator", lambda grid, band_limit, k_min, k_max, threads: None)
+        monkeypatch.setattr(wavetrace.cli, "make_single_layer_spectrum", lambda grid, band_limit, k_min, k_max, threads: None)
         monkeypatch.setattr(wavetrace.cli, "find_dips", spy)
         args = [a for a in STAR_SINGLE_LAYER if a not in ("--samples", "26")]
         result = runner.invoke(main, [*args, "--out-json", str(tmp_path / "e.json")])

@@ -17,7 +17,7 @@ from wavetrace import (
     detect_dips,
     eigenfunction_normal_derivative,
     find_dips,
-    make_single_layer_indicator,
+    make_single_layer_spectrum,
     make_sphere,
     make_star_surface,
     single_layer_matrix,
@@ -58,23 +58,19 @@ def traced_peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def direct_indicator(grid, static_integral, band_limit=8):
-    """The compressed single-layer indicator evaluated directly: the kernel
+def direct_spectrum(grid, static_integral, band_limit=8):
+    """The compressed single-layer spectrum evaluated directly: the kernel
     is rebuilt and projected at every k, with no interpolation."""
     Q, statics = bandlimited_basis(grid, band_limit), _nystrom_statics(grid, static_integral)
 
     def singular_values(k):
         return np.linalg.svd(Q.conj().T @ (_nystrom_matrix(k, *statics) @ Q), compute_uv=False)
 
-    def indicator(k):
-        return float(singular_values(k)[-1])
-
-    indicator.singular_values = singular_values
-    return indicator
+    return singular_values
 
 
 def recorded_interpolant(grid, k_min, k_max):
-    """The band-limit-8 indicator on [k_min, k_max], built on 2 workers, with
+    """The band-limit-8 spectrum on [k_min, k_max], built on 2 workers, with
     the k of every kernel build and the static row integral it used."""
     nystrom, static = wavetrace.spectra._nystrom_matrix, wavetrace.spectra.static_row_integral
     node_ks, integrals = [], []
@@ -90,9 +86,9 @@ def recorded_interpolant(grid, k_min, k_max):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wavetrace.spectra, "_nystrom_matrix", counting)
         mp.setattr(wavetrace.spectra, "static_row_integral", recording)
-        indicator = make_single_layer_indicator(grid, 8, k_min, k_max, threads=2)
+        spectrum = make_single_layer_spectrum(grid, 8, k_min, k_max, threads=2)
     (g,) = integrals
-    return SimpleNamespace(grid=grid, k_min=k_min, k_max=k_max, indicator=indicator, node_ks=node_ks, g=g)
+    return SimpleNamespace(grid=grid, k_min=k_min, k_max=k_max, spectrum=spectrum, node_ks=node_ks, g=g)
 
 
 @pytest.fixture(scope="module")
@@ -311,14 +307,14 @@ class TestSingleLayerMatrix:
 
     def test_compressed_sigma_min_off_spectrum(self, sphere_24_48):
         # no j_l(1) = 0 for any l: the compressed operator is well bounded below
-        indicator = make_single_layer_indicator(sphere_24_48, 8, 1.0, 1.0)
-        assert indicator(1.0) >= 1e-2
+        spectrum = make_single_layer_spectrum(sphere_24_48, 8, 1.0, 1.0)
+        assert spectrum(1.0)[-1] >= 1e-2
 
     def test_dip_through_pi(self, sphere_24_48):
-        indicator = make_single_layer_indicator(sphere_24_48, 8, np.pi - 0.2, np.pi + 0.2)
-        at_pi = indicator(np.pi)
-        assert indicator(np.pi - 0.2) >= 10 * at_pi
-        assert indicator(np.pi + 0.2) >= 10 * at_pi
+        spectrum = make_single_layer_spectrum(sphere_24_48, 8, np.pi - 0.2, np.pi + 0.2)
+        at_pi = spectrum(np.pi)[-1]
+        assert spectrum(np.pi - 0.2)[-1] >= 10 * at_pi
+        assert spectrum(np.pi + 0.2)[-1] >= 10 * at_pi
 
     def test_invalid_wavenumber(self, sphere_24_48):
         with pytest.raises(ValueError):
@@ -326,11 +322,9 @@ class TestSingleLayerMatrix:
 
     @pytest.mark.parametrize("k", [-1.0, 0.0, np.nan, np.inf])
     def test_indicator_rejects_invalid_wavenumber(self, k):
-        indicator = make_single_layer_indicator(make_sphere(1.0, 8, 16), 4, 1.0, 1.0)
+        spectrum = make_single_layer_spectrum(make_sphere(1.0, 8, 16), 4, 1.0, 1.0)
         with pytest.raises(ValueError, match="wavenumber k must be positive"):
-            indicator(k)
-        with pytest.raises(ValueError, match="wavenumber k must be positive"):
-            indicator.singular_values(k)
+            spectrum(k)
 
     @pytest.mark.parametrize("surface", ["sphere", "star"])
     def test_bit_identical_to_whole_matrix_expression(self, surface, sphere_24_48):
@@ -356,7 +350,7 @@ class TestSingleLayerMatrix:
         with pytest.raises(ValueError):
             bandlimited_basis(grid, -1)
         with pytest.raises(ValueError):
-            make_single_layer_indicator(grid, -1, 3.0, 3.0)
+            make_single_layer_spectrum(grid, -1, 3.0, 3.0)
 
     def test_band_limit_must_compress(self, monkeypatch):
         star = make_star_surface(1.0, [(2, 0, 0.1)], 12, 24)
@@ -369,7 +363,7 @@ class TestSingleLayerMatrix:
         calls = []
         monkeypatch.setattr(wavetrace.spectra, "static_row_integral", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="441 harmonics"):
-            make_single_layer_indicator(star, 20, 5.0, 5.2)
+            make_single_layer_spectrum(star, 20, 5.0, 5.2)
         assert calls == []
 
 
@@ -377,37 +371,35 @@ class TestSingleLayerInterpolant:
     @pytest.mark.parametrize("problem", ["sphere", "star"])
     def test_matches_direct_evaluation(self, problem, request):
         run = request.getfixturevalue(f"{problem}_interpolant")
-        direct = direct_indicator(run.grid, run.g)
+        direct = direct_spectrum(run.grid, run.g)
         for k in np.random.default_rng(11).uniform(run.k_min, run.k_max, 8):
-            assert np.abs(run.indicator.singular_values(k) - direct.singular_values(k)).max() <= 1e-13
+            assert np.abs(run.spectrum(k) - direct(k)).max() <= 1e-13
 
     @pytest.mark.parametrize("problem", ["sphere", "star"])
     def test_nodes_return_direct_values(self, problem, request):
         run = request.getfixturevalue(f"{problem}_interpolant")
-        direct = direct_indicator(run.grid, run.g)
+        direct = direct_spectrum(run.grid, run.g)
         interior = next(k for k in run.node_ks if run.k_min < k < run.k_max)
         assert {run.k_min, run.k_max} <= set(run.node_ks)
         for k in (run.k_min, run.k_max, interior):
             # nodes are built on one BLAS thread; so is the reference
             with _one_blas_thread():
-                assert np.array_equal(run.indicator.singular_values(k), direct.singular_values(k))
+                assert np.array_equal(run.spectrum(k), direct(k))
 
     def test_range_is_enforced(self, sphere_interpolant):
         run = sphere_interpolant
         for k in (np.nextafter(run.k_min, 0.0), np.nextafter(run.k_max, np.inf)):
             with pytest.raises(ValueError, match="outside the interpolated range"):
-                run.indicator(k)
-            with pytest.raises(ValueError, match="outside the interpolated range"):
-                run.indicator.singular_values(k)
+                run.spectrum(k)
         with pytest.raises(ValueError, match="k_min <= k_max"):
-            make_single_layer_indicator(make_sphere(1.0, 8, 16), 4, 3.4, 2.9)
+            make_single_layer_spectrum(make_sphere(1.0, 8, 16), 4, 3.4, 2.9)
         with pytest.raises(ValueError, match="wavenumber k must be positive"):
-            make_single_layer_indicator(make_sphere(1.0, 8, 16), 4, 0.0, 2.9)
+            make_single_layer_spectrum(make_sphere(1.0, 8, 16), 4, 0.0, 2.9)
 
     def test_unconverged_interpolant_raises(self, monkeypatch):
         monkeypatch.setattr(wavetrace.spectra, "_CHEB_MAX_DEGREE", 8)
         with pytest.raises(InterpolationError, match="not converged at degree 8"):
-            make_single_layer_indicator(make_sphere(1.0, 8, 16), 4, 1.0, 6.5)
+            make_single_layer_spectrum(make_sphere(1.0, 8, 16), 4, 1.0, 6.5)
 
     def test_more_workers_than_cores_build_the_same_interpolant(self):
         # the static integral and the node builds fill shared arrays slot by slot
@@ -415,13 +407,13 @@ class TestSingleLayerInterpolant:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            pooled = make_single_layer_indicator(grid, 6, 3.0, 3.4, threads=8)
+            pooled = make_single_layer_spectrum(grid, 6, 3.0, 3.4, threads=8)
         finally:
             sys.setswitchinterval(interval)
-        serial = make_single_layer_indicator(grid, 6, 3.0, 3.4, threads=1)
+        serial = make_single_layer_spectrum(grid, 6, 3.0, 3.4, threads=1)
         with _one_blas_thread():
             for k in np.linspace(3.0, 3.4, 7):
-                assert np.array_equal(pooled.singular_values(k), serial.singular_values(k))
+                assert np.array_equal(pooled(k), serial(k))
 
     def test_star_cross_dips_from_at_most_33_kernels(self, star_interpolant, monkeypatch):
         # the star-cross eigs problem; direct evaluation built 108 kernels
@@ -429,10 +421,10 @@ class TestSingleLayerInterpolant:
         run = star_interpolant
         later = []
         monkeypatch.setattr(wavetrace.spectra, "_nystrom_matrix", lambda *args: later.append(args))
-        _, dips = find_dips(run.indicator, ks, threads=2)
+        _, dips = find_dips(run.spectrum, ks, threads=2)
         assert len(run.node_ks) <= 33
         assert later == []
-        _, reference = find_dips(direct_indicator(run.grid, run.g), ks, threads=2)
+        _, reference = find_dips(direct_spectrum(run.grid, run.g), ks, threads=2)
         assert [d.multiplicity for d in dips] == [d.multiplicity for d in reference] == [1, 2, 2, 1]
         assert max(abs(a.k - b.k) for a, b in zip(dips, reference)) <= 1e-10
 
@@ -442,18 +434,18 @@ class TestSingleLayerSweep:
         sphere = make_sphere(1.0, 12, 24)
         star0 = make_star_surface(1.0, [(2, 0, 0.0)], 12, 24)
         ks = np.linspace(3.0, 3.3, 7)
-        a = sweep_k(make_single_layer_indicator(sphere, 6, 3.0, 3.3), ks, threads=1)
-        b = sweep_k(make_single_layer_indicator(star0, 6, 3.0, 3.3), ks, threads=1)
+        a = sweep_k(make_single_layer_spectrum(sphere, 6, 3.0, 3.3), ks, threads=1)
+        b = sweep_k(make_single_layer_spectrum(star0, 6, 3.0, 3.3), ks, threads=1)
         assert np.abs(a - b).max() <= 1e-12
 
     def test_sphere_dip_near_pi(self):
         grid = make_sphere(1.0, 16, 32)
         ks = np.linspace(2.9, 3.4, 41)
-        indicator = make_single_layer_indicator(grid, 8, 2.9, 3.4)
-        dips = detect_dips(ks, sweep_k(indicator, ks, threads=1))
+        spectrum = make_single_layer_spectrum(grid, 8, 2.9, 3.4)
+        dips = detect_dips(ks, sweep_k(spectrum, ks, threads=1))
         assert len(dips) == 1
         assert abs(dips[0].k - np.pi) <= 0.02  # coarse localization
 
     def test_invalid_range(self, sphere_24_48):
         with pytest.raises(ValueError):
-            sweep_k(make_single_layer_indicator(sphere_24_48, 8, 2.0, 3.0), np.linspace(3.0, 2.0, 10))
+            sweep_k(make_single_layer_spectrum(sphere_24_48, 8, 2.0, 3.0), np.linspace(3.0, 2.0, 10))

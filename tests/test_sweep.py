@@ -1,5 +1,7 @@
+import functools
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,15 +13,14 @@ from wavetrace import (
     SweepResult,
     assemble_trace_matrix,
     bessel_zero,
-    completeness_indicator,
+    boundary_subspace_singular_values,
     detect_dips,
     estimate_multiplicity,
     find_dips,
     make_direction_grid,
-    make_single_layer_indicator,
+    make_single_layer_spectrum,
     make_sphere,
     make_star_surface,
-    make_trace_indicator,
     refine_dip,
     seed_interior_points,
     sweep_k,
@@ -32,7 +33,6 @@ from wavetrace.sweep import (
     _one_blas_thread,
     _openblas_thread_controls,
     _rank_cutoff,
-    boundary_subspace_singular_values,
     default_interior_count,
 )
 
@@ -53,11 +53,11 @@ def ball_setup():
 class TestCompletenessIndicator:
     def test_collapses_at_eigenvalue(self, ball_setup):
         grid, dirs, interior = ball_setup
-        assert completeness_indicator(np.pi, grid, dirs, interior) <= 0.02
+        assert boundary_subspace_singular_values(np.pi, grid, dirs, interior)[-1] <= 0.02
 
     def test_order_one_off_spectrum(self, ball_setup):
         grid, dirs, interior = ball_setup
-        assert completeness_indicator(2.0, grid, dirs, interior) >= 0.2
+        assert boundary_subspace_singular_values(2.0, grid, dirs, interior)[-1] >= 0.2
 
     def test_spec_calibration_configuration(self):
         # the frozen calibration run: (30,60) surface, (24,48) directions,
@@ -65,32 +65,32 @@ class TestCompletenessIndicator:
         grid = make_sphere(1.0, 30, 60)
         dirs = make_direction_grid(24, 48)
         interior = seed_interior_points(grid, 600, seed=0)
-        assert completeness_indicator(np.pi, grid, dirs, interior) <= 0.02
+        assert boundary_subspace_singular_values(np.pi, grid, dirs, interior)[-1] <= 0.02
 
     def test_kr_invariance(self):
         dirs = make_direction_grid(10, 20)
-        a = completeness_indicator(
+        a = boundary_subspace_singular_values(
             np.pi, make_sphere(1.0, 20, 40), dirs,
             seed_interior_points(make_sphere(1.0, 20, 40), 500, seed=3),
-        )
-        b = completeness_indicator(
+        )[-1]
+        b = boundary_subspace_singular_values(
             np.pi / 2, make_sphere(2.0, 20, 40), dirs,
             seed_interior_points(make_sphere(2.0, 20, 40), 500, seed=3),
-        )
+        )[-1]
         assert a / 2 <= b <= a * 2
 
     def test_interior_point_outside_rejected(self, ball_setup):
         grid, dirs, _ = ball_setup
         bad = np.array([[0.0, 0.0, 1.2]])
         with pytest.raises(ValueError):
-            completeness_indicator(1.0, grid, dirs, bad)
+            boundary_subspace_singular_values(1.0, grid, dirs, bad)
 
     def test_too_few_interior_points_ill_posed(self):
         grid = make_sphere(1.0, 16, 32)
         dirs = make_direction_grid(8, 16)
         few = seed_interior_points(grid, 10, seed=1)
         with pytest.raises(IllPosedIndicatorError):
-            completeness_indicator(2.0, grid, dirs, few)
+            boundary_subspace_singular_values(2.0, grid, dirs, few)
 
     # away from the star's spectrum, where the indicator is well conditioned
     @pytest.mark.parametrize("k", [2.2, 3.0, 4.0])
@@ -113,9 +113,14 @@ class TestCompletenessIndicator:
             descriptor={"kind": "custom"},
         )
         dirs_rot = DirectionGrid(directions=dirs.directions @ rot.T, weights=dirs.weights)
-        a = completeness_indicator(k, star, dirs, interior)
-        b = completeness_indicator(k, star_rot, dirs_rot, interior @ rot.T)
+        a = boundary_subspace_singular_values(k, star, dirs, interior)[-1]
+        b = boundary_subspace_singular_values(k, star_rot, dirs_rot, interior @ rot.T)[-1]
         assert abs(a - b) <= 1e-10
+
+
+def trace_spectrum(grid, dirs, interior):
+    """The trace oracle's spectrum at fixed interior points, bound as the CLI binds it."""
+    return functools.partial(boundary_subspace_singular_values, grid=grid, dirs=dirs, interior=interior)
 
 
 def thin_q_reference(k, grid, dirs, interior):
@@ -165,11 +170,28 @@ class TestFactorization:
             assert shapes and all(m == n <= cutoff for m, n in shapes)
 
 
+def criterion8_spectrum(kind):
+    """The Criterion-8 problem on either oracle, with its 12 samples over
+    [3.0, 3.3]: a 16x32 sphere; 8x16 directions and 300 interior points
+    (seed 42) for the trace oracle, band limit 8 for the single layer."""
+    grid = make_sphere(1.0, 16, 32)
+    if kind == "trace":
+        spectrum = trace_spectrum(grid, make_direction_grid(8, 16), seed_interior_points(grid, 300, seed=42))
+    else:
+        spectrum = make_single_layer_spectrum(grid, 8, 3.0, 3.3)
+    return spectrum, np.linspace(3.0, 3.3, 12)
+
+
 class TestSweepK:
     def test_invalid_range(self, ball_setup):
         grid, dirs, interior = ball_setup
         with pytest.raises(ValueError):
-            sweep_k(make_trace_indicator(grid, dirs, interior), np.linspace(5.0, 3.0, 10))
+            sweep_k(trace_spectrum(grid, dirs, interior), np.linspace(5.0, 3.0, 10))
+        for ks in ([3.0, np.nan], [3.0, 3.05, np.inf], [np.nan, 3.0, 3.05]):
+            with pytest.raises(ValueError, match="finite"):
+                sweep_k(trace_spectrum(grid, dirs, interior), ks)
+        with pytest.raises(ValueError, match="finite"):
+            find_dips(lambda k: np.array([abs(k - 3.02) + 1e-3]), [3.0, 3.05, np.nan], threads=1)
 
     def test_deterministic_given_seed(self):
         grid = make_sphere(1.0, 16, 32)
@@ -178,7 +200,7 @@ class TestSweepK:
         runs = []
         for _ in range(2):
             interior = seed_interior_points(grid, 400, seed=42)
-            values = sweep_k(make_trace_indicator(grid, dirs, interior), ks)
+            values = sweep_k(trace_spectrum(grid, dirs, interior), ks)
             runs.append(SweepResult(k_samples=ks, indicator=values))
         a, b = runs
         assert np.array_equal(a.indicator, b.indicator)
@@ -188,23 +210,16 @@ class TestSweepK:
         grid = make_sphere(1.0, 20, 40)
         dirs = make_direction_grid(10, 20)
         ks = np.linspace(2.9, 3.4, 26)
-        indicator = make_trace_indicator(grid, dirs, seed_interior_points(grid, 450, seed=0))
-        dips = detect_dips(ks, sweep_k(indicator, ks))
+        spectrum = trace_spectrum(grid, dirs, seed_interior_points(grid, 450, seed=0))
+        dips = detect_dips(ks, sweep_k(spectrum, ks))
         assert len(dips) == 1
         assert abs(dips[0].k - np.pi) <= 0.02
 
     @pytest.mark.parametrize("kind", ["trace", "single-layer"])
     def test_values_independent_of_thread_count(self, kind):
-        # Criterion-8 problem: 16x32 sphere, 8x16 directions, 300 points, seed 42
-        grid = make_sphere(1.0, 16, 32)
-        if kind == "trace":
-            dirs = make_direction_grid(8, 16)
-            indicator = make_trace_indicator(grid, dirs, seed_interior_points(grid, 300, seed=42))
-        else:
-            indicator = make_single_layer_indicator(grid, 8, 3.0, 3.3)
-        ks = np.linspace(3.0, 3.3, 12)
-        serial = sweep_k(indicator, ks, threads=1)
-        pooled = sweep_k(indicator, ks, threads=2)
+        spectrum, ks = criterion8_spectrum(kind)
+        serial = sweep_k(spectrum, ks, threads=1)
+        pooled = sweep_k(spectrum, ks, threads=2)
         assert serial.tobytes() == pooled.tobytes()
 
     def test_result_validation(self):
@@ -218,6 +233,9 @@ class TestSweepK:
                 indicator=np.array([0.1, 0.2]),
                 dips=[Dip(k=5.0, indicator=0.0)],
             )
+        for ks, values in [([3.0, np.nan], [0.5, 0.5]), ([3.0, np.inf], [0.5, 0.5]), ([3.0, 3.1], [0.5, np.nan])]:
+            with pytest.raises(ValueError, match="finite"):
+                SweepResult(k_samples=np.array(ks), indicator=np.array(values))
 
 
 class TestDetectDips:
@@ -241,48 +259,48 @@ class TestDetectDips:
 class TestRefineDip:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            refine_dip(lambda x: (x - 1.0) ** 2, 1.0, 0.5, tol=0.0)
+            refine_dip(lambda x: np.array([(x - 1.0) ** 2]), 1.0, 0.5, tol=0.0)
 
     def test_stub_quadratic_recovers_minimum(self):
         target = 3.21
-        k, v = refine_dip(lambda x: (x - target) ** 2 + 0.25, 3.2, 0.1, tol=1e-6)
+        k, s = refine_dip(lambda x: np.array([(x - target) ** 2 + 0.25]), 3.2, 0.1, tol=1e-6)
         assert k == pytest.approx(target, abs=1e-5)
-        assert v == pytest.approx(0.25, abs=1e-9)
+        assert s[-1] == pytest.approx(0.25, abs=1e-9)
 
     def test_monotone_function_raises_bracket_error(self):
         with pytest.raises(BracketError):
-            refine_dip(lambda x: x, 2.0, 0.5, tol=1e-5)
+            refine_dip(lambda x: np.array([x]), 2.0, 0.5, tol=1e-5)
 
     def test_kink_contracts_to_tolerance(self):
-        k, _ = refine_dip(lambda x: abs(x - 1.0) + 0.1, 0.95, 0.45, tol=1e-7)
+        k, _ = refine_dip(lambda x: np.array([abs(x - 1.0) + 0.1]), 0.95, 0.45, tol=1e-7)
         assert k == pytest.approx(1.0, abs=1e-6)
 
     def test_tolerance_wider_than_bracket_still_refines(self):
-        k, _ = refine_dip(lambda x: abs(x - 3.21) + 1e-3, 3.2, 0.04, tol=1.0)
+        k, _ = refine_dip(lambda x: np.array([abs(x - 3.21) + 1e-3]), 3.2, 0.04, tol=1.0)
         assert abs(k - 3.21) <= 0.02
 
     def test_reports_the_evaluated_minimizer(self):
         seen = {}
 
-        def indicator(x):
+        def spectrum(x):
             seen[x] = abs(x - 3.14159) + 0.1
-            return seen[x]
+            return np.array([seen[x]])
 
-        k, v = refine_dip(indicator, 3.15, 0.05, tol=1e-4)
-        assert seen[k] == v == min(seen.values())
+        k, s = refine_dip(spectrum, 3.15, 0.05, tol=1e-4)
+        assert seen[k] == s[-1] == min(seen.values())
 
     def test_tolerance_below_floating_point_floor_terminates(self):
         # a bracket cannot shrink below an ulp; the stub fails loudly rather
         # than letting a search that never stops hang the suite
         calls = []
 
-        def indicator(x):
+        def spectrum(x):
             calls.append(x)
             if len(calls) > 200:
                 raise RuntimeError("refinement did not terminate")
-            return abs(x - 3.14159) + 0.1
+            return np.array([abs(x - 3.14159) + 0.1])
 
-        k, _ = refine_dip(indicator, 3.15, 0.05, tol=1e-17)
+        k, _ = refine_dip(spectrum, 3.15, 0.05, tol=1e-17)
         assert k == pytest.approx(3.14159, abs=1e-6)
 
     @pytest.mark.parametrize("a, b, xatol", [(1.5, 2.5, 2.5e-6), (3.1, 3.2, 1e-17), (6.0, 6.04, 2.5e-6)])
@@ -297,36 +315,40 @@ class TestRefineDip:
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_minimum_one_tolerance_inside_an_end_is_interior(self, side):
         target = 3.2 - side * (0.05 - 1e-5)
-        k, _ = refine_dip(lambda x: abs(x - target) + 0.1, 3.2, 0.05, tol=1e-5)
+        k, _ = refine_dip(lambda x: np.array([abs(x - target) + 0.1]), 3.2, 0.05, tol=1e-5)
         assert k == pytest.approx(target, abs=1e-6)
 
     def test_refines_ball_eigenvalue(self):
         grid = make_sphere(1.0, 20, 40)
         dirs = make_direction_grid(10, 20)
         interior = seed_interior_points(grid, default_interior_count(dirs), seed=0)
-        k, v = refine_dip(make_trace_indicator(grid, dirs, interior), 3.14, 0.02, tol=1e-4)
+        k, s = refine_dip(trace_spectrum(grid, dirs, interior), 3.14, 0.02, tol=1e-4)
         assert abs(k - np.pi) <= 1e-3
-        assert v <= 1e-3
+        assert s[-1] <= 1e-3
 
 
 class TestEstimateMultiplicity:
     def test_simple_eigenvalue(self, ball_setup):
         grid, dirs, interior = ball_setup
-        assert estimate_multiplicity(make_trace_indicator(grid, dirs, interior), np.pi) == 1
+        with _one_blas_thread():
+            s = boundary_subspace_singular_values(np.pi, grid, dirs, interior)
+        assert estimate_multiplicity(s) == 1
 
     def test_triple_eigenvalue(self, ball_setup):
         grid, dirs, interior = ball_setup
-        indicator = make_trace_indicator(grid, dirs, interior)
-        assert estimate_multiplicity(indicator, bessel_zero(1, 1)) == 3
+        with _one_blas_thread():
+            s = boundary_subspace_singular_values(bessel_zero(1, 1), grid, dirs, interior)
+        assert estimate_multiplicity(s) == 3
 
     def test_no_collapsed_value_counts_as_simple(self):
         # a dip whose spectrum shows no gap is still one collapsed direction
-        def indicator(k):
-            return abs(k - 3.2) + 1e-3
+        assert estimate_multiplicity(np.array([1.0, 0.9, 0.8])) == 1
 
-        indicator.singular_values = lambda k: np.array([1.0, 0.9, 0.8])
-        assert estimate_multiplicity(indicator, 3.2) == 1
-        _, dips = find_dips(indicator, np.linspace(3.0, 3.4, 21), threads=1)
+        def spectrum(k):
+            # the same spread, scaled so its last entry dips at 3.2
+            return (abs(k - 3.2) + 1e-3) * np.array([1.0, 0.9, 0.8]) / 0.8
+
+        _, dips = find_dips(spectrum, np.linspace(3.0, 3.4, 21), threads=1)
         assert len(dips) == 1
         assert dips[0].multiplicity == 1
 
@@ -345,27 +367,22 @@ class TestEstimateMultiplicity:
     )
     def test_counts_below_the_largest_gap(self, collapsed, expected):
         spectrum = np.sort(np.concatenate([collapsed, np.full(40, 0.976)]))[::-1]
-
-        def indicator(k):
-            return float(spectrum[-1])
-
-        indicator.singular_values = lambda k: spectrum
-        assert estimate_multiplicity(indicator, 5.7) == expected
+        assert estimate_multiplicity(spectrum) == expected
 
 
 def ball_two_dips():
     """Criterion-8 grids over [3.0, 4.6]: dips at pi (simple) and z_11 (triple)."""
     grid = make_sphere(1.0, 16, 32)
     dirs = make_direction_grid(8, 16)
-    indicator = make_trace_indicator(grid, dirs, seed_interior_points(grid, 300, seed=42))
-    return indicator, np.linspace(3.0, 4.6, 33)
+    spectrum = trace_spectrum(grid, dirs, seed_interior_points(grid, 300, seed=42))
+    return spectrum, np.linspace(3.0, 4.6, 33)
 
 
 class TestFindDips:
     def test_pool_size_does_not_change_dips(self):
-        indicator, ks = ball_two_dips()
-        serial_values, serial = find_dips(indicator, ks, threads=1)
-        pooled_values, pooled = find_dips(indicator, ks, threads=2)
+        spectrum, ks = ball_two_dips()
+        serial_values, serial = find_dips(spectrum, ks, threads=1)
+        pooled_values, pooled = find_dips(spectrum, ks, threads=2)
         assert [d.multiplicity for d in serial] == [1, 3]
         assert pooled == serial
         assert pooled_values.tobytes() == serial_values.tobytes()
@@ -374,18 +391,13 @@ class TestFindDips:
     def test_blas_pinned_during_and_restored_after(self):
         # more workers than cores and frequent thread switches, so nested
         # pins interleave
-        indicator, ks = ball_two_dips()
+        spectrum, ks = ball_two_dips()
         seen = set()
 
         def recording(k):
             seen.add(_blas_threads())
-            return indicator(k)
+            return spectrum(k)
 
-        def singular_values(k):
-            seen.add(_blas_threads())
-            return indicator.singular_values(k)
-
-        recording.singular_values = singular_values
         before = _blas_threads()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -401,12 +413,12 @@ class TestFindDips:
     def test_blas_restored_after_bracket_error(self):
         # decreasing past 3.9: the last samples dip, but the refinement
         # bracket's minimum is its right end, not an interior point
-        def indicator(k):
-            return 1.0 / (1.0 + 1e4 * max(0.0, k - 3.9) ** 2)
+        def spectrum(k):
+            return np.array([1.0 / (1.0 + 1e4 * max(0.0, k - 3.9) ** 2)])
 
         before = _blas_threads()
         with pytest.raises(BracketError):
-            find_dips(indicator, np.linspace(3.0, 4.0, 11), threads=2)
+            find_dips(spectrum, np.linspace(3.0, 4.0, 11), threads=2)
         assert _blas_threads() == before
 
     @pytest.mark.parametrize("side", [-1, 1], ids=["below-kmin", "above-kmax"])
@@ -419,14 +431,27 @@ class TestFindDips:
         k_min = (ks[-1] if side > 0 else ks[0]) + side * spacing
         seen = []
 
-        def indicator(k):
+        def spectrum(k):
             seen.append(k)
-            return 1.0 - np.exp(-(((k - k_min) / (4 * spacing)) ** 2))
+            return np.array([1.0 - np.exp(-(((k - k_min) / (4 * spacing)) ** 2))])
 
-        indicator.singular_values = lambda k: np.array([1.0])
         with pytest.raises(BracketError):
-            find_dips(indicator, ks, threads=1)
+            find_dips(spectrum, ks, threads=1)
         assert ks[0] <= min(seen) and max(seen) <= ks[-1]
+
+    @pytest.mark.parametrize("kind", ["trace", "single-layer"])
+    def test_refined_dip_is_evaluated_once(self, kind):
+        # the dip is classified from the spectrum its refinement computed
+        spectrum, ks = criterion8_spectrum(kind)
+        calls = Counter()
+
+        def recording(k):
+            calls[k] += 1
+            return spectrum(k)
+
+        _, dips = find_dips(recording, ks, threads=1)
+        assert len(dips) == 1
+        assert [calls[dip.k] for dip in dips] == [1]
 
 
 class TestRankCutoffStability:
@@ -437,15 +462,13 @@ class TestRankCutoffStability:
 
     @pytest.fixture(scope="class")
     def ball(self):
-        indicator, ks = ball_two_dips()
-        return indicator, ks, find_dips(indicator, ks)[1]
+        spectrum, ks = ball_two_dips()
+        return spectrum, ks, find_dips(spectrum, ks)[1]
 
     @pytest.fixture(scope="class")
-    def star_indicator(self):
+    def star_spectrum(self):
         star = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48)
-        return make_trace_indicator(
-            star, make_direction_grid(10, 20), seed_interior_points(star, 500, seed=0)
-        )
+        return trace_spectrum(star, make_direction_grid(10, 20), seed_interior_points(star, 500, seed=0))
 
     @staticmethod
     def shift_rank_cutoff(monkeypatch, shift):
@@ -453,18 +476,19 @@ class TestRankCutoffStability:
 
     @pytest.mark.parametrize("shift", RANK_SHIFTS)
     def test_ball_dips(self, monkeypatch, ball, shift):
-        indicator, ks, reference = ball
+        spectrum, ks, reference = ball
         self.shift_rank_cutoff(monkeypatch, shift)
-        _, dips = find_dips(indicator, ks)
+        _, dips = find_dips(spectrum, ks)
         assert [d.multiplicity for d in dips] == [d.multiplicity for d in reference] == [1, 3]
         assert [d.k for d in dips] == pytest.approx([d.k for d in reference], abs=1e-8)
 
     @pytest.mark.parametrize("shift", RANK_SHIFTS)
-    def test_star_multiplicities(self, monkeypatch, star_indicator, shift):
+    def test_star_multiplicities(self, monkeypatch, star_spectrum, shift):
         # the refined trace dips of r = 1 + 0.1 Re Y_20: |m| = 0, 1, 2
         self.shift_rank_cutoff(monkeypatch, shift)
         ks = [5.629593, 5.713974, 5.870238]
-        assert [estimate_multiplicity(star_indicator, k) for k in ks] == [1, 2, 2]
+        with _one_blas_thread():
+            assert [estimate_multiplicity(star_spectrum(k)) for k in ks] == [1, 2, 2]
 
 
 @needs_openblas_controls
