@@ -12,9 +12,10 @@ part (e^{ikr} - 1)/(4 pi r), extended by ik/(4 pi) on the diagonal, plus
 the static part 1/(4 pi r). The static part is handled by singularity
 subtraction: the diagonal entry is g(x_m) - sum_{p != m} sigma_p K0(r_mp),
 where g(x) = integral_S ds(y)/(4 pi |x - y|) is the static row integral --
-exactly R on a sphere, and computed once per star surface by polar
-quadrature in the parameter plane (the polar Jacobian cancels the 1/r
-singularity).
+exactly R on a sphere, and computed once per star surface by one product
+rule on the sphere of directions, rotated so that its pole points at each
+node in turn (Graham & Sloan 2002): the sin(theta') of the rule cancels the
+1/r singularity at the pole, and the rule converges spectrally.
 
 Because the continuous operator is compact, raw smallest singular values
 of a fine discretization are dominated by unresolved high-degree junk at
@@ -54,7 +55,14 @@ from .specfun import (
     sph_hankel1,
     sph_harm,
 )
-from .surface import SurfaceGrid, _normalize_perturbation, _spherical_coords, _star_radius_terms
+from .surface import (
+    SurfaceGrid,
+    _normalize_perturbation,
+    _spherical_coords,
+    _spherical_frame,
+    _star_radius_terms,
+    _unit_vectors,
+)
 from .sweep import _map
 
 __all__ = [
@@ -72,13 +80,14 @@ __all__ = [
 ]
 
 
-# Rows of the node-distance matrix filled at once: bounds the row block's
-# N x 3 coordinate differences to a few MB at the grids used here.
+# Rows of the node-distance matrix filled at once, and nodes of the static
+# row integral evaluated at once: bounds a block's N x 3 coordinate
+# differences, or its rule points, to a few MB at the grids used here.
 _STATICS_ROW_BLOCK = 64
 
-# Gauss-Legendre nodes of the static row integral, in each polar-angle
-# segment and along each ray.
-_POLAR_QUAD_NODES = 32
+# Gauss-Legendre nodes in the polar angle of the static row integral's
+# rule; it takes twice as many azimuths.
+_POLE_RULE_NODES = 24
 
 # Chebyshev interpolation of the compressed single-layer matrix in k: the
 # first degree, the degree cap, and the trailing-coefficient test (the last
@@ -193,30 +202,17 @@ def single_layer_symbol(l: int, k: float, R: float) -> complex:
     return complex(1j * k * R * R * sph_bessel_j(l, k * R) * sph_hankel1(l, k * R))
 
 
-def _rectangle_polar_segments(t0: float, p0: float):
-    """Corner angles of the rectangle [0,pi] x [p0-pi, p0+pi] seen from (t0,p0).
-
-    For t0 in [0, pi] consecutive corners are at least pi/4 apart.
-    """
-    corners = [
-        (0.0, p0 - np.pi),
-        (0.0, p0 + np.pi),
-        (np.pi, p0 - np.pi),
-        (np.pi, p0 + np.pi),
-    ]
-    angles = sorted(np.arctan2(c[1] - p0, c[0] - t0) % (2 * np.pi) for c in corners)
-    return np.array(angles + [angles[0] + 2 * np.pi])
-
-
-def static_row_integral(grid: SurfaceGrid, threads: int | None = None) -> np.ndarray:
+def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
     """g(x_m) = integral_S ds(y) / (4 pi |x_m - y|) for every node.
 
     Sphere:  exact closed form g = R.
-    Star:    polar quadrature around the singular parameter point; the
-             polar Jacobian rho cancels the 1/|x-y| singularity, leaving a
-             bounded integrand. The nodes are integrated independently on
-             a pool of `threads` workers (as in find_dips), so g does not
-             depend on the pool size.
+    Star:    one product rule on the sphere of directions, rotated so that
+             its pole is the node's direction (Graham & Sloan 2002): Gauss-
+             Legendre in the polar angle theta' times uniform azimuths. The
+             surface y = r(s) s has ds = r sqrt(r^2 + r_theta^2 +
+             r_phi^2 / sin^2 theta) dOmega, and the sin theta' of dOmega
+             cancels the 1/|x - y| singularity at the pole, so the rule
+             converges spectrally. Evaluated _STATICS_ROW_BLOCK nodes at a time.
     """
     desc = grid.descriptor
     kind = desc.get("kind")
@@ -226,39 +222,27 @@ def static_row_integral(grid: SurfaceGrid, threads: int | None = None) -> np.nda
         raise UnsupportedSurfaceError(f"static row integral needs a sphere or star grid, got {kind!r}")
     R0 = float(desc["R0"])
     pert = _normalize_perturbation(desc["perturbation"])
-    ga, wa = gr, wr = leggauss(_POLAR_QUAD_NODES)
-    _, theta0, phi0 = _spherical_coords(grid.nodes)
-
-    def row(m: int) -> float:
-        t0, p0 = theta0[m], phi0[m]
-        x = grid.nodes[m]
-        total = 0.0
-        segments = _rectangle_polar_segments(t0, p0)
-        for a0, a1 in zip(segments[:-1], segments[1:]):
-            alpha = 0.5 * (a0 + a1) + 0.5 * (a1 - a0) * ga
-            w_alpha = 0.5 * (a1 - a0) * wa
-            ca, sa = np.cos(alpha), np.sin(alpha)
-            # ray length to the rectangle boundary (phi edges at p0 +- pi)
-            with np.errstate(divide="ignore"):
-                lim = np.where(ca > 1e-14, (np.pi - t0) / ca, np.inf)
-                lim = np.minimum(lim, np.where(ca < -1e-14, -t0 / ca, np.inf))
-                lim = np.minimum(lim, np.where(sa > 1e-14, np.pi / sa, np.inf))
-                lim = np.minimum(lim, np.where(sa < -1e-14, -np.pi / sa, np.inf))
-            rho = 0.5 * lim[:, None] * (gr[None, :] + 1.0)
-            w_rho = 0.5 * lim[:, None] * wr[None, :]
-            tq = np.clip(t0 + rho * ca[:, None], 0.0, np.pi).ravel()
-            pq = (p0 + rho * sa[:, None]).ravel()
-            r, rt, rp = _star_radius_terms(tq, pq, R0, pert)
-            st, ct = np.sin(tq), np.cos(tq)
-            y = r[:, None] * np.stack([st * np.cos(pq), st * np.sin(pq), ct], axis=-1)
-            jac = r * np.sqrt((r * r + rt * rt) * st * st + rp * rp)  # |x_theta x x_phi|
-            dist = np.linalg.norm(y - x[None, :], axis=1)
-            f = np.where(dist > 1e-14, jac / (4 * np.pi * np.maximum(dist, 1e-300)), 0.0)
-            ray_integrals = (f.reshape(rho.shape) * rho * w_rho).sum(axis=1)
-            total += float((ray_integrals * w_alpha).sum())
-        return total
-
-    return np.array(_map(row, range(grid.n_nodes), threads))
+    t, wt = leggauss(_POLE_RULE_NODES)
+    polar = 0.5 * np.pi * (t + 1)
+    n_azimuth = 2 * _POLE_RULE_NODES
+    T, P = np.meshgrid(polar, np.arange(n_azimuth) * (2 * np.pi / n_azimuth), indexing="ij")
+    # the rule's directions in (theta_hat, phi_hat, r_hat) coordinates, and
+    # its weights with the 1/(4 pi) of the kernel
+    local = _unit_vectors(T.ravel(), P.ravel())
+    weights = np.repeat(wt * np.sin(polar) * (np.pi / (4 * n_azimuth)), n_azimuth)
+    r_hat, theta_hat, phi_hat = _spherical_frame(*_spherical_coords(grid.nodes)[1:])
+    frames = np.stack([theta_hat, phi_hat, r_hat], axis=1)
+    g = np.empty(grid.n_nodes)
+    for start in range(0, grid.n_nodes, _STATICS_ROW_BLOCK):
+        rows = slice(start, start + _STATICS_ROW_BLOCK)
+        y = local @ frames[rows]  # the rule's directions, then y - x
+        _, theta, phi = _spherical_coords(y)
+        r, rt, rp = _star_radius_terms(theta, phi, R0, pert)
+        y *= r[..., None]
+        y -= grid.nodes[rows, None, :]
+        ds = r * np.sqrt(r * r + rt * rt + (rp / np.sin(theta)) ** 2)
+        g[rows] = (ds / np.linalg.norm(y, axis=-1)) @ weights
+    return g
 
 
 def _nystrom_statics(grid: SurfaceGrid, static_integral: np.ndarray):
@@ -344,8 +328,8 @@ def bandlimited_basis(grid: SurfaceGrid, band_limit: int) -> np.ndarray:
 def _lobatto_points(k_min: float, k_max: float, n: int) -> np.ndarray:
     """The n + 1 Chebyshev-Lobatto points of [k_min, k_max], cos(j pi / n)
     mapped, from k_max down to k_min exactly; those of n are the even ones
-    of 2n. n = 0 gives the one point k_min = k_max."""
-    x = np.sin(np.pi * (n - 2 * np.arange(n + 1)) / (2 * max(n, 1)))
+    of 2n."""
+    x = np.sin(np.pi * (n - 2 * np.arange(n + 1)) / (2 * n))
     ks = 0.5 * (k_max + k_min) + 0.5 * (k_max - k_min) * x
     ks[0], ks[-1] = k_max, k_min
     return ks
@@ -374,27 +358,27 @@ def make_single_layer_spectrum(
     B is built by the direct route at _CHEB_START_DEGREE + 1 Chebyshev-Lobatto
     points of the range, and their number doubles, the built ones kept, until
     _chebyshev_tail is below _CHEB_TAIL_TOL (InterpolationError past
-    _CHEB_MAX_DEGREE). The builds and the static row integral run on a pool
-    of `threads` workers as in find_dips, each build in one N x N complex
-    buffer. An evaluation is a barycentric sum and an SVD of size (L+1)^2;
-    at a node it is that node's matrix. The band limit is checked before any
-    work; k must be positive and finite, then inside [k_min, k_max]
-    (ValueError otherwise). k_min == k_max builds one node.
+    _CHEB_MAX_DEGREE). The static row integral runs once, serially; the
+    builds run on a pool of `threads` workers as in find_dips, each in one
+    N x N complex buffer. An evaluation is a barycentric sum and an SVD of
+    size (L+1)^2; at a node it is that node's matrix. The band limit is
+    checked before any work; k_min < k_max, and k must be positive and
+    finite, then inside [k_min, k_max] (ValueError otherwise).
     """
     k_min, k_max = _check_wavenumber(k_min), _check_wavenumber(k_max)
-    if k_min > k_max:
-        raise ValueError(f"need k_min <= k_max, got [{k_min}, {k_max}]")
+    if not k_min < k_max:
+        raise ValueError(f"need k_min < k_max, got [{k_min}, {k_max}]")
     Q = bandlimited_basis(grid, band_limit)
-    statics = _nystrom_statics(grid, static_row_integral(grid, threads))
+    statics = _nystrom_statics(grid, static_row_integral(grid))
 
     def build(j: int):
         stack[j] = Q.conj().T @ (_nystrom_matrix(ks[j], *statics) @ Q)
 
-    n = _CHEB_START_DEGREE if k_min < k_max else 0
+    n = _CHEB_START_DEGREE
     ks = _lobatto_points(k_min, k_max, n)
     stack = np.empty((n + 1, Q.shape[1], Q.shape[1]), dtype=complex)
     _map(build, range(n + 1), threads)
-    while n > 0 and _chebyshev_tail(stack) > _CHEB_TAIL_TOL:
+    while _chebyshev_tail(stack) > _CHEB_TAIL_TOL:
         if 2 * n > _CHEB_MAX_DEGREE:
             raise InterpolationError(
                 f"single-layer interpolant on [{k_min}, {k_max}] not converged at degree {n}"

@@ -131,6 +131,14 @@ def _unit_vectors(theta, phi):
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
+def _spherical_frame(theta, phi):
+    """The unit vectors r_hat, theta_hat, phi_hat at (theta, phi)."""
+    ct, cp, sp = np.cos(theta), np.cos(phi), np.sin(phi)
+    theta_hat = np.stack([ct * cp, ct * sp, -np.sin(theta)], axis=-1)
+    phi_hat = np.stack([-sp, cp, np.zeros_like(phi)], axis=-1)
+    return _unit_vectors(theta, phi), theta_hat, phi_hat
+
+
 def _spherical_coords(points: np.ndarray):
     """Cartesian points (..., 3) -> (r, theta, phi); theta = 0 at the origin."""
     r = np.linalg.norm(points, axis=-1)
@@ -192,10 +200,8 @@ def make_star_surface(R0: float, perturbation, n_theta: int, n_phi: int) -> Surf
         raise DegenerateSurfaceError(
             f"radius drops to {r.min():.3g} (< 0.2*R0 = {0.2 * R0:.3g}); surface degenerate"
         )
-    st, ct = np.sin(theta), np.cos(theta)
-    shat = _unit_vectors(theta, phi)
-    theta_hat = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=-1)
-    phi_hat = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
+    st = np.sin(theta)
+    shat, theta_hat, phi_hat = _spherical_frame(theta, phi)
     x_theta = rt[:, None] * shat + r[:, None] * theta_hat
     x_phi = rp[:, None] * shat + (r * st)[:, None] * phi_hat
     cross = np.cross(x_theta, x_phi)

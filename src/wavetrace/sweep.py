@@ -144,15 +144,11 @@ def _one_blas_thread():
 
 def _map(fn, items, threads: int | None) -> list:
     """fn over items with BLAS pinned to one thread, results in item order,
-    on a pool of `threads` workers (None: the CPU count), or serially when
-    threads <= 1."""
+    on a pool of `threads` workers (None: the CPU count)."""
     if threads is None:
         threads = os.cpu_count() or 1
-    with _one_blas_thread():
-        if threads <= 1:
-            return list(map(fn, items))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 class IllPosedIndicatorError(RuntimeError):
@@ -313,8 +309,8 @@ def sweep_k(spectrum, ks, threads: int | None = None) -> np.ndarray:
     Evaluations at distinct k run on a thread pool, one BLAS thread each,
     and merge in k order; they overlap only while they sit in calls that
     release the GIL, as the trace spectrum's tall factorization steps do.
-    threads=None sizes the pool to the CPU count and threads <= 1
-    evaluates serially.
+    threads=None sizes the pool to the CPU count; threads=1 evaluates one k
+    at a time.
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or len(ks) < 2 or not np.isfinite(ks).all() or ks[0] <= 0 or np.any(np.diff(ks) <= 0):
@@ -344,9 +340,9 @@ def detect_dips(ks, values) -> list[Dip]:
     return dips
 
 
-def refine_dip(spectrum, k_center: float, half_width: float, tol: float = DEFAULT_REFINE_TOL):
+def refine_dip(spectrum, a: float, b: float, tol: float = DEFAULT_REFINE_TOL):
     """Refine one dip: (k*, spectrum(k*)) with k* minimizing the indicator,
-    the spectrum's last entry, over k_center +- half_width.
+    the spectrum's last entry, over the bracket [a, b].
 
     Near a simple eigenvalue the indicator has a kink, c|k - k*|, but its
     square is smooth, so bounded Brent minimization of the squared indicator
@@ -359,12 +355,11 @@ def refine_dip(spectrum, k_center: float, half_width: float, tol: float = DEFAUL
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if half_width <= 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    a, b = k_center - half_width, k_center + half_width
+    if not a < b:
+        raise ValueError(f"need a bracket a < b, got [{a}, {b}]")
     # Brent's final bracket is <= 4 (sqrt(eps) |k| + xatol / 3) wide. With tol
-    # capped at half_width, an interior minimizer stays out of the end test's reach.
-    xatol = min(tol, half_width) / 4
+    # capped at the half width, an interior minimizer stays out of the end test's reach.
+    xatol = min(tol, (b - a) / 2) / 4
     seen = {}
 
     def squared(k):
@@ -407,12 +402,8 @@ def find_dips(spectrum, ks, refine_tol: float = DEFAULT_REFINE_TOL, threads: int
     ks = np.asarray(ks, dtype=float)
 
     def refine_and_classify(dip: Dip) -> Dip:
-        center, half = dip.k, half_width
-        # an in-range bracket is passed on as it is, so its arithmetic is unchanged
-        if not ks[0] <= center - half < center + half <= ks[-1]:
-            lo, hi = max(center - half, ks[0]), min(center + half, ks[-1])
-            center, half = (lo + hi) / 2, (hi - lo) / 2
-        k_star, s = refine_dip(spectrum, center, half, refine_tol)
+        a, b = max(dip.k - half_width, ks[0]), min(dip.k + half_width, ks[-1])
+        k_star, s = refine_dip(spectrum, a, b, refine_tol)
         return Dip(k=k_star, indicator=float(s[-1]), multiplicity=estimate_multiplicity(s))
 
     values = sweep_k(spectrum, ks, threads)

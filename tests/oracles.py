@@ -6,9 +6,11 @@ from central finite differences, integrals from adaptive quadrature or
 brute-force refined grids.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import nquad, quad
 
 mp.mp.dps = 40
 
@@ -40,6 +42,34 @@ def sphere_plane_wave_integral(k: float, radius: float) -> float:
     """integral_{|s|=R} e^{ik beta . s} ds = 4 pi R^2 sin(kR)/(kR), any beta."""
     x = k * radius
     return 4 * np.pi * radius * radius * np.sin(x) / x
+
+
+def static_row_integral_adaptive(R0: float, eps: float, theta0: float, phi0: float) -> float:
+    """g(x) = integral_S ds(y) / (4 pi |x - y|) at the point x = r(theta0) s_hat(theta0, phi0)
+    of the star r = R0 (1 + eps Re Y_20), by adaptive quadrature over the
+    (theta, phi) parameter rectangle. The rectangle is split at the node,
+    so the 1/|x - y| singularity sits at a corner of each of the four pieces.
+    Re Y_20 = sqrt(5 / 16 pi) (3 cos^2 theta - 1) is written out here."""
+    c = eps * math.sqrt(5 / (16 * math.pi))
+
+    def point(t, p):
+        r = R0 * (1 + c * (3 * math.cos(t) ** 2 - 1))
+        return r, (r * math.sin(t) * math.cos(p), r * math.sin(t) * math.sin(p), r * math.cos(t))
+
+    _, x = point(theta0, phi0)
+
+    def integrand(p, t):
+        r, y = point(t, p)
+        r_theta = -6 * R0 * c * math.cos(t) * math.sin(t)
+        # |x_theta x x_phi| = r sin(theta) sqrt(r^2 + r_theta^2) when r_phi = 0
+        return r * math.sin(t) * math.hypot(r, r_theta) / (4 * math.pi * math.dist(x, y))
+
+    opts = {"epsabs": 1e-13, "epsrel": 1e-13, "limit": 200}
+    return sum(
+        nquad(integrand, [phis, thetas], opts=opts)[0]
+        for thetas in ((0.0, theta0), (theta0, math.pi))
+        for phis in ((phi0 - math.pi, phi0), (phi0, phi0 + math.pi))
+    )
 
 
 def brute_force_gram_singular_values(k, grid_fine, dirs):

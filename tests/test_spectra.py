@@ -30,6 +30,7 @@ from wavetrace import (
 from wavetrace.spectra import _nystrom_matrix, _nystrom_statics, bandlimited_basis
 from wavetrace.surface import _spherical_coords
 from wavetrace.sweep import _one_blas_thread
+from oracles import static_row_integral_adaptive
 
 
 def nystrom_reference(k, grid, static_integral):
@@ -274,17 +275,32 @@ class TestStaticRowIntegral:
         g = static_row_integral(sphere_24_48)
         assert np.abs(g - 1.0).max() == 0.0  # exact identity on the sphere
 
-    def test_polar_quadrature_matches_sphere_oracle(self):
-        # a star with a vanishingly small perturbation takes the polar path
+    def test_near_sphere_star_matches_sphere_closed_form(self):
+        # a star with a vanishingly small perturbation takes the rotated rule
         grid = make_star_surface(1.0, [(2, 0, 1e-12)], 12, 24)
         g = static_row_integral(grid)
-        assert np.abs(g - 1.0).max() <= 1e-6
+        assert np.abs(g - 1.0).max() <= 1e-11
 
-    def test_pool_size_does_not_change_star_integral(self, star_interpolant):
-        small = make_star_surface(1.0, [(2, 0, 0.1)], 12, 24)
-        assert np.array_equal(static_row_integral(small, threads=1), static_row_integral(small, threads=2))
-        # the interpolant's integral ran on 2 workers
-        assert np.array_equal(static_row_integral(star_interpolant.grid, threads=1), star_interpolant.g)
+    def test_axisymmetric_star_integral_keeps_its_symmetry(self, star_grid_24_48):
+        # r = 1 + 0.1 Re Y_20 is invariant under rotations about z and under
+        # z -> -z, and the grid's rings and hemispheres map onto each other
+        g = static_row_integral(star_grid_24_48).reshape(24, 48)
+        assert np.abs(g - g[:, :1]).max() <= 1e-14
+        assert np.abs(g - g[::-1]).max() <= 1e-14
+
+    @pytest.mark.parametrize("node", [0, 24 * 5 + 11], ids=["near-pole", "equatorial"])
+    def test_star_integral_matches_adaptive_quadrature(self, node):
+        eps = 0.1
+        grid = make_star_surface(1.0, [(2, 0, eps)], 12, 24)
+        _, theta, phi = _spherical_coords(grid.nodes[node])
+        assert abs(static_row_integral(grid)[node] - static_row_integral_adaptive(1.0, eps, theta, phi)) <= 1e-12
+
+    @pytest.mark.parametrize("coefs", [[(2, 0, 0.1)], [(3, 2, 0.15), (1, 1, 0.05)]], ids=["y20", "two-term"])
+    def test_star_integral_is_finite(self, coefs):
+        assert np.isfinite(static_row_integral(make_star_surface(1.0, coefs, 24, 48))).all()
+
+    def test_interpolant_uses_the_static_integral(self, star_interpolant):
+        assert np.array_equal(static_row_integral(star_interpolant.grid), star_interpolant.g)
 
     def test_unsupported_kind(self):
         from wavetrace import SurfaceGrid
@@ -307,7 +323,7 @@ class TestSingleLayerMatrix:
 
     def test_compressed_sigma_min_off_spectrum(self, sphere_24_48):
         # no j_l(1) = 0 for any l: the compressed operator is well bounded below
-        spectrum = make_single_layer_spectrum(sphere_24_48, 8, 1.0, 1.0)
+        spectrum = make_single_layer_spectrum(sphere_24_48, 8, 1.0, 1.1)
         assert spectrum(1.0)[-1] >= 1e-2
 
     def test_dip_through_pi(self, sphere_24_48):
@@ -322,7 +338,7 @@ class TestSingleLayerMatrix:
 
     @pytest.mark.parametrize("k", [-1.0, 0.0, np.nan, np.inf])
     def test_indicator_rejects_invalid_wavenumber(self, k):
-        spectrum = make_single_layer_spectrum(make_sphere(1.0, 8, 16), 4, 1.0, 1.0)
+        spectrum = make_single_layer_spectrum(make_sphere(1.0, 8, 16), 4, 1.0, 1.1)
         with pytest.raises(ValueError, match="wavenumber k must be positive"):
             spectrum(k)
 
@@ -349,8 +365,8 @@ class TestSingleLayerMatrix:
         grid = make_sphere(1.0, 8, 16)
         with pytest.raises(ValueError):
             bandlimited_basis(grid, -1)
-        with pytest.raises(ValueError):
-            make_single_layer_spectrum(grid, -1, 3.0, 3.0)
+        with pytest.raises(ValueError, match=r"band limit must be in \[0, 64\], got -1"):
+            make_single_layer_spectrum(grid, -1, 3.0, 3.1)
 
     def test_band_limit_must_compress(self, monkeypatch):
         star = make_star_surface(1.0, [(2, 0, 0.1)], 12, 24)
@@ -391,8 +407,9 @@ class TestSingleLayerInterpolant:
         for k in (np.nextafter(run.k_min, 0.0), np.nextafter(run.k_max, np.inf)):
             with pytest.raises(ValueError, match="outside the interpolated range"):
                 run.spectrum(k)
-        with pytest.raises(ValueError, match="k_min <= k_max"):
-            make_single_layer_spectrum(make_sphere(1.0, 8, 16), 4, 3.4, 2.9)
+        for k_max in (2.9, 3.4):
+            with pytest.raises(ValueError, match="k_min < k_max"):
+                make_single_layer_spectrum(make_sphere(1.0, 8, 16), 4, 3.4, k_max)
         with pytest.raises(ValueError, match="wavenumber k must be positive"):
             make_single_layer_spectrum(make_sphere(1.0, 8, 16), 4, 0.0, 2.9)
 
@@ -402,7 +419,7 @@ class TestSingleLayerInterpolant:
             make_single_layer_spectrum(make_sphere(1.0, 8, 16), 4, 1.0, 6.5)
 
     def test_more_workers_than_cores_build_the_same_interpolant(self):
-        # the static integral and the node builds fill shared arrays slot by slot
+        # the node builds fill a shared array slot by slot
         grid = make_star_surface(1.0, [(2, 0, 0.1)], 12, 24)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

@@ -259,24 +259,24 @@ class TestDetectDips:
 class TestRefineDip:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            refine_dip(lambda x: np.array([(x - 1.0) ** 2]), 1.0, 0.5, tol=0.0)
+            refine_dip(lambda x: np.array([(x - 1.0) ** 2]), 0.5, 1.5, tol=0.0)
 
     def test_stub_quadratic_recovers_minimum(self):
         target = 3.21
-        k, s = refine_dip(lambda x: np.array([(x - target) ** 2 + 0.25]), 3.2, 0.1, tol=1e-6)
+        k, s = refine_dip(lambda x: np.array([(x - target) ** 2 + 0.25]), 3.2 - 0.1, 3.2 + 0.1, tol=1e-6)
         assert k == pytest.approx(target, abs=1e-5)
         assert s[-1] == pytest.approx(0.25, abs=1e-9)
 
     def test_monotone_function_raises_bracket_error(self):
         with pytest.raises(BracketError):
-            refine_dip(lambda x: np.array([x]), 2.0, 0.5, tol=1e-5)
+            refine_dip(lambda x: np.array([x]), 1.5, 2.5, tol=1e-5)
 
     def test_kink_contracts_to_tolerance(self):
-        k, _ = refine_dip(lambda x: np.array([abs(x - 1.0) + 0.1]), 0.95, 0.45, tol=1e-7)
+        k, _ = refine_dip(lambda x: np.array([abs(x - 1.0) + 0.1]), 0.95 - 0.45, 0.95 + 0.45, tol=1e-7)
         assert k == pytest.approx(1.0, abs=1e-6)
 
     def test_tolerance_wider_than_bracket_still_refines(self):
-        k, _ = refine_dip(lambda x: np.array([abs(x - 3.21) + 1e-3]), 3.2, 0.04, tol=1.0)
+        k, _ = refine_dip(lambda x: np.array([abs(x - 3.21) + 1e-3]), 3.2 - 0.04, 3.2 + 0.04, tol=1.0)
         assert abs(k - 3.21) <= 0.02
 
     def test_reports_the_evaluated_minimizer(self):
@@ -286,7 +286,7 @@ class TestRefineDip:
             seen[x] = abs(x - 3.14159) + 0.1
             return np.array([seen[x]])
 
-        k, s = refine_dip(spectrum, 3.15, 0.05, tol=1e-4)
+        k, s = refine_dip(spectrum, 3.15 - 0.05, 3.15 + 0.05, tol=1e-4)
         assert seen[k] == s[-1] == min(seen.values())
 
     def test_tolerance_below_floating_point_floor_terminates(self):
@@ -300,7 +300,7 @@ class TestRefineDip:
                 raise RuntimeError("refinement did not terminate")
             return np.array([abs(x - 3.14159) + 0.1])
 
-        k, _ = refine_dip(spectrum, 3.15, 0.05, tol=1e-17)
+        k, _ = refine_dip(spectrum, 3.15 - 0.05, 3.15 + 0.05, tol=1e-17)
         assert k == pytest.approx(3.14159, abs=1e-6)
 
     @pytest.mark.parametrize("a, b, xatol", [(1.5, 2.5, 2.5e-6), (3.1, 3.2, 1e-17), (6.0, 6.04, 2.5e-6)])
@@ -315,14 +315,14 @@ class TestRefineDip:
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_minimum_one_tolerance_inside_an_end_is_interior(self, side):
         target = 3.2 - side * (0.05 - 1e-5)
-        k, _ = refine_dip(lambda x: np.array([abs(x - target) + 0.1]), 3.2, 0.05, tol=1e-5)
+        k, _ = refine_dip(lambda x: np.array([abs(x - target) + 0.1]), 3.2 - 0.05, 3.2 + 0.05, tol=1e-5)
         assert k == pytest.approx(target, abs=1e-6)
 
     def test_refines_ball_eigenvalue(self):
         grid = make_sphere(1.0, 20, 40)
         dirs = make_direction_grid(10, 20)
         interior = seed_interior_points(grid, default_interior_count(dirs), seed=0)
-        k, s = refine_dip(trace_spectrum(grid, dirs, interior), 3.14, 0.02, tol=1e-4)
+        k, s = refine_dip(trace_spectrum(grid, dirs, interior), 3.14 - 0.02, 3.14 + 0.02, tol=1e-4)
         assert abs(k - np.pi) <= 1e-3
         assert s[-1] <= 1e-3
 
