@@ -296,6 +296,10 @@ def main():
 def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     """Sweep the completeness indicator over k and report dips."""
     cfg = _run_config(ctx, config_path, k_sweep=True, **flags)
+    if cfg.dirs_n_phi % 2:
+        raise click.UsageError(
+            f"dirs_n_phi must be even, so that each direction's antipode is on the grid, got {cfg.dirs_n_phi}"
+        )
     _check_writable(out_csv)
     _check_writable(out_json)
     grid = _build_surface(cfg)

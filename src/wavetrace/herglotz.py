@@ -17,6 +17,13 @@ surface function against the columns of A measures its distance to the
 closure of the plane-wave trace span: the relative residual is 1 exactly
 when the target is orthogonal to every trace, the signature of a lost
 (rank-collapsed) direction.
+
+The family is closed under beta -> -beta, and e^{-i k beta . x} is the
+complex conjugate of e^{i k beta . x}, so over C it spans what the real
+functions cos(k beta . x) and sin(k beta . x) span. On an antipodally
+symmetric grid (a product grid with even n_phi) the columns of beta and
+-beta are conjugates, and the trace matrix carries only real information:
+the completeness indicator in `sweep` factors it as those real columns.
 """
 
 from __future__ import annotations

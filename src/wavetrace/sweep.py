@@ -12,12 +12,17 @@ combination is O(1) inside the domain but vanishes on the surface (on the
 ball, h = Y_lm gives w = 4 pi i^l j_l(kr) Y_lm with j_l(kR) = 0), driving
 the indicator toward zero; away from the spectrum it stays O(1).
 
-Every step is Householder. The column-pivoted QR of the whole stacked
-matrix (geqp3) sets the retained rank at a decade gap of R's diagonal;
-only the retained columns of Q are formed (ungqr), and the singular values
-of their boundary rows are those of the triangle of an R-only QR of that
-block (geqrf), taken by a dense SVD of size rank x rank. The tall steps
-run in LAPACK calls that release the GIL; only that small SVD holds it.
+Every step is real Householder arithmetic. The direction grid is
+antipodally symmetric, and the columns of beta and -beta are complex
+conjugates, so the pair spans what its real cos and sin columns span; the
+stacked matrix is assembled on one direction of each pair and read as
+those real columns (a unitary mix of the complex ones: same singular
+values, same column space). Its column-pivoted QR (geqp3) sets the
+retained rank at a decade gap of R's diagonal; only the retained columns
+of Q are formed (orgqr), and the singular values of their boundary rows
+are those of the triangle of an R-only QR of that block (geqrf), taken by
+a dense SVD of size rank x rank. The tall steps run in LAPACK calls that
+release the GIL; only that small SVD holds it.
 
 Both eigenvalue oracles share one spectrum protocol: a callable k -> the
 singular values of a k-dependent matrix, descending as the SVD returns
@@ -274,14 +279,34 @@ def _rank_cutoff(diag: np.ndarray) -> int:
     return int((rel > DEFAULT_QR_RTOL).sum())
 
 
+def _antipodal_half(dirs: DirectionGrid) -> DirectionGrid:
+    """One direction of each antipodal pair (beta, -beta), at twice its weight.
+
+    On the half grid, the complex trace column sqrt(2 w) e^{i k beta . x}
+    read as two floats is the pair sqrt(2 w) cos, sqrt(2 w) sin: the
+    columns of beta and -beta mixed by a unitary 2x2 matrix.
+    """
+    D, w = dirs.directions, dirs.weights
+    partner = np.argmin(D @ D.T, axis=1)
+    if np.abs(D[partner] + D).max() > 1e-12 or np.any(np.abs(w[partner] - w) > 1e-12 * w):
+        raise ValueError(
+            "the trace spectrum needs an antipodally symmetric direction grid "
+            "(each beta paired with -beta at an equal weight; a product grid needs an even n_phi)"
+        )
+    keep = np.arange(len(w)) < partner
+    return DirectionGrid(directions=D[keep], weights=2 * w[keep])
+
+
 def boundary_subspace_singular_values(
     k: float, grid: SurfaceGrid, dirs: DirectionGrid, interior
 ) -> np.ndarray:
     """Singular values (descending) of the boundary block of the orthonormal
     factor of the stacked trace matrix, sines of principal angles and so
-    clipped to at most 1; the last one is the indicator."""
+    clipped to at most 1; the last one is the indicator. The direction grid
+    must be antipodally symmetric (ValueError otherwise)."""
     interior = _check_interior(grid, interior)
-    A = assemble_trace_matrix(k, grid, dirs, interior_points=interior)
+    # the real cos/sin columns: the complex matrix over the half grid, no copy
+    A = assemble_trace_matrix(k, grid, _antipodal_half(dirs), interior_points=interior).view(float)
     (qr, tau), _, _ = la.qr(A, mode="raw", pivoting=True)
     del A  # factored in a copy; freed before the tall steps below
     cutoff = _rank_cutoff(np.abs(np.diag(qr)))
@@ -292,11 +317,11 @@ def boundary_subspace_singular_values(
             f"{len(interior)} interior points cannot control a rank-{cutoff} column space"
         )
     # form only the retained columns of Q, in place over their reflectors
-    ungqr = la.get_lapack_funcs("ungqr", (qr,))
-    lwork = ungqr(qr[:, :cutoff], tau[:cutoff], lwork=-1, overwrite_a=1)[1][0].real
-    Q, _, info = ungqr(qr[:, :cutoff], tau[:cutoff], lwork=int(lwork), overwrite_a=1)
+    orgqr = la.get_lapack_funcs("orgqr", (qr,))
+    lwork = orgqr(qr[:, :cutoff], tau[:cutoff], lwork=-1, overwrite_a=1)[1][0]
+    Q, _, info = orgqr(qr[:, :cutoff], tau[:cutoff], lwork=int(lwork), overwrite_a=1)
     if info != 0:
-        raise la.LinAlgError(f"ungqr returned info={info}")
+        raise la.LinAlgError(f"orgqr returned info={info}")
     # the boundary rows share their singular values with their R factor,
     # which mode="raw" returns square (mode="r" pads it with zero rows)
     _, R = la.qr(Q[: grid.n_nodes], mode="raw", check_finite=False)

@@ -10,7 +10,10 @@ import math
 
 import mpmath as mp
 import numpy as np
+import scipy.linalg as la
 from scipy.integrate import nquad, quad
+
+from wavetrace.sweep import _rank_cutoff
 
 mp.mp.dps = 40
 
@@ -81,3 +84,18 @@ def brute_force_gram_singular_values(k, grid_fine, dirs):
     G = np.sqrt(dirs.weights)[:, None] * G * np.sqrt(dirs.weights)[None, :]
     eig = np.linalg.eigvalsh((G + G.conj().T) / 2)
     return np.sqrt(np.clip(eig, 0, None))[::-1]
+
+
+def complex_trace_spectrum(k, grid, dirs, interior):
+    """The trace spectrum factored in complex arithmetic over every direction:
+    the stacked matrix A[m, j] = rho_m e^{i k beta_j . x_m} sqrt(w_j), with
+    rho_m = sqrt(sigma_m) on the surface nodes and sqrt(area / P) on the P
+    interior points, then the thin Q of its pivoted QR, cut by the library's
+    rank rule (the definition of the indicator, not under test), and the
+    singular values of its retained boundary rows."""
+    points = np.vstack([grid.nodes, interior])
+    rho = np.concatenate([np.sqrt(grid.weights), np.full(len(interior), np.sqrt(grid.area / len(interior)))])
+    A = rho[:, None] * np.exp(1j * k * (points @ dirs.directions.T)) * np.sqrt(dirs.weights)
+    Q, R, _ = la.qr(A, mode="economic", pivoting=True)
+    cutoff = _rank_cutoff(np.abs(np.diag(R)))
+    return la.svd(Q[: grid.n_nodes, :cutoff], compute_uv=False)

@@ -185,6 +185,29 @@ class TestSweepCommand:
         result = runner.invoke(main, ["sweep", "--kmin", "5", "--kmax", "3"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_odd_direction_phi_is_usage_error(self, runner, tmp_path, monkeypatch, source):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep started work on a grid it must refuse")
+
+        monkeypatch.setattr(wavetrace.cli, "seed_interior_points", no_work)
+        monkeypatch.setattr(wavetrace.cli, "find_dips", no_work)
+        if source == "flag":
+            odd = ["--dirs-nphi", "13"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"dirs_n_phi": 13}))
+            odd = ["--config", str(cfg_path)]
+        i = FAST_SWEEP.index("--dirs-nphi")
+        even_free = FAST_SWEEP[:i] + FAST_SWEEP[i + 2 :]
+        csv_path = tmp_path / "s.csv"
+        result = runner.invoke(
+            main, ["sweep", *even_free, *odd, "--out-csv", str(csv_path), "--out-json", str(tmp_path / "s.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "dirs_n_phi must be even" in result.output
+        assert not csv_path.exists()
+
     def test_fast_run_produces_artifacts(self, runner, tmp_path):
         csv_path = tmp_path / "s.csv"
         json_path = tmp_path / "s.json"

@@ -9,6 +9,7 @@ import pytest
 from wavetrace import (
     BracketError,
     Dip,
+    DirectionGrid,
     IllPosedIndicatorError,
     SweepResult,
     assemble_trace_matrix,
@@ -26,9 +27,11 @@ from wavetrace import (
     sweep_k,
 )
 import scipy.linalg as la
+from oracles import complex_trace_spectrum
 from scipy.optimize import minimize_scalar
 from wavetrace.sweep import (
     _SQRT_EPS,
+    _antipodal_half,
     _blas_threads,
     _one_blas_thread,
     _openblas_thread_controls,
@@ -92,6 +95,18 @@ class TestCompletenessIndicator:
         with pytest.raises(IllPosedIndicatorError):
             boundary_subspace_singular_values(2.0, grid, dirs, few)
 
+    def test_asymmetric_direction_grid_rejected(self, ball_setup):
+        grid, dirs, interior = ball_setup
+        # an odd n_phi leaves phi + pi off the grid
+        with pytest.raises(ValueError, match="antipodally symmetric"):
+            boundary_subspace_singular_values(3.0, grid, make_direction_grid(10, 21), interior)
+        # every antipode present, but beta and -beta weighted unequally
+        tilted = DirectionGrid(
+            directions=dirs.directions, weights=dirs.weights * (1 + 0.1 * dirs.directions[:, 2])
+        )
+        with pytest.raises(ValueError, match="antipodally symmetric"):
+            boundary_subspace_singular_values(3.0, grid, tilted, interior)
+
     # away from the star's spectrum, where the indicator is well conditioned
     @pytest.mark.parametrize("k", [2.2, 3.0, 4.0])
     def test_rotation_invariance(self, k):
@@ -123,11 +138,17 @@ def trace_spectrum(grid, dirs, interior):
     return functools.partial(boundary_subspace_singular_values, grid=grid, dirs=dirs, interior=interior)
 
 
+def real_trace_matrix(k, grid, dirs, interior):
+    """The stacked trace matrix as the indicator factors it: one column pair
+    sqrt(2 w) cos, sqrt(2 w) sin per antipodal direction pair."""
+    return assemble_trace_matrix(k, grid, _antipodal_half(dirs), interior_points=interior).view(float)
+
+
 def thin_q_reference(k, grid, dirs, interior):
     """The indicator's spectrum written out the plain way: the thin Q of the
-    pivoted QR, all columns formed, then a dense SVD of its retained
-    boundary rows. Returns (cutoff, singular values)."""
-    A = assemble_trace_matrix(k, grid, dirs, interior_points=interior)
+    pivoted QR of the real trace matrix, all columns formed, then a dense
+    SVD of its retained boundary rows. Returns (cutoff, singular values)."""
+    A = real_trace_matrix(k, grid, dirs, interior)
     Q, R, _ = la.qr(A, mode="economic", pivoting=True)
     cutoff = _rank_cutoff(np.abs(np.diag(R)))
     return cutoff, la.svd(Q[: grid.n_nodes, :cutoff], compute_uv=False)
@@ -168,6 +189,52 @@ class TestFactorization:
             shapes.clear()
             cutoff = len(boundary_subspace_singular_values(k, *problem))
             assert shapes and all(m == n <= cutoff for m, n in shapes)
+
+    def test_pivoted_qr_factors_real_columns(self, monkeypatch, problem):
+        grid, dirs, interior = problem
+        pivoted = []
+        qr = la.qr
+
+        def spy(a, *args, **kwargs):
+            if kwargs.get("pivoting"):
+                pivoted.append((np.asarray(a).dtype, np.shape(a)))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(la, "qr", spy)
+        boundary_subspace_singular_values(3.0, *problem)
+        assert pivoted == [(np.float64, (grid.n_nodes + len(interior), dirs.n_directions))]
+
+
+class TestRealArithmetic:
+    """The indicator factors one real cos/sin column pair per antipodal
+    direction pair: a unitary mix of the complex columns of beta and -beta,
+    so the real matrix keeps the complex one's singular values and the
+    indicator keeps its values."""
+
+    # samples off the exact eigenvalues: at k = pi the ball's indicator is
+    # ~3e-10, a rounding-level value that neither form determines
+    KS = [3.0, 3.8, 4.4934, 5.7, 6.3]
+
+    @pytest.fixture(scope="class", params=["ball-trace", "star-cross"])
+    def problem(self, request):
+        if request.param == "ball-trace":
+            grid = make_sphere(1.0, 24, 48)
+            return grid, make_direction_grid(12, 24), seed_interior_points(grid, 576, seed=0)
+        star = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48)
+        return star, make_direction_grid(10, 20), seed_interior_points(star, 500, seed=0)
+
+    @pytest.mark.parametrize("k", [3.0, 5.7])
+    def test_real_matrix_has_the_complex_singular_values(self, problem, k):
+        grid, dirs, interior = problem
+        expected = la.svdvals(assemble_trace_matrix(k, grid, dirs, interior_points=interior))
+        s = la.svdvals(real_trace_matrix(k, grid, dirs, interior))
+        assert s.shape == expected.shape
+        assert np.abs(s - expected).max() <= 1e-14 * expected[0]
+
+    def test_indicator_matches_the_complex_form(self, problem):
+        for k in self.KS:
+            expected = complex_trace_spectrum(k, *problem)[-1]
+            assert abs(boundary_subspace_singular_values(k, *problem)[-1] - expected) <= 1e-5 * expected
 
 
 def criterion8_spectrum(kind):
