@@ -17,7 +17,7 @@ from itertools import islice
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import sph_harm_y, spherical_jn, spherical_yn
+from scipy.special import sph_harm_y, sph_legendre_p, spherical_jn, spherical_yn
 
 __all__ = [
     "HarmonicIndex",
@@ -143,8 +143,9 @@ def sph_harm(idx: HarmonicIndex, theta, phi):
 
 
 def sph_harm_with_grad(idx: HarmonicIndex, theta, phi):
-    """Y_lm together with its angular derivatives (dY/dtheta, dY/dphi)."""
-    val, grad = sph_harm_y(
-        idx.l, idx.m, np.asarray(theta, dtype=float), np.asarray(phi, dtype=float), diff_n=1
-    )
-    return val, grad[..., 0], grad[..., 1]
+    """Y_lm together with its angular derivatives (dY/dtheta, dY/dphi), as
+    normalized Legendre P_l^m(theta) times e^{i m phi}: bit for bit scipy's
+    sph_harm_y(..., diff_n=1), at a fraction of its cost."""
+    p, dp = sph_legendre_p(idx.l, idx.m, np.asarray(theta, dtype=float), diff_n=1)
+    e = np.exp(1j * idx.m * np.asarray(phi, dtype=float))
+    return p * e, dp * e, p * (1j * idx.m * e)

@@ -20,12 +20,15 @@ node in turn (Graham & Sloan 2002): the sin(theta') of the rule cancels the
 Because the continuous operator is compact, raw smallest singular values
 of a fine discretization are dominated by unresolved high-degree junk at
 every k. Eigenvalue sweeps therefore compress the matrix onto a
-bandlimited angular subspace (orthonormalized Y_lm, l <= L, in surface
-weights) and take the singular values of the compressed matrix: the
-spectrum that find_dips samples, refines and classifies. Dips of its
-smallest value mark the Dirichlet spectrum.
+bandlimited angular subspace (the real and imaginary parts of Y_lm,
+l <= L, orthonormalized in surface weights: a real basis Q spanning the
+complex harmonics) and take the singular values of the compressed matrix:
+the spectrum that find_dips samples, refines and classifies. Dips of its
+smallest value mark the Dirichlet spectrum. A is complex symmetric: a
+build computes its upper triangle and mirrors it, and Q^T A Q is two real
+matrix products on the float view of A.
 
-The compressed matrix B(k) = Q^H A(k) Q is entire in k, so it is built
+The compressed matrix B(k) = Q^T A(k) Q is entire in k, so it is built
 once per k range as a Chebyshev interpolant (Effenberger & Kressner 2012;
 Trefethen, ATAP, 2013): B is formed directly at Chebyshev-Lobatto points
 of [k_min, k_max], doubling their number (the old points nest in the new)
@@ -247,8 +250,8 @@ def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
 
 def _nystrom_statics(grid: SurfaceGrid, static_integral: np.ndarray):
     """k-independent parts of the weighted Nystrom matrix: weights, node
-    distances (unit diagonal) and their 4 pi multiples, square-root weights,
-    static diagonal term.
+    distances (unit diagonal), the symmetric off-diagonal weight
+    sqrt(sigma_m) sqrt(sigma_p) / (4 pi r_mp), static diagonal term.
 
     Filled _STATICS_ROW_BLOCK rows at a time, so the coordinate differences
     never occupy more than a row block; every entry equals the whole-matrix
@@ -256,28 +259,37 @@ def _nystrom_statics(grid: SurfaceGrid, static_integral: np.ndarray):
     """
     nodes, w = grid.nodes, grid.weights
     n = len(w)
+    sw = np.sqrt(w)
     dist = np.empty((n, n))
-    four_pi_dist = np.empty((n, n))
+    weight = np.empty((n, n))
     static_offdiag_rowsum = np.empty(n)
     for start in range(0, n, _STATICS_ROW_BLOCK):
         rows = slice(start, start + _STATICS_ROW_BLOCK)
         block = dist[rows]
         block[:] = np.linalg.norm(nodes[rows, None, :] - nodes[None, :, :], axis=-1)
         np.fill_diagonal(block[:, start:], 1.0)
-        np.multiply(4 * np.pi, block, out=four_pi_dist[rows])
-        static_offdiag_rowsum[rows] = ((1.0 / four_pi_dist[rows]) * w[None, :]).sum(axis=1)
+        four_pi_dist = 4 * np.pi * block
+        static_offdiag_rowsum[rows] = ((1.0 / four_pi_dist) * w[None, :]).sum(axis=1)
+        np.divide(np.outer(sw[rows], sw), four_pi_dist, out=weight[rows])
     static_offdiag_rowsum -= (1.0 / (4 * np.pi)) * w
-    return w, dist, four_pi_dist, np.sqrt(w), static_integral - static_offdiag_rowsum
+    return w, dist, weight, static_integral - static_offdiag_rowsum
 
 
-def _nystrom_matrix(k: float, w, dist, four_pi_dist, sw, static_diag) -> np.ndarray:
-    """The weighted Nystrom matrix at k, built in one N x N complex buffer."""
-    A = np.multiply(1j * k, dist, dtype=complex)
-    np.exp(A, out=A)
-    np.divide(A, four_pi_dist, out=A)
-    np.multiply(sw[:, None], A, out=A)
-    np.multiply(A, sw[None, :], out=A)
-    idx = np.arange(len(w))
+def _nystrom_matrix(k: float, w, dist, weight, static_diag) -> np.ndarray:
+    """The weighted Nystrom matrix at k, in one N x N complex buffer: its
+    upper triangle, e^{ik r} times the weight, _STATICS_ROW_BLOCK rows at a
+    time, each row block mirrored into the lower triangle; exactly symmetric."""
+    n = len(w)
+    A = np.empty((n, n), dtype=complex)
+    for start in range(0, n, _STATICS_ROW_BLOCK):
+        stop = start + _STATICS_ROW_BLOCK
+        rows = slice(start, stop)
+        block = A[rows, start:]
+        np.multiply(1j * k, dist[rows, start:], out=block)
+        np.exp(block, out=block)
+        np.multiply(block, weight[rows, start:], out=block)
+        A[stop:, rows] = A[rows, stop:].T
+    idx = np.arange(n)
     A[idx, idx] = 1j * k * w / (4 * np.pi) + static_diag
     return A
 
@@ -313,16 +325,26 @@ def _check_band_limit(grid: SurfaceGrid, band_limit: int):
 
 
 def bandlimited_basis(grid: SurfaceGrid, band_limit: int) -> np.ndarray:
-    """Orthonormal basis (in surface weights) of the angular harmonics l <= L."""
+    """Real orthonormal basis (in surface weights) of the angular harmonics
+    l <= L: the QR of Re Y_l|m| (m >= 0) and Im Y_l|m| (m < 0), which span
+    the same space as the complex Y_lm."""
     _check_band_limit(grid, band_limit)
     _, theta, phi = _spherical_coords(grid.nodes)
     cols = []
     for l in range(band_limit + 1):
         for m in range(-l, l + 1):
-            cols.append(sph_harm(HarmonicIndex(l, m), theta, phi))
+            y = sph_harm(HarmonicIndex(l, abs(m)), theta, phi)
+            cols.append(y.real if m >= 0 else y.imag)
     Y = np.array(cols).T * np.sqrt(grid.weights)[:, None]
     Q, _ = np.linalg.qr(Y)
     return Q
+
+
+def _compress(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Q^T A Q for a real Q and an exactly symmetric complex A, as two real
+    matrix products on the float views: Q^T A, then Q^T (Q^T A)^T = Q^T A^T Q."""
+    QtA = (Q.T @ A.view(float)).view(complex)
+    return (Q.T @ np.ascontiguousarray(QtA.T).view(float)).view(complex)
 
 
 def _lobatto_points(k_min: float, k_max: float, n: int) -> np.ndarray:
@@ -352,17 +374,17 @@ def make_single_layer_spectrum(
     grid: SurfaceGrid, band_limit: int, k_min: float, k_max: float, threads: int | None = None
 ):
     """Callable k -> singular values (descending) of the bandlimit-compressed
-    single-layer matrix B(k) = Q^H A(k) Q on [k_min, k_max]; the last one is
-    the indicator.
+    single-layer matrix B(k) = Q^T A(k) Q on [k_min, k_max], Q the real
+    bandlimited_basis; the last one is the indicator.
 
     B is built by the direct route at _CHEB_START_DEGREE + 1 Chebyshev-Lobatto
     points of the range, and their number doubles, the built ones kept, until
     _chebyshev_tail is below _CHEB_TAIL_TOL (InterpolationError past
     _CHEB_MAX_DEGREE). The static row integral runs once, serially; the
     builds run on a pool of `threads` workers as in find_dips, each in one
-    N x N complex buffer. An evaluation is a barycentric sum and an SVD of
-    size (L+1)^2; at a node it is that node's matrix. The band limit is
-    checked before any work; k_min < k_max, and k must be positive and
+    N x N complex buffer, compressed by _compress. An evaluation is a
+    barycentric sum and an SVD of size (L+1)^2; at a node it is that node's
+    matrix. The band limit is checked before any work; k_min < k_max, and k must be positive and
     finite, then inside [k_min, k_max] (ValueError otherwise).
     """
     k_min, k_max = _check_wavenumber(k_min), _check_wavenumber(k_max)
@@ -372,7 +394,7 @@ def make_single_layer_spectrum(
     statics = _nystrom_statics(grid, static_row_integral(grid))
 
     def build(j: int):
-        stack[j] = Q.conj().T @ (_nystrom_matrix(ks[j], *statics) @ Q)
+        stack[j] = _compress(Q, _nystrom_matrix(ks[j], *statics))
 
     n = _CHEB_START_DEGREE
     ks = _lobatto_points(k_min, k_max, n)

@@ -13,6 +13,8 @@ import numpy as np
 import scipy.linalg as la
 from scipy.integrate import nquad, quad
 
+from wavetrace.specfun import HarmonicIndex, sph_harm
+from wavetrace.surface import _spherical_coords
 from wavetrace.sweep import _rank_cutoff
 
 mp.mp.dps = 40
@@ -99,3 +101,15 @@ def complex_trace_spectrum(k, grid, dirs, interior):
     Q, R, _ = la.qr(A, mode="economic", pivoting=True)
     cutoff = _rank_cutoff(np.abs(np.diag(R)))
     return la.svd(Q[: grid.n_nodes, :cutoff], compute_uv=False)
+
+
+def complex_basis_compression(grid, band_limit, A):
+    """Q_c^H A Q_c with Q_c the orthonormalized (in surface weights) complex
+    harmonics Y_lm, l <= band_limit: the single-layer compression in the
+    complex basis, formed by complex matrix products."""
+    _, theta, phi = _spherical_coords(grid.nodes)
+    Y = np.array(
+        [sph_harm(HarmonicIndex(l, m), theta, phi) for l in range(band_limit + 1) for m in range(-l, l + 1)]
+    ).T
+    Q, _ = np.linalg.qr(Y * np.sqrt(grid.weights)[:, None])
+    return Q.conj().T @ (A @ Q)

@@ -12,6 +12,7 @@ from wavetrace import (
     sph_hankel1,
     sph_harm,
 )
+from wavetrace.specfun import sph_harm_with_grad
 
 # frozen from the mpmath power-series oracle (tests/oracles.py)
 J1_AT_1 = 0.30116867893975679
@@ -133,6 +134,21 @@ class TestSphHarm:
     def test_invalid_order_raises(self):
         with pytest.raises(ValueError):
             HarmonicIndex(2, 3)
+
+    def test_gradient_bit_identical_to_scipy_derivative_mode(self):
+        # the Legendre form must reproduce sph_harm_y(..., diff_n=1) exactly,
+        # so star surfaces and their artifacts keep their bytes
+        from scipy.special import sph_harm_y
+
+        rng = np.random.default_rng(3)
+        theta = np.concatenate([rng.uniform(0, np.pi, 2000), [0.0, np.pi, 1e-9, np.pi - 1e-9]])
+        phi = np.concatenate([rng.uniform(-np.pi, np.pi, 2000), [0.3, -1.2, 2.0, np.pi]])
+        for l in range(13):
+            for m in range(-l, l + 1):
+                val, grad = sph_harm_y(l, m, theta, phi, diff_n=1)
+                got = sph_harm_with_grad(HarmonicIndex(l, m), theta, phi)
+                for a, b in zip(got, (val, grad[..., 0], grad[..., 1])):
+                    assert np.array_equal(a, b), (l, m)
 
 
 class TestAnalyticInvariants:

@@ -27,10 +27,10 @@ from wavetrace import (
     static_row_integral,
     sweep_k,
 )
-from wavetrace.spectra import _nystrom_matrix, _nystrom_statics, bandlimited_basis
+from wavetrace.spectra import _compress, _nystrom_matrix, _nystrom_statics, bandlimited_basis
 from wavetrace.surface import _spherical_coords
 from wavetrace.sweep import _one_blas_thread
-from oracles import static_row_integral_adaptive
+from oracles import complex_basis_compression, static_row_integral_adaptive
 
 
 def nystrom_reference(k, grid, static_integral):
@@ -43,7 +43,7 @@ def nystrom_reference(k, grid, static_integral):
     static = 1.0 / (4 * np.pi * dist)
     static_diag = static_integral - ((static * w[None, :]).sum(axis=1) - static.diagonal() * w)
     sw = np.sqrt(w)
-    A = sw[:, None] * (np.exp(1j * k * dist) / (4 * np.pi * dist)) * sw[None, :]
+    A = np.exp(1j * k * dist) * (np.outer(sw, sw) / (4 * np.pi * dist))
     idx = np.arange(len(w))
     A[idx, idx] = 1j * k * w / (4 * np.pi) + static_diag
     return A
@@ -65,7 +65,7 @@ def direct_spectrum(grid, static_integral, band_limit=8):
     Q, statics = bandlimited_basis(grid, band_limit), _nystrom_statics(grid, static_integral)
 
     def singular_values(k):
-        return np.linalg.svd(Q.conj().T @ (_nystrom_matrix(k, *statics) @ Q), compute_uv=False)
+        return np.linalg.svd(_compress(Q, _nystrom_matrix(k, *statics)), compute_uv=False)
 
     return singular_values
 
@@ -350,6 +350,7 @@ class TestSingleLayerMatrix:
         for k in (3.1, 5.6301, 6.4):
             A = single_layer_matrix(k, grid, g)
             assert np.array_equal(A.view(float), nystrom_reference(k, grid, g).view(float))
+            assert np.array_equal(A.view(float), A.T.copy().view(float))
 
     def test_memory_one_buffer_per_evaluation(self, sphere_24_48):
         # a whole-matrix build holds about 8 N^2-byte arrays for the statics
@@ -360,6 +361,40 @@ class TestSingleLayerMatrix:
         assert statics_peak <= 3 * 8 * n * n
         matrix_peak, _ = traced_peak_bytes(_nystrom_matrix, 5.6301, *statics)
         assert matrix_peak <= 1.5 * 16 * n * n
+
+    def test_build_exponentiates_about_half_the_entries(self, sphere_24_48, monkeypatch):
+        # only the upper triangle's row blocks go through exp; the lower
+        # triangle is their transpose
+        statics = _nystrom_statics(sphere_24_48, static_row_integral(sphere_24_48))
+        exp, touched = np.exp, []
+
+        def counting(x, *args, **kwargs):
+            touched.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting)
+        _nystrom_matrix(5.6301, *statics)
+        n = sphere_24_48.n_nodes
+        assert 0 < sum(touched) <= 0.55 * n * n
+
+    def test_basis_is_real(self, sphere_24_48, star_grid_24_48):
+        for grid in (sphere_24_48, star_grid_24_48):
+            Q = bandlimited_basis(grid, 8)
+            assert Q.dtype == np.float64
+            assert np.abs(Q.T @ Q - np.eye(81)).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "surface, ks", [("star_grid_24_48", (5.0, 5.7, 6.5)), ("sphere_24_48", (2.9, 3.4))],
+        ids=["star-cross", "sphere"],
+    )
+    def test_real_compression_keeps_the_complex_singular_values(self, surface, ks, request):
+        grid = request.getfixturevalue(surface)
+        Q, statics = bandlimited_basis(grid, 8), _nystrom_statics(grid, static_row_integral(grid))
+        for k in ks:
+            A = _nystrom_matrix(k, *statics)
+            real = np.linalg.svd(_compress(Q, A), compute_uv=False)
+            reference = np.linalg.svd(complex_basis_compression(grid, 8, A), compute_uv=False)
+            assert np.abs(real - reference).max() <= 1e-14 * reference[0]
 
     def test_negative_band_limit_rejected(self):
         grid = make_sphere(1.0, 8, 16)
