@@ -142,7 +142,8 @@ def assemble_trace_matrix(
     Boundary row m is sqrt(sigma_m) e^{i k beta_j . s_m} sqrt(w_j); the
     optional interior rows carry e^{i k beta_j . x_p} at collocation points
     x_p with one uniform row weight sqrt(area(S)/P), so both blocks are
-    commensurate. Each block is computed in place in its rows.
+    commensurate. Each block is computed in place in its rows: cos and sin
+    of the phase written straight into the real and imaginary parts.
     """
     k = _check_wavenumber(k)
     blocks = [(grid.nodes, np.sqrt(grid.weights)[:, None])]
@@ -156,10 +157,11 @@ def assemble_trace_matrix(
     start = 0
     for pts, row_weight in blocks:
         rows = A[start : start + len(pts)]
-        np.multiply(1j * k, pts @ dirs.directions.T, out=rows)
-        np.exp(rows, out=rows)
-        np.multiply(row_weight, rows, out=rows)
-        np.multiply(rows, sqrt_w, out=rows)
+        phase = k * (pts @ dirs.directions.T)
+        for part, wave in ((rows.real, np.cos), (rows.imag, np.sin)):
+            wave(phase, out=part)
+            np.multiply(row_weight, part, out=part)
+            np.multiply(part, sqrt_w, out=part)
         start += len(pts)
     return A
 

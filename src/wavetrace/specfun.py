@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import sph_harm_y, sph_legendre_p, spherical_jn, spherical_yn
 
 __all__ = [
@@ -108,21 +107,46 @@ def _bessel_zeros(l: int):
 
     Sign changes are bracketed on a grid of spacing pi/8 starting just above
     l -- z_{l,1} > l, so no zero can be missed -- and each bracket is refined
-    by Brent's method.
+    by _newton_zero.
     """
     l = _check_degree(l)
-    f = lambda x: spherical_jn(l, x)
     step = np.pi / 8
     x0 = max(float(l), step / 2)
-    f0 = f(x0)
+    f0 = spherical_jn(l, x0)
     while True:
         x1 = x0 + step
-        f1 = f(x1)
+        f1 = spherical_jn(l, x1)
         if f0 == 0.0:
             yield x0
         elif f0 * f1 < 0:
-            yield float(brentq(f, x0, x1, xtol=1e-14, rtol=8.9e-16))
+            yield _newton_zero(l, x0, x1, f0)
         x0, f0 = x1, f1
+
+
+def _newton_zero(l: int, a: float, b: float, fa: float) -> float:
+    """The zero of j_l in a sign-change bracket [a, b], fa = j_l(a).
+
+    Newton steps on j_l from the midpoint, shrinking the bracket at each
+    point; a step that leaves the bracket, or is not shorter than half the
+    step before it, is replaced by bisection. Returns after the first step
+    shorter than 1e-14 + 4 eps |x|.
+    """
+    x, last = (a + b) / 2, b - a
+    while True:
+        fx = float(spherical_jn(l, x))
+        if fx == 0.0:
+            return x
+        if (fx < 0) == (fa < 0):
+            a, fa = x, fx
+        else:
+            b = x
+        tol = 1e-14 + 4 * np.finfo(float).eps * abs(x)
+        step = fx / float(spherical_jn(l, x, derivative=True))
+        if not (abs(step) < tol or (a < x - step < b and abs(step) < abs(last) / 2)):
+            step = x - (a + b) / 2
+        x, last = x - step, step
+        if abs(step) < tol:
+            return x
 
 
 def bessel_zero(l: int, n: int) -> float:

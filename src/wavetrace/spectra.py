@@ -35,7 +35,7 @@ of [k_min, k_max], doubling their number (the old points nest in the new)
 until the last three Chebyshev coefficients fall below 1e-14 of the
 leading one, and evaluated by the barycentric formula. On the 24x48 star
 over [5, 6.5] at band limit 8 that is 33 N x N kernel builds, against one
-per evaluation (104 for a 76-sample sweep and its refinements); an
+per evaluation (92 for a 76-sample sweep and its refinements); an
 evaluation then costs an 81 x 81 SVD, about 2 ms.
 """
 

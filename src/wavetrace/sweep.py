@@ -29,11 +29,12 @@ singular values of a k-dependent matrix, descending as the SVD returns
 them, whose last entry is the indicator (boundary_subspace_singular_values
 with its grid, directions and interior points bound here;
 make_single_layer_spectrum in spectra). find_dips takes any such spectrum
-through one path: sample its last entry over k, flag dips scale-free
-against the sweep median, refine each by bounded Brent minimization of its
-square, and classify it by the largest gap among the collapsed values of
-the spectrum Brent evaluated at k*. Trace sweeps are deterministic given
-the interior points.
+through one path: sample it over k, flag dips scale-free against the
+median of the last entries, refine each by a safeguarded parabolic search
+on the squared indicator seeded with the sampled minimum and its two neighbours,
+whose spectra the sweep kept, and classify it by the largest gap among the
+collapsed values of the spectrum the search evaluated at k*. No k is
+evaluated twice. Trace sweeps are deterministic given the interior points.
 
 The sweep layer owns the machine's parallelism: while sweep_k, refine_dip
 and find_dips run, the OpenBLAS builds bundled with numpy and scipy are
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -56,7 +58,6 @@ from pathlib import Path
 import numpy as np
 import scipy
 import scipy.linalg as la
-from scipy.optimize import minimize_scalar
 
 from .herglotz import assemble_trace_matrix
 from .surface import DirectionGrid, SurfaceGrid, _spherical_coords, surface_radius
@@ -365,26 +366,29 @@ def detect_dips(ks, values) -> list[Dip]:
     return dips
 
 
-def refine_dip(spectrum, a: float, b: float, tol: float = DEFAULT_REFINE_TOL):
-    """Refine one dip: (k*, spectrum(k*)) with k* minimizing the indicator,
-    the spectrum's last entry, over the bracket [a, b].
+def refine_dip(spectrum, bracket, tol: float = DEFAULT_REFINE_TOL):
+    """Refine one dip from three seeds a < k < b: (k*, spectrum(k*)) with k*
+    minimizing the indicator, the spectrum's last entry, inside (a, b).
 
     Near a simple eigenvalue the indicator has a kink, c|k - k*|, but its
-    square is smooth, so bounded Brent minimization of the squared indicator
-    takes superlinear parabolic steps. k* is the best evaluated point, and
-    its spectrum is the one evaluated there. The final bracket is at most
-    tol wide whenever tol exceeds the floating-point floor of about
-    6 sqrt(eps) |k|; below that floor k* is as resolved as floating point
-    allows. A k* within Brent's final step tolerance of a bracket end means
-    the bracket holds no interior minimum, and raises BracketError.
+    square is locally a parabola, c^2 (k - k*)^2 + sigma_0^2. The search
+    minimizes the square by safeguarded successive parabolic interpolation:
+    each step goes to the vertex through the bracket's ends and its best
+    point, the only evaluated points inside it, unless the vertex leaves the
+    bracket or is not shorter than half the step before last; then it
+    bisects the larger bracket half (Brent's rule, so kinks terminate). The
+    steps stop at the first one shorter than the floating-point floor
+    2 sqrt(eps) |k|; then k* +- max(tol/2, floor) are evaluated, and if
+    neither is lower the tol-wide bracket is certified, else the search goes
+    on from the lower one. k* is the best evaluated point and its spectrum
+    the one evaluated there; no k is evaluated twice. The middle seed must
+    be strictly lowest, or BracketError is raised.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if not a < b:
-        raise ValueError(f"need a bracket a < b, got [{a}, {b}]")
-    # Brent's final bracket is <= 4 (sqrt(eps) |k| + xatol / 3) wide. With tol
-    # capped at the half width, an interior minimizer stays out of the end test's reach.
-    xatol = min(tol, (b - a) / 2) / 4
+    lo, x, hi = map(float, bracket)
+    if not lo < x < hi:
+        raise ValueError(f"need seeds a < k < b, got {tuple(bracket)}")
     seen = {}
 
     def squared(k):
@@ -392,10 +396,35 @@ def refine_dip(spectrum, a: float, b: float, tol: float = DEFAULT_REFINE_TOL):
         return float(seen[k][-1]) ** 2
 
     with _one_blas_thread():
-        k_star = minimize_scalar(squared, bounds=(a, b), method="bounded", options={"xatol": xatol}).x
-    if min(k_star - a, b - k_star) <= 2 * (_SQRT_EPS * abs(k_star) + xatol / 3):
-        raise BracketError(f"no interior minimum detected in [{a}, {b}]")
-    return float(k_star), seen[k_star]
+        f_lo, fx, f_hi = squared(lo), squared(x), squared(hi)
+        if not (fx < f_lo and fx < f_hi):
+            raise BracketError(f"no interior minimum detected in [{lo}, {hi}]")
+        step = before_last = hi - lo
+        while True:
+            # vertex of the parabola through (lo, x, hi)
+            r, q = (x - lo) * (fx - f_hi), (x - hi) * (fx - f_lo)
+            u = x - ((x - hi) * q - (x - lo) * r) / (2 * (q - r)) if q > r else np.nan
+            if not (lo < u < hi and abs(u - x) < abs(before_last) / 2):
+                u = (x + hi) / 2 if hi - x > x - lo else (x + lo) / 2
+            before_last, step = step, u - x
+            floor = 2 * _SQRT_EPS * abs(x)
+            converged = abs(step) < floor
+            if converged:
+                # the side the vertex lies on first: if it is lower, the other need not be evaluated
+                d = math.copysign(max(tol / 2, floor), step)
+                trials = [t for t in (x + d, x - d) if lo < t < hi]
+            else:
+                trials = [u]
+            for t in trials:
+                ft = squared(t)
+                if ft < fx:
+                    lo, f_lo, hi, f_hi = (x, fx, hi, f_hi) if t > x else (lo, f_lo, x, fx)
+                    x, fx = t, ft
+                    break
+                lo, f_lo, hi, f_hi = (lo, f_lo, t, ft) if t > x else (t, ft, hi, f_hi)
+            else:
+                if converged:
+                    return x, seen[x]
 
 
 def estimate_multiplicity(singular_values) -> int:
@@ -417,20 +446,29 @@ def estimate_multiplicity(singular_values) -> int:
 def find_dips(spectrum, ks, refine_tol: float = DEFAULT_REFINE_TOL, threads: int | None = None):
     """Sweep, detect, refine and classify: returns (sampled values, dips).
 
-    Each dip is refined within two sample spacings of its sampled minimum,
-    clipped to the sweep range, so a minimum beyond the range raises
-    BracketError. The dips are refined and classified concurrently on a
-    pool of the same size as the sweep's; each keeps its own Brent
-    sequence, so the results do not depend on the pool size. Each is
-    classified from the spectrum its refinement evaluated at k*.
+    The sweep keeps every sample's spectrum, and each dip is refined from
+    its sampled minimum and the two samples beside it, whose spectra are
+    looked up, not evaluated again; a sampled minimum at an end of the
+    range has no neighbour beyond it and raises BracketError. The dips are
+    refined and classified concurrently on a pool of the same size as the
+    sweep's; each keeps its own search sequence, so the results do not
+    depend on the pool size. Each is classified from the spectrum its
+    refinement evaluated at k*.
     """
     ks = np.asarray(ks, dtype=float)
+    evaluated = {}
+
+    def known(k):
+        if k not in evaluated:
+            evaluated[k] = spectrum(k)
+        return evaluated[k]
 
     def refine_and_classify(dip: Dip) -> Dip:
-        a, b = max(dip.k - half_width, ks[0]), min(dip.k + half_width, ks[-1])
-        k_star, s = refine_dip(spectrum, a, b, refine_tol)
+        j = int(np.searchsorted(ks, dip.k))
+        if j in (0, len(ks) - 1):
+            raise BracketError(f"the sampled minimum k={dip.k} is an end of the sweep range")
+        k_star, s = refine_dip(known, ks[j - 1 : j + 2], refine_tol)
         return Dip(k=k_star, indicator=float(s[-1]), multiplicity=estimate_multiplicity(s))
 
-    values = sweep_k(spectrum, ks, threads)
-    half_width = 2.0 * (ks[-1] - ks[0]) / (len(ks) - 1)
+    values = sweep_k(known, ks, threads)
     return values, _map(refine_and_classify, detect_dips(ks, values), threads)

@@ -258,10 +258,10 @@ class TestSweepCommand:
         assert artifacts[0][1] == artifacts[1][1]
 
     def test_refinement_failure_exits_3_with_blas_restored(self, runner, tmp_path, monkeypatch):
-        def no_bracket(fun, bounds, **options):
-            raise BracketError(f"no interior minimum detected in {list(bounds)}")
+        def no_bracket(spectrum, bracket, tol):
+            raise BracketError(f"no interior minimum detected in {list(bracket)}")
 
-        monkeypatch.setattr(wavetrace.sweep, "minimize_scalar", no_bracket)
+        monkeypatch.setattr(wavetrace.sweep, "refine_dip", no_bracket)
         before = _blas_threads()
         result = runner.invoke(
             main,

@@ -136,6 +136,19 @@ class TestAssembleTraceMatrix:
             A = assemble_trace_matrix(k, grid, dirs, interior_points=pts)
             assert np.array_equal(A.view(float), expected.view(float))
 
+    @pytest.mark.parametrize("k", [3.3, 4.0, 6.1, 41.7])
+    def test_agrees_with_the_exp_form(self, k):
+        # cos and sin of the phase, written into the real and imaginary
+        # parts, are the complex exponential to rounding on any libm
+        grid = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48)
+        dirs = make_direction_grid(12, 24)
+        pts = seed_interior_points(grid, 576, seed=0)
+        stacked = np.vstack([grid.nodes, pts])
+        row_weights = np.concatenate([np.sqrt(grid.weights), np.full(len(pts), np.sqrt(grid.area / len(pts)))])
+        expected = row_weights[:, None] * np.exp(1j * k * (stacked @ dirs.directions.T)) * np.sqrt(dirs.weights)
+        A = assemble_trace_matrix(k, grid, dirs, interior_points=pts)
+        assert np.max(np.abs(A - expected) / np.abs(expected)) <= 1e-15
+
     def test_column_norms_equal_weighted_area(self, sphere_30_60, dirs_12_24):
         tm = assemble_trace_matrix(2.0, sphere_30_60, dirs_12_24)
         norms2 = np.sum(np.abs(tm) ** 2, axis=0)

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath as mp
 import numpy as np
 import pytest
+import wavetrace
 
 from oracles import bessel_j_series, central_difference
 from wavetrace import (
@@ -105,6 +112,23 @@ class TestBesselZero:
     def test_invalid_index(self):
         with pytest.raises(ValueError):
             bessel_zero(0, 0)
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 7, 16, 31, 45, 64])
+    def test_zeros_match_mpmath(self, l):
+        # z_{l,n} is the n-th zero of the Bessel function J_{l+1/2}
+        with mp.workdps(30):
+            for n in range(1, 6):
+                assert abs(bessel_zero(l, n) - float(mp.besseljzero(l + 0.5, n))) <= 1e-13
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # the zeros are refined without scipy.optimize, which costs about
+        # 0.2 s of every process start
+        src = str(Path(wavetrace.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, wavetrace.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestSphHarm:

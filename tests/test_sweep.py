@@ -28,9 +28,7 @@ from wavetrace import (
 )
 import scipy.linalg as la
 from oracles import complex_trace_spectrum
-from scipy.optimize import minimize_scalar
 from wavetrace.sweep import (
-    _SQRT_EPS,
     _antipodal_half,
     _blas_threads,
     _one_blas_thread,
@@ -323,27 +321,53 @@ class TestDetectDips:
         assert dips[1].indicator == pytest.approx(5e-4)
 
 
+def recorded(spectrum):
+    """spectrum, and the list of the k it was evaluated at, in call order."""
+    calls = []
+
+    def recording(k):
+        calls.append(k)
+        return spectrum(k)
+
+    return recording, calls
+
+
 class TestRefineDip:
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            refine_dip(lambda x: np.array([(x - 1.0) ** 2]), 0.5, 1.5, tol=0.0)
+            refine_dip(lambda x: np.array([(x - 1.0) ** 2]), (0.5, 1.0, 1.5), tol=0.0)
+
+    @pytest.mark.parametrize("seeds", [(1.0, 1.0, 1.5), (1.5, 1.0, 0.5), (0.5, 1.5, 1.0)])
+    def test_seeds_must_ascend(self, seeds):
+        with pytest.raises(ValueError, match="a < k < b"):
+            refine_dip(lambda x: np.array([(x - 1.0) ** 2]), seeds)
 
     def test_stub_quadratic_recovers_minimum(self):
         target = 3.21
-        k, s = refine_dip(lambda x: np.array([(x - target) ** 2 + 0.25]), 3.2 - 0.1, 3.2 + 0.1, tol=1e-6)
+        k, s = refine_dip(lambda x: np.array([(x - target) ** 2 + 0.25]), (3.1, 3.2, 3.3), tol=1e-6)
         assert k == pytest.approx(target, abs=1e-5)
         assert s[-1] == pytest.approx(0.25, abs=1e-9)
 
     def test_monotone_function_raises_bracket_error(self):
         with pytest.raises(BracketError):
-            refine_dip(lambda x: np.array([x]), 1.5, 2.5, tol=1e-5)
+            refine_dip(lambda x: np.array([x]), (1.5, 2.0, 2.5), tol=1e-5)
+
+    @pytest.mark.parametrize("tie", ["left", "right"])
+    def test_middle_seed_must_be_strictly_lowest(self, tie):
+        # a middle seed tied with an end (exactly, in binary) does not show
+        # that the minimum is interior
+        target = 3.125 if tie == "left" else 3.375
+        spectrum, calls = recorded(lambda x: np.array([abs(x - target) + 0.125]))
+        with pytest.raises(BracketError):
+            refine_dip(spectrum, (3.0, 3.25, 3.5))
+        assert calls == [3.0, 3.25, 3.5]
 
     def test_kink_contracts_to_tolerance(self):
-        k, _ = refine_dip(lambda x: np.array([abs(x - 1.0) + 0.1]), 0.95 - 0.45, 0.95 + 0.45, tol=1e-7)
+        k, _ = refine_dip(lambda x: np.array([abs(x - 1.0) + 0.1]), (0.5, 0.95, 1.4), tol=1e-7)
         assert k == pytest.approx(1.0, abs=1e-6)
 
     def test_tolerance_wider_than_bracket_still_refines(self):
-        k, _ = refine_dip(lambda x: np.array([abs(x - 3.21) + 1e-3]), 3.2 - 0.04, 3.2 + 0.04, tol=1.0)
+        k, _ = refine_dip(lambda x: np.array([abs(x - 3.21) + 1e-3]), (3.16, 3.2, 3.24), tol=1.0)
         assert abs(k - 3.21) <= 0.02
 
     def test_reports_the_evaluated_minimizer(self):
@@ -353,8 +377,41 @@ class TestRefineDip:
             seen[x] = abs(x - 3.14159) + 0.1
             return np.array([seen[x]])
 
-        k, s = refine_dip(spectrum, 3.15 - 0.05, 3.15 + 0.05, tol=1e-4)
+        k, s = refine_dip(spectrum, (3.1, 3.15, 3.2), tol=1e-4)
         assert seen[k] == s[-1] == min(seen.values())
+
+    @pytest.mark.parametrize("shape", ["parabola", "kink"])
+    def test_certifies_a_tolerance_wide_bracket(self, shape):
+        # on either side of k* a point at most tol/2 away was evaluated and is
+        # not lower, so the minimum lies within tol/2 of k*; no k is evaluated twice
+        tol, target = 1e-4, 3.14159
+        f = (lambda x: (x - target) ** 2 + 1e-3) if shape == "parabola" else (lambda x: abs(x - target) + 1e-3)
+        spectrum, calls = recorded(lambda x: np.array([f(x)]))
+        k, _ = refine_dip(spectrum, (3.1, 3.15, 3.2), tol=tol)
+        assert abs(k - target) <= tol / 2
+        assert len(set(calls)) == len(calls)
+        for side in (-1, 1):
+            assert any(0 < side * (c - k) <= tol / 2 * (1 + 1e-9) and f(c) >= f(k) for c in calls)
+
+    def test_certification_rejects_a_false_vertex(self):
+        # an asymmetric kink whose end seeds read the same: the parabola's
+        # vertex is the middle seed itself, 0.0625 from the minimum, and only
+        # the certifying points show that the search must go on
+        target = 3.3125
+
+        def spectrum(x):
+            return np.array([0.125 + (0.1875 * (target - x) if x < target else 0.3125 * (x - target))])
+
+        k, _ = refine_dip(spectrum, (3.0, 3.25, 3.5), tol=1e-4)
+        assert abs(k - target) <= 5e-5
+
+    def test_parabola_takes_few_evaluations(self):
+        # the square of a simple dip's indicator is a parabola, whose vertex
+        # the first step hits: 3 seeds, 1 vertex, 2 certifying points
+        spectrum, calls = recorded(lambda x: np.array([np.sqrt(4.0 * (x - 3.1416) ** 2 + 1e-8)]))
+        k, _ = refine_dip(spectrum, (3.1, 3.15, 3.2), tol=1e-4)
+        assert k == pytest.approx(3.1416, abs=1e-7)
+        assert len(calls) <= 6
 
     def test_tolerance_below_floating_point_floor_terminates(self):
         # a bracket cannot shrink below an ulp; the stub fails loudly rather
@@ -367,29 +424,29 @@ class TestRefineDip:
                 raise RuntimeError("refinement did not terminate")
             return np.array([abs(x - 3.14159) + 0.1])
 
-        k, _ = refine_dip(spectrum, 3.15 - 0.05, 3.15 + 0.05, tol=1e-17)
+        k, _ = refine_dip(spectrum, (3.1, 3.15, 3.2), tol=1e-17)
         assert k == pytest.approx(3.14159, abs=1e-6)
-
-    @pytest.mark.parametrize("a, b, xatol", [(1.5, 2.5, 2.5e-6), (3.1, 3.2, 1e-17), (6.0, 6.04, 2.5e-6)])
-    @pytest.mark.parametrize("slope", [1.0, -1.0])
-    def test_end_tolerance_matches_installed_scipy(self, a, b, xatol, slope):
-        # refine_dip's no-interior-minimum test copies fminbound's stopping
-        # rule; on a monotone function scipy must stop within it of the low end
-        k = minimize_scalar(lambda x: slope * x, bounds=(a, b), method="bounded", options={"xatol": xatol}).x
-        end = a if slope > 0 else b
-        assert abs(k - end) <= 2 * (_SQRT_EPS * abs(k) + xatol / 3)
+        assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_minimum_one_tolerance_inside_an_end_is_interior(self, side):
-        target = 3.2 - side * (0.05 - 1e-5)
-        k, _ = refine_dip(lambda x: np.array([abs(x - target) + 0.1]), 3.2 - 0.05, 3.2 + 0.05, tol=1e-5)
+        # a steep wall one tolerance inside an end seed, a shallow slope down
+        # from the other: the middle seed is still lowest, and the minimum
+        # next to the end is found, not reported as a bracket end
+        a, m, b = 3.15, 3.2, 3.25
+        target = m + side * (0.05 - 1e-5)
+
+        def spectrum(x):
+            return np.array([0.1 + (10.0 if (x - target) * side > 0 else 1e-4) * abs(x - target)])
+
+        k, _ = refine_dip(spectrum, (a, m, b), tol=1e-5)
         assert k == pytest.approx(target, abs=1e-6)
 
     def test_refines_ball_eigenvalue(self):
         grid = make_sphere(1.0, 20, 40)
         dirs = make_direction_grid(10, 20)
         interior = seed_interior_points(grid, default_interior_count(dirs), seed=0)
-        k, s = refine_dip(trace_spectrum(grid, dirs, interior), 3.14 - 0.02, 3.14 + 0.02, tol=1e-4)
+        k, s = refine_dip(trace_spectrum(grid, dirs, interior), (3.12, 3.14, 3.16), tol=1e-4)
         assert abs(k - np.pi) <= 1e-3
         assert s[-1] <= 1e-3
 
@@ -505,6 +562,38 @@ class TestFindDips:
         with pytest.raises(BracketError):
             find_dips(spectrum, ks, threads=1)
         assert ks[0] <= min(seen) and max(seen) <= ks[-1]
+
+    @pytest.mark.parametrize("kind", ["trace", "single-layer"])
+    def test_pool_size_does_not_change_either_oracle(self, kind):
+        spectrum, ks = criterion8_spectrum(kind)
+        serial_values, serial = find_dips(spectrum, ks, threads=1)
+        pooled_values, pooled = find_dips(spectrum, ks, threads=2)
+        assert len(serial) == 1
+        assert pooled == serial
+        assert pooled_values.tobytes() == serial_values.tobytes()
+
+    @pytest.mark.parametrize("problem", ["ball-two-dips", "criterion8-trace", "criterion8-single-layer"])
+    def test_refinement_reuses_the_sweep(self, problem):
+        # each dip is seeded with the spectra its sweep kept: no k is
+        # evaluated twice, sweep samples included, and a dip costs at most
+        # 5 evaluations beyond the sweep
+        spectrum, ks = ball_two_dips() if problem == "ball-two-dips" else criterion8_spectrum(problem[11:])
+        recording, calls = recorded(spectrum)
+        _, dips = find_dips(recording, ks, threads=2)
+        assert len(dips) == (2 if problem == "ball-two-dips" else 1)
+        assert max(Counter(calls).values()) == 1
+        assert set(ks) <= set(calls)
+        assert len(calls) - len(ks) <= 5 * len(dips)
+
+    @pytest.mark.parametrize("end", [0, -1], ids=["kmin", "kmax"])
+    def test_dip_at_a_range_end_raises_before_refining(self, end):
+        # the sampled minimum has no sample beyond it, so nothing is refined
+        ks = np.linspace(3.0, 4.0, 11)
+        spacing = ks[1] - ks[0]
+        spectrum, calls = recorded(lambda k: np.array([1.0 - np.exp(-(((k - ks[end]) / spacing) ** 2))]))
+        with pytest.raises(BracketError, match="end of the sweep range"):
+            find_dips(spectrum, ks, threads=1)
+        assert sorted(calls) == list(ks)
 
     @pytest.mark.parametrize("kind", ["trace", "single-layer"])
     def test_refined_dip_is_evaluated_once(self, kind):
