@@ -10,7 +10,6 @@ from .specfun import (
     sph_bessel_j,
     sph_bessel_j_deriv,
     sph_bessel_y,
-    sph_hankel1,
     sph_harm,
 )
 from .surface import (
@@ -26,21 +25,15 @@ from .herglotz import (
     HerglotzDensity,
     assemble_trace_matrix,
     fit_trace,
-    funk_hecke,
-    helmholtz_residual,
     herglotz_eval,
-    plane_wave_trace,
 )
 from .spectra import (
     EigenvalueRecord,
     InterpolationError,
     UnsupportedSurfaceError,
     ball_dirichlet_eigs,
-    ball_eigenfunction,
     eigenfunction_normal_derivative,
     make_single_layer_spectrum,
-    single_layer_matrix,
-    single_layer_symbol,
     static_row_integral,
 )
 from .sweep import (

@@ -302,6 +302,8 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
         )
     _check_writable(out_csv)
     _check_writable(out_json)
+    if Path(out_csv).resolve() == Path(out_json).resolve():
+        raise click.UsageError(f"--out-csv and --out-json name the same file {out_csv}")
     grid = _build_surface(cfg)
     dirs = _build_dirs(cfg)
     interior_count = cfg.interior_count or default_interior_count(dirs)

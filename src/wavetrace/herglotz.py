@@ -32,16 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import HarmonicIndex, sph_bessel_j, sph_harm
 from .surface import DirectionGrid, SurfaceGrid
 
 __all__ = [
     "HerglotzDensity",
-    "plane_wave_trace",
     "herglotz_eval",
-    "helmholtz_residual",
     "assemble_trace_matrix",
-    "funk_hecke",
     "fit_trace",
 ]
 
@@ -51,15 +47,6 @@ def _check_wavenumber(k: float) -> float:
     if not np.isfinite(k) or k <= 0:
         raise ValueError(f"wavenumber k must be positive, got {k}")
     return k
-
-
-def _check_direction(beta) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (3,):
-        raise ValueError("direction must be a 3-vector")
-    if abs(np.linalg.norm(beta) - 1.0) > 1e-10:
-        raise ValueError(f"direction must be a unit vector, |beta| = {np.linalg.norm(beta)!r}")
-    return beta
 
 
 @dataclass(frozen=True)
@@ -90,13 +77,6 @@ class HerglotzDensity:
             )
 
 
-def plane_wave_trace(k: float, beta, grid: SurfaceGrid) -> np.ndarray:
-    """Values e^{i k beta . s_m} of one plane wave at the surface nodes."""
-    k = _check_wavenumber(k)
-    beta = _check_direction(beta)
-    return np.exp(1j * k * (grid.nodes @ beta))
-
-
 def herglotz_eval(k: float, density: HerglotzDensity, dirs: DirectionGrid, points) -> np.ndarray:
     """Herglotz wave w(x) = sum_j w_j h_j e^{i k beta_j . x} at given points."""
     k = _check_wavenumber(k)
@@ -105,30 +85,6 @@ def herglotz_eval(k: float, density: HerglotzDensity, dirs: DirectionGrid, point
     if points.shape[1] != 3:
         raise ValueError("points must have shape (P, 3)")
     return np.exp(1j * k * (points @ dirs.directions.T)) @ (dirs.weights * density.coefficients)
-
-
-def helmholtz_residual(
-    k: float, density: HerglotzDensity, dirs: DirectionGrid, point, h_step: float
-) -> float:
-    """|(Delta_h + k^2) w| at one point, 7-point central-difference Laplacian.
-
-    Second-order accurate: the residual of an exact Helmholtz solution is
-    O(h_step^2 * k^4 * |w|).
-    """
-    k = _check_wavenumber(k)
-    h = float(h_step)
-    if h <= 0:
-        raise ValueError(f"h_step must be positive, got {h_step}")
-    point = np.asarray(point, dtype=float).reshape(3)
-    stencil = [point]
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            q = point.copy()
-            q[axis] += sign * h
-            stencil.append(q)
-    vals = herglotz_eval(k, density, dirs, np.array(stencil))
-    lap = (vals[1:].sum() - 6.0 * vals[0]) / (h * h)
-    return float(abs(lap + k * k * vals[0]))
 
 
 def assemble_trace_matrix(
@@ -164,27 +120,6 @@ def assemble_trace_matrix(
             np.multiply(part, sqrt_w, out=part)
         start += len(pts)
     return A
-
-
-def funk_hecke(idx: HarmonicIndex, k: float, R: float, beta) -> complex:
-    """Closed form of the sphere pairing of Y_lm against one plane wave:
-
-        integral_{|s|=R} Y_lm(s_hat) e^{i k beta . s} ds
-            = 4 pi R^2 i^l j_l(kR) Y_lm(beta)
-
-    The conjugation convention (Y_lm(beta), not its conjugate) is pinned by
-    matching direct quadrature at a non-symmetric index; see the test suite.
-    """
-    k = _check_wavenumber(k)
-    R = float(R)
-    if R <= 0:
-        raise ValueError(f"radius must be positive, got {R}")
-    beta = _check_direction(beta)
-    theta = np.arccos(np.clip(beta[2], -1.0, 1.0))
-    phi = np.arctan2(beta[1], beta[0])
-    return complex(
-        4 * np.pi * R * R * (1j**idx.l) * sph_bessel_j(idx.l, k * R) * sph_harm(idx, theta, phi)
-    )
 
 
 def fit_trace(

@@ -1,8 +1,8 @@
 """Special functions backing the analytic oracles.
 
-Spherical Bessel functions of the first and second kind, spherical Hankel
-functions, their derivatives, positive zeros of j_l, and fully normalized
-complex spherical harmonics with the Condon-Shortley phase:
+Spherical Bessel functions of the first and second kind, the derivative of
+the first, positive zeros of j_l, and fully normalized complex spherical
+harmonics with the Condon-Shortley phase:
 
     integral_{S^2} Y_lm conj(Y_l'm') dOmega = delta_ll' delta_mm'
 
@@ -23,10 +23,8 @@ __all__ = [
     "sph_bessel_j",
     "sph_bessel_j_deriv",
     "sph_bessel_y",
-    "sph_hankel1",
     "bessel_zero",
     "sph_harm",
-    "sph_harm_with_grad",
 ]
 
 MAX_DEGREE = 64  # declared support limit for l
@@ -91,15 +89,6 @@ def sph_bessel_y(l: int, x):
     if np.any(x <= 0):
         raise ValueError("y_l requires x > 0")
     return spherical_yn(l, x)
-
-
-def sph_hankel1(l: int, x):
-    """Spherical Hankel function of the first kind h_l^(1) = j_l + i y_l."""
-    l = _check_degree(l)
-    x = _check_argument(x)
-    if np.any(x <= 0):
-        raise ValueError("h_l^(1) requires x > 0")
-    return spherical_jn(l, x) + 1j * spherical_yn(l, x)
 
 
 def _bessel_zeros(l: int):

@@ -1,4 +1,4 @@
-"""Dirichlet-eigenvalue oracles and explicit ball eigenfunctions.
+"""Dirichlet-eigenvalue oracles: the ball spectrum and the single-layer operator.
 
 Two independent detectors of the interior Dirichlet spectrum:
 
@@ -53,9 +53,7 @@ from .specfun import (
     HarmonicIndex,
     _bessel_zeros,
     bessel_zero,
-    sph_bessel_j,
     sph_bessel_j_deriv,
-    sph_hankel1,
     sph_harm,
 )
 from .surface import (
@@ -73,12 +71,8 @@ __all__ = [
     "InterpolationError",
     "UnsupportedSurfaceError",
     "ball_dirichlet_eigs",
-    "ball_eigenfunction",
     "eigenfunction_normal_derivative",
-    "single_layer_symbol",
     "static_row_integral",
-    "single_layer_matrix",
-    "bandlimited_basis",
     "make_single_layer_spectrum",
 ]
 
@@ -160,19 +154,6 @@ def ball_dirichlet_eigs(R: float, k_max: float) -> list[EigenvalueRecord]:
     return sorted(records, key=lambda rec: rec.k)
 
 
-def ball_eigenfunction(idx: HarmonicIndex, n: int, R: float, points) -> np.ndarray:
-    """u(x) = j_l(k r) Y_lm(x_hat) with k = z_{l,n}/R; vanishes on |x| = R."""
-    R = float(R)
-    if not 0 < R < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {R}")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    r, theta, phi = _spherical_coords(points)
-    if np.any(r > R * (1 + 1e-12)):
-        raise ValueError(f"point outside the closed ball of radius {R}")
-    k = bessel_zero(idx.l, n) / R
-    return sph_bessel_j(idx.l, k * r) * sph_harm(idx, theta, phi)
-
-
 def eigenfunction_normal_derivative(
     idx: HarmonicIndex, n: int, R: float, grid: SurfaceGrid
 ) -> np.ndarray:
@@ -188,21 +169,6 @@ def eigenfunction_normal_derivative(
     k = bessel_zero(idx.l, n) / R
     _, theta, phi = _spherical_coords(grid.nodes)
     return k * sph_bessel_j_deriv(idx.l, k * R) * sph_harm(idx, theta, phi)
-
-
-def single_layer_symbol(l: int, k: float, R: float) -> complex:
-    """Eigenvalue of the single-layer operator on the sphere acting on Y_lm:
-
-        lambda_l(k, R) = i k R^2 j_l(kR) h_l^(1)(kR)
-
-    A derived oracle (validated against the Nystrom matrix), zero exactly
-    when j_l(kR) = 0.
-    """
-    k = float(k)
-    R = float(R)
-    if k <= 0 or R <= 0:
-        raise ValueError("k and R must be positive")
-    return complex(1j * k * R * R * sph_bessel_j(l, k * R) * sph_hankel1(l, k * R))
 
 
 def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
@@ -292,23 +258,6 @@ def _nystrom_matrix(k: float, w, dist, weight, static_diag) -> np.ndarray:
     idx = np.arange(n)
     A[idx, idx] = 1j * k * w / (4 * np.pi) + static_diag
     return A
-
-
-def single_layer_matrix(
-    k: float, grid: SurfaceGrid, static_integral: np.ndarray | None = None
-) -> np.ndarray:
-    """Symmetrically weighted Nystrom matrix of the single-layer operator.
-
-    Off-diagonal: sqrt(sigma_m) e^{ik r}/(4 pi r) sqrt(sigma_p).
-    Diagonal: ik sigma_m/(4 pi) (smooth part) plus the subtracted static
-    row integral, so the static kernel is integrated exactly against
-    constants. Symmetric (not Hermitian), spectrum equal to the plain
-    Nystrom K diag(sigma).
-    """
-    k = _check_wavenumber(k)
-    if static_integral is None:
-        static_integral = static_row_integral(grid)
-    return _nystrom_matrix(k, *_nystrom_statics(grid, static_integral))
 
 
 def _check_band_limit(grid: SurfaceGrid, band_limit: int):

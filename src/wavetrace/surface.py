@@ -27,7 +27,6 @@ __all__ = [
     "make_star_surface",
     "make_direction_grid",
     "integrate_surface",
-    "surface_radius",
 ]
 
 

@@ -4,6 +4,11 @@ These deliberately avoid the library's own code paths: the spherical
 Bessel series is summed in mpmath extended precision, derivatives come
 from central finite differences, integrals from adaptive quadrature or
 brute-force refined grids.
+
+The sphere's closed forms (the Funk-Hecke pairing, the single-layer
+symbol, the ball eigenfunctions) are plain formulas over the library's
+special functions, with no argument checks: the references that the
+library's quadratures, matrices and waves are checked against.
 """
 
 import math
@@ -12,8 +17,9 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg as la
 from scipy.integrate import nquad, quad
+from scipy.special import spherical_jn, spherical_yn
 
-from wavetrace.specfun import HarmonicIndex, sph_harm
+from wavetrace.specfun import HarmonicIndex, bessel_zero, sph_bessel_j, sph_harm
 from wavetrace.surface import _spherical_coords
 from wavetrace.sweep import _rank_cutoff
 
@@ -34,6 +40,44 @@ def bessel_j_series(l: int, x: float) -> float:
 
 def central_difference(f, x: float, step: float) -> float:
     return (f(x + step) - f(x - step)) / (2 * step)
+
+
+def helmholtz_residual(u, k: float, point, h_step: float) -> float:
+    """|(Delta_h + k^2) u| at one point, Delta_h the 7-point central-difference
+    Laplacian of u, a callable from (P, 3) points to values. Second-order
+    accurate: O(h_step^2 k^4 |u|) for an exact Helmholtz solution."""
+    stencil = np.asarray(point, dtype=float) + np.vstack([np.zeros(3), h_step * np.eye(3), -h_step * np.eye(3)])
+    vals = u(stencil)
+    return float(abs((vals[1:].sum() - 6.0 * vals[0]) / h_step**2 + k * k * vals[0]))
+
+
+def harmonic_on(grid, l: int, m: int):
+    """Y_lm at the directions of a grid's nodes."""
+    _, theta, phi = _spherical_coords(grid.nodes)
+    return sph_harm(HarmonicIndex(l, m), theta, phi)
+
+
+def funk_hecke(idx, k: float, R: float, beta) -> complex:
+    """The sphere pairing of Y_lm against one plane wave, in closed form:
+    integral_{|s|=R} Y_lm(s_hat) e^{i k beta . s} ds = 4 pi R^2 i^l j_l(kR) Y_lm(beta)."""
+    theta = np.arccos(beta[2])
+    phi = np.arctan2(beta[1], beta[0])
+    return complex(4 * np.pi * R * R * 1j**idx.l * sph_bessel_j(idx.l, k * R) * sph_harm(idx, theta, phi))
+
+
+def single_layer_symbol(l: int, k: float, R: float) -> complex:
+    """Eigenvalue of the single-layer operator on the sphere of radius R
+    acting on Y_lm: i k R^2 j_l(kR) h_l^(1)(kR), with h_l^(1) = j_l + i y_l;
+    zero exactly when j_l(kR) = 0."""
+    x = k * R
+    return complex(1j * k * R * R * spherical_jn(l, x) * (spherical_jn(l, x) + 1j * spherical_yn(l, x)))
+
+
+def ball_eigenfunction(idx, n: int, R: float, points):
+    """u(x) = j_l(k |x|) Y_lm(x_hat) with k = z_{l,n}/R: a Dirichlet
+    eigenfunction of the ball of radius R."""
+    r, theta, phi = _spherical_coords(np.atleast_2d(points))
+    return sph_bessel_j(idx.l, bessel_zero(idx.l, n) / R * r) * sph_harm(idx, theta, phi)
 
 
 def radial_bessel_moment(l: int, k: float, R: float) -> float:

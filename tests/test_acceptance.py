@@ -33,8 +33,8 @@ from wavetrace import (
     sph_harm,
     sweep_k,
 )
+from oracles import harmonic_on
 from wavetrace.cli import main as cli_main
-from wavetrace.surface import _spherical_coords
 
 BALL_EIGENVALUES = [np.pi, 4.4934094579090642, 5.7634591968945498, 2 * np.pi]
 BALL_MULTIPLICITIES = [1, 3, 5, 1]
@@ -44,11 +44,6 @@ CONTROL_POINTS = [3.5, 5.0, 6.0]
 def report(criterion: int, ok: bool, detail: str):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
-
-
-def harmonic_trace(grid, l, m):
-    _, theta, phi = _spherical_coords(grid.nodes)
-    return sph_harm(HarmonicIndex(l, m), theta, phi)
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +135,7 @@ class TestCriterion3TotalityFailureExact:
     def test_fit_dichotomy(self):
         grid = make_sphere(1.0, 30, 60)
         dirs = make_direction_grid(12, 24)
-        target = harmonic_trace(grid, 0, 0)
+        target = harmonic_on(grid, 0, 0)
         res_at_pi, _ = fit_trace(np.pi, grid, target, dirs)
         res_at_1, _ = fit_trace(1.0, grid, target, dirs, ridge=1e-12)
         ok = abs(res_at_pi - 1.0) <= 1e-6 and res_at_1 <= 1e-8
@@ -265,7 +260,7 @@ class TestCriterion7AnalyticInvariants:
         # quadrature exactness
         grid = make_sphere(1.0, 20, 40)
         assert abs(grid.area - 4 * np.pi) <= 1e-12 * 4 * np.pi
-        assert abs(integrate_surface(grid, harmonic_trace(grid, 1, 0))) <= 1e-12
+        assert abs(integrate_surface(grid, harmonic_on(grid, 1, 0))) <= 1e-12
         # Y_lm orthonormality
         dirs = make_direction_grid(14, 28)
         theta = np.arccos(dirs.directions[:, 2])

@@ -291,10 +291,17 @@ class TestSweepCommand:
         assert dip["multiplicity"] == 1
 
     def test_unwritable_output_is_usage_error(self, runner, tmp_path):
-        # a missing parent directory, and an existing directory
-        for path in (tmp_path / "nope" / "x.csv", tmp_path):
-            result = runner.invoke(main, ["sweep", *FAST_SWEEP, "--out-csv", str(path)])
+        # a missing parent directory, an existing directory, and one file
+        # named twice, which the JSON would overwrite with the CSV lost
+        same = tmp_path / "out.txt"
+        for outputs in (
+            ["--out-csv", str(tmp_path / "nope" / "x.csv")],
+            ["--out-csv", str(tmp_path)],
+            ["--out-csv", str(same), "--out-json", f"{tmp_path}/./{same.name}"],
+        ):
+            result = runner.invoke(main, ["sweep", *FAST_SWEEP, *outputs])
             assert result.exit_code == 2, result.output
+        assert not same.exists()
 
     @pytest.mark.parametrize("k_range", [("3.0", "3.14"), ("3.15", "3.3")], ids=["below-pi", "above-pi"])
     def test_dip_beyond_the_range_exits_3(self, runner, tmp_path, k_range):

@@ -1,7 +1,15 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from oracles import brute_force_gram_singular_values, sphere_plane_wave_integral
+from oracles import (
+    brute_force_gram_singular_values,
+    funk_hecke,
+    harmonic_on,
+    helmholtz_residual,
+    sphere_plane_wave_integral,
+)
 from wavetrace import (
     DirectionGrid,
     HarmonicIndex,
@@ -9,48 +17,16 @@ from wavetrace import (
     assemble_trace_matrix,
     bessel_zero,
     fit_trace,
-    funk_hecke,
-    helmholtz_residual,
     herglotz_eval,
     make_direction_grid,
     make_sphere,
     make_star_surface,
-    plane_wave_trace,
     seed_interior_points,
     sph_bessel_j,
     sph_harm,
 )
-from wavetrace.surface import _spherical_coords
 
 EZ = np.array([0.0, 0.0, 1.0])
-
-
-def harmonic_trace(grid, l, m):
-    _, theta, phi = _spherical_coords(grid.nodes)
-    return sph_harm(HarmonicIndex(l, m), theta, phi)
-
-
-class TestPlaneWaveTrace:
-    def test_equator_node_phase_free(self, sphere_30_60):
-        vals = plane_wave_trace(5.0, EZ, sphere_30_60)
-        equator = np.argmin(np.abs(sphere_30_60.nodes[:, 2]))
-        # beta . s ~ 0 on the equator ring
-        assert vals[equator] == pytest.approx(
-            np.exp(1j * 5.0 * sphere_30_60.nodes[equator, 2]), rel=1e-14
-        )
-        assert np.abs(np.abs(vals) - 1).max() < 1e-14
-
-    def test_north_pole_value(self):
-        grid = make_sphere(1.0, 12, 24)
-        vals = plane_wave_trace(2.0, EZ, grid)
-        top = np.argmax(grid.nodes[:, 2])
-        assert vals[top] == pytest.approx(np.exp(2j * grid.nodes[top, 2]), rel=1e-14)
-
-    def test_errors(self, sphere_30_60):
-        with pytest.raises(ValueError):
-            plane_wave_trace(-1.0, EZ, sphere_30_60)
-        with pytest.raises(ValueError):
-            plane_wave_trace(1.0, np.array([0.0, 0.0, 1.5]), sphere_30_60)
 
 
 class TestHerglotzEval:
@@ -99,20 +75,22 @@ class TestHerglotzEval:
 class TestHelmholtzResidual:
     def test_uniform_density_small_residual(self, dirs_12_24):
         h = HerglotzDensity(np.full(dirs_12_24.n_directions, 1 / (4 * np.pi)))
-        res = helmholtz_residual(1.0, h, dirs_12_24, np.zeros(3), 1e-3)
+        res = helmholtz_residual(partial(herglotz_eval, 1.0, h, dirs_12_24), 1.0, np.zeros(3), 1e-3)
         assert res <= 1e-5
 
     def test_second_order_convergence(self, dirs_12_24):
         rng = np.random.default_rng(3)
         h = HerglotzDensity(rng.standard_normal(dirs_12_24.n_directions))
         point = np.array([0.2, 0.1, -0.3])
-        r1 = helmholtz_residual(2.0, h, dirs_12_24, point, 0.02)
-        r2 = helmholtz_residual(2.0, h, dirs_12_24, point, 0.01)
+        w = partial(herglotz_eval, 2.0, h, dirs_12_24)
+        r1 = helmholtz_residual(w, 2.0, point, 0.02)
+        r2 = helmholtz_residual(w, 2.0, point, 0.01)
         assert 3.5 <= r1 / r2 <= 4.5
 
     def test_zero_density(self, dirs_12_24):
         h = HerglotzDensity(np.zeros(dirs_12_24.n_directions))
-        assert helmholtz_residual(1.0, h, dirs_12_24, np.array([0.1, 0.2, 0.3]), 1e-3) == 0.0
+        w = partial(herglotz_eval, 1.0, h, dirs_12_24)
+        assert helmholtz_residual(w, 1.0, np.array([0.1, 0.2, 0.3]), 1e-3) == 0.0
 
 
 class TestAssembleTraceMatrix:
@@ -189,30 +167,30 @@ class TestFunkHecke:
         assert abs(funk_hecke(HarmonicIndex(1, 0), bessel_zero(1, 1), 1.0, beta)) <= 1e-12
 
     def test_convention_against_direct_quadrature(self):
-        # non-symmetric case pins the conjugation convention once and for all
+        # non-symmetric case pins sph_harm's conjugation convention once and for all
         grid = make_sphere(1.0, 30, 60)
         k = 1.7
         beta = np.array([0.3, -0.5, 0.81])
         beta /= np.linalg.norm(beta)
-        quad = np.sum(grid.weights * harmonic_trace(grid, 2, 1) * np.exp(1j * k * (grid.nodes @ beta)))
+        quad = np.sum(grid.weights * harmonic_on(grid, 2, 1) * np.exp(1j * k * (grid.nodes @ beta)))
         assert funk_hecke(HarmonicIndex(2, 1), k, 1.0, beta) == pytest.approx(quad, abs=1e-12)
 
 
 class TestFitTrace:
     def test_lost_direction_residual_is_one(self, sphere_30_60, dirs_12_24):
-        target = harmonic_trace(sphere_30_60, 0, 0)
+        target = harmonic_on(sphere_30_60, 0, 0)
         for ridge in (None, 0.0, 1e-8):
             residual, _ = fit_trace(np.pi, sphere_30_60, target, dirs_12_24, ridge=ridge)
             assert residual == pytest.approx(1.0, abs=1e-6)
 
     def test_representable_target_tiny_residual(self, sphere_30_60, dirs_12_24):
-        target = harmonic_trace(sphere_30_60, 0, 0)
+        target = harmonic_on(sphere_30_60, 0, 0)
         residual, density = fit_trace(1.0, sphere_30_60, target, dirs_12_24, ridge=1e-12)
         assert residual <= 1e-8
         assert density.norm(dirs_12_24) > 0
 
     def test_column_target_exact(self, sphere_30_60, dirs_12_24):
-        target = plane_wave_trace(2.0, dirs_12_24.directions[37], sphere_30_60)
+        target = np.exp(2j * (sphere_30_60.nodes @ dirs_12_24.directions[37]))
         residual, _ = fit_trace(2.0, sphere_30_60, target, dirs_12_24, ridge=0.0)
         assert residual <= 1e-12
 
@@ -225,14 +203,14 @@ class TestFitTrace:
     )
     def test_dichotomy_at_eigenvalues(self, sphere_30_60, dirs_12_24, l, m, k_eigen):
         k = bessel_zero(l, 1)
-        target = harmonic_trace(sphere_30_60, l, m)
+        target = harmonic_on(sphere_30_60, l, m)
         residual, _ = fit_trace(k, sphere_30_60, target, dirs_12_24)
         assert residual == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("l,m", [(0, 0), (1, 0), (2, 2), (3, -1), (4, 4)])
     def test_dichotomy_off_spectrum(self, sphere_30_60, dirs_12_24, l, m):
         # k = 2.0 is >= 0.05 away from every zero of every j_l, l <= 4
-        target = harmonic_trace(sphere_30_60, l, m)
+        target = harmonic_on(sphere_30_60, l, m)
         residual, _ = fit_trace(2.0, sphere_30_60, target, dirs_12_24)
         assert residual <= 1e-6
 
@@ -248,7 +226,7 @@ class TestFitTrace:
                 [base.weights * (1 - delta), np.full(20, delta * 4 * np.pi / 20)]
             ),
         )
-        target = harmonic_trace(sphere_30_60, 3, 1)
+        target = harmonic_on(sphere_30_60, 3, 1)
         res_base, _ = fit_trace(2.0, sphere_30_60, target, base, ridge=0.0)
         res_enlarged, _ = fit_trace(2.0, sphere_30_60, target, enlarged, ridge=0.0)
         assert res_enlarged <= res_base + 1e-12

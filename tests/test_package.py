@@ -1,0 +1,22 @@
+import importlib
+import types
+
+import wavetrace
+
+LAYERS = ("specfun", "surface", "herglotz", "spectra", "sweep", "verify")
+
+# closed forms and wrappers only the tests use; the references live in tests/oracles.py
+TEST_ONLY = (
+    "plane_wave_trace", "single_layer_matrix", "sph_hankel1", "funk_hecke",
+    "helmholtz_residual", "single_layer_symbol", "ball_eigenfunction",
+)
+
+
+def test_exports_are_the_layer_all_lists():
+    exported = {
+        name for name, value in vars(wavetrace).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    listed = set().union(*(importlib.import_module(f"wavetrace.{layer}").__all__ for layer in LAYERS))
+    assert listed == exported
+    assert not [name for name in TEST_ONLY if hasattr(wavetrace, name)]

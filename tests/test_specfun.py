@@ -16,7 +16,6 @@ from wavetrace import (
     sph_bessel_j,
     sph_bessel_j_deriv,
     sph_bessel_y,
-    sph_hankel1,
     sph_harm,
 )
 from wavetrace.specfun import sph_harm_with_grad
@@ -65,26 +64,23 @@ class TestSphBesselJDeriv:
         assert sph_bessel_j_deriv(1, 2.0) == pytest.approx(fd, abs=1e-8)
 
 
-class TestSphHankel1:
+class TestSphBesselY:
     def test_closed_form_at_one(self):
-        # h_0^(1)(x) = -i e^{ix}/x
-        expect = -1j * np.exp(1j * 1.0) / 1.0
-        assert sph_hankel1(0, 1.0) == pytest.approx(expect, rel=1e-14)
-        assert sph_hankel1(0, 1.0) == pytest.approx(np.sin(1) - 1j * np.cos(1), rel=1e-14)
+        # y_0(x) = -cos(x)/x
+        assert sph_bessel_y(0, 1.0) == pytest.approx(-np.cos(1.0), rel=1e-14)
 
     def test_closed_form_at_pi(self):
-        assert sph_hankel1(0, np.pi) == pytest.approx(1j / np.pi, rel=1e-13)
+        assert sph_bessel_y(0, np.pi) == pytest.approx(1 / np.pi, rel=1e-13)
 
     def test_wronskian_at_l2_x3(self):
-        h = sph_hankel1(2, 3.0)
-        j, y = h.real, h.imag
+        j, y = sph_bessel_j(2, 3.0), sph_bessel_y(2, 3.0)
         jp = sph_bessel_j_deriv(2, 3.0)
         yp = (sph_bessel_y(1, 3.0) - sph_bessel_y(3, 3.0)) / 2 - sph_bessel_y(2, 3.0) / (2 * 3.0)
         assert j * yp - jp * y == pytest.approx(1 / 9.0, abs=1e-12)
 
     def test_requires_positive_argument(self):
         with pytest.raises(ValueError):
-            sph_hankel1(0, 0.0)
+            sph_bessel_y(0, 0.0)
 
 
 class TestBesselZero:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import radial_bessel_moment
+from oracles import harmonic_on, radial_bessel_moment
 from wavetrace import (
     HarmonicIndex,
     InconclusiveCheckError,
@@ -14,12 +14,6 @@ from wavetrace import (
     make_sphere,
     sph_harm,
 )
-from wavetrace.surface import _spherical_coords
-
-
-def harmonic_on(grid, l, m):
-    _, theta, phi = _spherical_coords(grid.nodes)
-    return sph_harm(HarmonicIndex(l, m), theta, phi)
 
 
 class TestNecessity:
