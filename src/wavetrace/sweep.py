@@ -17,12 +17,21 @@ antipodally symmetric, and the columns of beta and -beta are complex
 conjugates, so the pair spans what its real cos and sin columns span; the
 stacked matrix is assembled on one direction of each pair and read as
 those real columns (a unitary mix of the complex ones: same singular
-values, same column space). Its column-pivoted QR (geqp3) sets the
-retained rank at a decade gap of R's diagonal; only the retained columns
-of Q are formed (orgqr), and the singular values of their boundary rows
-are those of the triangle of an R-only QR of that block (geqrf), taken by
-a dense SVD of size rank x rank. The tall steps run in LAPACK calls that
-release the GIL; only that small SVD holds it.
+values, same column space). Each block is first reduced to the R factor
+of its own QR (geqrf), at most M x M for M real columns. Since
+[B; I] = diag(Q_B, Q_I) [R_B; R_I] and diag(Q_B, Q_I) has orthonormal
+columns, the stacked factors [R_B; R_I] have the Gram matrix of [B; I]
+and of each block, so they keep its pivoted R, retained rank and
+principal angles; only the rounding differs. The column-pivoted QR
+(geqp3) of that stack, at most 2M x M, sets the retained rank at a
+decade gap of R's diagonal; only the retained columns of Q are formed
+(orgqr), and the singular values of their boundary rows, the first
+min(N, M), are those of the triangle of an R-only QR of those rows
+(geqrf), taken by a dense SVD of size rank x rank. The QRs run in LAPACK
+calls that release the GIL; only that small SVD holds it. The steps are
+a fixed sequence of LAPACK calls, run on one BLAS thread in a sweep, so
+for a fixed BLAS library the values, and the artifacts built from them,
+stay reproducible byte for byte.
 
 Both eigenvalue oracles share one spectrum protocol: a callable k -> the
 singular values of a k-dependent matrix, descending as the SVD returns
@@ -304,12 +313,22 @@ def boundary_subspace_singular_values(
     """Singular values (descending) of the boundary block of the orthonormal
     factor of the stacked trace matrix, sines of principal angles and so
     clipped to at most 1; the last one is the indicator. The direction grid
-    must be antipodally symmetric (ValueError otherwise)."""
+    must be antipodally symmetric (ValueError otherwise).
+
+    The boundary and interior blocks are each reduced to their R factor
+    before the rank-revealing pivoted QR, which then factors at most 2M x M
+    rows for M real columns instead of N + P; the block QRs have
+    orthonormal Q factors, so the principal angles are those of the stacked
+    matrix itself, up to rounding."""
     interior = _check_interior(grid, interior)
     # the real cos/sin columns: the complex matrix over the half grid, no copy
     A = assemble_trace_matrix(k, grid, _antipodal_half(dirs), interior_points=interior).view(float)
-    (qr, tau), _, _ = la.qr(A, mode="raw", pivoting=True)
-    del A  # factored in a copy; freed before the tall steps below
+    # each block by its R factor, min(rows, M) x M: a block shorter than
+    # wide passes through as its own trapezoid
+    n = grid.n_nodes
+    R_B, R_I = (la.qr(rows, mode="raw", check_finite=False)[1] for rows in (A[:n], A[n:]))
+    del A  # factored in copies; freed before the steps below
+    (qr, tau), _, _ = la.qr(np.vstack([R_B, R_I]), mode="raw", pivoting=True, overwrite_a=True)
     cutoff = _rank_cutoff(np.abs(np.diag(qr)))
     if cutoff == 0:
         raise IllPosedIndicatorError("trace matrix is numerically zero")
@@ -323,9 +342,10 @@ def boundary_subspace_singular_values(
     Q, _, info = orgqr(qr[:, :cutoff], tau[:cutoff], lwork=int(lwork), overwrite_a=1)
     if info != 0:
         raise la.LinAlgError(f"orgqr returned info={info}")
-    # the boundary rows share their singular values with their R factor,
-    # which mode="raw" returns square (mode="r" pads it with zero rows)
-    _, R = la.qr(Q[: grid.n_nodes], mode="raw", check_finite=False)
+    # the boundary rows, now the first len(R_B), share their singular values
+    # with their R factor, which mode="raw" returns square (mode="r" pads it
+    # with zero rows)
+    _, R = la.qr(Q[: len(R_B)], mode="raw", check_finite=False)
     return np.minimum(la.svd(R, compute_uv=False), 1.0)
 
 

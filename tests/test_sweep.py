@@ -142,37 +142,86 @@ def real_trace_matrix(k, grid, dirs, interior):
     return assemble_trace_matrix(k, grid, _antipodal_half(dirs), interior_points=interior).view(float)
 
 
-def thin_q_reference(k, grid, dirs, interior):
-    """The indicator's spectrum written out the plain way: the thin Q of the
-    pivoted QR of the real trace matrix, all columns formed, then a dense
-    SVD of its retained boundary rows. Returns (cutoff, singular values)."""
+def compressed_trace_matrix(k, grid, dirs, interior):
+    """The real trace matrix with each block replaced by the R factor of its
+    own QR, min(N, M) + min(P, M) rows for M columns, written with scipy's
+    mode="raw". Returns (matrix, number of boundary rows)."""
     A = real_trace_matrix(k, grid, dirs, interior)
+    R_B, R_I = (la.qr(rows, mode="raw")[1] for rows in (A[: grid.n_nodes], A[grid.n_nodes :]))
+    return np.vstack([R_B, R_I]), len(R_B)
+
+
+def thin_q_reference(A, n_boundary):
+    """The indicator's spectrum written out the plain way: the thin Q of the
+    pivoted QR of A, all columns formed, then a dense SVD of its retained
+    first n_boundary rows. Returns (cutoff, singular values)."""
     Q, R, _ = la.qr(A, mode="economic", pivoting=True)
     cutoff = _rank_cutoff(np.abs(np.diag(R)))
-    return cutoff, la.svd(Q[: grid.n_nodes, :cutoff], compute_uv=False)
+    return cutoff, la.svd(Q[:n_boundary, :cutoff], compute_uv=False)
+
+
+def raw_trace_spectrum(grid, dirs, interior):
+    """The thin-Q reference on the uncompressed real trace matrix, as a spectrum."""
+    return lambda k: thin_q_reference(real_trace_matrix(k, grid, dirs, interior), grid.n_nodes)[1]
+
+
+def criterion8_problem(interior_count=300):
+    """The Criterion-8 trace problem: a 16x32 sphere, 8x16 directions (M = 128
+    real columns) and seeded interior points (seed 42)."""
+    grid = make_sphere(1.0, 16, 32)
+    return grid, make_direction_grid(8, 16), seed_interior_points(grid, interior_count, seed=42)
 
 
 class TestFactorization:
-    """boundary_subspace_singular_values forms only the retained columns of Q
-    and takes the boundary block's SVD through its R factor; it must agree
-    with the thin-Q reference and keep every tall step out of la.svd."""
+    """boundary_subspace_singular_values reduces each block to its R factor,
+    forms only the retained columns of Q and takes the boundary block's SVD
+    through its R factor; it must agree with the thin-Q reference on the
+    compressed matrix, keep the uncompressed matrix's spectrum to rounding,
+    and keep every tall step out of la.svd."""
 
     KS = [3.0, np.pi, 4.4934, 5.7, 6.3]
 
     @pytest.fixture(scope="class", params=["ball", "star"])
     def problem(self, request):
-        if request.param == "ball":  # Criterion-8 problem
-            grid = make_sphere(1.0, 16, 32)
-            return grid, make_direction_grid(8, 16), seed_interior_points(grid, 300, seed=42)
+        if request.param == "ball":
+            return criterion8_problem()
         star = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48)
         return star, make_direction_grid(10, 20), seed_interior_points(star, 500, seed=0)
 
     @pytest.mark.parametrize("k", KS)
     def test_matches_thin_q_reference(self, problem, k):
-        cutoff, expected = thin_q_reference(k, *problem)
+        cutoff, expected = thin_q_reference(*compressed_trace_matrix(k, *problem))
         s = boundary_subspace_singular_values(k, *problem)
         assert len(s) == cutoff
         assert np.abs(s - expected).max() <= 1e-13
+
+    @staticmethod
+    def assert_keeps_the_raw_spectrum(k, problem):
+        # the block QRs change the rounding only: ~5e-10 at most here, where
+        # one-ulp entry noise moves the uncompressed route by ~1e-10
+        expected = raw_trace_spectrum(*problem)(k)
+        s = boundary_subspace_singular_values(k, *problem)
+        assert len(s) == len(expected)  # the same cutoff
+        assert np.abs(s - expected).max() <= 2e-9
+
+    def test_compression_keeps_the_raw_spectrum(self, problem):
+        for k in self.KS:
+            self.assert_keeps_the_raw_spectrum(k, problem)
+
+    def test_compression_keeps_the_raw_dips(self):
+        spectrum, ks = criterion8_spectrum("trace")
+        _, dips = find_dips(spectrum, ks)
+        _, raw = find_dips(raw_trace_spectrum(*criterion8_problem()), ks)
+        assert [d.multiplicity for d in dips] == [d.multiplicity for d in raw] == [1]
+        assert [d.k for d in dips] == pytest.approx([d.k for d in raw], abs=1e-12)
+
+    @pytest.mark.parametrize("k", [3.0, np.pi])
+    def test_short_interior_block_keeps_the_raw_spectrum(self, k):
+        # 124 interior points for M = 128 columns (cutoff 119): the interior
+        # block is wider than tall and enters the pivoted QR as its own trapezoid
+        problem = criterion8_problem(124)
+        assert len(problem[2]) < problem[1].n_directions
+        self.assert_keeps_the_raw_spectrum(k, problem)
 
     def test_svd_sees_only_the_small_triangle(self, monkeypatch, problem):
         shapes = []
@@ -190,17 +239,23 @@ class TestFactorization:
 
     def test_pivoted_qr_factors_real_columns(self, monkeypatch, problem):
         grid, dirs, interior = problem
-        pivoted = []
+        N, P, M = grid.n_nodes, len(interior), dirs.n_directions
+        calls = []
         qr = la.qr
 
         def spy(a, *args, **kwargs):
-            if kwargs.get("pivoting"):
-                pivoted.append((np.asarray(a).dtype, np.shape(a)))
+            calls.append((bool(kwargs.get("pivoting")), np.asarray(a).dtype, np.shape(a)))
             return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(la, "qr", spy)
-        boundary_subspace_singular_values(3.0, *problem)
-        assert pivoted == [(np.float64, (grid.n_nodes + len(interior), dirs.n_directions))]
+        cutoff = len(boundary_subspace_singular_values(3.0, *problem))
+        assert [c for c in calls if c[0]] == [(True, np.float64, (min(N, M) + min(P, M), M))]
+        # the two block QRs, then the R-only QR of the retained boundary rows
+        assert [c for c in calls if not c[0]] == [
+            (False, np.float64, (N, M)),
+            (False, np.float64, (P, M)),
+            (False, np.float64, (min(N, M), cutoff)),
+        ]
 
 
 class TestRealArithmetic:
@@ -239,11 +294,10 @@ def criterion8_spectrum(kind):
     """The Criterion-8 problem on either oracle, with its 12 samples over
     [3.0, 3.3]: a 16x32 sphere; 8x16 directions and 300 interior points
     (seed 42) for the trace oracle, band limit 8 for the single layer."""
-    grid = make_sphere(1.0, 16, 32)
     if kind == "trace":
-        spectrum = trace_spectrum(grid, make_direction_grid(8, 16), seed_interior_points(grid, 300, seed=42))
+        spectrum = trace_spectrum(*criterion8_problem())
     else:
-        spectrum = make_single_layer_spectrum(grid, 8, 3.0, 3.3)
+        spectrum = make_single_layer_spectrum(make_sphere(1.0, 16, 32), 8, 3.0, 3.3)
     return spectrum, np.linspace(3.0, 3.3, 12)
 
 
