@@ -67,10 +67,13 @@ class SurfaceGrid:
         n = len(weights)
         if nodes.shape != (n, 3) or normals.shape != (n, 3):
             raise ValueError("nodes/weights/normals size mismatch")
-        if np.any(weights <= 0):
-            raise ValueError("area weights must be positive")
+        if not np.isfinite(nodes).all():
+            raise ValueError("nodes must be finite")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError("area weights must be positive and finite")
+        # `not <=` rather than `>`, so that a NaN fails too
         norm_dev = np.abs(np.linalg.norm(normals, axis=1) - 1.0).max()
-        if norm_dev > 1e-12:
+        if not norm_dev <= 1e-12:
             raise ValueError(f"normals not unit vectors (deviation {norm_dev:.2e})")
 
     @property
@@ -97,10 +100,10 @@ class DirectionGrid:
         object.__setattr__(self, "weights", weights)
         if directions.shape != (len(weights), 3):
             raise ValueError("directions/weights size mismatch")
-        if np.any(weights <= 0):
-            raise ValueError("direction weights must be positive")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError("direction weights must be positive and finite")
         dir_dev = np.abs(np.linalg.norm(directions, axis=1) - 1.0).max()
-        if dir_dev > 1e-12:
+        if not dir_dev <= 1e-12:
             raise ValueError(f"directions not unit vectors (deviation {dir_dev:.2e})")
         wsum = weights.sum()
         if abs(wsum - 4 * np.pi) > 1e-12 * 4 * np.pi:
@@ -136,6 +139,12 @@ def _spherical_frame(theta, phi):
     theta_hat = np.stack([ct * cp, ct * sp, -np.sin(theta)], axis=-1)
     phi_hat = np.stack([-sp, cp, np.zeros_like(phi)], axis=-1)
     return _unit_vectors(theta, phi), theta_hat, phi_hat
+
+
+def _random_unit_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count isotropic unit vectors: normalized standard Gaussian triples."""
+    v = rng.standard_normal((count, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
 
 
 def _spherical_coords(points: np.ndarray):

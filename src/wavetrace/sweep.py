@@ -23,15 +23,15 @@ of its own QR (geqrf), at most M x M for M real columns. Since
 columns, the stacked factors [R_B; R_I] have the Gram matrix of [B; I]
 and of each block, so they keep its pivoted R, retained rank and
 principal angles; only the rounding differs. The column-pivoted QR
-(geqp3) of that stack, at most 2M x M, sets the retained rank at a
-decade gap of R's diagonal; only the retained columns of Q are formed
-(orgqr), and the singular values of their boundary rows, the first
-min(N, M), are those of the triangle of an R-only QR of those rows
-(geqrf), taken by a dense SVD of size rank x rank. The QRs run in LAPACK
-calls that release the GIL; only that small SVD holds it. The steps are
-a fixed sequence of LAPACK calls, run on one BLAS thread in a sweep, so
-for a fixed BLAS library the values, and the artifacts built from them,
-stay reproducible byte for byte.
+(geqp3) of that stack, at most 2M x M, forms its thin Q, and the
+retained rank counts the diagonal entries of R above DEFAULT_QR_RTOL of
+the leading one. The indicator's spectrum is then the singular values of
+the retained columns' boundary rows, the first min(N, M), taken by a
+dense SVD of at most M x rank. The QRs run in LAPACK calls that release
+the GIL; only that small SVD holds it. The steps are a fixed sequence of
+LAPACK calls, run on one BLAS thread in a sweep, so for a fixed BLAS
+library the values, and the artifacts built from them, stay reproducible
+byte for byte.
 
 Both eigenvalue oracles share one spectrum protocol: a callable k -> the
 singular values of a k-dependent matrix, descending as the SVD returns
@@ -69,7 +69,7 @@ import scipy
 import scipy.linalg as la
 
 from .herglotz import assemble_trace_matrix
-from .surface import DirectionGrid, SurfaceGrid, _spherical_coords, surface_radius
+from .surface import DirectionGrid, SurfaceGrid, _random_unit_vectors, _spherical_coords, surface_radius
 
 __all__ = [
     "Dip",
@@ -243,8 +243,7 @@ def seed_interior_points(grid: SurfaceGrid, count: int, seed: int) -> np.ndarray
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, 3))
-    v /= np.linalg.norm(v, axis=1)[:, None]
+    v = _random_unit_vectors(rng, count)
     u = rng.random(count)
     theta = np.arccos(np.clip(v[:, 2], -1.0, 1.0))
     phi = np.arctan2(v[:, 1], v[:, 0])
@@ -263,30 +262,20 @@ def _check_interior(grid: SurfaceGrid, interior: np.ndarray):
     if grid.descriptor.get("kind") in ("sphere", "star"):
         r, theta, phi = _spherical_coords(interior)
         rho = surface_radius(grid.descriptor, theta, phi)
-        if np.any(r >= rho * (1 - 1e-9)):
+        if not np.all(r < rho * (1 - 1e-9)):  # a NaN point fails too
             raise ValueError("interior point on or outside the surface")
     return interior
 
 
 def _rank_cutoff(diag: np.ndarray) -> int:
-    """Retained column count: cut at the first >= 10x drop of the R-diagonal
-    within two decades of DEFAULT_QR_RTOL.
+    """Retained column count: the pivoted R-diagonal entries above
+    DEFAULT_QR_RTOL of the leading one, 0 if that one is not positive.
 
-    The trace spectrum decays in well-separated degree bands, so cutting at
-    a decade gap keeps whole bands together. A hard threshold would land
-    inside a band and flip retained columns under rounding-level input
-    perturbations (breaking rotation invariance of the indicator); taking
-    the first decade gap is stable because band gaps are far steeper than
-    the 10x criterion while in-band spreads are far flatter.
-    """
+    The threshold may cut inside a degree band of the trace spectrum; a
+    few columns more or fewer move no dip and no multiplicity."""
     if diag[0] <= 0:
         return 0
-    rel = diag / diag[0]
-    window = np.nonzero((rel[:-1] >= DEFAULT_QR_RTOL * 1e-2) & (rel[:-1] <= DEFAULT_QR_RTOL * 1e2))[0]
-    for i in window:
-        if rel[i + 1] <= 0.1 * rel[i]:
-            return int(i) + 1
-    return int((rel > DEFAULT_QR_RTOL).sum())
+    return int((diag / diag[0] > DEFAULT_QR_RTOL).sum())
 
 
 def _antipodal_half(dirs: DirectionGrid) -> DirectionGrid:
@@ -319,7 +308,8 @@ def boundary_subspace_singular_values(
     before the rank-revealing pivoted QR, which then factors at most 2M x M
     rows for M real columns instead of N + P; the block QRs have
     orthonormal Q factors, so the principal angles are those of the stacked
-    matrix itself, up to rounding."""
+    matrix itself, up to rounding. Its thin Q is formed whole, and the SVD
+    takes the retained columns' boundary rows, at most M x rank."""
     interior = _check_interior(grid, interior)
     # the real cos/sin columns: the complex matrix over the half grid, no copy
     A = assemble_trace_matrix(k, grid, _antipodal_half(dirs), interior_points=interior).view(float)
@@ -328,25 +318,16 @@ def boundary_subspace_singular_values(
     n = grid.n_nodes
     R_B, R_I = (la.qr(rows, mode="raw", check_finite=False)[1] for rows in (A[:n], A[n:]))
     del A  # factored in copies; freed before the steps below
-    (qr, tau), _, _ = la.qr(np.vstack([R_B, R_I]), mode="raw", pivoting=True, overwrite_a=True)
-    cutoff = _rank_cutoff(np.abs(np.diag(qr)))
+    Q, R, _ = la.qr(np.vstack([R_B, R_I]), mode="economic", pivoting=True, overwrite_a=True)
+    cutoff = _rank_cutoff(np.abs(np.diag(R)))
     if cutoff == 0:
         raise IllPosedIndicatorError("trace matrix is numerically zero")
     if len(interior) < cutoff:
         raise IllPosedIndicatorError(
             f"{len(interior)} interior points cannot control a rank-{cutoff} column space"
         )
-    # form only the retained columns of Q, in place over their reflectors
-    orgqr = la.get_lapack_funcs("orgqr", (qr,))
-    lwork = orgqr(qr[:, :cutoff], tau[:cutoff], lwork=-1, overwrite_a=1)[1][0]
-    Q, _, info = orgqr(qr[:, :cutoff], tau[:cutoff], lwork=int(lwork), overwrite_a=1)
-    if info != 0:
-        raise la.LinAlgError(f"orgqr returned info={info}")
-    # the boundary rows, now the first len(R_B), share their singular values
-    # with their R factor, which mode="raw" returns square (mode="r" pads it
-    # with zero rows)
-    _, R = la.qr(Q[: len(R_B)], mode="raw", check_finite=False)
-    return np.minimum(la.svd(R, compute_uv=False), 1.0)
+    # the boundary rows of the retained columns, now the first len(R_B)
+    return np.minimum(la.svd(Q[: len(R_B), :cutoff], compute_uv=False), 1.0)
 
 
 def sweep_k(spectrum, ks, threads: int | None = None) -> np.ndarray:

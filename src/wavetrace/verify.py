@@ -32,7 +32,14 @@ from numpy.polynomial.legendre import leggauss
 from .herglotz import _check_wavenumber, assemble_trace_matrix
 from .specfun import HarmonicIndex, bessel_zero, sph_bessel_j, sph_bessel_j_deriv, sph_harm
 from .spectra import ball_dirichlet_eigs, eigenfunction_normal_derivative
-from .surface import DirectionGrid, SurfaceGrid, _spherical_coords, make_direction_grid, make_sphere
+from .surface import (
+    DirectionGrid,
+    SurfaceGrid,
+    _random_unit_vectors,
+    _spherical_coords,
+    make_direction_grid,
+    make_sphere,
+)
 
 __all__ = [
     "VerificationReport",
@@ -92,12 +99,6 @@ class VerificationReport:
         )
 
 
-def _seeded_directions(count: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, 3))
-    return v / np.linalg.norm(v, axis=1)[:, None]
-
-
 def _surface_norm(grid: SurfaceGrid, values: np.ndarray) -> float:
     return float(np.sqrt(np.sum(grid.weights * np.abs(values) ** 2)))
 
@@ -122,7 +123,7 @@ def check_necessity(
     if not norm > 0:
         raise InconclusiveCheckError("u_N vanished identically; construction broken")
     k = bessel_zero(idx.l, n) / R * k_factor
-    betas = _seeded_directions(n_directions, seed)
+    betas = _random_unit_vectors(np.random.default_rng(seed), n_directions)
     pairings = (grid.weights * u_n) @ np.exp(1j * k * (grid.nodes @ betas.T))
     residual = float(np.max(np.abs(pairings)) / (norm * R))
     return VerificationReport(

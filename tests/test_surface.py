@@ -4,13 +4,16 @@ import pytest
 from oracles import sphere_plane_wave_integral
 from wavetrace import (
     DegenerateSurfaceError,
+    DirectionGrid,
     HarmonicIndex,
+    SurfaceGrid,
     integrate_surface,
     make_direction_grid,
     make_sphere,
     make_star_surface,
     sph_harm,
 )
+from wavetrace.sweep import _check_interior
 
 
 def node_angles(grid):
@@ -171,3 +174,42 @@ class TestIntegrateSurface:
         grid = make_sphere(1.0, 12, 24)
         with pytest.raises(ValueError):
             integrate_surface(grid, np.ones(grid.n_nodes - 1))
+
+
+def with_value(a, index, value=np.nan):
+    a = np.array(a, dtype=float)
+    a[index] = value
+    return a
+
+
+_SPHERE = make_sphere(1.0, 8, 16)
+_DIRS = make_direction_grid(6, 12)
+
+
+def _surface(**changed):
+    fields = {"nodes": _SPHERE.nodes, "weights": _SPHERE.weights, "normals": _SPHERE.normals}
+    return SurfaceGrid(**{**fields, **changed}, descriptor=_SPHERE.descriptor)
+
+
+def _directions(**changed):
+    return DirectionGrid(**{"directions": _DIRS.directions, "weights": _DIRS.weights, **changed})
+
+
+# every comparison with NaN is False, so each check must be written to fail on it
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _surface(weights=with_value(_SPHERE.weights, 3)),
+        lambda: _surface(weights=with_value(_SPHERE.weights, 3, np.inf)),
+        lambda: _surface(normals=with_value(_SPHERE.normals, (3, 0))),
+        lambda: _surface(nodes=with_value(_SPHERE.nodes, (3, 1))),
+        lambda: _directions(weights=with_value(_DIRS.weights, 5)),
+        lambda: _directions(directions=with_value(_DIRS.directions, (5, 2))),
+        lambda: _check_interior(_SPHERE, [[0.1, 0.0, 0.0], [np.nan, 0.0, 0.0]]),
+    ],
+    ids=["surface-weight", "surface-weight-inf", "surface-normal", "surface-node",
+         "direction-weight", "direction", "interior-point"],
+)
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValueError):
+        build()

@@ -152,9 +152,10 @@ def compressed_trace_matrix(k, grid, dirs, interior):
 
 
 def thin_q_reference(A, n_boundary):
-    """The indicator's spectrum written out the plain way: the thin Q of the
-    pivoted QR of A, all columns formed, then a dense SVD of its retained
-    first n_boundary rows. Returns (cutoff, singular values)."""
+    """The indicator's spectrum written out step by step: the thin Q of the
+    pivoted QR of A, then a dense SVD of its retained first n_boundary rows.
+    On the compressed matrix these are the library's own steps. Returns
+    (cutoff, singular values)."""
     Q, R, _ = la.qr(A, mode="economic", pivoting=True)
     cutoff = _rank_cutoff(np.abs(np.diag(R)))
     return cutoff, la.svd(Q[:n_boundary, :cutoff], compute_uv=False)
@@ -174,10 +175,13 @@ def criterion8_problem(interior_count=300):
 
 class TestFactorization:
     """boundary_subspace_singular_values reduces each block to its R factor,
-    forms only the retained columns of Q and takes the boundary block's SVD
-    through its R factor; it must agree with the thin-Q reference on the
-    compressed matrix, keep the uncompressed matrix's spectrum to rounding,
-    and keep every tall step out of la.svd."""
+    then takes one pivoted QR of the stacked factors and one SVD of the
+    retained columns' boundary rows.
+
+    thin_q_reference on the compressed matrix writes out those same steps,
+    so it pins the call sequence, not the arithmetic. The independent
+    checks are the uncompressed-route tests here (2e-9) and
+    TestRealArithmetic::test_indicator_matches_the_complex_form (1e-5)."""
 
     KS = [3.0, np.pi, 4.4934, 5.7, 6.3]
 
@@ -223,39 +227,37 @@ class TestFactorization:
         assert len(problem[2]) < problem[1].n_directions
         self.assert_keeps_the_raw_spectrum(k, problem)
 
-    def test_svd_sees_only_the_small_triangle(self, monkeypatch, problem):
-        shapes = []
-        svd = la.svd
+    @staticmethod
+    def spy_on(monkeypatch, name):
+        """Record (pivoting, dtype, shape) of every call to la.<name>."""
+        calls = []
+        real = getattr(la, name)
 
         def spy(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+            calls.append((bool(kwargs.get("pivoting")), np.asarray(a).dtype, np.shape(a)))
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(la, "svd", spy)
+        monkeypatch.setattr(la, name, spy)
+        return calls
+
+    def test_svd_sees_only_the_small_triangle(self, monkeypatch, problem):
+        # one SVD, of the retained columns' boundary rows: at most M x cutoff
+        grid, dirs, _ = problem
+        N, M = grid.n_nodes, dirs.n_directions
+        calls = self.spy_on(monkeypatch, "svd")
         for k in self.KS:
-            shapes.clear()
+            calls.clear()
             cutoff = len(boundary_subspace_singular_values(k, *problem))
-            assert shapes and all(m == n <= cutoff for m, n in shapes)
+            assert calls == [(False, np.float64, (min(N, M), cutoff))]
 
     def test_pivoted_qr_factors_real_columns(self, monkeypatch, problem):
         grid, dirs, interior = problem
         N, P, M = grid.n_nodes, len(interior), dirs.n_directions
-        calls = []
-        qr = la.qr
-
-        def spy(a, *args, **kwargs):
-            calls.append((bool(kwargs.get("pivoting")), np.asarray(a).dtype, np.shape(a)))
-            return qr(a, *args, **kwargs)
-
-        monkeypatch.setattr(la, "qr", spy)
-        cutoff = len(boundary_subspace_singular_values(3.0, *problem))
+        calls = self.spy_on(monkeypatch, "qr")
+        boundary_subspace_singular_values(3.0, *problem)
         assert [c for c in calls if c[0]] == [(True, np.float64, (min(N, M) + min(P, M), M))]
-        # the two block QRs, then the R-only QR of the retained boundary rows
-        assert [c for c in calls if not c[0]] == [
-            (False, np.float64, (N, M)),
-            (False, np.float64, (P, M)),
-            (False, np.float64, (min(N, M), cutoff)),
-        ]
+        # the two block QRs only
+        assert [c for c in calls if not c[0]] == [(False, np.float64, (N, M)), (False, np.float64, (P, M))]
 
 
 class TestRealArithmetic:
@@ -662,6 +664,25 @@ class TestFindDips:
         _, dips = find_dips(recording, ks, threads=1)
         assert len(dips) == 1
         assert [calls[dip.k] for dip in dips] == [1]
+
+
+class TestRankCutoff:
+    """One rule: count the pivoted R-diagonal entries above 1e-8 of the leading one."""
+
+    def test_a_decade_drop_near_the_threshold_is_not_a_cut(self):
+        # a 20x drop after 1e-6 of the leading entry; three entries above 1e-8 follow it
+        rel = np.array([1.0, 1e-3, 1e-6, 5e-8, 3e-8, 2e-8, 1e-9, 1e-12])
+        assert _rank_cutoff(3.7 * rel) == 6
+
+    def test_counts_the_entries_above_the_threshold(self):
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            diag = 2.5 * np.sort(10.0 ** rng.uniform(-14, 0, 60))[::-1]
+            diag[0] = 2.5
+            assert _rank_cutoff(diag) == int((diag > 1e-8 * 2.5).sum())
+
+    def test_zero_leading_entry_gives_zero(self):
+        assert _rank_cutoff(np.zeros(5)) == 0
 
 
 class TestRankCutoffStability:
