@@ -40,7 +40,6 @@ from .sweep import (
     BracketError,
     Dip,
     IllPosedIndicatorError,
-    SweepResult,
     boundary_subspace_singular_values,
     detect_dips,
     estimate_multiplicity,

@@ -1,8 +1,11 @@
 """Command-line front-end: sweeps, eigenvalue oracles, verification, fits.
 
-Every artifact embeds the full run configuration and seed, so any CSV or
-JSON output can be regenerated byte-identically on the same machine and
-BLAS configuration. Exit codes follow the CI contract: 0 success,
+This module is the one writer of artifacts: the library returns plain
+values and records, and the commands here fix every file format (the
+sweep CSV at .17g, each JSON payload from the records' fields). Every
+artifact embeds the full run configuration and seed, so any CSV or JSON
+output can be regenerated byte-identically on the same machine and BLAS
+configuration. Exit codes follow the CI contract: 0 success,
 1 verification failure, 2 usage/config error, 3 numerical failure.
 
 RunConfig declares every run parameter once: --help shows its defaults,
@@ -52,7 +55,6 @@ from .sweep import (
     default_interior_count,
     find_dips,
     seed_interior_points,
-    SweepResult,
 )
 from .verify import InconclusiveCheckError, run_default_suite
 
@@ -137,9 +139,6 @@ class RunConfig:
         if cfg.dirs_n_phi is None:
             cfg.dirs_n_phi = 2 * cfg.dirs_n_theta
         return cfg
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _RANGES = {
@@ -257,6 +256,13 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _report_line(report) -> str:
+    """One verify report as a JSON line, its check_name under "check"."""
+    record = asdict(report)
+    record["check"] = record.pop("check_name")
+    return json.dumps(record, sort_keys=True)
+
+
 class _Main(click.Group):
     """The `wavetrace` group: a numerical failure in any subcommand exits 3."""
 
@@ -311,22 +317,26 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     ks = np.linspace(cfg.k_min, cfg.k_max, cfg.samples)
     spectrum = functools.partial(boundary_subspace_singular_values, grid=grid, dirs=dirs, interior=interior)
     values, refined = find_dips(spectrum, ks, cfg.refine_tol, cfg.threads)
-    config = {
-        "indicator": "trace-subspace",
-        "surface": grid.descriptor,
-        "directions": dirs.descriptor,
-        "k_lo": float(cfg.k_min),
-        "k_hi": float(cfg.k_max),
-        "n_samples": int(cfg.samples),
-        "interior_seed": int(cfg.seed),
-        "interior_count": int(interior_count),
-        "qr_rtol": float(DEFAULT_QR_RTOL),
-        "depth_ratio": float(DEFAULT_DEPTH_RATIO),
-        "run_config": cfg.to_dict(),
+    _write_text(out_csv, "k,indicator\n" + "".join(f"{k:.17g},{v:.17g}\n" for k, v in zip(ks, values)))
+    payload = {
+        "config": {
+            "indicator": "trace-subspace",
+            "surface": grid.descriptor,
+            "directions": dirs.descriptor,
+            "k_lo": float(cfg.k_min),
+            "k_hi": float(cfg.k_max),
+            "n_samples": int(cfg.samples),
+            "interior_seed": int(cfg.seed),
+            "interior_count": int(interior_count),
+            "qr_rtol": float(DEFAULT_QR_RTOL),
+            "depth_ratio": float(DEFAULT_DEPTH_RATIO),
+            "run_config": asdict(cfg),
+        },
+        "k_samples": ks.tolist(),
+        "indicator": values.tolist(),
+        "dips": [asdict(dip) for dip in refined],
     }
-    final = SweepResult(k_samples=ks, indicator=values, dips=refined, config=config)
-    _write_text(out_csv, final.to_csv_text())
-    _write_text(out_json, _json_dumps(final.to_json_dict()))
+    _write_text(out_json, _json_dumps(payload))
     click.echo(f"{len(refined)} dip(s) in [{cfg.k_min}, {cfg.k_max}]:")
     click.echo("k_refined        indicator    multiplicity")
     for dip in refined:
@@ -377,9 +387,9 @@ def cmd_eigs(ctx, method, out_json, config_path, **flags):
             for dip in dips
         ]
     payload = {
-        "run_config": cfg.to_dict(),
+        "run_config": asdict(cfg),
         "method": method,
-        "records": [rec.to_dict() for rec in records],
+        "records": [asdict(rec) for rec in records],
     }
     _write_text(out_json, _json_dumps(payload))
     click.echo(f"{len(records)} eigenvalue record(s) up to k = {cfg.k_max}:")
@@ -400,7 +410,7 @@ def cmd_verify(seed, inject_off_spectrum, out_path):
     if out_path is not None:
         _check_writable(out_path)
     reports = run_default_suite(seed=seed, inject_off_spectrum=inject_off_spectrum)
-    lines = [r.to_json_line() for r in reports]
+    lines = [_report_line(r) for r in reports]
     for line in lines:
         click.echo(line)
     if out_path is not None:
@@ -443,7 +453,7 @@ def cmd_fit(ctx, target, out_json, config_path, **flags):
     _, theta, phi = _spherical_coords(grid.nodes)
     residual, density = fit_trace(cfg.k_max, grid, sph_harm(target, theta, phi), dirs, ridge=cfg.ridge)
     payload = {
-        "run_config": cfg.to_dict(),
+        "run_config": asdict(cfg),
         "target": [target.l, target.m],
         "k": cfg.k_max,
         "residual": residual,

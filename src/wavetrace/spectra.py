@@ -121,15 +121,6 @@ class EigenvalueRecord:
         if self.source not in ("ball-analytic", "single-layer"):
             raise ValueError(f"unknown source {self.source!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "k": float(self.k),
-            "l": self.l,
-            "n": self.n,
-            "multiplicity": int(self.multiplicity),
-            "source": self.source,
-        }
-
 
 def ball_dirichlet_eigs(R: float, k_max: float) -> list[EigenvalueRecord]:
     """All ball Dirichlet eigenvalues k = z_{l,n}/R <= k_max, ascending.

@@ -61,7 +61,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +73,6 @@ from .surface import DirectionGrid, SurfaceGrid, _random_unit_vectors, _spherica
 
 __all__ = [
     "Dip",
-    "SweepResult",
     "IllPosedIndicatorError",
     "BracketError",
     "seed_interior_points",
@@ -176,61 +175,11 @@ class BracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class Dip:
-    """One detected rank collapse: refined location, depth, multiplicity."""
+    """One refined rank collapse: location, depth, multiplicity."""
 
     k: float
     indicator: float
-    multiplicity: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "k": float(self.k),
-            "indicator": float(self.indicator),
-            "multiplicity": self.multiplicity,
-        }
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Sampled indicator over a k-range plus detected dips and full config."""
-
-    k_samples: np.ndarray
-    indicator: np.ndarray
-    dips: list[Dip] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        ks = np.asarray(self.k_samples, dtype=float)
-        vals = np.asarray(self.indicator, dtype=float)
-        object.__setattr__(self, "k_samples", ks)
-        object.__setattr__(self, "indicator", vals)
-        if ks.shape != vals.shape or ks.ndim != 1 or len(ks) == 0:
-            raise ValueError("k_samples and indicator must be equal-length 1-d arrays")
-        if not (np.isfinite(ks).all() and np.isfinite(vals).all()):
-            raise ValueError("k_samples and indicator values must be finite")
-        if np.any(ks <= 0) or np.any(np.diff(ks) <= 0):
-            raise ValueError("k_samples must be positive and strictly ascending")
-        if np.any(vals < 0):
-            raise ValueError("indicator values must be nonnegative")
-        if np.any(vals > 1 + 1e-12):
-            raise ValueError("subspace-angle indicator must lie in [0, 1]")
-        for dip in self.dips:
-            if not (ks[0] <= dip.k <= ks[-1]):
-                raise ValueError(f"dip at k={dip.k} outside sweep range")
-
-    def to_csv_text(self) -> str:
-        lines = ["k,indicator"]
-        for k, v in zip(self.k_samples, self.indicator):
-            lines.append(f"{k:.17g},{v:.17g}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "k_samples": [float(k) for k in self.k_samples],
-            "indicator": [float(v) for v in self.indicator],
-            "dips": [d.to_dict() for d in self.dips],
-        }
+    multiplicity: int
 
 
 def seed_interior_points(grid: SurfaceGrid, count: int, seed: int) -> np.ndarray:
@@ -302,7 +251,9 @@ def boundary_subspace_singular_values(
     """Singular values (descending) of the boundary block of the orthonormal
     factor of the stacked trace matrix, sines of principal angles and so
     clipped to at most 1; the last one is the indicator. The direction grid
-    must be antipodally symmetric (ValueError otherwise).
+    must be antipodally symmetric (ValueError otherwise). Interior points
+    are checked against the surface only on sphere and star grids; on any
+    other grid the caller must supply points inside it.
 
     The boundary and interior blocks are each reduced to their R factor
     before the rank-revealing pivoted QR, which then factors at most 2M x M
@@ -345,8 +296,9 @@ def sweep_k(spectrum, ks, threads: int | None = None) -> np.ndarray:
     return np.array(_map(lambda k: spectrum(k)[-1], ks, threads))
 
 
-def detect_dips(ks, values) -> list[Dip]:
-    """Flag samples below DEFAULT_DEPTH_RATIO * median; merge adjacent flags into dips."""
+def detect_dips(values) -> list[int]:
+    """Indices of the sampled dips: samples at or below DEFAULT_DEPTH_RATIO *
+    median are flagged, and each run of adjacent flags gives its minimum."""
     vals = np.asarray(values, dtype=float)
     if len(vals) == 0:
         return []
@@ -359,8 +311,7 @@ def detect_dips(ks, values) -> list[Dip]:
             j = i
             while j + 1 < len(vals) and flagged[j + 1]:
                 j += 1
-            local = i + int(np.argmin(vals[i : j + 1]))
-            dips.append(Dip(k=float(ks[local]), indicator=float(vals[local])))
+            dips.append(i + int(np.argmin(vals[i : j + 1])))
             i = j + 1
         else:
             i += 1
@@ -464,12 +415,11 @@ def find_dips(spectrum, ks, refine_tol: float = DEFAULT_REFINE_TOL, threads: int
             evaluated[k] = spectrum(k)
         return evaluated[k]
 
-    def refine_and_classify(dip: Dip) -> Dip:
-        j = int(np.searchsorted(ks, dip.k))
+    def refine_and_classify(j: int) -> Dip:
         if j in (0, len(ks) - 1):
-            raise BracketError(f"the sampled minimum k={dip.k} is an end of the sweep range")
+            raise BracketError(f"the sampled minimum k={float(ks[j])} is an end of the sweep range")
         k_star, s = refine_dip(known, ks[j - 1 : j + 2], refine_tol)
         return Dip(k=k_star, indicator=float(s[-1]), multiplicity=estimate_multiplicity(s))
 
     values = sweep_k(known, ks, threads)
-    return values, _map(refine_and_classify, detect_dips(ks, values), threads)
+    return values, _map(refine_and_classify, detect_dips(values), threads)

@@ -23,7 +23,6 @@ by a wide margin.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,19 +83,6 @@ class VerificationReport:
 
     def __post_init__(self):
         object.__setattr__(self, "passed", bool(self.residual <= self.tolerance))
-
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "check": self.check_name,
-                "inputs": self.inputs,
-                "residual": float(self.residual),
-                "tolerance": float(self.tolerance),
-                "passed": self.passed,
-                "expected_failure": self.expected_failure,
-            },
-            sort_keys=True,
-        )
 
 
 def _surface_norm(grid: SurfaceGrid, values: np.ndarray) -> float:

@@ -217,13 +217,15 @@ class TestCriterion6CrossOracle:
         ks = np.linspace(2.9, 3.4, 26)
         interior = seed_interior_points(star, 500, seed=11)
         trace = functools.partial(boundary_subspace_singular_values, grid=star, dirs=dirs, interior=interior)
-        trace_dips = detect_dips(ks, sweep_k(trace, ks))
+        trace_dips = detect_dips(sweep_k(trace, ks))
         assert len(trace_dips) == 1
-        k_trace, _ = refine_dip(trace, (trace_dips[0].k - 0.03, trace_dips[0].k, trace_dips[0].k + 0.03), tol=1e-4)
+        k = ks[trace_dips[0]]
+        k_trace, _ = refine_dip(trace, (k - 0.03, k, k + 0.03), tol=1e-4)
         sl = make_single_layer_spectrum(star, 8, ks[0], ks[-1])
-        sl_dips = detect_dips(ks, sweep_k(sl, ks, threads=1))
+        sl_dips = detect_dips(sweep_k(sl, ks, threads=1))
         assert len(sl_dips) == 1
-        k_sl, _ = refine_dip(sl, (sl_dips[0].k - 0.03, sl_dips[0].k, sl_dips[0].k + 0.03), tol=1e-4)
+        k = ks[sl_dips[0]]
+        k_sl, _ = refine_dip(sl, (k - 0.03, k, k + 0.03), tol=1e-4)
         ok = abs(k_trace - k_sl) <= 5e-3
         assert report(
             6, ok, f"star: trace dip {k_trace:.6f} vs single-layer dip {k_sl:.6f} "

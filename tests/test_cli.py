@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -83,7 +84,7 @@ RUN_CONFIG_FIELDS = {
 
 
 def test_run_config_fields_unchanged():
-    assert set(RunConfig().to_dict()) == RUN_CONFIG_FIELDS
+    assert set(asdict(RunConfig())) == RUN_CONFIG_FIELDS
 
 
 @pytest.mark.parametrize("command", ["sweep", "eigs", "fit"])
@@ -424,10 +425,13 @@ class TestVerifyCommand:
         out = tmp_path / "reports.jsonl"
         result = runner.invoke(main, ["verify", "--out", str(out)])
         assert result.exit_code == 0, result.output
-        lines = [json.loads(l) for l in out.read_text().strip().splitlines()]
+        text = out.read_text()
+        lines = [json.loads(l) for l in text.strip().splitlines()]
         assert all(r["passed"] for r in lines)
         assert any(r["check"] == "necessity" for r in lines)
         assert any(r["check"] == "green-reduction" for r in lines)
+        necessity = [line for line in text.splitlines() if '"check": "necessity"' in line]
+        assert necessity and all('"passed": true' in line for line in necessity)
 
     def test_off_spectrum_controls_fail_as_designed(self, runner):
         result = runner.invoke(main, ["verify", "--inject-off-spectrum"])
@@ -441,6 +445,70 @@ class TestVerifyCommand:
         for path in (tmp_path / "no" / "x.jsonl", tmp_path):
             result = runner.invoke(main, ["verify", "--out", str(path)])
             assert result.exit_code == 2, result.output
+
+
+def _types(record: dict) -> dict:
+    return {key: type(value) for key, value in record.items()}
+
+
+class TestArtifactSchemas:
+    """The exact keys and value types of every artifact. The CLI writes each
+    record whole, so a field added to one changes its artifact and this test."""
+
+    def test_sweep(self, runner, tmp_path):
+        csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+        result = runner.invoke(main, [*CRITERION8_SWEEP, "--out-csv", str(csv_path), "--out-json", str(json_path)])
+        assert result.exit_code == 0, result.output
+        assert csv_path.read_text().splitlines()[0] == "k,indicator"
+        payload = json.loads(json_path.read_text())
+        assert set(payload) == {"config", "k_samples", "indicator", "dips"}
+        assert set(payload["config"]["run_config"]) == RUN_CONFIG_FIELDS
+        assert {type(v) for v in payload["k_samples"] + payload["indicator"]} == {float}
+        assert payload["dips"]
+        for dip in payload["dips"]:
+            assert _types(dip) == {"k": float, "indicator": float, "multiplicity": int}
+
+    @pytest.mark.parametrize(
+        "args, index_type",
+        [(["eigs", "--surface", "ball", "--kmax", "6.5"], int), (STAR_SINGLE_LAYER, type(None))],
+        ids=["analytic", "single-layer"],
+    )
+    def test_eigs(self, runner, tmp_path, args, index_type):
+        json_path = tmp_path / "eigs.json"
+        result = runner.invoke(main, [*args, "--out-json", str(json_path)])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(json_path.read_text())
+        assert _types(payload) == {"run_config": dict, "method": str, "records": list}
+        assert set(payload["run_config"]) == RUN_CONFIG_FIELDS
+        assert payload["records"]
+        for record in payload["records"]:
+            assert _types(record) == {
+                "k": float, "l": index_type, "n": index_type, "multiplicity": int, "source": str,
+            }
+
+    def test_verify(self, runner, tmp_path):
+        out = tmp_path / "reports.jsonl"
+        result = runner.invoke(main, ["verify", "--inject-off-spectrum", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert lines
+        for line in lines:
+            assert _types(line) == {
+                "check": str, "inputs": dict, "residual": float, "tolerance": float,
+                "passed": bool, "expected_failure": bool,
+            }
+
+    def test_fit(self, runner, tmp_path):
+        json_path = tmp_path / "fit.json"
+        result = runner.invoke(
+            main, ["fit", "--target", "0,0", "--k", "3.14159265358979", "--out-json", str(json_path)]
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads(json_path.read_text())
+        assert _types(payload) == {
+            "run_config": dict, "target": list, "k": float, "residual": float, "density_norm": float,
+        }
+        assert set(payload["run_config"]) == RUN_CONFIG_FIELDS
 
 
 class TestFitCommand:

@@ -468,9 +468,9 @@ class TestSingleLayerSweep:
         grid = make_sphere(1.0, 16, 32)
         ks = np.linspace(2.9, 3.4, 41)
         spectrum = make_single_layer_spectrum(grid, 8, 2.9, 3.4)
-        dips = detect_dips(ks, sweep_k(spectrum, ks, threads=1))
+        dips = detect_dips(sweep_k(spectrum, ks, threads=1))
         assert len(dips) == 1
-        assert abs(dips[0].k - np.pi) <= 0.02  # coarse localization
+        assert abs(ks[dips[0]] - np.pi) <= 0.02  # coarse localization
 
     def test_invalid_range(self, sphere_24_48):
         with pytest.raises(ValueError):

@@ -8,10 +8,8 @@ import pytest
 
 from wavetrace import (
     BracketError,
-    Dip,
     DirectionGrid,
     IllPosedIndicatorError,
-    SweepResult,
     assemble_trace_matrix,
     bessel_zero,
     boundary_subspace_singular_values,
@@ -321,20 +319,19 @@ class TestSweepK:
         runs = []
         for _ in range(2):
             interior = seed_interior_points(grid, 400, seed=42)
-            values = sweep_k(trace_spectrum(grid, dirs, interior), ks)
-            runs.append(SweepResult(k_samples=ks, indicator=values))
+            runs.append(sweep_k(trace_spectrum(grid, dirs, interior), ks))
         a, b = runs
-        assert np.array_equal(a.indicator, b.indicator)
-        assert a.to_csv_text() == b.to_csv_text()
+        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
 
     def test_finds_the_pi_dip(self):
         grid = make_sphere(1.0, 20, 40)
         dirs = make_direction_grid(10, 20)
         ks = np.linspace(2.9, 3.4, 26)
         spectrum = trace_spectrum(grid, dirs, seed_interior_points(grid, 450, seed=0))
-        dips = detect_dips(ks, sweep_k(spectrum, ks))
+        dips = detect_dips(sweep_k(spectrum, ks))
         assert len(dips) == 1
-        assert abs(dips[0].k - np.pi) <= 0.02
+        assert abs(ks[dips[0]] - np.pi) <= 0.02
 
     @pytest.mark.parametrize("kind", ["trace", "single-layer"])
     def test_values_independent_of_thread_count(self, kind):
@@ -343,38 +340,36 @@ class TestSweepK:
         pooled = sweep_k(spectrum, ks, threads=2)
         assert serial.tobytes() == pooled.tobytes()
 
-    def test_result_validation(self):
-        with pytest.raises(ValueError):
-            SweepResult(k_samples=np.array([2.0, 1.0]), indicator=np.array([0.1, 0.2]))
-        with pytest.raises(ValueError):
-            SweepResult(k_samples=np.array([1.0, 2.0]), indicator=np.array([0.1, 1.5]))
-        with pytest.raises(ValueError):
-            SweepResult(
-                k_samples=np.array([1.0, 2.0]),
-                indicator=np.array([0.1, 0.2]),
-                dips=[Dip(k=5.0, indicator=0.0)],
-            )
-        for ks, values in [([3.0, np.nan], [0.5, 0.5]), ([3.0, np.inf], [0.5, 0.5]), ([3.0, 3.1], [0.5, np.nan])]:
-            with pytest.raises(ValueError, match="finite"):
-                SweepResult(k_samples=np.array(ks), indicator=np.array(values))
+    @pytest.mark.parametrize("interior", ["seeded", "one-point-repeated"])
+    def test_trace_spectrum_is_finite_descending_and_inside_the_unit_interval(self, interior):
+        # sines of principal angles, clipped to 1: on the Criterion-8 problem
+        # the largest stays near 0.9996, but 300 copies of one interior point
+        # leave many directions off the interior block, whose sines are 1 and
+        # round past it unclipped
+        spectrum, ks = criterion8_spectrum("trace")
+        if interior == "one-point-repeated":
+            grid, dirs, points = criterion8_problem()
+            spectrum = trace_spectrum(grid, dirs, np.repeat(points[:1], len(points), axis=0))
+        for k in ks:
+            s = spectrum(k)
+            assert np.isfinite(s).all()
+            assert np.all(np.diff(s) <= 0)
+            assert 0 <= s[-1] and s[0] <= 1
 
 
 class TestDetectDips:
-    def _samples(self, values):
-        return np.linspace(1.0, 2.0, len(values)), np.asarray(values)
-
     def test_flat_indicator_no_dips(self):
-        assert detect_dips(*self._samples(np.full(50, 0.4))) == []
+        assert detect_dips(np.full(50, 0.4)) == []
 
     def test_two_dips_with_merging(self):
         vals = np.full(60, 0.5)
         vals[10] = 1e-3
         vals[11] = 2e-3  # adjacent flagged samples merge into one dip
         vals[40] = 5e-4
-        dips = detect_dips(*self._samples(vals))
+        dips = detect_dips(vals)
         assert len(dips) == 2
-        assert dips[0].indicator == pytest.approx(1e-3)
-        assert dips[1].indicator == pytest.approx(5e-4)
+        assert vals[dips[0]] == pytest.approx(1e-3)
+        assert vals[dips[1]] == pytest.approx(5e-4)
 
 
 def recorded(spectrum):
