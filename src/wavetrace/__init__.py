@@ -9,23 +9,19 @@ from .specfun import (
     bessel_zero,
     sph_bessel_j,
     sph_bessel_j_deriv,
-    sph_bessel_y,
     sph_harm,
 )
 from .surface import (
     DegenerateSurfaceError,
     DirectionGrid,
     SurfaceGrid,
-    integrate_surface,
     make_direction_grid,
     make_sphere,
     make_star_surface,
 )
 from .herglotz import (
-    HerglotzDensity,
     assemble_trace_matrix,
     fit_trace,
-    herglotz_eval,
 )
 from .spectra import (
     EigenvalueRecord,

@@ -451,17 +451,17 @@ def cmd_fit(ctx, target, out_json, config_path, **flags):
     grid = _build_surface(cfg)
     dirs = _build_dirs(cfg)
     _, theta, phi = _spherical_coords(grid.nodes)
-    residual, density = fit_trace(cfg.k_max, grid, sph_harm(target, theta, phi), dirs, ridge=cfg.ridge)
+    residual, density_norm = fit_trace(cfg.k_max, grid, sph_harm(target, theta, phi), dirs, ridge=cfg.ridge)
     payload = {
         "run_config": asdict(cfg),
         "target": [target.l, target.m],
         "k": cfg.k_max,
         "residual": residual,
-        "density_norm": density.norm(dirs),
+        "density_norm": density_norm,
     }
     _write_text(out_json, _json_dumps(payload))
     click.echo(f"relative residual = {residual:.12g}")
-    click.echo(f"density L2 norm   = {density.norm(dirs):.12g}")
+    click.echo(f"density L2 norm   = {density_norm:.12g}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Plane-wave traces, Herglotz superpositions, and trace-span fitting.
+"""Plane-wave trace matrices and trace-span fitting.
 
 A Herglotz wave with square-integrable density h on the direction sphere,
 
@@ -28,15 +28,11 @@ the completeness indicator in `sweep` factors it as those real columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .surface import DirectionGrid, SurfaceGrid
 
 __all__ = [
-    "HerglotzDensity",
-    "herglotz_eval",
     "assemble_trace_matrix",
     "fit_trace",
 ]
@@ -47,44 +43,6 @@ def _check_wavenumber(k: float) -> float:
     if not np.isfinite(k) or k <= 0:
         raise ValueError(f"wavenumber k must be positive, got {k}")
     return k
-
-
-@dataclass(frozen=True)
-class HerglotzDensity:
-    """Coefficients h_j of a Herglotz density, one per grid direction."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.coefficients, dtype=complex))
-        if c.ndim != 1:
-            raise ValueError("density coefficients must be a 1-d array")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("density coefficients must be finite")
-        c.flags.writeable = False
-        object.__setattr__(self, "coefficients", c)
-
-    def norm(self, dirs: DirectionGrid) -> float:
-        """Discrete L^2(S^2) norm sqrt(sum_j w_j |h_j|^2)."""
-        self._check_match(dirs)
-        return float(np.sqrt(np.sum(dirs.weights * np.abs(self.coefficients) ** 2)))
-
-    def _check_match(self, dirs: DirectionGrid):
-        if len(self.coefficients) != dirs.n_directions:
-            raise ValueError(
-                f"density has {len(self.coefficients)} coefficients for "
-                f"{dirs.n_directions} directions"
-            )
-
-
-def herglotz_eval(k: float, density: HerglotzDensity, dirs: DirectionGrid, points) -> np.ndarray:
-    """Herglotz wave w(x) = sum_j w_j h_j e^{i k beta_j . x} at given points."""
-    k = _check_wavenumber(k)
-    density._check_match(dirs)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != 3:
-        raise ValueError("points must have shape (P, 3)")
-    return np.exp(1j * k * (points @ dirs.directions.T)) @ (dirs.weights * density.coefficients)
 
 
 def assemble_trace_matrix(
@@ -132,16 +90,19 @@ def fit_trace(
     """Least-squares fit of a surface target by plane-wave traces.
 
     Solves min_h ||A h - target*sqrt(sigma)||^2 + ridge*||h||^2 over the
-    weighted density coefficients and returns (relative residual, density).
-    ridge=None applies the default 1e-12 * ||A||^2; ridge=0 solves by
-    truncated-SVD pseudo-inverse. A relative residual of 1 means the target
-    is orthogonal to the whole trace span -- totality failed in that
-    direction.
+    weighted density coefficients and returns (relative residual, density
+    norm), the norm being the discrete L^2(S^2) norm sqrt(sum_j w_j |h_j|^2)
+    of the fitted density h. ridge=None applies the default
+    1e-12 * ||A||^2; ridge=0 solves by truncated-SVD pseudo-inverse. A
+    relative residual of 1 means the target is orthogonal to the whole trace
+    span -- totality failed in that direction.
     """
     k = _check_wavenumber(k)
     target = np.asarray(target, dtype=complex)
     if target.shape != (grid.n_nodes,):
         raise ValueError("target length does not match grid")
+    if not np.all(np.isfinite(target)):
+        raise ValueError("target must be finite")
     if ridge is not None and ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
     b = target * np.sqrt(grid.weights)
@@ -160,5 +121,5 @@ def fit_trace(
         h_weighted = Vh.conj().T @ (s / (s * s + ridge) * c)
     residual = float(np.linalg.norm(A @ h_weighted - b) / b_norm)
     # matrix unknowns are sqrt(w_j) h_j; undo the column weighting
-    density = HerglotzDensity(h_weighted / np.sqrt(dirs.weights))
-    return residual, density
+    h = h_weighted / np.sqrt(dirs.weights)
+    return residual, float(np.sqrt(np.sum(dirs.weights * np.abs(h) ** 2)))

@@ -1,8 +1,8 @@
 """Special functions backing the analytic oracles.
 
-Spherical Bessel functions of the first and second kind, the derivative of
-the first, positive zeros of j_l, and fully normalized complex spherical
-harmonics with the Condon-Shortley phase:
+Spherical Bessel functions of the first kind, their derivative, positive
+zeros of j_l, and fully normalized complex spherical harmonics with the
+Condon-Shortley phase:
 
     integral_{S^2} Y_lm conj(Y_l'm') dOmega = delta_ll' delta_mm'
 
@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.special import sph_harm_y, sph_legendre_p, spherical_jn, spherical_yn
+from scipy.special import sph_harm_y, sph_legendre_p, spherical_jn
 
 __all__ = [
     "HarmonicIndex",
     "sph_bessel_j",
     "sph_bessel_j_deriv",
-    "sph_bessel_y",
     "bessel_zero",
     "sph_harm",
 ]
@@ -38,8 +37,7 @@ class HarmonicIndex:
     m: int
 
     def __post_init__(self):
-        if self.l < 0:
-            raise ValueError(f"degree l must be nonnegative, got {self.l}")
+        _check_degree(self.l)
         if abs(self.m) > self.l:
             raise ValueError(f"order m must satisfy |m| <= l, got (l={self.l}, m={self.m})")
 
@@ -80,15 +78,6 @@ def sph_bessel_j_deriv(l: int, x):
     l = _check_degree(l)
     x = _check_argument(x)
     return spherical_jn(l, x, derivative=True)
-
-
-def sph_bessel_y(l: int, x):
-    """Spherical Bessel function of the second kind y_l(x); requires x > 0."""
-    l = _check_degree(l)
-    x = _check_argument(x)
-    if np.any(x <= 0):
-        raise ValueError("y_l requires x > 0")
-    return spherical_yn(l, x)
 
 
 def _bessel_zeros(l: int):

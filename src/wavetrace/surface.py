@@ -26,7 +26,6 @@ __all__ = [
     "make_sphere",
     "make_star_surface",
     "make_direction_grid",
-    "integrate_surface",
 ]
 
 
@@ -238,14 +237,6 @@ def make_direction_grid(n_theta: int, n_phi: int) -> DirectionGrid:
     theta, phi, w = _product_angles(n_theta, n_phi)
     desc = {"kind": "product", "n_theta": int(n_theta), "n_phi": int(n_phi)}
     return DirectionGrid(directions=_unit_vectors(theta, phi), weights=w, descriptor=desc)
-
-
-def integrate_surface(grid: SurfaceGrid, values) -> complex:
-    """Discrete surface integral sum_m sigma_m * values_m."""
-    values = np.asarray(values)
-    if values.shape != (grid.n_nodes,):
-        raise ValueError(f"values length {values.shape} does not match grid ({grid.n_nodes},)")
-    return complex(np.sum(grid.weights * values))
 
 
 def surface_radius(descriptor: dict, theta, phi):

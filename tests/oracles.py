@@ -6,9 +6,10 @@ from central finite differences, integrals from adaptive quadrature or
 brute-force refined grids.
 
 The sphere's closed forms (the Funk-Hecke pairing, the single-layer
-symbol, the ball eigenfunctions) are plain formulas over the library's
-special functions, with no argument checks: the references that the
-library's quadratures, matrices and waves are checked against.
+symbol, the ball eigenfunctions) and the discrete Herglotz wave are plain
+formulas over the library's special functions and grids, with no argument
+checks: the references that the library's quadratures, matrices and waves
+are checked against.
 """
 
 import math
@@ -40,6 +41,12 @@ def bessel_j_series(l: int, x: float) -> float:
 
 def central_difference(f, x: float, step: float) -> float:
     return (f(x + step) - f(x - step)) / (2 * step)
+
+
+def herglotz_wave(k: float, h, dirs, points):
+    """The discrete Herglotz wave w(x) = sum_j w_j h_j e^{i k beta_j . x} of
+    density coefficients h on a direction grid, at (P, 3) points."""
+    return np.exp(1j * k * (points @ dirs.directions.T)) @ (dirs.weights * h)
 
 
 def helmholtz_residual(u, k: float, point, h_step: float) -> float:

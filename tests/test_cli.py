@@ -154,6 +154,9 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
           "--kmin", "5", "--kmax", "5.2", "--samples", "5", "--method", "single-layer",
           "--band-limit", "20"], None),
         ([*STAR_SINGLE_LAYER, "--ntheta", "48", "--nphi", "96", "--band-limit", "65"], None),
+        (["fit", "--target", "65,0", "--k", "1"], None),
+        (["fit", "--target", "1000,0", "--k", "1"], None),
+        (["sweep", *FAST_SWEEP, "--surface", "star", "--coef", "65,0,0.01"], None),
     ],
     ids=[
         "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
@@ -164,6 +167,7 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         "eigs-analytic-kmax-64", "eigs-analytic-kmax-r-64", "sweep-coef-nan", "eigs-coef-inf",
         "config-coefficient-nan", "sweep-depth-ratio-flag-removed", "config-gap-ratio-key-removed",
         "eigs-band-limit-above-node-count", "eigs-band-limit-above-max-degree",
+        "fit-target-degree-65", "fit-target-degree-1000", "sweep-coef-degree-65",
     ],
 )
 def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):

@@ -3,16 +3,11 @@ import importlib
 import inspect
 import re
 import types
+from pathlib import Path
 
 import wavetrace
 
 LAYERS = ("specfun", "surface", "herglotz", "spectra", "sweep", "verify")
-
-# closed forms and wrappers only the tests use; the references live in tests/oracles.py
-TEST_ONLY = (
-    "plane_wave_trace", "single_layer_matrix", "sph_hankel1", "funk_hecke",
-    "helmholtz_residual", "single_layer_symbol", "ball_eigenfunction",
-)
 
 
 def test_exports_are_the_layer_all_lists():
@@ -22,7 +17,27 @@ def test_exports_are_the_layer_all_lists():
     }
     listed = set().union(*(importlib.import_module(f"wavetrace.{layer}").__all__ for layer in LAYERS))
     assert listed == exported
-    assert not [name for name in TEST_ONLY if hasattr(wavetrace, name)]
+
+
+def test_every_export_is_used_inside_the_package():
+    # the library keeps only what a subcommand runs: a name that only the
+    # tests call belongs in tests/oracles.py, not in a layer's __all__
+    used = set()
+    for path in Path(wavetrace.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    unused = sorted(
+        name for layer in LAYERS for name in importlib.import_module(f"wavetrace.{layer}").__all__
+        if name not in used
+    )
+    assert not unused
 
 
 def test_cli_is_the_one_writer_of_artifacts():

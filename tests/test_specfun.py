@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import wavetrace
+from scipy.special import spherical_yn
 
 from oracles import bessel_j_series, central_difference
 from wavetrace import (
@@ -15,7 +16,6 @@ from wavetrace import (
     make_direction_grid,
     sph_bessel_j,
     sph_bessel_j_deriv,
-    sph_bessel_y,
     sph_harm,
 )
 from wavetrace.specfun import sph_harm_with_grad
@@ -67,20 +67,16 @@ class TestSphBesselJDeriv:
 class TestSphBesselY:
     def test_closed_form_at_one(self):
         # y_0(x) = -cos(x)/x
-        assert sph_bessel_y(0, 1.0) == pytest.approx(-np.cos(1.0), rel=1e-14)
+        assert spherical_yn(0, 1.0) == pytest.approx(-np.cos(1.0), rel=1e-14)
 
     def test_closed_form_at_pi(self):
-        assert sph_bessel_y(0, np.pi) == pytest.approx(1 / np.pi, rel=1e-13)
+        assert spherical_yn(0, np.pi) == pytest.approx(1 / np.pi, rel=1e-13)
 
     def test_wronskian_at_l2_x3(self):
-        j, y = sph_bessel_j(2, 3.0), sph_bessel_y(2, 3.0)
+        j, y = sph_bessel_j(2, 3.0), spherical_yn(2, 3.0)
         jp = sph_bessel_j_deriv(2, 3.0)
-        yp = (sph_bessel_y(1, 3.0) - sph_bessel_y(3, 3.0)) / 2 - sph_bessel_y(2, 3.0) / (2 * 3.0)
+        yp = (spherical_yn(1, 3.0) - spherical_yn(3, 3.0)) / 2 - spherical_yn(2, 3.0) / (2 * 3.0)
         assert j * yp - jp * y == pytest.approx(1 / 9.0, abs=1e-12)
-
-    def test_requires_positive_argument(self):
-        with pytest.raises(ValueError):
-            sph_bessel_y(0, 0.0)
 
 
 class TestBesselZero:
@@ -155,6 +151,12 @@ class TestSphHarm:
         with pytest.raises(ValueError):
             HarmonicIndex(2, 3)
 
+    def test_degree_above_the_supported_maximum_raises(self):
+        # scipy's sph_harm_y returns NaN from about l = 1000; l = 64 is the declared limit
+        assert HarmonicIndex(64, -64).l == 64
+        with pytest.raises(ValueError, match="exceeds supported maximum 64"):
+            HarmonicIndex(65, 0)
+
     def test_gradient_bit_identical_to_scipy_derivative_mode(self):
         # the Legendre form must reproduce sph_harm_y(..., diff_n=1) exactly,
         # so star surfaces and their artifacts keep their bytes
@@ -178,8 +180,8 @@ class TestAnalyticInvariants:
         for l in range(0, 21, 2):
             j = sph_bessel_j(l, xs)
             jp = sph_bessel_j_deriv(l, xs)
-            y = sph_bessel_y(l, xs)
-            lm1 = sph_bessel_y(l - 1, xs) if l > 0 else np.sin(xs) / xs  # y_{-1} = j_0
+            y = spherical_yn(l, xs)
+            lm1 = spherical_yn(l - 1, xs) if l > 0 else np.sin(xs) / xs  # y_{-1} = j_0
             yp = lm1 - (l + 1) / xs * y
             assert np.max(np.abs(j * yp - jp * y - 1 / xs**2) * xs**2) <= 1e-12
 

@@ -7,7 +7,6 @@ from wavetrace import (
     DirectionGrid,
     HarmonicIndex,
     SurfaceGrid,
-    integrate_surface,
     make_direction_grid,
     make_sphere,
     make_star_surface,
@@ -35,7 +34,7 @@ class TestMakeSphere:
     def test_harmonic_integrates_to_zero(self):
         grid = make_sphere(1.0, 30, 60)
         theta, phi = node_angles(grid)
-        val = integrate_surface(grid, sph_harm(HarmonicIndex(1, 0), theta, phi))
+        val = np.sum(grid.weights * sph_harm(HarmonicIndex(1, 0), theta, phi))
         assert abs(val) <= 1e-12
 
     def test_normals_are_radial(self):
@@ -120,7 +119,7 @@ class TestMakeStarSurface:
 
         def value(nt):
             g = make_star_surface(1.0, pert, nt, 2 * nt)
-            return integrate_surface(g, np.exp(1j * k * (g.nodes @ beta)))
+            return np.sum(g.weights * np.exp(1j * k * (g.nodes @ beta)))
 
         truth = value(64)
         err_coarse = abs(value(16) - truth)
@@ -159,21 +158,16 @@ class TestDirectionGrid:
 class TestIntegrateSurface:
     def test_constant(self):
         grid = make_sphere(1.0, 16, 32)
-        assert integrate_surface(grid, np.ones(grid.n_nodes)) == pytest.approx(
+        assert np.sum(grid.weights * np.ones(grid.n_nodes)) == pytest.approx(
             4 * np.pi, rel=1e-12
         )
 
     def test_plane_wave_closed_form(self):
         grid = make_sphere(1.0, 30, 60)
         vals = np.exp(1j * 2.0 * grid.nodes[:, 2])  # beta = e_z, k = 2
-        assert integrate_surface(grid, vals) == pytest.approx(
+        assert np.sum(grid.weights * vals) == pytest.approx(
             sphere_plane_wave_integral(2.0, 1.0), abs=1e-12
         )
-
-    def test_length_mismatch(self):
-        grid = make_sphere(1.0, 12, 24)
-        with pytest.raises(ValueError):
-            integrate_surface(grid, np.ones(grid.n_nodes - 1))
 
 
 def with_value(a, index, value=np.nan):

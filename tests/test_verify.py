@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import harmonic_on, radial_bessel_moment
+from oracles import harmonic_on, herglotz_wave, radial_bessel_moment
 from wavetrace import (
     HarmonicIndex,
     InconclusiveCheckError,
@@ -49,14 +49,14 @@ class TestLemma1Orthogonality:
     def test_matched_harmonic_density_is_funk_hecke_zero(self, sphere_40_80, dirs_12_24):
         # h = Y_lm of the eigen index: the pairing is exactly the vanishing
         # sphere integral, evaluated through the Herglotz route
-        from wavetrace import HerglotzDensity, eigenfunction_normal_derivative, herglotz_eval
+        from wavetrace import eigenfunction_normal_derivative
 
         idx = HarmonicIndex(1, 0)
         k = bessel_zero(1, 1)
         theta = np.arccos(dirs_12_24.directions[:, 2])
         phi = np.arctan2(dirs_12_24.directions[:, 1], dirs_12_24.directions[:, 0])
-        h = HerglotzDensity(sph_harm(idx, theta, phi))
-        w_trace = herglotz_eval(k, h, dirs_12_24, sphere_40_80.nodes)
+        h = sph_harm(idx, theta, phi)
+        w_trace = herglotz_wave(k, h, dirs_12_24, sphere_40_80.nodes)
         v_n = eigenfunction_normal_derivative(idx, 1, 1.0, sphere_40_80)
         inner = np.sum(sphere_40_80.weights * w_trace * np.conj(v_n))
         # the matched trace itself vanishes at the eigenvalue, so the raw
