@@ -30,13 +30,17 @@ matrix products on the float view of A.
 
 The compressed matrix B(k) = Q^T A(k) Q is entire in k, so it is built
 once per k range as a Chebyshev interpolant (Effenberger & Kressner 2012;
-Trefethen, ATAP, 2013): B is formed directly at Chebyshev-Lobatto points
-of [k_min, k_max], doubling their number (the old points nest in the new)
-until the last three Chebyshev coefficients fall below 1e-14 of the
-leading one, and evaluated by the barycentric formula. On the 24x48 star
-over [5, 6.5] at band limit 8 that is 33 N x N kernel builds, against one
-per evaluation (92 for a 76-sample sweep and its refinements); an
-evaluation then costs an 81 x 81 SVD, about 2 ms.
+Trefethen, ATAP, 2013) and evaluated by the barycentric formula. B depends
+on k through e^{ikr}; on a range of half-width h its Chebyshev
+coefficients have modulus 2 |J_m(h r)| <= 2 (h r / 2)^m / m!. So B is
+formed directly at the n + 1 Chebyshev-Lobatto points of [k_min, k_max]
+for the smallest n with (h D / 2)^(n-2) / (n-2)! <= 1e-14, D the largest
+node distance: the last three coefficients are then below 1e-14 of the
+leading one. That test still guards the result; while it fails, the
+points double (the old ones nest in the new). On the 24x48 star over
+[5, 6.5] at band limit 8 (h D / 2 = 0.797) n is 18: 19 N x N kernel
+builds, against one per evaluation (92 for a 76-sample sweep and its
+refinements); an evaluation then costs an 81 x 81 SVD, about 2 ms.
 """
 
 from __future__ import annotations
@@ -87,9 +91,8 @@ _STATICS_ROW_BLOCK = 64
 _POLE_RULE_NODES = 24
 
 # Chebyshev interpolation of the compressed single-layer matrix in k: the
-# first degree, the degree cap, and the trailing-coefficient test (the last
-# _CHEB_TAIL coefficients below _CHEB_TAIL_TOL of the leading one).
-_CHEB_START_DEGREE = 8
+# degree cap, and the trailing-coefficient test (the last _CHEB_TAIL
+# coefficients below _CHEB_TAIL_TOL of the leading one).
 _CHEB_MAX_DEGREE = 256
 _CHEB_TAIL = 3
 _CHEB_TAIL_TOL = 1e-14
@@ -162,7 +165,7 @@ def eigenfunction_normal_derivative(
     return k * sph_bessel_j_deriv(idx.l, k * R) * sph_harm(idx, theta, phi)
 
 
-def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
+def static_row_integral(grid: SurfaceGrid, threads: int | None = None) -> np.ndarray:
     """g(x_m) = integral_S ds(y) / (4 pi |x_m - y|) for every node.
 
     Sphere:  exact closed form g = R.
@@ -172,7 +175,9 @@ def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
              surface y = r(s) s has ds = r sqrt(r^2 + r_theta^2 +
              r_phi^2 / sin^2 theta) dOmega, and the sin theta' of dOmega
              cancels the 1/|x - y| singularity at the pole, so the rule
-             converges spectrally. Evaluated _STATICS_ROW_BLOCK nodes at a time.
+             converges spectrally. Evaluated _STATICS_ROW_BLOCK nodes at a
+             time, the blocks on a pool of `threads` workers as in
+             find_dips; each block writes only its own nodes' values.
     """
     desc = grid.descriptor
     kind = desc.get("kind")
@@ -193,7 +198,8 @@ def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
     r_hat, theta_hat, phi_hat = _spherical_frame(*_spherical_coords(grid.nodes)[1:])
     frames = np.stack([theta_hat, phi_hat, r_hat], axis=1)
     g = np.empty(grid.n_nodes)
-    for start in range(0, grid.n_nodes, _STATICS_ROW_BLOCK):
+
+    def fill(start: int):
         rows = slice(start, start + _STATICS_ROW_BLOCK)
         y = local @ frames[rows]  # the rule's directions, then y - x
         _, theta, phi = _spherical_coords(y)
@@ -202,17 +208,20 @@ def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
         y -= grid.nodes[rows, None, :]
         ds = r * np.sqrt(r * r + rt * rt + (rp / np.sin(theta)) ** 2)
         g[rows] = (ds / np.linalg.norm(y, axis=-1)) @ weights
+
+    _map(fill, range(0, grid.n_nodes, _STATICS_ROW_BLOCK), threads)
     return g
 
 
-def _nystrom_statics(grid: SurfaceGrid, static_integral: np.ndarray):
+def _nystrom_statics(grid: SurfaceGrid, static_integral: np.ndarray, threads: int | None = None):
     """k-independent parts of the weighted Nystrom matrix: weights, node
     distances (unit diagonal), the symmetric off-diagonal weight
     sqrt(sigma_m) sqrt(sigma_p) / (4 pi r_mp), static diagonal term.
 
-    Filled _STATICS_ROW_BLOCK rows at a time, so the coordinate differences
-    never occupy more than a row block; every entry equals the whole-matrix
-    expression's.
+    Filled _STATICS_ROW_BLOCK rows at a time, the blocks on a pool of
+    `threads` workers, so the coordinate differences never occupy more than
+    a row block per worker; each block writes only its own rows, and every
+    entry equals the whole-matrix expression's.
     """
     nodes, w = grid.nodes, grid.weights
     n = len(w)
@@ -220,7 +229,8 @@ def _nystrom_statics(grid: SurfaceGrid, static_integral: np.ndarray):
     dist = np.empty((n, n))
     weight = np.empty((n, n))
     static_offdiag_rowsum = np.empty(n)
-    for start in range(0, n, _STATICS_ROW_BLOCK):
+
+    def fill(start: int):
         rows = slice(start, start + _STATICS_ROW_BLOCK)
         block = dist[rows]
         block[:] = np.linalg.norm(nodes[rows, None, :] - nodes[None, :, :], axis=-1)
@@ -228,6 +238,8 @@ def _nystrom_statics(grid: SurfaceGrid, static_integral: np.ndarray):
         four_pi_dist = 4 * np.pi * block
         static_offdiag_rowsum[rows] = ((1.0 / four_pi_dist) * w[None, :]).sum(axis=1)
         np.divide(np.outer(sw[rows], sw), four_pi_dist, out=weight[rows])
+
+    _map(fill, range(0, n, _STATICS_ROW_BLOCK), threads)
     static_offdiag_rowsum -= (1.0 / (4 * np.pi)) * w
     return w, dist, weight, static_integral - static_offdiag_rowsum
 
@@ -310,6 +322,18 @@ def _chebyshev_tail(values: np.ndarray) -> float:
     return float(norms[1:].max() / norms[0])
 
 
+def _cheb_start_degree(half_width: float, diameter: float) -> int:
+    """Smallest n with (h D / 2)^(n-2) / (n-2)! <= _CHEB_TAIL_TOL, capped at
+    _CHEB_MAX_DEGREE: the bound on the (n-2)-th Chebyshev coefficient of
+    e^{ikr}, r <= D, over a k range of half-width h."""
+    x = 0.5 * half_width * diameter
+    m, bound = 0, 1.0
+    while bound > _CHEB_TAIL_TOL and m + 2 < _CHEB_MAX_DEGREE:
+        m += 1
+        bound *= x / m
+    return m + 2
+
+
 def make_single_layer_spectrum(
     grid: SurfaceGrid, band_limit: int, k_min: float, k_max: float, threads: int | None = None
 ):
@@ -317,26 +341,27 @@ def make_single_layer_spectrum(
     single-layer matrix B(k) = Q^T A(k) Q on [k_min, k_max], Q the real
     bandlimited_basis; the last one is the indicator.
 
-    B is built by the direct route at _CHEB_START_DEGREE + 1 Chebyshev-Lobatto
-    points of the range, and their number doubles, the built ones kept, until
-    _chebyshev_tail is below _CHEB_TAIL_TOL (InterpolationError past
-    _CHEB_MAX_DEGREE). The static row integral runs once, serially; the
-    builds run on a pool of `threads` workers as in find_dips, each in one
-    N x N complex buffer, compressed by _compress. An evaluation is a
-    barycentric sum and an SVD of size (L+1)^2; at a node it is that node's
-    matrix. The band limit is checked before any work; k_min < k_max, and k must be positive and
-    finite, then inside [k_min, k_max] (ValueError otherwise).
+    B is built by the direct route at the n + 1 Chebyshev-Lobatto points of
+    the range, n from _cheb_start_degree with the largest node distance, and
+    their number doubles, the built ones kept, until _chebyshev_tail is
+    below _CHEB_TAIL_TOL (InterpolationError past _CHEB_MAX_DEGREE). The
+    static row integral, the statics and the builds run on one pool size,
+    `threads` workers as in find_dips; each build fills one N x N complex
+    buffer, compressed by _compress. An evaluation is a barycentric sum and
+    an SVD of size (L+1)^2; at a node it is that node's matrix. The band
+    limit is checked before any work; k_min < k_max, and k must be positive
+    and finite, then inside [k_min, k_max] (ValueError otherwise).
     """
     k_min, k_max = _check_wavenumber(k_min), _check_wavenumber(k_max)
     if not k_min < k_max:
         raise ValueError(f"need k_min < k_max, got [{k_min}, {k_max}]")
     Q = bandlimited_basis(grid, band_limit)
-    statics = _nystrom_statics(grid, static_row_integral(grid))
+    statics = _nystrom_statics(grid, static_row_integral(grid, threads), threads)
 
     def build(j: int):
         stack[j] = _compress(Q, _nystrom_matrix(ks[j], *statics))
 
-    n = _CHEB_START_DEGREE
+    n = _cheb_start_degree(0.5 * (k_max - k_min), statics[1].max())
     ks = _lobatto_points(k_min, k_max, n)
     stack = np.empty((n + 1, Q.shape[1], Q.shape[1]), dtype=complex)
     _map(build, range(n + 1), threads)

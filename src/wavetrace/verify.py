@@ -261,7 +261,9 @@ def check_decomposition(
 
     psi defaults to a seeded random combination of Y_lm, l <= 4.
     Projection uses the left singular vectors of the weighted column stack
-    above a relative cutoff; residual is the relative unprojected norm.
+    above a relative cutoff; residual is the relative norm of what the
+    projection leaves, ||b - U U^* b|| / ||b||, formed directly: the
+    difference of squared norms has a floor of sqrt(eps).
     """
     _, theta, phi = _spherical_coords(grid.nodes)
     if isinstance(psi, np.ndarray):
@@ -292,9 +294,8 @@ def check_decomposition(
             columns.append((v_n * np.sqrt(grid.weights))[:, None])
     stack = np.hstack(columns)
     U, s, _ = np.linalg.svd(stack, full_matrices=False)
-    keep = s > s[0] * _DECOMPOSITION_SVD_CUTOFF
-    coeff = U[:, keep].conj().T @ b
-    residual = float(np.sqrt(max(b_norm**2 - np.linalg.norm(coeff) ** 2, 0.0)) / b_norm)
+    U_keep = U[:, s > s[0] * _DECOMPOSITION_SVD_CUTOFF]
+    residual = float(np.linalg.norm(b - U_keep @ (U_keep.conj().T @ b)) / b_norm)
     return VerificationReport(
         check_name="decomposition",
         inputs={

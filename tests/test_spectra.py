@@ -25,7 +25,13 @@ from wavetrace import (
     static_row_integral,
     sweep_k,
 )
-from wavetrace.spectra import _compress, _nystrom_matrix, _nystrom_statics, bandlimited_basis
+from wavetrace.spectra import (
+    _compress,
+    _lobatto_points,
+    _nystrom_matrix,
+    _nystrom_statics,
+    bandlimited_basis,
+)
 from wavetrace.surface import _spherical_coords
 from wavetrace.sweep import _one_blas_thread
 from oracles import (
@@ -277,6 +283,21 @@ class TestStaticRowIntegral:
     def test_star_integral_is_finite(self, coefs):
         assert np.isfinite(static_row_integral(make_star_surface(1.0, coefs, 24, 48))).all()
 
+    def test_pool_size_leaves_the_statics_bit_identical(self, star_grid_24_48):
+        # the row blocks fill shared arrays block by block
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled_g = static_row_integral(star_grid_24_48, threads=8)
+            pooled = _nystrom_statics(star_grid_24_48, pooled_g, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        serial_g = static_row_integral(star_grid_24_48, threads=1)
+        serial = _nystrom_statics(star_grid_24_48, serial_g, threads=1)
+        assert np.array_equal(pooled_g, serial_g)
+        for a, b in zip(pooled, serial):
+            assert np.array_equal(a, b)
+
     def test_interpolant_uses_the_static_integral(self, star_interpolant):
         assert np.array_equal(static_row_integral(star_interpolant.grid), star_interpolant.g)
 
@@ -440,6 +461,29 @@ class TestSingleLayerInterpolant:
         with _one_blas_thread():
             for k in np.linspace(3.0, 3.4, 7):
                 assert np.array_equal(pooled(k), serial(k))
+
+    @pytest.mark.parametrize("problem, degree", [("sphere", 13), ("star", 18)])
+    def test_builds_the_lobatto_points_of_the_derived_degree(self, problem, degree, request):
+        # h D / 2 is about 0.25 on the sphere and 0.797 on the star: the
+        # degree passes the tail test on the first round
+        run = request.getfixturevalue(f"{problem}_interpolant")
+        assert len(run.node_ks) == degree + 1
+        assert sorted(run.node_ks) == sorted(_lobatto_points(run.k_min, run.k_max, degree))
+
+    def test_short_start_degree_doubles_on_nested_points(self, star_grid_24_48, monkeypatch):
+        # degree 16 misses the tail test on the star-cross problem by about 12x
+        monkeypatch.setattr(wavetrace.spectra, "_cheb_start_degree", lambda *args: 8)
+        run = recorded_interpolant(star_grid_24_48, 5.0, 6.5)
+        rounds = [run.node_ks[:9], run.node_ks[9:17], run.node_ks[17:]]
+        assert len(run.node_ks) == 33
+        assert sorted(rounds[0]) == sorted(_lobatto_points(5.0, 6.5, 8))
+        for n, built in ((16, rounds[1]), (32, rounds[2])):
+            points = _lobatto_points(5.0, 6.5, n)
+            assert np.array_equal(points[::2], _lobatto_points(5.0, 6.5, n // 2))
+            assert sorted(built) == sorted(points[1::2])
+        direct = direct_spectrum(run.grid, run.g)
+        for k in np.random.default_rng(11).uniform(5.0, 6.5, 8):
+            assert np.abs(run.spectrum(k) - direct(k)).max() <= 1e-13
 
     def test_star_cross_dips_from_at_most_33_kernels(self, star_interpolant, monkeypatch):
         # the star-cross eigs problem; direct evaluation built 108 kernels

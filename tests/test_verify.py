@@ -14,6 +14,7 @@ from wavetrace import (
     make_sphere,
     sph_harm,
 )
+from wavetrace.sweep import _one_blas_thread
 
 
 class TestNecessity:
@@ -125,6 +126,20 @@ class TestDecomposition:
         )
         assert not traces_only.passed
         assert traces_only.residual == pytest.approx(1.0, abs=1e-6)
+
+    def test_suite_checks_resolve_the_residual_on_one_blas_thread(self, sphere_30_60, dirs_12_24):
+        # the default suite's two checks: a difference of squared norms has
+        # a sqrt(eps) floor and clamps to 0, so it could not pass this
+        with _one_blas_thread():
+            reports = [
+                check_decomposition(1.0, 1.0, sphere_30_60, dirs_12_24, seed=7),
+                check_decomposition(
+                    np.pi, 1.0, sphere_30_60, dirs_12_24, seed=7, psi=HarmonicIndex(0, 0), tolerance=1e-8
+                ),
+            ]
+        for rep in reports:
+            assert rep.passed
+            assert 0 < rep.residual <= 1e-12
 
     def test_zero_target_inconclusive(self, sphere_30_60, dirs_12_24):
         with pytest.raises(InconclusiveCheckError):
