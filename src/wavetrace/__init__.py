@@ -20,8 +20,11 @@ from .surface import (
     make_star_surface,
 )
 from .herglotz import (
+    IllPosedIndicatorError,
     assemble_trace_matrix,
     fit_trace,
+    make_trace_spectrum,
+    seed_interior_points,
 )
 from .spectra import (
     EigenvalueRecord,
@@ -35,13 +38,10 @@ from .spectra import (
 from .sweep import (
     BracketError,
     Dip,
-    IllPosedIndicatorError,
-    boundary_subspace_singular_values,
     detect_dips,
     estimate_multiplicity,
     find_dips,
     refine_dip,
-    seed_interior_points,
     sweep_k,
 )
 from .verify import (

@@ -16,7 +16,6 @@ failure in any subcommand to exit 3.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -29,7 +28,14 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from .herglotz import fit_trace
+from .herglotz import (
+    DEFAULT_QR_RTOL,
+    IllPosedIndicatorError,
+    default_interior_count,
+    fit_trace,
+    make_trace_spectrum,
+    seed_interior_points,
+)
 from .specfun import HarmonicIndex, sph_harm
 from .spectra import (
     EigenvalueRecord,
@@ -47,14 +53,9 @@ from .surface import (
 )
 from .sweep import (
     DEFAULT_DEPTH_RATIO,
-    DEFAULT_QR_RTOL,
     DEFAULT_REFINE_TOL,
     BracketError,
-    IllPosedIndicatorError,
-    boundary_subspace_singular_values,
-    default_interior_count,
     find_dips,
-    seed_interior_points,
 )
 from .verify import InconclusiveCheckError, run_default_suite
 
@@ -315,8 +316,7 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     interior_count = cfg.interior_count or default_interior_count(dirs)
     interior = seed_interior_points(grid, interior_count, cfg.seed)
     ks = np.linspace(cfg.k_min, cfg.k_max, cfg.samples)
-    spectrum = functools.partial(boundary_subspace_singular_values, grid=grid, dirs=dirs, interior=interior)
-    values, refined = find_dips(spectrum, ks, cfg.refine_tol, cfg.threads)
+    values, refined = find_dips(make_trace_spectrum(grid, dirs, interior), ks, cfg.refine_tol, cfg.threads)
     _write_text(out_csv, "k,indicator\n" + "".join(f"{k:.17g},{v:.17g}\n" for k, v in zip(ks, values)))
     payload = {
         "config": {

@@ -1,4 +1,4 @@
-"""Plane-wave trace matrices and trace-span fitting.
+"""Plane-wave trace matrices, the trace oracle's spectrum, and trace-span fitting.
 
 A Herglotz wave with square-integrable density h on the direction sphere,
 
@@ -18,24 +18,68 @@ closure of the plane-wave trace span: the relative residual is 1 exactly
 when the target is orthogonal to every trace, the signature of a lost
 (rank-collapsed) direction.
 
-The family is closed under beta -> -beta, and e^{-i k beta . x} is the
-complex conjugate of e^{i k beta . x}, so over C it spans what the real
-functions cos(k beta . x) and sin(k beta . x) span. On an antipodally
-symmetric grid (a product grid with even n_phi) the columns of beta and
--beta are conjugates, and the trace matrix carries only real information:
-the completeness indicator in `sweep` factors it as those real columns.
+The raw smallest singular value of A cannot serve as a completeness
+indicator: the trace operator is compact, so any fine discretization has
+tiny singular values at every k. The trace oracle, make_trace_spectrum,
+stacks A on an interior block, the same plane waves at P seeded points
+inside S with one row weight sqrt(area(S)/P). Its spectrum is the singular
+values of the boundary rows of the stack's orthonormal factor: the sines
+of the principal angles between its column space and functions supported
+off the boundary, the smallest being the indicator. Near an interior
+Dirichlet eigenvalue some plane-wave combination is O(1) inside but
+vanishes on S (on the ball, h = Y_lm gives w = 4 pi i^l j_l(kr) Y_lm with
+j_l(kR) = 0), driving the indicator toward zero; away from the spectrum it
+stays O(1). A sine of 1 to rounding marks a retained direction the
+interior points cannot see: the indicator is then ill-posed.
+
+All of it is real Householder arithmetic. e^{-i k beta . x} is the complex
+conjugate of e^{i k beta . x}, so on an antipodally symmetric direction
+grid (a product grid with even n_phi) the columns of beta and -beta span
+what cos(k beta . x) and sin(k beta . x) span, with the same singular
+values. Each block is assembled on one direction of each pair as those
+real columns, column-major so that LAPACK factors it in place, and reduced
+to the R factor of its own QR (geqrf), at most M x M for M real columns.
+[B; I] = diag(Q_B, Q_I) [R_B; R_I] with orthonormal diag(Q_B, Q_I), so
+[R_B; R_I] keeps the Gram matrix, pivoted R, retained rank and principal
+angles of [B; I], which is never formed; only the rounding differs. The
+column-pivoted QR (geqp3) of that stack, at most 2M x M, forms its thin Q;
+the retained rank counts the diagonal entries of R above DEFAULT_QR_RTOL
+of the leading one, and a dense SVD of the retained columns' boundary
+rows, at most M x rank, gives the spectrum. The QRs release the GIL; only
+that small SVD holds it. On one BLAS thread, as in a sweep, this fixed
+sequence of LAPACK calls reproduces the values byte for byte for a fixed
+BLAS library, given the interior points.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as la
 
-from .surface import DirectionGrid, SurfaceGrid
+from .surface import DirectionGrid, SurfaceGrid, _random_unit_vectors, _spherical_coords, surface_radius
 
 __all__ = [
+    "IllPosedIndicatorError",
     "assemble_trace_matrix",
     "fit_trace",
+    "make_trace_spectrum",
+    "seed_interior_points",
 ]
+
+# Columns whose R-diagonal falls below ~1e-8 of the leading one carry
+# directions that double-precision entry noise (1e-16) can only determine
+# to ~1e-8; retaining them injects irreproducibility without adding signal.
+DEFAULT_QR_RTOL = 1e-8
+# A retained direction whose sine is this close to 1 is invisible to the
+# interior block (300 copies of one point: 108 of 109 sines); sound problems
+# stay below 1 - 1e-8 (1 - 1.3e-5 over the 71-sample ball sweep).
+_BLIND_SINE_TOL = 1e-12
+# Interior points stay within this fraction of the local surface radius.
+_INTERIOR_RADIUS_FRACTION = 0.95
+
+
+class IllPosedIndicatorError(RuntimeError):
+    """Interior block too thin to pin down the retained column space."""
 
 
 def _check_wavenumber(k: float) -> float:
@@ -45,39 +89,135 @@ def _check_wavenumber(k: float) -> float:
     return k
 
 
-def assemble_trace_matrix(
-    k: float,
-    grid: SurfaceGrid,
-    dirs: DirectionGrid,
-    interior_points=None,
-) -> np.ndarray:
-    """Weighted trace matrix at k: N boundary rows, then P interior rows.
-
-    Boundary row m is sqrt(sigma_m) e^{i k beta_j . s_m} sqrt(w_j); the
-    optional interior rows carry e^{i k beta_j . x_p} at collocation points
-    x_p with one uniform row weight sqrt(area(S)/P), so both blocks are
-    commensurate. Each block is computed in place in its rows: cos and sin
-    of the phase written straight into the real and imaginary parts.
-    """
-    k = _check_wavenumber(k)
-    blocks = [(grid.nodes, np.sqrt(grid.weights)[:, None])]
-    if interior_points is not None:
-        pts = np.atleast_2d(np.asarray(interior_points, dtype=float))
-        if pts.shape[1] != 3:
-            raise ValueError("interior points must have shape (P, 3)")
-        blocks.append((pts, np.sqrt(grid.area / len(pts))))
-    A = np.empty((sum(len(pts) for pts, _ in blocks), dirs.n_directions), dtype=complex)
+def _plane_waves(k: float, points: np.ndarray, row_weight, dirs: DirectionGrid, cos_part, sin_part):
+    """Fill cos_part and sin_part, two (P, M) arrays, with row_weight *
+    cos(k beta_j . x_m) sqrt(w_j) and the same with sin, at (P, 3) points x_m."""
+    phase = k * (points @ dirs.directions.T)
     sqrt_w = np.sqrt(dirs.weights)[None, :]
-    start = 0
-    for pts, row_weight in blocks:
-        rows = A[start : start + len(pts)]
-        phase = k * (pts @ dirs.directions.T)
-        for part, wave in ((rows.real, np.cos), (rows.imag, np.sin)):
-            wave(phase, out=part)
-            np.multiply(row_weight, part, out=part)
-            np.multiply(part, sqrt_w, out=part)
-        start += len(pts)
+    for part, wave in ((cos_part, np.cos), (sin_part, np.sin)):
+        wave(phase, out=part)
+        np.multiply(row_weight, part, out=part)
+        np.multiply(part, sqrt_w, out=part)
+
+
+def _real_columns(k: float, points: np.ndarray, row_weight, dirs: DirectionGrid) -> np.ndarray:
+    """The plane waves at (P, 3) points as real cos/sin column pairs, P x 2M,
+    column-major so that LAPACK factors them in place, without a copy."""
+    X = np.empty((len(points), 2 * dirs.n_directions), order="F")
+    _plane_waves(k, points, row_weight, dirs, X[:, 0::2], X[:, 1::2])
+    return X
+
+
+def assemble_trace_matrix(k: float, grid: SurfaceGrid, dirs: DirectionGrid) -> np.ndarray:
+    """Weighted trace matrix at k: row m is sqrt(sigma_m) e^{i k beta_j . s_m}
+    sqrt(w_j), with cos and sin of the phase written straight into the real
+    and imaginary parts."""
+    A = np.empty((grid.n_nodes, dirs.n_directions), dtype=complex)
+    _plane_waves(_check_wavenumber(k), grid.nodes, np.sqrt(grid.weights)[:, None], dirs, A.real, A.imag)
     return A
+
+
+def seed_interior_points(grid: SurfaceGrid, count: int, seed: int) -> np.ndarray:
+    """Seeded quasi-uniform points strictly inside the surface.
+
+    Directions are isotropic Gaussian draws; radii scale as u^(1/3) of 0.95
+    times the local surface radius, so the cloud fills the volume and stays
+    strictly interior.
+    """
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    rng = np.random.default_rng(seed)
+    v = _random_unit_vectors(rng, count)
+    u = rng.random(count)
+    theta = np.arccos(np.clip(v[:, 2], -1.0, 1.0))
+    phi = np.arctan2(v[:, 1], v[:, 0])
+    rho = surface_radius(grid.descriptor, theta, phi)
+    return v * (_INTERIOR_RADIUS_FRACTION * rho * np.cbrt(u))[:, None]
+
+
+def default_interior_count(dirs: DirectionGrid) -> int:
+    return max(2 * dirs.n_directions, 500)
+
+
+def _check_interior(grid: SurfaceGrid, interior) -> np.ndarray:
+    interior = np.atleast_2d(np.asarray(interior, dtype=float))
+    if interior.shape[1] != 3:
+        raise ValueError("interior points must have shape (P, 3)")
+    if grid.descriptor.get("kind") in ("sphere", "star"):
+        r, theta, phi = _spherical_coords(interior)
+        rho = surface_radius(grid.descriptor, theta, phi)
+        if not np.all(r < rho * (1 - 1e-9)):  # a NaN point fails too
+            raise ValueError("interior point on or outside the surface")
+    return interior
+
+
+def _rank_cutoff(diag: np.ndarray) -> int:
+    """Retained column count: the pivoted R-diagonal entries above
+    DEFAULT_QR_RTOL of the leading one, 0 if that one is not positive.
+
+    The threshold may cut inside a degree band of the trace spectrum; a
+    few columns more or fewer move no dip and no multiplicity."""
+    if diag[0] <= 0:
+        return 0
+    return int((diag / diag[0] > DEFAULT_QR_RTOL).sum())
+
+
+def _antipodal_half(dirs: DirectionGrid) -> DirectionGrid:
+    """One direction of each antipodal pair (beta, -beta), at twice its weight.
+
+    On the half grid, the real columns sqrt(2 w) cos(k beta . x) and
+    sqrt(2 w) sin(k beta . x) are the complex columns of beta and -beta,
+    sqrt(w) e^{+-i k beta . x}, mixed by a unitary 2x2 matrix.
+    """
+    D, w = dirs.directions, dirs.weights
+    partner = np.argmin(D @ D.T, axis=1)
+    if np.abs(D[partner] + D).max() > 1e-12 or np.any(np.abs(w[partner] - w) > 1e-12 * w):
+        raise ValueError(
+            "the trace spectrum needs an antipodally symmetric direction grid "
+            "(each beta paired with -beta at an equal weight; a product grid needs an even n_phi)"
+        )
+    keep = np.arange(len(w)) < partner
+    return DirectionGrid(directions=D[keep], weights=2 * w[keep])
+
+
+def make_trace_spectrum(grid: SurfaceGrid, dirs: DirectionGrid, interior):
+    """Callable k -> singular values (descending) of the boundary rows of the
+    orthonormal factor of [boundary; interior]: sines of principal angles,
+    each below 1; the last one is the indicator.
+
+    The direction grid must be antipodally symmetric and the interior points,
+    of shape (P, 3), inside the surface (ValueError here, before any
+    evaluation); they are checked against it only on sphere and star grids,
+    so on any other grid the caller must supply points inside it. An
+    evaluation raises IllPosedIndicatorError if it retains no column, or if
+    a retained direction's sine is within _BLIND_SINE_TOL of 1.
+    """
+    interior = _check_interior(grid, interior)
+    half = _antipodal_half(dirs)
+    blocks = ((grid.nodes, np.sqrt(grid.weights)[:, None]), (interior, np.sqrt(grid.area / len(interior))))
+
+    def singular_values(k: float) -> np.ndarray:
+        k = _check_wavenumber(k)
+        # each block by the R factor of its real columns, min(rows, M) x M, one
+        # block at a time; a block shorter than wide passes as its own trapezoid
+        R_B, R_I = (
+            la.qr(_real_columns(k, points, row_weight, half), mode="raw", overwrite_a=True, check_finite=False)[1]
+            for points, row_weight in blocks
+        )
+        Q, R, _ = la.qr(np.vstack([R_B, R_I]), mode="economic", pivoting=True, overwrite_a=True)
+        cutoff = _rank_cutoff(np.abs(np.diag(R)))
+        if cutoff == 0:
+            raise IllPosedIndicatorError("trace matrix is numerically zero")
+        # the boundary rows of the retained columns, now the first len(R_B)
+        s = la.svd(Q[: len(R_B), :cutoff], compute_uv=False)
+        blind = int((1 - s <= _BLIND_SINE_TOL).sum())
+        if blind:
+            raise IllPosedIndicatorError(
+                f"the {len(interior)} interior points cannot see {blind} of the {cutoff} retained directions"
+            )
+        return s
+
+    return singular_values
 
 
 def fit_trace(

@@ -1,49 +1,15 @@
-"""Completeness indicator of the plane-wave trace family as a function of k.
-
-The raw smallest singular value of the trace matrix cannot serve as the
-indicator: the continuous trace operator is compact, so any fine
-discretization has tiny singular values at every k. Instead the stacked
-matrix [boundary block; interior block] is orthonormalized by a pivoted
-QR, and the indicator is the smallest singular value of the boundary rows
-of the orthonormal factor -- the sine of the smallest principal angle
-between the stacked-coordinate space and functions supported off the
-boundary. Near an interior Dirichlet eigenvalue some plane-wave
-combination is O(1) inside the domain but vanishes on the surface (on the
-ball, h = Y_lm gives w = 4 pi i^l j_l(kr) Y_lm with j_l(kR) = 0), driving
-the indicator toward zero; away from the spectrum it stays O(1).
-
-Every step is real Householder arithmetic. The direction grid is
-antipodally symmetric, and the columns of beta and -beta are complex
-conjugates, so the pair spans what its real cos and sin columns span; the
-stacked matrix is assembled on one direction of each pair and read as
-those real columns (a unitary mix of the complex ones: same singular
-values, same column space). Each block is first reduced to the R factor
-of its own QR (geqrf), at most M x M for M real columns. Since
-[B; I] = diag(Q_B, Q_I) [R_B; R_I] and diag(Q_B, Q_I) has orthonormal
-columns, the stacked factors [R_B; R_I] have the Gram matrix of [B; I]
-and of each block, so they keep its pivoted R, retained rank and
-principal angles; only the rounding differs. The column-pivoted QR
-(geqp3) of that stack, at most 2M x M, forms its thin Q, and the
-retained rank counts the diagonal entries of R above DEFAULT_QR_RTOL of
-the leading one. The indicator's spectrum is then the singular values of
-the retained columns' boundary rows, the first min(N, M), taken by a
-dense SVD of at most M x rank. The QRs run in LAPACK calls that release
-the GIL; only that small SVD holds it. The steps are a fixed sequence of
-LAPACK calls, run on one BLAS thread in a sweep, so for a fixed BLAS
-library the values, and the artifacts built from them, stay reproducible
-byte for byte.
+"""The spectrum protocol and the one sweep -> detect -> refine -> classify path.
 
 Both eigenvalue oracles share one spectrum protocol: a callable k -> the
 singular values of a k-dependent matrix, descending as the SVD returns
-them, whose last entry is the indicator (boundary_subspace_singular_values
-with its grid, directions and interior points bound here;
+them, whose last entry is the indicator (make_trace_spectrum in herglotz,
 make_single_layer_spectrum in spectra). find_dips takes any such spectrum
 through one path: sample it over k, flag dips scale-free against the
 median of the last entries, refine each by a safeguarded parabolic search
 on the squared indicator seeded with the sampled minimum and its two neighbours,
 whose spectra the sweep kept, and classify it by the largest gap among the
 collapsed values of the spectrum the search evaluated at k*. No k is
-evaluated twice. Trace sweeps are deterministic given the interior points.
+evaluated twice. This layer knows no oracle and no geometry.
 
 The sweep layer owns the machine's parallelism: while sweep_k, refine_dip
 and find_dips run, the OpenBLAS builds bundled with numpy and scipy are
@@ -66,17 +32,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.linalg as la
-
-from .herglotz import assemble_trace_matrix
-from .surface import DirectionGrid, SurfaceGrid, _random_unit_vectors, _spherical_coords, surface_radius
 
 __all__ = [
     "Dip",
-    "IllPosedIndicatorError",
     "BracketError",
-    "seed_interior_points",
-    "boundary_subspace_singular_values",
     "sweep_k",
     "detect_dips",
     "refine_dip",
@@ -84,15 +43,9 @@ __all__ = [
     "find_dips",
 ]
 
-# Columns whose R-diagonal falls below ~1e-8 of the leading one carry
-# directions that double-precision entry noise (1e-16) can only determine
-# to ~1e-8; retaining them injects irreproducibility without adding signal.
-DEFAULT_QR_RTOL = 1e-8
 DEFAULT_DEPTH_RATIO = 0.1
 DEFAULT_GAP_RATIO = 10.0
 DEFAULT_REFINE_TOL = 1e-4
-# Interior points stay within this fraction of the local surface radius.
-_INTERIOR_RADIUS_FRACTION = 0.95
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
@@ -165,10 +118,6 @@ def _map(fn, items, threads: int | None) -> list:
         return list(pool.map(fn, items))
 
 
-class IllPosedIndicatorError(RuntimeError):
-    """Interior block too thin to pin down the retained column space."""
-
-
 class BracketError(RuntimeError):
     """Refinement bracket does not contain an interior minimum."""
 
@@ -180,105 +129,6 @@ class Dip:
     k: float
     indicator: float
     multiplicity: int
-
-
-def seed_interior_points(grid: SurfaceGrid, count: int, seed: int) -> np.ndarray:
-    """Seeded quasi-uniform points strictly inside the surface.
-
-    Directions are isotropic Gaussian draws; radii scale as u^(1/3) of 0.95
-    times the local surface radius, so the cloud fills the volume and stays
-    strictly interior.
-    """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    rng = np.random.default_rng(seed)
-    v = _random_unit_vectors(rng, count)
-    u = rng.random(count)
-    theta = np.arccos(np.clip(v[:, 2], -1.0, 1.0))
-    phi = np.arctan2(v[:, 1], v[:, 0])
-    rho = surface_radius(grid.descriptor, theta, phi)
-    return v * (_INTERIOR_RADIUS_FRACTION * rho * np.cbrt(u))[:, None]
-
-
-def default_interior_count(dirs: DirectionGrid) -> int:
-    return max(2 * dirs.n_directions, 500)
-
-
-def _check_interior(grid: SurfaceGrid, interior: np.ndarray):
-    interior = np.atleast_2d(np.asarray(interior, dtype=float))
-    if interior.shape[1] != 3:
-        raise ValueError("interior points must have shape (P, 3)")
-    if grid.descriptor.get("kind") in ("sphere", "star"):
-        r, theta, phi = _spherical_coords(interior)
-        rho = surface_radius(grid.descriptor, theta, phi)
-        if not np.all(r < rho * (1 - 1e-9)):  # a NaN point fails too
-            raise ValueError("interior point on or outside the surface")
-    return interior
-
-
-def _rank_cutoff(diag: np.ndarray) -> int:
-    """Retained column count: the pivoted R-diagonal entries above
-    DEFAULT_QR_RTOL of the leading one, 0 if that one is not positive.
-
-    The threshold may cut inside a degree band of the trace spectrum; a
-    few columns more or fewer move no dip and no multiplicity."""
-    if diag[0] <= 0:
-        return 0
-    return int((diag / diag[0] > DEFAULT_QR_RTOL).sum())
-
-
-def _antipodal_half(dirs: DirectionGrid) -> DirectionGrid:
-    """One direction of each antipodal pair (beta, -beta), at twice its weight.
-
-    On the half grid, the complex trace column sqrt(2 w) e^{i k beta . x}
-    read as two floats is the pair sqrt(2 w) cos, sqrt(2 w) sin: the
-    columns of beta and -beta mixed by a unitary 2x2 matrix.
-    """
-    D, w = dirs.directions, dirs.weights
-    partner = np.argmin(D @ D.T, axis=1)
-    if np.abs(D[partner] + D).max() > 1e-12 or np.any(np.abs(w[partner] - w) > 1e-12 * w):
-        raise ValueError(
-            "the trace spectrum needs an antipodally symmetric direction grid "
-            "(each beta paired with -beta at an equal weight; a product grid needs an even n_phi)"
-        )
-    keep = np.arange(len(w)) < partner
-    return DirectionGrid(directions=D[keep], weights=2 * w[keep])
-
-
-def boundary_subspace_singular_values(
-    k: float, grid: SurfaceGrid, dirs: DirectionGrid, interior
-) -> np.ndarray:
-    """Singular values (descending) of the boundary block of the orthonormal
-    factor of the stacked trace matrix, sines of principal angles and so
-    clipped to at most 1; the last one is the indicator. The direction grid
-    must be antipodally symmetric (ValueError otherwise). Interior points
-    are checked against the surface only on sphere and star grids; on any
-    other grid the caller must supply points inside it.
-
-    The boundary and interior blocks are each reduced to their R factor
-    before the rank-revealing pivoted QR, which then factors at most 2M x M
-    rows for M real columns instead of N + P; the block QRs have
-    orthonormal Q factors, so the principal angles are those of the stacked
-    matrix itself, up to rounding. Its thin Q is formed whole, and the SVD
-    takes the retained columns' boundary rows, at most M x rank."""
-    interior = _check_interior(grid, interior)
-    # the real cos/sin columns: the complex matrix over the half grid, no copy
-    A = assemble_trace_matrix(k, grid, _antipodal_half(dirs), interior_points=interior).view(float)
-    # each block by its R factor, min(rows, M) x M: a block shorter than
-    # wide passes through as its own trapezoid
-    n = grid.n_nodes
-    R_B, R_I = (la.qr(rows, mode="raw", check_finite=False)[1] for rows in (A[:n], A[n:]))
-    del A  # factored in copies; freed before the steps below
-    Q, R, _ = la.qr(np.vstack([R_B, R_I]), mode="economic", pivoting=True, overwrite_a=True)
-    cutoff = _rank_cutoff(np.abs(np.diag(R)))
-    if cutoff == 0:
-        raise IllPosedIndicatorError("trace matrix is numerically zero")
-    if len(interior) < cutoff:
-        raise IllPosedIndicatorError(
-            f"{len(interior)} interior points cannot control a rank-{cutoff} column space"
-        )
-    # the boundary rows of the retained columns, now the first len(R_B)
-    return np.minimum(la.svd(Q[: len(R_B), :cutoff], compute_uv=False), 1.0)
 
 
 def sweep_k(spectrum, ks, threads: int | None = None) -> np.ndarray:

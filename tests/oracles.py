@@ -22,7 +22,7 @@ from scipy.special import spherical_jn, spherical_yn
 
 from wavetrace.specfun import HarmonicIndex, bessel_zero, sph_bessel_j, sph_harm
 from wavetrace.surface import _spherical_coords
-from wavetrace.sweep import _rank_cutoff
+from wavetrace.herglotz import _rank_cutoff
 
 mp.mp.dps = 40
 
@@ -139,17 +139,25 @@ def brute_force_gram_singular_values(k, grid_fine, dirs):
     return np.sqrt(np.clip(eig, 0, None))[::-1]
 
 
+def stacked_trace_matrix(k, grid, dirs, interior=None):
+    """The weighted trace matrix as whole-matrix exponentials: the N boundary
+    rows sqrt(sigma_m) e^{i k beta_j . s_m} sqrt(w_j), then, given P interior
+    points x_p, the rows sqrt(area / P) e^{i k beta_j . x_p} sqrt(w_j), one
+    uniform weight that makes both blocks commensurate; stacked by a copy."""
+    sqrt_w = np.sqrt(dirs.weights)[None, :]
+    A = np.sqrt(grid.weights)[:, None] * np.exp(1j * k * (grid.nodes @ dirs.directions.T)) * sqrt_w
+    if interior is None:
+        return A
+    B = np.sqrt(grid.area / len(interior)) * np.exp(1j * k * (interior @ dirs.directions.T)) * sqrt_w
+    return np.vstack([A, B])
+
+
 def complex_trace_spectrum(k, grid, dirs, interior):
     """The trace spectrum factored in complex arithmetic over every direction:
-    the stacked matrix A[m, j] = rho_m e^{i k beta_j . x_m} sqrt(w_j), with
-    rho_m = sqrt(sigma_m) on the surface nodes and sqrt(area / P) on the P
-    interior points, then the thin Q of its pivoted QR, cut by the library's
-    rank rule (the definition of the indicator, not under test), and the
-    singular values of its retained boundary rows."""
-    points = np.vstack([grid.nodes, interior])
-    rho = np.concatenate([np.sqrt(grid.weights), np.full(len(interior), np.sqrt(grid.area / len(interior)))])
-    A = rho[:, None] * np.exp(1j * k * (points @ dirs.directions.T)) * np.sqrt(dirs.weights)
-    Q, R, _ = la.qr(A, mode="economic", pivoting=True)
+    the thin Q of the pivoted QR of the stacked trace matrix, cut by the
+    library's rank rule (the definition of the indicator, not under test),
+    and the singular values of its retained boundary rows."""
+    Q, R, _ = la.qr(stacked_trace_matrix(k, grid, dirs, interior), mode="economic", pivoting=True)
     cutoff = _rank_cutoff(np.abs(np.diag(R)))
     return la.svd(Q[: grid.n_nodes, :cutoff], compute_uv=False)
 

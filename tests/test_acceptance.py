@@ -5,7 +5,6 @@ the captured output on failure). Expensive artifacts (the full ball sweep,
 the star cross-oracle runs) are computed once in module-scoped fixtures.
 """
 
-import functools
 import json
 import time
 
@@ -19,7 +18,6 @@ from wavetrace import (
     check_green_reduction,
     check_decomposition,
     check_lemma1_orthogonality,
-    boundary_subspace_singular_values,
     check_necessity,
     detect_dips,
     find_dips,
@@ -28,6 +26,7 @@ from wavetrace import (
     make_single_layer_spectrum,
     make_sphere,
     make_star_surface,
+    make_trace_spectrum,
     refine_dip,
     seed_interior_points,
     sph_harm,
@@ -53,17 +52,17 @@ def ball_sweep():
     grid = make_sphere(1.0, 24, 48)
     dirs = make_direction_grid(12, 24)
     t0 = time.perf_counter()
-    interior = seed_interior_points(grid, 2 * dirs.n_directions, seed=0)
+    spectrum = make_trace_spectrum(grid, dirs, seed_interior_points(grid, 2 * dirs.n_directions, seed=0))
     calls = []  # list.append is atomic, so the pool's workers can share it
 
     def counted(k):
         calls.append(k)
-        return boundary_subspace_singular_values(k, grid, dirs, interior)
+        return spectrum(k)
 
     ks = np.linspace(3.0, 6.5, 350)
     _, dips = find_dips(counted, ks, refine_tol=1e-4)
     refined = [(dip.k, dip.indicator, dip.multiplicity) for dip in dips]
-    controls = [boundary_subspace_singular_values(k, grid, dirs, interior)[-1] for k in CONTROL_POINTS]
+    controls = [spectrum(k)[-1] for k in CONTROL_POINTS]
     elapsed = time.perf_counter() - t0
     return {
         "grid": grid,
@@ -216,7 +215,7 @@ class TestCriterion6CrossOracle:
         dirs = make_direction_grid(10, 20)
         ks = np.linspace(2.9, 3.4, 26)
         interior = seed_interior_points(star, 500, seed=11)
-        trace = functools.partial(boundary_subspace_singular_values, grid=star, dirs=dirs, interior=interior)
+        trace = make_trace_spectrum(star, dirs, interior)
         trace_dips = detect_dips(sweep_k(trace, ks))
         assert len(trace_dips) == 1
         k = ks[trace_dips[0]]

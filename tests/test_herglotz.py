@@ -10,6 +10,7 @@ from oracles import (
     helmholtz_residual,
     herglotz_wave,
     sphere_plane_wave_integral,
+    stacked_trace_matrix,
 )
 from wavetrace import (
     DirectionGrid,
@@ -24,6 +25,7 @@ from wavetrace import (
     sph_bessel_j,
     sph_harm,
 )
+from wavetrace.herglotz import _real_columns
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -88,6 +90,12 @@ class TestHelmholtzResidual:
         assert helmholtz_residual(w, 1.0, np.array([0.1, 0.2, 0.3]), 1e-3) == 0.0
 
 
+def interior_block(k, grid, dirs, pts):
+    """The interior rows as the trace spectrum assembles them: real cos/sin
+    column pairs at one row weight sqrt(area / P)."""
+    return _real_columns(k, pts, np.sqrt(grid.area / len(pts)), dirs)
+
+
 class TestAssembleTraceMatrix:
     @pytest.mark.parametrize(
         "star, dirs_shape, n_points",
@@ -95,19 +103,19 @@ class TestAssembleTraceMatrix:
         ids=["ball", "star", "no-interior"],
     )
     def test_bit_identical_to_stacked_blocks(self, star, dirs_shape, n_points):
-        # against the boundary and interior blocks as separate whole-matrix
-        # expressions, stacked by a copy
+        # the boundary block, as a complex matrix and as the trace spectrum's
+        # real columns, and the interior block, against the rows of the
+        # whole-matrix expressions
         grid = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48) if star else make_sphere(1.0, 24, 48)
         dirs = make_direction_grid(*dirs_shape)
         pts = None if n_points is None else seed_interior_points(grid, n_points, seed=0)
+        N = grid.n_nodes
         for k in (3.0, np.pi, 5.7):
-            sqrt_w = np.sqrt(dirs.weights)[None, :]
-            expected = np.sqrt(grid.weights)[:, None] * np.exp(1j * k * (grid.nodes @ dirs.directions.T)) * sqrt_w
+            expected = stacked_trace_matrix(k, grid, dirs, pts).view(float)
+            assert np.array_equal(assemble_trace_matrix(k, grid, dirs).view(float), expected[:N])
+            assert np.array_equal(_real_columns(k, grid.nodes, np.sqrt(grid.weights)[:, None], dirs), expected[:N])
             if pts is not None:
-                interior = np.sqrt(grid.area / len(pts)) * np.exp(1j * k * (pts @ dirs.directions.T)) * sqrt_w
-                expected = np.vstack([expected, interior])
-            A = assemble_trace_matrix(k, grid, dirs, interior_points=pts)
-            assert np.array_equal(A.view(float), expected.view(float))
+                assert np.array_equal(interior_block(k, grid, dirs, pts), expected[N:])
 
     @pytest.mark.parametrize("k", [3.3, 4.0, 6.1, 41.7])
     def test_agrees_with_the_exp_form(self, k):
@@ -116,10 +124,9 @@ class TestAssembleTraceMatrix:
         grid = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48)
         dirs = make_direction_grid(12, 24)
         pts = seed_interior_points(grid, 576, seed=0)
-        stacked = np.vstack([grid.nodes, pts])
-        row_weights = np.concatenate([np.sqrt(grid.weights), np.full(len(pts), np.sqrt(grid.area / len(pts)))])
-        expected = row_weights[:, None] * np.exp(1j * k * (stacked @ dirs.directions.T)) * np.sqrt(dirs.weights)
-        A = assemble_trace_matrix(k, grid, dirs, interior_points=pts)
+        expected = stacked_trace_matrix(k, grid, dirs, pts)
+        X = interior_block(k, grid, dirs, pts)
+        A = np.vstack([assemble_trace_matrix(k, grid, dirs), X[:, 0::2] + 1j * X[:, 1::2]])
         assert np.max(np.abs(A - expected) / np.abs(expected)) <= 1e-15
 
     def test_column_norms_equal_weighted_area(self, sphere_30_60, dirs_12_24):

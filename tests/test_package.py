@@ -53,3 +53,17 @@ def test_cli_is_the_one_writer_of_artifacts():
             if isinstance(node, ast.FunctionDef) and re.fullmatch(r"to_dict|to_json.*|to_csv.*", node.name)
         ]
         assert not writers, (layer, writers)
+
+
+def test_sweep_knows_no_oracle_and_no_geometry():
+    # find_dips takes any spectrum: the trace oracle lives in herglotz, the
+    # single-layer oracle in spectra, and the grids in surface
+    tree = ast.parse(inspect.getsource(importlib.import_module("wavetrace.sweep")))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= set((node.module or "").split("."))
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {part for alias in node.names for part in alias.name.split(".")}
+    assert not imported & {"herglotz", "surface", "spectra"}

@@ -12,7 +12,7 @@ from wavetrace import (
     make_star_surface,
     sph_harm,
 )
-from wavetrace.sweep import _check_interior
+from wavetrace.herglotz import _check_interior
 
 
 def node_angles(grid):

@@ -1,4 +1,3 @@
-import functools
 import os
 import sys
 from collections import Counter
@@ -10,9 +9,7 @@ from wavetrace import (
     BracketError,
     DirectionGrid,
     IllPosedIndicatorError,
-    assemble_trace_matrix,
     bessel_zero,
-    boundary_subspace_singular_values,
     detect_dips,
     estimate_multiplicity,
     find_dips,
@@ -20,20 +17,15 @@ from wavetrace import (
     make_single_layer_spectrum,
     make_sphere,
     make_star_surface,
+    make_trace_spectrum,
     refine_dip,
     seed_interior_points,
     sweep_k,
 )
 import scipy.linalg as la
-from oracles import complex_trace_spectrum
-from wavetrace.sweep import (
-    _antipodal_half,
-    _blas_threads,
-    _one_blas_thread,
-    _openblas_thread_controls,
-    _rank_cutoff,
-    default_interior_count,
-)
+from oracles import complex_trace_spectrum, stacked_trace_matrix
+from wavetrace.herglotz import _antipodal_half, _rank_cutoff, default_interior_count
+from wavetrace.sweep import _blas_threads, _one_blas_thread, _openblas_thread_controls
 
 needs_openblas_controls = pytest.mark.skipif(
     not _openblas_thread_controls(),
@@ -52,11 +44,11 @@ def ball_setup():
 class TestCompletenessIndicator:
     def test_collapses_at_eigenvalue(self, ball_setup):
         grid, dirs, interior = ball_setup
-        assert boundary_subspace_singular_values(np.pi, grid, dirs, interior)[-1] <= 0.02
+        assert make_trace_spectrum(grid, dirs, interior)(np.pi)[-1] <= 0.02
 
     def test_order_one_off_spectrum(self, ball_setup):
         grid, dirs, interior = ball_setup
-        assert boundary_subspace_singular_values(2.0, grid, dirs, interior)[-1] >= 0.2
+        assert make_trace_spectrum(grid, dirs, interior)(2.0)[-1] >= 0.2
 
     def test_spec_calibration_configuration(self):
         # the frozen calibration run: (30,60) surface, (24,48) directions,
@@ -64,44 +56,52 @@ class TestCompletenessIndicator:
         grid = make_sphere(1.0, 30, 60)
         dirs = make_direction_grid(24, 48)
         interior = seed_interior_points(grid, 600, seed=0)
-        assert boundary_subspace_singular_values(np.pi, grid, dirs, interior)[-1] <= 0.02
+        assert make_trace_spectrum(grid, dirs, interior)(np.pi)[-1] <= 0.02
 
     def test_kr_invariance(self):
         dirs = make_direction_grid(10, 20)
-        a = boundary_subspace_singular_values(
-            np.pi, make_sphere(1.0, 20, 40), dirs,
-            seed_interior_points(make_sphere(1.0, 20, 40), 500, seed=3),
-        )[-1]
-        b = boundary_subspace_singular_values(
-            np.pi / 2, make_sphere(2.0, 20, 40), dirs,
-            seed_interior_points(make_sphere(2.0, 20, 40), 500, seed=3),
-        )[-1]
+        a = make_trace_spectrum(
+            make_sphere(1.0, 20, 40), dirs, seed_interior_points(make_sphere(1.0, 20, 40), 500, seed=3)
+        )(np.pi)[-1]
+        b = make_trace_spectrum(
+            make_sphere(2.0, 20, 40), dirs, seed_interior_points(make_sphere(2.0, 20, 40), 500, seed=3)
+        )(np.pi / 2)[-1]
         assert a / 2 <= b <= a * 2
 
     def test_interior_point_outside_rejected(self, ball_setup):
         grid, dirs, _ = ball_setup
         bad = np.array([[0.0, 0.0, 1.2]])
         with pytest.raises(ValueError):
-            boundary_subspace_singular_values(1.0, grid, dirs, bad)
+            make_trace_spectrum(grid, dirs, bad)
 
     def test_too_few_interior_points_ill_posed(self):
         grid = make_sphere(1.0, 16, 32)
         dirs = make_direction_grid(8, 16)
         few = seed_interior_points(grid, 10, seed=1)
         with pytest.raises(IllPosedIndicatorError):
-            boundary_subspace_singular_values(2.0, grid, dirs, few)
+            make_trace_spectrum(grid, dirs, few)(2.0)
+
+    def test_interior_blind_to_a_retained_direction_ill_posed(self):
+        # 300 copies of one interior point: as many rows as the seeded points,
+        # but an interior block of rank 1, so 108 of the 109 retained
+        # directions at k = 2 have sines of 1 to rounding
+        grid, dirs, points = criterion8_problem()
+        spectrum = make_trace_spectrum(grid, dirs, np.repeat(points[:1], len(points), axis=0))
+        for k in (2.0, 3.0, np.pi):
+            with pytest.raises(IllPosedIndicatorError, match="cannot see"):
+                spectrum(k)
 
     def test_asymmetric_direction_grid_rejected(self, ball_setup):
         grid, dirs, interior = ball_setup
         # an odd n_phi leaves phi + pi off the grid
         with pytest.raises(ValueError, match="antipodally symmetric"):
-            boundary_subspace_singular_values(3.0, grid, make_direction_grid(10, 21), interior)
+            make_trace_spectrum(grid, make_direction_grid(10, 21), interior)
         # every antipode present, but beta and -beta weighted unequally
         tilted = DirectionGrid(
             directions=dirs.directions, weights=dirs.weights * (1 + 0.1 * dirs.directions[:, 2])
         )
         with pytest.raises(ValueError, match="antipodally symmetric"):
-            boundary_subspace_singular_values(3.0, grid, tilted, interior)
+            make_trace_spectrum(grid, tilted, interior)
 
     # away from the star's spectrum, where the indicator is well conditioned
     @pytest.mark.parametrize("k", [2.2, 3.0, 4.0])
@@ -124,20 +124,15 @@ class TestCompletenessIndicator:
             descriptor={"kind": "custom"},
         )
         dirs_rot = DirectionGrid(directions=dirs.directions @ rot.T, weights=dirs.weights)
-        a = boundary_subspace_singular_values(k, star, dirs, interior)[-1]
-        b = boundary_subspace_singular_values(k, star_rot, dirs_rot, interior @ rot.T)[-1]
+        a = make_trace_spectrum(star, dirs, interior)(k)[-1]
+        b = make_trace_spectrum(star_rot, dirs_rot, interior @ rot.T)(k)[-1]
         assert abs(a - b) <= 1e-10
-
-
-def trace_spectrum(grid, dirs, interior):
-    """The trace oracle's spectrum at fixed interior points, bound as the CLI binds it."""
-    return functools.partial(boundary_subspace_singular_values, grid=grid, dirs=dirs, interior=interior)
 
 
 def real_trace_matrix(k, grid, dirs, interior):
     """The stacked trace matrix as the indicator factors it: one column pair
     sqrt(2 w) cos, sqrt(2 w) sin per antipodal direction pair."""
-    return assemble_trace_matrix(k, grid, _antipodal_half(dirs), interior_points=interior).view(float)
+    return stacked_trace_matrix(k, grid, _antipodal_half(dirs), interior).view(float)
 
 
 def compressed_trace_matrix(k, grid, dirs, interior):
@@ -172,7 +167,7 @@ def criterion8_problem(interior_count=300):
 
 
 class TestFactorization:
-    """boundary_subspace_singular_values reduces each block to its R factor,
+    """The trace spectrum reduces each block to its R factor,
     then takes one pivoted QR of the stacked factors and one SVD of the
     retained columns' boundary rows.
 
@@ -193,16 +188,23 @@ class TestFactorization:
     @pytest.mark.parametrize("k", KS)
     def test_matches_thin_q_reference(self, problem, k):
         cutoff, expected = thin_q_reference(*compressed_trace_matrix(k, *problem))
-        s = boundary_subspace_singular_values(k, *problem)
+        s = make_trace_spectrum(*problem)(k)
         assert len(s) == cutoff
         assert np.abs(s - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("k", [3.0, np.pi, 5.7])
+    def test_bit_identical_to_the_stacked_route(self, problem, k):
+        # the blocks assembled apart, against one stacked array split again:
+        # the same LAPACK calls on the same entries
+        _, expected = thin_q_reference(*compressed_trace_matrix(k, *problem))
+        assert np.array_equal(make_trace_spectrum(*problem)(k), expected)
 
     @staticmethod
     def assert_keeps_the_raw_spectrum(k, problem):
         # the block QRs change the rounding only: ~5e-10 at most here, where
         # one-ulp entry noise moves the uncompressed route by ~1e-10
         expected = raw_trace_spectrum(*problem)(k)
-        s = boundary_subspace_singular_values(k, *problem)
+        s = make_trace_spectrum(*problem)(k)
         assert len(s) == len(expected)  # the same cutoff
         assert np.abs(s - expected).max() <= 2e-9
 
@@ -245,14 +247,14 @@ class TestFactorization:
         calls = self.spy_on(monkeypatch, "svd")
         for k in self.KS:
             calls.clear()
-            cutoff = len(boundary_subspace_singular_values(k, *problem))
+            cutoff = len(make_trace_spectrum(*problem)(k))
             assert calls == [(False, np.float64, (min(N, M), cutoff))]
 
     def test_pivoted_qr_factors_real_columns(self, monkeypatch, problem):
         grid, dirs, interior = problem
         N, P, M = grid.n_nodes, len(interior), dirs.n_directions
         calls = self.spy_on(monkeypatch, "qr")
-        boundary_subspace_singular_values(3.0, *problem)
+        make_trace_spectrum(*problem)(3.0)
         assert [c for c in calls if c[0]] == [(True, np.float64, (min(N, M) + min(P, M), M))]
         # the two block QRs only
         assert [c for c in calls if not c[0]] == [(False, np.float64, (N, M)), (False, np.float64, (P, M))]
@@ -279,7 +281,7 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("k", [3.0, 5.7])
     def test_real_matrix_has_the_complex_singular_values(self, problem, k):
         grid, dirs, interior = problem
-        expected = la.svdvals(assemble_trace_matrix(k, grid, dirs, interior_points=interior))
+        expected = la.svdvals(stacked_trace_matrix(k, grid, dirs, interior))
         s = la.svdvals(real_trace_matrix(k, grid, dirs, interior))
         assert s.shape == expected.shape
         assert np.abs(s - expected).max() <= 1e-14 * expected[0]
@@ -287,7 +289,7 @@ class TestRealArithmetic:
     def test_indicator_matches_the_complex_form(self, problem):
         for k in self.KS:
             expected = complex_trace_spectrum(k, *problem)[-1]
-            assert abs(boundary_subspace_singular_values(k, *problem)[-1] - expected) <= 1e-5 * expected
+            assert abs(make_trace_spectrum(*problem)(k)[-1] - expected) <= 1e-5 * expected
 
 
 def criterion8_spectrum(kind):
@@ -295,7 +297,7 @@ def criterion8_spectrum(kind):
     [3.0, 3.3]: a 16x32 sphere; 8x16 directions and 300 interior points
     (seed 42) for the trace oracle, band limit 8 for the single layer."""
     if kind == "trace":
-        spectrum = trace_spectrum(*criterion8_problem())
+        spectrum = make_trace_spectrum(*criterion8_problem())
     else:
         spectrum = make_single_layer_spectrum(make_sphere(1.0, 16, 32), 8, 3.0, 3.3)
     return spectrum, np.linspace(3.0, 3.3, 12)
@@ -305,10 +307,10 @@ class TestSweepK:
     def test_invalid_range(self, ball_setup):
         grid, dirs, interior = ball_setup
         with pytest.raises(ValueError):
-            sweep_k(trace_spectrum(grid, dirs, interior), np.linspace(5.0, 3.0, 10))
+            sweep_k(make_trace_spectrum(grid, dirs, interior), np.linspace(5.0, 3.0, 10))
         for ks in ([3.0, np.nan], [3.0, 3.05, np.inf], [np.nan, 3.0, 3.05]):
             with pytest.raises(ValueError, match="finite"):
-                sweep_k(trace_spectrum(grid, dirs, interior), ks)
+                sweep_k(make_trace_spectrum(grid, dirs, interior), ks)
         with pytest.raises(ValueError, match="finite"):
             find_dips(lambda k: np.array([abs(k - 3.02) + 1e-3]), [3.0, 3.05, np.nan], threads=1)
 
@@ -319,7 +321,7 @@ class TestSweepK:
         runs = []
         for _ in range(2):
             interior = seed_interior_points(grid, 400, seed=42)
-            runs.append(sweep_k(trace_spectrum(grid, dirs, interior), ks))
+            runs.append(sweep_k(make_trace_spectrum(grid, dirs, interior), ks))
         a, b = runs
         assert np.array_equal(a, b)
         assert a.tobytes() == b.tobytes()
@@ -328,7 +330,7 @@ class TestSweepK:
         grid = make_sphere(1.0, 20, 40)
         dirs = make_direction_grid(10, 20)
         ks = np.linspace(2.9, 3.4, 26)
-        spectrum = trace_spectrum(grid, dirs, seed_interior_points(grid, 450, seed=0))
+        spectrum = make_trace_spectrum(grid, dirs, seed_interior_points(grid, 450, seed=0))
         dips = detect_dips(sweep_k(spectrum, ks))
         assert len(dips) == 1
         assert abs(ks[dips[0]] - np.pi) <= 0.02
@@ -340,21 +342,19 @@ class TestSweepK:
         pooled = sweep_k(spectrum, ks, threads=2)
         assert serial.tobytes() == pooled.tobytes()
 
-    @pytest.mark.parametrize("interior", ["seeded", "one-point-repeated"])
+    @pytest.mark.parametrize("interior", ["seeded", "short"])
     def test_trace_spectrum_is_finite_descending_and_inside_the_unit_interval(self, interior):
-        # sines of principal angles, clipped to 1: on the Criterion-8 problem
-        # the largest stays near 0.9996, but 300 copies of one interior point
-        # leave many directions off the interior block, whose sines are 1 and
-        # round past it unclipped
+        # sines of principal angles, each below 1: on the Criterion-8 problem
+        # the largest stays near 1 - 3.6e-4, and with 124 interior points for
+        # M = 128 columns near 1 - 1.4e-8, still far from the ill-posed 1
         spectrum, ks = criterion8_spectrum("trace")
-        if interior == "one-point-repeated":
-            grid, dirs, points = criterion8_problem()
-            spectrum = trace_spectrum(grid, dirs, np.repeat(points[:1], len(points), axis=0))
+        if interior == "short":
+            spectrum = make_trace_spectrum(*criterion8_problem(124))
         for k in ks:
             s = spectrum(k)
             assert np.isfinite(s).all()
             assert np.all(np.diff(s) <= 0)
-            assert 0 <= s[-1] and s[0] <= 1
+            assert 0 <= s[-1] and s[0] < 1
 
 
 class TestDetectDips:
@@ -497,7 +497,7 @@ class TestRefineDip:
         grid = make_sphere(1.0, 20, 40)
         dirs = make_direction_grid(10, 20)
         interior = seed_interior_points(grid, default_interior_count(dirs), seed=0)
-        k, s = refine_dip(trace_spectrum(grid, dirs, interior), (3.12, 3.14, 3.16), tol=1e-4)
+        k, s = refine_dip(make_trace_spectrum(grid, dirs, interior), (3.12, 3.14, 3.16), tol=1e-4)
         assert abs(k - np.pi) <= 1e-3
         assert s[-1] <= 1e-3
 
@@ -506,13 +506,13 @@ class TestEstimateMultiplicity:
     def test_simple_eigenvalue(self, ball_setup):
         grid, dirs, interior = ball_setup
         with _one_blas_thread():
-            s = boundary_subspace_singular_values(np.pi, grid, dirs, interior)
+            s = make_trace_spectrum(grid, dirs, interior)(np.pi)
         assert estimate_multiplicity(s) == 1
 
     def test_triple_eigenvalue(self, ball_setup):
         grid, dirs, interior = ball_setup
         with _one_blas_thread():
-            s = boundary_subspace_singular_values(bessel_zero(1, 1), grid, dirs, interior)
+            s = make_trace_spectrum(grid, dirs, interior)(bessel_zero(1, 1))
         assert estimate_multiplicity(s) == 3
 
     def test_no_collapsed_value_counts_as_simple(self):
@@ -549,7 +549,7 @@ def ball_two_dips():
     """Criterion-8 grids over [3.0, 4.6]: dips at pi (simple) and z_11 (triple)."""
     grid = make_sphere(1.0, 16, 32)
     dirs = make_direction_grid(8, 16)
-    spectrum = trace_spectrum(grid, dirs, seed_interior_points(grid, 300, seed=42))
+    spectrum = make_trace_spectrum(grid, dirs, seed_interior_points(grid, 300, seed=42))
     return spectrum, np.linspace(3.0, 4.6, 33)
 
 
@@ -694,11 +694,11 @@ class TestRankCutoffStability:
     @pytest.fixture(scope="class")
     def star_spectrum(self):
         star = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48)
-        return trace_spectrum(star, make_direction_grid(10, 20), seed_interior_points(star, 500, seed=0))
+        return make_trace_spectrum(star, make_direction_grid(10, 20), seed_interior_points(star, 500, seed=0))
 
     @staticmethod
     def shift_rank_cutoff(monkeypatch, shift):
-        monkeypatch.setattr("wavetrace.sweep._rank_cutoff", lambda diag: _rank_cutoff(diag) + shift)
+        monkeypatch.setattr("wavetrace.herglotz._rank_cutoff", lambda diag: _rank_cutoff(diag) + shift)
 
     @pytest.mark.parametrize("shift", RANK_SHIFTS)
     def test_ball_dips(self, monkeypatch, ball, shift):
