@@ -112,6 +112,11 @@ class RunConfig:
                 kinds += (int,)
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise click.UsageError(f"{f.name} must be {f.type}, got {value!r}")
+        for coef in self.coefficients:
+            if not (isinstance(coef, list) and len(coef) == 3) or any(
+                isinstance(v, bool) or not isinstance(v, kind) for v, kind in zip(coef, (int, int, (int, float)))
+            ):
+                raise click.UsageError(f"coefficients must be [int l, int m, number eps] triples, got {coef!r}")
         for name, (ok, rule) in _RANGES.items():
             value = getattr(self, name)
             if value is not None and not ok(value):

@@ -36,11 +36,11 @@ coefficients have modulus 2 |J_m(h r)| <= 2 (h r / 2)^m / m!. So B is
 formed directly at the n + 1 Chebyshev-Lobatto points of [k_min, k_max]
 for the smallest n with (h D / 2)^(n-2) / (n-2)! <= 1e-14, D the largest
 node distance: the last three coefficients are then below 1e-14 of the
-leading one. That test still guards the result; while it fails, the
-points double (the old ones nest in the new). On the 24x48 star over
-[5, 6.5] at band limit 8 (h D / 2 = 0.797) n is 18: 19 N x N kernel
-builds, against one per evaluation (92 for a 76-sample sweep and its
-refinements); an evaluation then costs an 81 x 81 SVD, about 2 ms.
+leading one. That test still guards the result: a range that fails it
+raises InterpolationError. On the 24x48 star over [5, 6.5] at band limit
+8 (h D / 2 = 0.797) n is 18: 19 N x N kernel builds, against one per
+evaluation (92 for a 76-sample sweep and its refinements); an evaluation
+then costs an 81 x 81 SVD, about 2 ms.
 """
 
 from __future__ import annotations
@@ -115,14 +115,6 @@ class EigenvalueRecord:
     source: str
     l: int | None = None
     n: int | None = None
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError(f"eigenvalue wavenumber must be positive, got {self.k}")
-        if self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
-        if self.source not in ("ball-analytic", "single-layer"):
-            raise ValueError(f"unknown source {self.source!r}")
 
 
 def ball_dirichlet_eigs(R: float, k_max: float) -> list[EigenvalueRecord]:
@@ -301,8 +293,7 @@ def _compress(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 def _lobatto_points(k_min: float, k_max: float, n: int) -> np.ndarray:
     """The n + 1 Chebyshev-Lobatto points of [k_min, k_max], cos(j pi / n)
-    mapped, from k_max down to k_min exactly; those of n are the even ones
-    of 2n."""
+    mapped, from k_max down to k_min exactly."""
     x = np.sin(np.pi * (n - 2 * np.arange(n + 1)) / (2 * n))
     ks = 0.5 * (k_max + k_min) + 0.5 * (k_max - k_min) * x
     ks[0], ks[-1] = k_max, k_min
@@ -342,9 +333,8 @@ def make_single_layer_spectrum(
     bandlimited_basis; the last one is the indicator.
 
     B is built by the direct route at the n + 1 Chebyshev-Lobatto points of
-    the range, n from _cheb_start_degree with the largest node distance, and
-    their number doubles, the built ones kept, until _chebyshev_tail is
-    below _CHEB_TAIL_TOL (InterpolationError past _CHEB_MAX_DEGREE). The
+    the range, n from _cheb_start_degree with the largest node distance;
+    InterpolationError unless _chebyshev_tail is then within _CHEB_TAIL_TOL. The
     static row integral, the statics and the builds run on one pool size,
     `threads` workers as in find_dips; each build fills one N x N complex
     buffer, compressed by _compress. An evaluation is a barycentric sum and
@@ -365,16 +355,10 @@ def make_single_layer_spectrum(
     ks = _lobatto_points(k_min, k_max, n)
     stack = np.empty((n + 1, Q.shape[1], Q.shape[1]), dtype=complex)
     _map(build, range(n + 1), threads)
-    while _chebyshev_tail(stack) > _CHEB_TAIL_TOL:
-        if 2 * n > _CHEB_MAX_DEGREE:
-            raise InterpolationError(
-                f"single-layer interpolant on [{k_min}, {k_max}] not converged at degree {n}"
-            )
-        n *= 2
-        built, ks = stack, _lobatto_points(k_min, k_max, n)
-        stack = np.empty((n + 1, *built.shape[1:]), dtype=complex)
-        stack[::2] = built
-        _map(build, range(1, n + 1, 2), threads)
+    if _chebyshev_tail(stack) > _CHEB_TAIL_TOL:
+        raise InterpolationError(
+            f"single-layer interpolant on [{k_min}, {k_max}] not converged at degree {n}"
+        )
     weights = (-1.0) ** np.arange(n + 1)
     weights[[0, -1]] *= 0.5
 

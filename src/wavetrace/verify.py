@@ -52,6 +52,13 @@ __all__ = [
 
 EPS_GUARD = 1e-300  # additive floor so normalized residuals never divide by zero
 
+# The suite's sample sizes: random plane-wave directions of the necessity
+# check, random Herglotz densities of the orthogonality check, and radial
+# Gauss-Legendre nodes of the Green reduction.
+_N_DIRECTIONS = 100
+_N_RANDOM_DENSITIES = 20
+_N_RADIAL = 64
+
 # Decomposition: degree bound of the random target and relative cutoff of
 # the projection's singular values.
 _DECOMPOSITION_BAND_LIMIT = 4
@@ -65,11 +72,6 @@ _EIGEN_MATCH_RTOL = 1e-10
 
 class InconclusiveCheckError(RuntimeError):
     """The check's normalization degenerated; no conclusion either way."""
-
-    def __init__(self, message, volume_side=None, surface_side=None):
-        super().__init__(message)
-        self.volume_side = volume_side
-        self.surface_side = surface_side
 
 
 @dataclass(frozen=True)
@@ -94,13 +96,13 @@ def check_necessity(
     n: int,
     R: float,
     grid: SurfaceGrid,
-    n_directions: int,
     seed: int = 7,
     k_factor: float = 1.0,
 ) -> VerificationReport:
     """Annihilation of all plane-wave traces by f = u_N at an eigenvalue.
 
-    residual = max_beta |integral_S u_N e^{ik beta . s} ds| / (||u_N|| R).
+    residual = max_beta |integral_S u_N e^{ik beta . s} ds| / (||u_N|| R)
+    over _N_DIRECTIONS seeded random directions beta.
     k_factor != 1 shifts the trace wavenumber off the spectrum and serves
     as a negative control (the residual must then be large).
     """
@@ -109,7 +111,7 @@ def check_necessity(
     if not norm > 0:
         raise InconclusiveCheckError("u_N vanished identically; construction broken")
     k = bessel_zero(idx.l, n) / R * k_factor
-    betas = _random_unit_vectors(np.random.default_rng(seed), n_directions)
+    betas = _random_unit_vectors(np.random.default_rng(seed), _N_DIRECTIONS)
     pairings = (grid.weights * u_n) @ np.exp(1j * k * (grid.nodes @ betas.T))
     residual = float(np.max(np.abs(pairings)) / (norm * R))
     return VerificationReport(
@@ -121,7 +123,7 @@ def check_necessity(
             "R": R,
             "k": k,
             "k_factor": k_factor,
-            "n_directions": n_directions,
+            "n_directions": _N_DIRECTIONS,
             "seed": seed,
             "surface": grid.descriptor,
             "u_N_norm": norm,
@@ -138,14 +140,13 @@ def check_lemma1_orthogonality(
     R: float,
     grid: SurfaceGrid,
     dirs: DirectionGrid,
-    n_random_densities: int,
     seed: int = 7,
     k_override: float | None = None,
     reference_override: np.ndarray | None = None,
 ) -> VerificationReport:
     """Herglotz traces are orthogonal to v_N at an eigenvalue.
 
-    residual = max over seeded random densities h of
+    residual = max over _N_RANDOM_DENSITIES seeded random densities h of
     |<w|_S, v>| / (||w|| ||v|| + guard). Passing k_override (off-spectrum)
     together with reference_override (e.g. a Y_00 trace) builds the
     negative control where orthogonality must fail.
@@ -159,7 +160,7 @@ def check_lemma1_orthogonality(
     rng = np.random.default_rng(seed)
     worst = 0.0
     v_norm = _surface_norm(grid, v)
-    for _ in range(n_random_densities):
+    for _ in range(_N_RANDOM_DENSITIES):
         h = rng.standard_normal(dirs.n_directions) + 1j * rng.standard_normal(dirs.n_directions)
         w_trace = waves @ (dirs.weights * h)
         inner = np.sum(grid.weights * w_trace * np.conj(v))
@@ -173,7 +174,7 @@ def check_lemma1_orthogonality(
             "n": n,
             "R": R,
             "k": float(k),
-            "n_random_densities": n_random_densities,
+            "n_random_densities": _N_RANDOM_DENSITIES,
             "seed": seed,
             "surface": grid.descriptor,
             "directions": dirs.descriptor,
@@ -185,60 +186,40 @@ def check_lemma1_orthogonality(
     )
 
 
-def check_green_reduction(
-    idx: HarmonicIndex,
-    n: int,
-    R: float,
-    n_radial: int = 64,
-    v_idx: HarmonicIndex | None = None,
-) -> VerificationReport:
+def check_green_reduction(idx: HarmonicIndex, n: int, R: float) -> VerificationReport:
     """Volume-to-surface reduction for the harmonic extension F = (r/R)^l Y_lm.
 
     Both sides collapse to 1-d radial integrals times one angular factor
-    <Y_F, Y_v>; for matching indices the l = 0 case reads
-    pi^2 integral_0^1 r^2 j_0(pi r) dr = 1. A cross-harmonic v kills both
-    sides, which degenerates the normalization and raises
-    InconclusiveCheckError (carrying either side for inspection).
+    <Y_lm, Y_lm>, the radial one by _N_RADIAL Gauss-Legendre nodes; the
+    l = 0 case reads pi^2 integral_0^1 r^2 j_0(pi r) dr = 1.
     """
-    if v_idx is None:
-        v_idx = idx
-    if n_radial < 2:
-        raise ValueError(f"need at least 2 radial nodes, got {n_radial}")
     angular_grid = make_direction_grid(16, 32)
-    k = bessel_zero(v_idx.l, n) / R
+    k = bessel_zero(idx.l, n) / R
 
-    # angular factor <Y_F, conj-paired Y_v>
+    # angular factor <Y_lm, Y_lm>
     _, theta, phi = _spherical_coords(angular_grid.directions)
-    y_f = sph_harm(idx, theta, phi)
-    y_v = sph_harm(v_idx, theta, phi)
-    angular = complex(np.sum(angular_grid.weights * y_f * np.conj(y_v)))
+    y = sph_harm(idx, theta, phi)
+    angular = complex(np.sum(angular_grid.weights * y * np.conj(y)))
 
     # radial Gauss-Legendre on [0, R]
-    x, w = leggauss(n_radial)
+    x, w = leggauss(_N_RADIAL)
     r = 0.5 * R * (x + 1.0)
     wr = 0.5 * R * w
-    radial = float(np.sum(wr * r ** (idx.l + 2) * sph_bessel_j(v_idx.l, k * r)))
+    radial = float(np.sum(wr * r ** (idx.l + 2) * sph_bessel_j(idx.l, k * r)))
     volume_side = k * k * R ** (-idx.l) * radial * angular
-    surface_side = R * R * k * sph_bessel_j_deriv(v_idx.l, k * R) * angular
-
-    if abs(surface_side) < 1e-14:
-        raise InconclusiveCheckError(
-            "surface pairing degenerate; angular factor annihilates both sides",
-            volume_side=volume_side,
-            surface_side=surface_side,
-        )
+    surface_side = R * R * k * sph_bessel_j_deriv(idx.l, k * R) * angular
     residual = float(abs(volume_side + surface_side) / abs(surface_side))
     return VerificationReport(
         check_name="green-reduction",
         inputs={
             "l": idx.l,
             "m": idx.m,
-            "v_l": v_idx.l,
-            "v_m": v_idx.m,
+            "v_l": idx.l,
+            "v_m": idx.m,
             "n": n,
             "R": R,
             "k": float(k),
-            "n_radial": n_radial,
+            "n_radial": _N_RADIAL,
             "volume_side": [volume_side.real, volume_side.imag],
             "surface_side": [surface_side.real, surface_side.imag],
         },
@@ -253,8 +234,7 @@ def check_decomposition(
     grid: SurfaceGrid,
     dirs: DirectionGrid,
     seed: int = 7,
-    psi: HarmonicIndex | np.ndarray | None = None,
-    include_eigenspace: bool = True,
+    psi: HarmonicIndex | None = None,
     tolerance: float = 1e-5,
 ) -> VerificationReport:
     """Split a bandlimited surface function across traces + eigen normal span.
@@ -266,10 +246,7 @@ def check_decomposition(
     difference of squared norms has a floor of sqrt(eps).
     """
     _, theta, phi = _spherical_coords(grid.nodes)
-    if isinstance(psi, np.ndarray):
-        psi_values = np.asarray(psi, dtype=complex)
-        psi_label = "explicit values"
-    elif psi is not None:
+    if psi is not None:
         psi_values = sph_harm(psi, theta, phi)
         psi_label = str(psi)
     else:
@@ -281,12 +258,9 @@ def check_decomposition(
                 psi_values += c * sph_harm(HarmonicIndex(l, m), theta, phi)
         psi_label = f"random band-limited l<={_DECOMPOSITION_BAND_LIMIT}"
     b = psi_values * np.sqrt(grid.weights)
-    b_norm = np.linalg.norm(b)
-    if b_norm < 1e-14:
-        raise InconclusiveCheckError("zero target function; nothing to decompose")
 
     columns = [assemble_trace_matrix(k, grid, dirs)]
-    eigs = ball_dirichlet_eigs(R, k * (1 + _EIGEN_MATCH_RTOL)) if include_eigenspace else []
+    eigs = ball_dirichlet_eigs(R, k * (1 + _EIGEN_MATCH_RTOL))
     eigen_indices = [(rec.l, rec.n) for rec in eigs if abs(rec.k - k) <= _EIGEN_MATCH_RTOL * k]
     for l, n in eigen_indices:
         for m in range(-l, l + 1):
@@ -295,7 +269,7 @@ def check_decomposition(
     stack = np.hstack(columns)
     U, s, _ = np.linalg.svd(stack, full_matrices=False)
     U_keep = U[:, s > s[0] * _DECOMPOSITION_SVD_CUTOFF]
-    residual = float(np.linalg.norm(b - U_keep @ (U_keep.conj().T @ b)) / b_norm)
+    residual = float(np.linalg.norm(b - U_keep @ (U_keep.conj().T @ b)) / np.linalg.norm(b))
     return VerificationReport(
         check_name="decomposition",
         inputs={
@@ -304,7 +278,7 @@ def check_decomposition(
             "psi": psi_label,
             "seed": seed,
             "band_limit": _DECOMPOSITION_BAND_LIMIT,
-            "include_eigenspace": include_eigenspace,
+            "include_eigenspace": True,
             "eigen_indices": eigen_indices,
             "surface": grid.descriptor,
             "directions": dirs.descriptor,
@@ -325,23 +299,21 @@ def run_default_suite(
     for R, grid in spheres.items():
         for l in range(4):
             for n in (1, 2):
-                reports.append(check_necessity(HarmonicIndex(l, 0), n, R, grid, 100, seed=seed))
+                reports.append(check_necessity(HarmonicIndex(l, 0), n, R, grid, seed=seed))
         if inject_off_spectrum:
-            reports.append(
-                check_necessity(HarmonicIndex(0, 0), 1, R, grid, 100, seed=seed, k_factor=1.01)
-            )
+            reports.append(check_necessity(HarmonicIndex(0, 0), 1, R, grid, seed=seed, k_factor=1.01))
     grid1 = spheres[1.0]
     for l in range(3):
         for n in (1, 2):
             reports.append(
-                check_lemma1_orthogonality(HarmonicIndex(l, min(l, 1)), n, 1.0, grid1, dirs, 20, seed=seed)
+                check_lemma1_orthogonality(HarmonicIndex(l, min(l, 1)), n, 1.0, grid1, dirs, seed=seed)
             )
     if inject_off_spectrum:
         _, theta, phi = _spherical_coords(grid1.nodes)
         y00 = sph_harm(HarmonicIndex(0, 0), theta, phi)
         reports.append(
             check_lemma1_orthogonality(
-                HarmonicIndex(0, 0), 1, 1.0, grid1, dirs, 20, seed=seed,
+                HarmonicIndex(0, 0), 1, 1.0, grid1, dirs, seed=seed,
                 k_override=1.0, reference_override=y00,
             )
         )

@@ -119,14 +119,14 @@ class TestCriterion2Necessity:
             grid = make_sphere(R, 40, 80)
             for l in range(4):
                 for n in (1, 2):
-                    rep = check_necessity(HarmonicIndex(l, 0), n, R, grid, 100)
+                    rep = check_necessity(HarmonicIndex(l, 0), n, R, grid)
                     worst = max(worst, rep.residual)
                     assert rep.passed, f"necessity failed at l={l}, n={n}, R={R}"
         assert report(2, worst <= 1e-8, f"worst normalized residual {worst:.2e} <= 1e-8")
 
     def test_off_spectrum_negative_control(self):
         grid = make_sphere(1.0, 40, 80)
-        rep = check_necessity(HarmonicIndex(0, 0), 1, 1.0, grid, 100, k_factor=1.01)
+        rep = check_necessity(HarmonicIndex(0, 0), 1, 1.0, grid, k_factor=1.01)
         assert report(2, rep.residual >= 1e-3, f"control residual {rep.residual:.2e} >= 1e-3")
 
 
@@ -150,9 +150,7 @@ class TestCriterion4Lemma1:
         worst = 0.0
         for l in range(3):
             for n in (1, 2):
-                rep = check_lemma1_orthogonality(
-                    HarmonicIndex(l, min(l, 1)), n, 1.0, grid, dirs, 20
-                )
+                rep = check_lemma1_orthogonality(HarmonicIndex(l, min(l, 1)), n, 1.0, grid, dirs)
                 worst = max(worst, rep.residual)
                 assert rep.passed
         assert report(4, worst <= 1e-7, f"worst orthogonality residual {worst:.2e} <= 1e-7")
@@ -162,14 +160,12 @@ class TestCriterion4Lemma1:
         dirs = make_direction_grid(12, 24)
         off = check_decomposition(1.0, 1.0, grid, dirs, seed=7)
         at_pi = check_decomposition(np.pi, 1.0, grid, dirs, psi=HarmonicIndex(0, 0), tolerance=1e-8)
-        traces_only = check_decomposition(
-            np.pi, 1.0, grid, dirs, psi=HarmonicIndex(0, 0), include_eigenspace=False
-        )
-        ok = off.passed and at_pi.passed and abs(traces_only.residual - 1.0) <= 1e-6
+        traces_only, _ = fit_trace(np.pi, grid, harmonic_on(grid, 0, 0), dirs)
+        ok = off.passed and at_pi.passed and abs(traces_only - 1.0) <= 1e-6
         assert report(
             4, ok,
             f"decomposition: k=1 residual {off.residual:.2e}; k=pi adjoined {at_pi.residual:.2e}; "
-            f"traces-only {traces_only.residual:.6f} (=1)",
+            f"traces-only {traces_only:.6f} (=1)",
         )
 
 
@@ -178,13 +174,13 @@ class TestCriterion5GreenReduction:
         worst = 0.0
         for l in range(4):
             for n in (1, 2):
-                rep = check_green_reduction(HarmonicIndex(l, 0), n, 1.0, n_radial=64)
+                rep = check_green_reduction(HarmonicIndex(l, 0), n, 1.0)
                 worst = max(worst, rep.residual)
                 assert rep.passed
         assert report(5, worst <= 1e-8, f"worst reduction residual {worst:.2e} <= 1e-8")
 
     def test_l0_closed_form(self):
-        rep = check_green_reduction(HarmonicIndex(0, 0), 1, 1.0, n_radial=64)
+        rep = check_green_reduction(HarmonicIndex(0, 0), 1, 1.0)
         volume = complex(*rep.inputs["volume_side"])
         ok = abs(volume - 1.0) <= 1e-10
         assert report(5, ok, f"pi^2 int r^2 j0(pi r) dr = {volume.real:.12f} (=1 within 1e-10)")

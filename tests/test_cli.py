@@ -157,6 +157,11 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         (["fit", "--target", "65,0", "--k", "1"], None),
         (["fit", "--target", "1000,0", "--k", "1"], None),
         (["sweep", *FAST_SWEEP, "--surface", "star", "--coef", "65,0,0.01"], None),
+        (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [[2.5, 0, 0.1]]}),
+        (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [[True, 0, 0.1]]}),
+        (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [[2, 0.9, 0.1]]}),
+        (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [["2", 0, 0.1]]}),
+        (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [[2, 0, True]]}),
     ],
     ids=[
         "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
@@ -168,6 +173,8 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         "config-coefficient-nan", "sweep-depth-ratio-flag-removed", "config-gap-ratio-key-removed",
         "eigs-band-limit-above-node-count", "eigs-band-limit-above-max-degree",
         "fit-target-degree-65", "fit-target-degree-1000", "sweep-coef-degree-65",
+        "config-coefficient-float-degree", "config-coefficient-bool-degree", "config-coefficient-float-order",
+        "config-coefficient-string-degree", "config-coefficient-bool-eps",
     ],
 )
 def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import math
 import re
 import types
 from pathlib import Path
@@ -67,3 +68,33 @@ def test_sweep_knows_no_oracle_and_no_geometry():
         elif isinstance(node, ast.Import):
             imported |= {part for alias in node.names for part in alias.name.split(".")}
     assert not imported & {"herglotz", "surface", "spectra"}
+
+
+def test_every_defaulted_parameter_is_passed_inside_the_package():
+    # a parameter that only the tests set keeps a branch that only the tests
+    # reach: each defaulted parameter of an exported function is passed, by
+    # position or by keyword, by some call inside the package
+    calls = {}
+    for path in Path(wavetrace.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                n_positional = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+                calls.setdefault(name, []).append((n_positional, {kw.arg for kw in node.keywords}))
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    unpassed = []
+    for layer in LAYERS:
+        module = importlib.import_module(f"wavetrace.{layer}")
+        for name in module.__all__:
+            function = getattr(module, name)
+            if not inspect.isfunction(function):
+                continue
+            for i, param in enumerate(inspect.signature(function).parameters.values()):
+                if param.default is not param.empty and not any(
+                    param.name in keywords or (param.kind in positional and n_positional > i)
+                    for n_positional, keywords in calls.get(name, [])
+                ):
+                    unpassed.append(f"{name}({param.name})")
+    assert not unpassed

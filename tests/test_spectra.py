@@ -8,7 +8,6 @@ import pytest
 
 import wavetrace.spectra
 from wavetrace import (
-    EigenvalueRecord,
     HarmonicIndex,
     InterpolationError,
     UnsupportedSurfaceError,
@@ -26,6 +25,9 @@ from wavetrace import (
     sweep_k,
 )
 from wavetrace.spectra import (
+    _CHEB_TAIL_TOL,
+    _cheb_start_degree,
+    _chebyshev_tail,
     _compress,
     _lobatto_points,
     _nystrom_matrix,
@@ -174,12 +176,6 @@ class TestBallDirichletEigs:
             vals = sph_bessel_j(l, xs)
             count += int(np.sum(np.abs(np.diff(np.sign(vals))) > 1))
         assert count == len(recs)
-
-    def test_bad_record(self):
-        with pytest.raises(ValueError):
-            EigenvalueRecord(k=-1.0, multiplicity=1, source="ball-analytic")
-        with pytest.raises(ValueError):
-            EigenvalueRecord(k=1.0, multiplicity=0, source="ball-analytic")
 
 
 class TestBallEigenfunction:
@@ -470,20 +466,24 @@ class TestSingleLayerInterpolant:
         assert len(run.node_ks) == degree + 1
         assert sorted(run.node_ks) == sorted(_lobatto_points(run.k_min, run.k_max, degree))
 
-    def test_short_start_degree_doubles_on_nested_points(self, star_grid_24_48, monkeypatch):
-        # degree 16 misses the tail test on the star-cross problem by about 12x
+    @pytest.mark.parametrize(
+        "surface, band_limit, k_min, k_max",
+        [("sphere", 4, 3.0, 3.01), ("sphere", 0, 1.0, 6.5), ("star", 8, 0.2, 8.0), ("star", 12, 5.0, 6.5)],
+        ids=["sphere-narrow", "sphere-L0", "star-wide", "star-L12"],
+    )
+    def test_derived_degree_passes_the_tail_test(self, surface, band_limit, k_min, k_max):
+        # the interpolant is built once, at this degree
+        grid = make_sphere(1.0, 16, 32) if surface == "sphere" else make_star_surface(1.0, [(2, 0, 0.1)], 16, 32)
+        Q, statics = bandlimited_basis(grid, band_limit), _nystrom_statics(grid, static_row_integral(grid))
+        n = _cheb_start_degree(0.5 * (k_max - k_min), statics[1].max())
+        stack = np.array([_compress(Q, _nystrom_matrix(k, *statics)) for k in _lobatto_points(k_min, k_max, n)])
+        assert _chebyshev_tail(stack) <= _CHEB_TAIL_TOL
+
+    def test_short_start_degree_raises(self, star_grid_24_48, monkeypatch):
+        # degree 8 misses the tail test on the star-cross problem
         monkeypatch.setattr(wavetrace.spectra, "_cheb_start_degree", lambda *args: 8)
-        run = recorded_interpolant(star_grid_24_48, 5.0, 6.5)
-        rounds = [run.node_ks[:9], run.node_ks[9:17], run.node_ks[17:]]
-        assert len(run.node_ks) == 33
-        assert sorted(rounds[0]) == sorted(_lobatto_points(5.0, 6.5, 8))
-        for n, built in ((16, rounds[1]), (32, rounds[2])):
-            points = _lobatto_points(5.0, 6.5, n)
-            assert np.array_equal(points[::2], _lobatto_points(5.0, 6.5, n // 2))
-            assert sorted(built) == sorted(points[1::2])
-        direct = direct_spectrum(run.grid, run.g)
-        for k in np.random.default_rng(11).uniform(5.0, 6.5, 8):
-            assert np.abs(run.spectrum(k) - direct(k)).max() <= 1e-13
+        with pytest.raises(InterpolationError, match="not converged at degree 8"):
+            make_single_layer_spectrum(star_grid_24_48, 8, 5.0, 6.5)
 
     def test_star_cross_dips_from_at_most_33_kernels(self, star_interpolant, monkeypatch):
         # the star-cross eigs problem; direct evaluation built 108 kernels
