@@ -21,7 +21,6 @@ from .surface import (
 )
 from .herglotz import (
     IllPosedIndicatorError,
-    assemble_trace_matrix,
     fit_trace,
     make_trace_spectrum,
     seed_interior_points,

@@ -112,11 +112,6 @@ class RunConfig:
                 kinds += (int,)
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise click.UsageError(f"{f.name} must be {f.type}, got {value!r}")
-        for coef in self.coefficients:
-            if not (isinstance(coef, list) and len(coef) == 3) or any(
-                isinstance(v, bool) or not isinstance(v, kind) for v, kind in zip(coef, (int, int, (int, float)))
-            ):
-                raise click.UsageError(f"coefficients must be [int l, int m, number eps] triples, got {coef!r}")
         for name, (ok, rule) in _RANGES.items():
             value = getattr(self, name)
             if value is not None and not ok(value):
@@ -150,6 +145,7 @@ class RunConfig:
 _RANGES = {
     "surface": (lambda v: v in ("ball", "star"), "'ball' or 'star'"),
     "radius": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "dirs_n_phi": (lambda v: v % 2 == 0, "even, so that each direction's antipode is on the grid"),
     "k_max": (lambda v: 0 < v < math.inf, "positive and finite"),
     "samples": (lambda v: v >= 2, "at least 2"),
     "seed": (lambda v: v >= 0, "nonnegative"),
@@ -308,10 +304,6 @@ def main():
 def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     """Sweep the completeness indicator over k and report dips."""
     cfg = _run_config(ctx, config_path, k_sweep=True, **flags)
-    if cfg.dirs_n_phi % 2:
-        raise click.UsageError(
-            f"dirs_n_phi must be even, so that each direction's antipode is on the grid, got {cfg.dirs_n_phi}"
-        )
     _check_writable(out_csv)
     _check_writable(out_json)
     if Path(out_csv).resolve() == Path(out_json).resolve():

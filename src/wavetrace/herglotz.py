@@ -32,13 +32,15 @@ j_l(kR) = 0), driving the indicator toward zero; away from the spectrum it
 stays O(1). A sine of 1 to rounding marks a retained direction the
 interior points cannot see: the indicator is then ill-posed.
 
-All of it is real Householder arithmetic. e^{-i k beta . x} is the complex
-conjugate of e^{i k beta . x}, so on an antipodally symmetric direction
-grid (a product grid with even n_phi) the columns of beta and -beta span
-what cos(k beta . x) and sin(k beta . x) span, with the same singular
-values. Each block is assembled on one direction of each pair as those
-real columns, column-major so that LAPACK factors it in place, and reduced
-to the R factor of its own QR (geqrf), at most M x M for M real columns.
+All of it is real arithmetic. e^{-i k beta . x} is the complex conjugate
+of e^{i k beta . x}, so on an antipodally symmetric direction grid (a
+product grid with even n_phi) the columns of beta and -beta span what
+cos(k beta . x) and sin(k beta . x) span, with the same singular values.
+One assembler, _real_columns, writes those real columns on one direction
+of each pair for the sweep, fit_trace and verify alike. The trace spectrum
+assembles each block column-major, so that LAPACK factors it in place, and
+reduces it to the R factor of its own QR (geqrf), at most M x M for M real
+columns.
 [B; I] = diag(Q_B, Q_I) [R_B; R_I] with orthonormal diag(Q_B, Q_I), so
 [R_B; R_I] keeps the Gram matrix, pivoted R, retained rank and principal
 angles of [B; I], which is never formed; only the rounding differs. The
@@ -60,7 +62,6 @@ from .surface import DirectionGrid, SurfaceGrid, _random_unit_vectors, _spherica
 
 __all__ = [
     "IllPosedIndicatorError",
-    "assemble_trace_matrix",
     "fit_trace",
     "make_trace_spectrum",
     "seed_interior_points",
@@ -89,32 +90,25 @@ def _check_wavenumber(k: float) -> float:
     return k
 
 
-def _plane_waves(k: float, points: np.ndarray, row_weight, dirs: DirectionGrid, cos_part, sin_part):
-    """Fill cos_part and sin_part, two (P, M) arrays, with row_weight *
-    cos(k beta_j . x_m) sqrt(w_j) and the same with sin, at (P, 3) points x_m."""
+def _real_columns(k: float, points: np.ndarray, row_weight, dirs: DirectionGrid) -> np.ndarray:
+    """The plane waves at (P, 3) points as real column pairs, P x 2M:
+    row_weight * cos(k beta_j . x_m) sqrt(w_j), then the same with sin;
+    column-major so that LAPACK factors them in place, without a copy."""
     phase = k * (points @ dirs.directions.T)
     sqrt_w = np.sqrt(dirs.weights)[None, :]
-    for part, wave in ((cos_part, np.cos), (sin_part, np.sin)):
+    X = np.empty((len(points), 2 * dirs.n_directions), order="F")
+    for part, wave in ((X[:, 0::2], np.cos), (X[:, 1::2], np.sin)):
         wave(phase, out=part)
         np.multiply(row_weight, part, out=part)
         np.multiply(part, sqrt_w, out=part)
-
-
-def _real_columns(k: float, points: np.ndarray, row_weight, dirs: DirectionGrid) -> np.ndarray:
-    """The plane waves at (P, 3) points as real cos/sin column pairs, P x 2M,
-    column-major so that LAPACK factors them in place, without a copy."""
-    X = np.empty((len(points), 2 * dirs.n_directions), order="F")
-    _plane_waves(k, points, row_weight, dirs, X[:, 0::2], X[:, 1::2])
     return X
 
 
-def assemble_trace_matrix(k: float, grid: SurfaceGrid, dirs: DirectionGrid) -> np.ndarray:
-    """Weighted trace matrix at k: row m is sqrt(sigma_m) e^{i k beta_j . s_m}
-    sqrt(w_j), with cos and sin of the phase written straight into the real
-    and imaginary parts."""
-    A = np.empty((grid.n_nodes, dirs.n_directions), dtype=complex)
-    _plane_waves(_check_wavenumber(k), grid.nodes, np.sqrt(grid.weights)[:, None], dirs, A.real, A.imag)
-    return A
+def _trace_columns(k: float, grid: SurfaceGrid, dirs: DirectionGrid) -> np.ndarray:
+    """The weighted trace matrix at k in real arithmetic, N x M: the
+    boundary's cos/sin column pairs, rows weighted by sqrt(sigma_m), on one
+    direction of each antipodal pair of an antipodally symmetric grid."""
+    return _real_columns(_check_wavenumber(k), grid.nodes, np.sqrt(grid.weights)[:, None], _antipodal_half(dirs))
 
 
 def seed_interior_points(grid: SurfaceGrid, count: int, seed: int) -> np.ndarray:
@@ -173,7 +167,7 @@ def _antipodal_half(dirs: DirectionGrid) -> DirectionGrid:
     partner = np.argmin(D @ D.T, axis=1)
     if np.abs(D[partner] + D).max() > 1e-12 or np.any(np.abs(w[partner] - w) > 1e-12 * w):
         raise ValueError(
-            "the trace spectrum needs an antipodally symmetric direction grid "
+            "real plane-wave columns need an antipodally symmetric direction grid "
             "(each beta paired with -beta at an equal weight; a product grid needs an even n_phi)"
         )
     keep = np.arange(len(w)) < partner
@@ -236,8 +230,11 @@ def fit_trace(
     1e-12 * ||A||^2; ridge=0 solves by truncated-SVD pseudo-inverse. A
     relative residual of 1 means the target is orthogonal to the whole trace
     span -- totality failed in that direction.
+
+    A is the sweep's real trace matrix, so dirs must be antipodally
+    symmetric: a unitary 2x2 per antipodal pair keeps the residual and the
+    density norm, and one real SVD fits the target's real and imaginary parts.
     """
-    k = _check_wavenumber(k)
     target = np.asarray(target, dtype=complex)
     if target.shape != (grid.n_nodes,):
         raise ValueError("target length does not match grid")
@@ -249,17 +246,16 @@ def fit_trace(
     b_norm = np.linalg.norm(b)
     if b_norm == 0:
         raise ValueError("zero target: relative residual undefined")
-    A = assemble_trace_matrix(k, grid, dirs)
+    A = _trace_columns(k, grid, dirs)
+    B = np.column_stack([b.real, b.imag])
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    c = U.conj().T @ b
+    c = U.T @ B
     if ridge is None:
         ridge = 1e-12 * s[0] ** 2
     if ridge == 0:
         keep = s > s[0] * 1e-14
-        h_weighted = Vh[keep].conj().T @ (c[keep] / s[keep])
+        h = Vh[keep].T @ (c[keep] / s[keep, None])
     else:
-        h_weighted = Vh.conj().T @ (s / (s * s + ridge) * c)
-    residual = float(np.linalg.norm(A @ h_weighted - b) / b_norm)
-    # matrix unknowns are sqrt(w_j) h_j; undo the column weighting
-    h = h_weighted / np.sqrt(dirs.weights)
-    return residual, float(np.sqrt(np.sum(dirs.weights * np.abs(h) ** 2)))
+        h = Vh.T @ ((s / (s * s + ridge))[:, None] * c)
+    # the sqrt(w_j) column weights and the unitary 2x2s keep the L^2(S^2) norm
+    return float(np.linalg.norm(A @ h - B) / b_norm), float(np.linalg.norm(h))

@@ -12,6 +12,7 @@ parametrization, so the quadrature keeps spectral accuracy.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,7 +157,15 @@ def _spherical_coords(points: np.ndarray):
 
 
 def _normalize_perturbation(perturbation):
-    return [(HarmonicIndex(int(l), int(m)), float(eps)) for l, m, eps in perturbation]
+    """(HarmonicIndex, eps) pairs of [l, m, eps] terms; a bool, a float l or m
+    or a string is refused, not coerced."""
+    out = []
+    for l, m, eps in perturbation:
+        kinds = zip((l, m, eps), (numbers.Integral, numbers.Integral, numbers.Real))
+        if any(isinstance(v, bool) or not isinstance(v, kind) for v, kind in kinds):
+            raise ValueError(f"perturbation terms must be [int l, int m, number eps], got {[l, m, eps]!r}")
+        out.append((HarmonicIndex(int(l), int(m)), float(eps)))
+    return out
 
 
 def _star_radius_terms(theta, phi, R0, perturbation):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .herglotz import _check_wavenumber, assemble_trace_matrix
+from .herglotz import _trace_columns
 from .specfun import HarmonicIndex, bessel_zero, sph_bessel_j, sph_bessel_j_deriv, sph_harm
 from .spectra import ball_dirichlet_eigs, eigenfunction_normal_derivative
 from .surface import (
@@ -87,10 +87,6 @@ class VerificationReport:
         object.__setattr__(self, "passed", bool(self.residual <= self.tolerance))
 
 
-def _surface_norm(grid: SurfaceGrid, values: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(grid.weights * np.abs(values) ** 2)))
-
-
 def check_necessity(
     idx: HarmonicIndex,
     n: int,
@@ -102,12 +98,13 @@ def check_necessity(
     """Annihilation of all plane-wave traces by f = u_N at an eigenvalue.
 
     residual = max_beta |integral_S u_N e^{ik beta . s} ds| / (||u_N|| R)
-    over _N_DIRECTIONS seeded random directions beta.
+    over _N_DIRECTIONS seeded random directions beta. They form no grid and
+    have no antipodes, so they pair with complex plane waves, not real columns.
     k_factor != 1 shifts the trace wavenumber off the spectrum and serves
     as a negative control (the residual must then be large).
     """
     u_n = eigenfunction_normal_derivative(idx, n, R, grid)
-    norm = _surface_norm(grid, u_n)
+    norm = float(np.sqrt(np.sum(grid.weights * np.abs(u_n) ** 2)))
     if not norm > 0:
         raise InconclusiveCheckError("u_N vanished identically; construction broken")
     k = bessel_zero(idx.l, n) / R * k_factor
@@ -147,24 +144,27 @@ def check_lemma1_orthogonality(
     """Herglotz traces are orthogonal to v_N at an eigenvalue.
 
     residual = max over _N_RANDOM_DENSITIES seeded random densities h of
-    |<w|_S, v>| / (||w|| ||v|| + guard). Passing k_override (off-spectrum)
-    together with reference_override (e.g. a Y_00 trace) builds the
-    negative control where orthogonality must fail.
+    |<w|_S, v>| / (||w|| ||v|| + guard), in L^2(S). Each h holds complex
+    coefficients of the real trace columns A, so sqrt(sigma) w|_S = A h.
+    Passing k_override (off-spectrum) together with reference_override
+    (e.g. a Y_00 trace) builds the negative control where orthogonality
+    must fail.
     """
     if reference_override is not None:
         v = np.asarray(reference_override, dtype=complex)
     else:
         v = eigenfunction_normal_derivative(idx, n, R, grid)
-    k = _check_wavenumber(k_override if k_override is not None else bessel_zero(idx.l, n) / R)
-    waves = np.exp(1j * k * (grid.nodes @ dirs.directions.T))
+    k = k_override if k_override is not None else bessel_zero(idx.l, n) / R
+    A = _trace_columns(k, grid, dirs)
+    v = v * np.sqrt(grid.weights)
+    v_norm = np.linalg.norm(v)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    v_norm = _surface_norm(grid, v)
     for _ in range(_N_RANDOM_DENSITIES):
-        h = rng.standard_normal(dirs.n_directions) + 1j * rng.standard_normal(dirs.n_directions)
-        w_trace = waves @ (dirs.weights * h)
-        inner = np.sum(grid.weights * w_trace * np.conj(v))
-        rel = abs(inner) / (_surface_norm(grid, w_trace) * v_norm + EPS_GUARD)
+        h = rng.standard_normal(A.shape[1]) + 1j * rng.standard_normal(A.shape[1])
+        # two real products: A @ h would copy A to complex for every density
+        w_trace = A @ h.real + 1j * (A @ h.imag)
+        rel = abs(np.vdot(v, w_trace)) / (np.linalg.norm(w_trace) * v_norm + EPS_GUARD)
         worst = max(worst, float(rel))
     return VerificationReport(
         check_name="lemma1-orthogonality",
@@ -239,11 +239,12 @@ def check_decomposition(
 ) -> VerificationReport:
     """Split a bandlimited surface function across traces + eigen normal span.
 
-    psi defaults to a seeded random combination of Y_lm, l <= 4.
-    Projection uses the left singular vectors of the weighted column stack
-    above a relative cutoff; residual is the relative norm of what the
-    projection leaves, ||b - U U^* b|| / ||b||, formed directly: the
-    difference of squared norms has a floor of sqrt(eps).
+    psi defaults to a seeded random combination of Y_lm, l <= 4; the trace
+    columns are the real ones of the fit and the sweep. Projection uses the
+    left singular vectors of the weighted column stack above a relative
+    cutoff; residual is the relative norm of what the projection leaves,
+    ||b - U U^* b|| / ||b||, formed directly: the difference of squared
+    norms has a floor of sqrt(eps).
     """
     _, theta, phi = _spherical_coords(grid.nodes)
     if psi is not None:
@@ -259,7 +260,7 @@ def check_decomposition(
         psi_label = f"random band-limited l<={_DECOMPOSITION_BAND_LIMIT}"
     b = psi_values * np.sqrt(grid.weights)
 
-    columns = [assemble_trace_matrix(k, grid, dirs)]
+    columns = [_trace_columns(k, grid, dirs)]
     eigs = ball_dirichlet_eigs(R, k * (1 + _EIGEN_MATCH_RTOL))
     eigen_indices = [(rec.l, rec.n) for rec in eigs if abs(rec.k - k) <= _EIGEN_MATCH_RTOL * k]
     for l, n in eigen_indices:

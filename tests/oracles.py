@@ -152,6 +152,21 @@ def stacked_trace_matrix(k, grid, dirs, interior=None):
     return np.vstack([A, B])
 
 
+def complex_trace_fit(k, grid, target, dirs, ridge=None):
+    """The trace fit in complex arithmetic over every direction: the ridge
+    solution, by one complex SVD of the stacked trace matrix, for the
+    weighted target target * sqrt(sigma); ridge=None is 1e-12 ||A||^2.
+    Returns (relative residual, ||h||), the unknowns being sqrt(w_j) h_j,
+    so that ||h|| is the density's discrete L^2(S^2) norm."""
+    A = stacked_trace_matrix(k, grid, dirs)
+    b = target * np.sqrt(grid.weights)
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    if ridge is None:
+        ridge = 1e-12 * s[0] ** 2
+    h = Vh.conj().T @ (s / (s * s + ridge) * (U.conj().T @ b))
+    return float(np.linalg.norm(A @ h - b) / np.linalg.norm(b)), float(np.linalg.norm(h))
+
+
 def complex_trace_spectrum(k, grid, dirs, interior):
     """The trace spectrum factored in complex arithmetic over every direction:
     the thin Q of the pivoted QR of the stacked trace matrix, cut by the

@@ -192,33 +192,37 @@ def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
     assert result.exit_code == 2, result.output
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["sweep", "fit"])
+def test_odd_direction_phi_is_usage_error(runner, tmp_path, monkeypatch, command, source):
+    # both commands factor real columns on one direction of each antipodal pair
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} started work on a grid it must refuse")
+
+    for name in ("seed_interior_points", "find_dips", "fit_trace"):
+        monkeypatch.setattr(wavetrace.cli, name, no_work)
+    if source == "flag":
+        odd = ["--dirs-nphi", "13"]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dirs_n_phi": 13}))
+        odd = ["--config", str(cfg_path)]
+    json_path = tmp_path / "out.json"
+    if command == "sweep":
+        i = FAST_SWEEP.index("--dirs-nphi")
+        args = ["sweep", *FAST_SWEEP[:i], *FAST_SWEEP[i + 2 :], "--out-csv", str(tmp_path / "out.csv")]
+    else:
+        args = ["fit", "--target", "0,0", "--k", "1.0"]
+    result = runner.invoke(main, [*args, *odd, "--out-json", str(json_path)])
+    assert result.exit_code == 2, result.output
+    assert "dirs_n_phi must be even" in result.output
+    assert not json_path.exists()
+
+
 class TestSweepCommand:
     def test_usage_error_on_inverted_range(self, runner, tmp_path):
         result = runner.invoke(main, ["sweep", "--kmin", "5", "--kmax", "3"])
         assert result.exit_code == 2
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_odd_direction_phi_is_usage_error(self, runner, tmp_path, monkeypatch, source):
-        def no_work(*args, **kwargs):
-            raise AssertionError("sweep started work on a grid it must refuse")
-
-        monkeypatch.setattr(wavetrace.cli, "seed_interior_points", no_work)
-        monkeypatch.setattr(wavetrace.cli, "find_dips", no_work)
-        if source == "flag":
-            odd = ["--dirs-nphi", "13"]
-        else:
-            cfg_path = tmp_path / "cfg.json"
-            cfg_path.write_text(json.dumps({"dirs_n_phi": 13}))
-            odd = ["--config", str(cfg_path)]
-        i = FAST_SWEEP.index("--dirs-nphi")
-        even_free = FAST_SWEEP[:i] + FAST_SWEEP[i + 2 :]
-        csv_path = tmp_path / "s.csv"
-        result = runner.invoke(
-            main, ["sweep", *even_free, *odd, "--out-csv", str(csv_path), "--out-json", str(tmp_path / "s.json")]
-        )
-        assert result.exit_code == 2, result.output
-        assert "dirs_n_phi must be even" in result.output
-        assert not csv_path.exists()
 
     def test_fast_run_produces_artifacts(self, runner, tmp_path):
         csv_path = tmp_path / "s.csv"

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     brute_force_gram_singular_values,
+    complex_trace_fit,
     funk_hecke,
     harmonic_on,
     helmholtz_residual,
@@ -15,7 +16,6 @@ from oracles import (
 from wavetrace import (
     DirectionGrid,
     HarmonicIndex,
-    assemble_trace_matrix,
     bessel_zero,
     fit_trace,
     make_direction_grid,
@@ -25,7 +25,7 @@ from wavetrace import (
     sph_bessel_j,
     sph_harm,
 )
-from wavetrace.herglotz import _real_columns
+from wavetrace.herglotz import _antipodal_half, _real_columns, _trace_columns
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -103,56 +103,55 @@ class TestAssembleTraceMatrix:
         ids=["ball", "star", "no-interior"],
     )
     def test_bit_identical_to_stacked_blocks(self, star, dirs_shape, n_points):
-        # the boundary block, as a complex matrix and as the trace spectrum's
-        # real columns, and the interior block, against the rows of the
-        # whole-matrix expressions
+        # the boundary block, as the trace spectrum's real columns, and the
+        # interior block, against the rows of the whole-matrix expressions
         grid = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48) if star else make_sphere(1.0, 24, 48)
         dirs = make_direction_grid(*dirs_shape)
         pts = None if n_points is None else seed_interior_points(grid, n_points, seed=0)
         N = grid.n_nodes
         for k in (3.0, np.pi, 5.7):
             expected = stacked_trace_matrix(k, grid, dirs, pts).view(float)
-            assert np.array_equal(assemble_trace_matrix(k, grid, dirs).view(float), expected[:N])
             assert np.array_equal(_real_columns(k, grid.nodes, np.sqrt(grid.weights)[:, None], dirs), expected[:N])
             if pts is not None:
                 assert np.array_equal(interior_block(k, grid, dirs, pts), expected[N:])
 
     @pytest.mark.parametrize("k", [3.3, 4.0, 6.1, 41.7])
     def test_agrees_with_the_exp_form(self, k):
-        # cos and sin of the phase, written into the real and imaginary
-        # parts, are the complex exponential to rounding on any libm
+        # cos and sin of the phase, read as the real and imaginary parts,
+        # are the complex exponential to rounding on any libm
         grid = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48)
         dirs = make_direction_grid(12, 24)
         pts = seed_interior_points(grid, 576, seed=0)
         expected = stacked_trace_matrix(k, grid, dirs, pts)
-        X = interior_block(k, grid, dirs, pts)
-        A = np.vstack([assemble_trace_matrix(k, grid, dirs), X[:, 0::2] + 1j * X[:, 1::2]])
+        boundary = _real_columns(k, grid.nodes, np.sqrt(grid.weights)[:, None], dirs)
+        X = np.vstack([boundary, interior_block(k, grid, dirs, pts)])
+        A = X[:, 0::2] + 1j * X[:, 1::2]
         assert np.max(np.abs(A - expected) / np.abs(expected)) <= 1e-15
 
     def test_column_norms_equal_weighted_area(self, sphere_30_60, dirs_12_24):
-        tm = assemble_trace_matrix(2.0, sphere_30_60, dirs_12_24)
-        norms2 = np.sum(np.abs(tm) ** 2, axis=0)
-        assert norms2 == pytest.approx(dirs_12_24.weights * sphere_30_60.area, rel=1e-12)
+        # cos^2 + sin^2 = 1: each pair of a direction beta_j of the half grid
+        # holds 2 w_j area(S), w_j its weight on the whole grid
+        X = _trace_columns(2.0, sphere_30_60, dirs_12_24)
+        pair_norms2 = np.sum(X**2, axis=0).reshape(-1, 2).sum(axis=1)
+        assert pair_norms2 == pytest.approx(_antipodal_half(dirs_12_24).weights * sphere_30_60.area, rel=1e-12)
 
     def test_constant_orthogonal_to_columns_at_pi(self, sphere_30_60, dirs_12_24):
         # integral_S e^{i pi beta . s} ds = 4 pi j_0(pi) = 0
-        tm = assemble_trace_matrix(np.pi, sphere_30_60, dirs_12_24)
-        const = np.sqrt(sphere_30_60.weights)
-        overlaps = tm.conj().T @ const
+        X = _trace_columns(np.pi, sphere_30_60, dirs_12_24)
+        overlaps = X.T @ np.sqrt(sphere_30_60.weights)
         assert np.abs(overlaps).max() <= 1e-10
 
     def test_singular_values_match_refined_gram_oracle(self, dirs_10_20):
         coarse = make_sphere(1.0, 24, 48)
         fine = make_sphere(1.0, 48, 96)
-        tm = assemble_trace_matrix(1.0, coarse, dirs_10_20)
-        s_direct = np.linalg.svd(tm, compute_uv=False)
+        s_direct = np.linalg.svd(_trace_columns(1.0, coarse, dirs_10_20), compute_uv=False)
         s_oracle = brute_force_gram_singular_values(1.0, fine, dirs_10_20)
         n = min(40, len(s_direct))  # modes above the noise floor
         assert np.abs(s_direct[:n] - s_oracle[:n]).max() <= 1e-8
 
     def test_invalid_wavenumber(self, sphere_30_60, dirs_10_20):
-        with pytest.raises(ValueError):
-            assemble_trace_matrix(0.0, sphere_30_60, dirs_10_20)
+        with pytest.raises(ValueError, match="wavenumber"):
+            fit_trace(0.0, sphere_30_60, harmonic_on(sphere_30_60, 0, 0), dirs_10_20)
 
 
 class TestFunkHecke:
@@ -200,6 +199,22 @@ class TestFitTrace:
         _, density_norm = fit_trace(k, sphere_30_60, target, dirs_12_24, ridge=ridge)
         assert density_norm == pytest.approx(1 / (4 * np.pi * sph_bessel_j(0, k)), rel=1e-9)
 
+    @pytest.mark.parametrize("ridge", [None, 1e-8])
+    @pytest.mark.parametrize("l,m,k", [(2, 1, 1.0), (3, 2, 4.0), (5, 3, 3.0)])
+    @pytest.mark.parametrize(
+        "coefs, n_theta", [([], 20), ([], 24), ([(2, 0, 0.1)], 24)], ids=["sphere-20x40", "sphere-24x48", "star-24x48"]
+    )
+    def test_matches_the_complex_fit(self, dirs_10_20, coefs, n_theta, l, m, k, ridge):
+        # off the spectrum, one real SVD on the half grid fits as the complex
+        # SVD over every direction does; at ridge 0 or at an eigenvalue the
+        # density norm is rounding noise, so those are not compared
+        grid = make_star_surface(1.0, coefs, n_theta, 2 * n_theta)
+        target = harmonic_on(grid, l, m)
+        residual, density_norm = fit_trace(k, grid, target, dirs_10_20, ridge=ridge)
+        expected_residual, expected_norm = complex_trace_fit(k, grid, target, dirs_10_20, ridge=ridge)
+        assert density_norm == pytest.approx(expected_norm, rel=1e-10)
+        assert residual == pytest.approx(expected_residual, abs=1e-12)
+
     def test_non_finite_target_rejected(self, sphere_30_60, dirs_12_24):
         target = harmonic_on(sphere_30_60, 0, 0)
         target[5] = np.nan
@@ -234,11 +249,12 @@ class TestFitTrace:
     def test_residual_monotone_under_added_directions(self, sphere_30_60):
         base = make_direction_grid(8, 16)
         rng = np.random.default_rng(5)
-        extra = rng.standard_normal((20, 3))
+        extra = rng.standard_normal((10, 3))
         extra /= np.linalg.norm(extra, axis=1)[:, None]
         delta = 0.01
+        # in +- pairs, so that the enlarged grid stays antipodally symmetric
         enlarged = DirectionGrid(
-            directions=np.vstack([base.directions, extra]),
+            directions=np.vstack([base.directions, extra, -extra]),
             weights=np.concatenate(
                 [base.weights * (1 - delta), np.full(20, delta * 4 * np.pi / 20)]
             ),

@@ -81,6 +81,23 @@ class TestMakeStarSurface:
         with pytest.raises(ValueError, match="finite"):
             make_star_surface(1.0, [(2, 0, 0.1), (2, 0, eps)], 20, 40)
 
+    @pytest.mark.parametrize(
+        "term",
+        [(2.5, 0, 0.1), (True, 0.9, 0.1), (2, 0.9, 0.1), (2, True, 0.1), ("2", 0, 0.1), (2, 0, True)],
+        ids=["float-degree", "bool-degree", "float-order", "bool-order", "string-degree", "bool-eps"],
+    )
+    def test_coerced_perturbation_term_raises(self, term):
+        # a coerced term would build another star than the one asked for
+        with pytest.raises(ValueError, match="perturbation terms must be"):
+            make_star_surface(1.0, [term], 8, 16)
+
+    def test_numpy_integer_perturbation_term_accepted(self):
+        # descriptors pass back through the same rule, in surface_radius and
+        # the single-layer setup; their integers go out as Python ints
+        grid = make_star_surface(1.0, [(np.int64(2), np.int32(0), np.float64(0.1))], 8, 16)
+        assert grid.descriptor["perturbation"] == [[2, 0, 0.1]]
+        assert all(type(v) is int for v in grid.descriptor["perturbation"][0][:2])
+
     def test_normals_orthogonal_to_tangents_and_outward(self):
         # finite-difference tangents of the parametrization at interior angles
         pert = [(2, 0, 0.1), (3, 2, 0.05)]
