@@ -55,6 +55,7 @@ from .sweep import (
     DEFAULT_DEPTH_RATIO,
     DEFAULT_REFINE_TOL,
     BracketError,
+    _one_blas_thread,
     find_dips,
 )
 from .verify import InconclusiveCheckError, run_default_suite
@@ -266,11 +267,14 @@ def _report_line(report) -> str:
 
 
 class _Main(click.Group):
-    """The `wavetrace` group: a numerical failure in any subcommand exits 3."""
+    """The `wavetrace` group: every subcommand runs on one BLAS thread, so
+    its artifact does not depend on OPENBLAS_NUM_THREADS, and a numerical
+    failure in any subcommand exits 3."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            with _one_blas_thread():
+                return super().invoke(ctx)
         except NUMERICAL_ERRORS as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             ctx.exit(EXIT_NUMERICAL)

@@ -7,11 +7,15 @@ Condon-Shortley phase:
     integral_{S^2} Y_lm conj(Y_l'm') dOmega = delta_ll' delta_mm'
 
 All functions accept scalars or numpy arrays in the argument position and
-are pure (no shared mutable state).
+are pure; bessel_zero memoizes its results. A degree, order or zero index
+must be an integer (numpy integers included): a bool or a float is refused,
+not coerced.
 """
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 
@@ -38,6 +42,7 @@ class HarmonicIndex:
 
     def __post_init__(self):
         _check_degree(self.l)
+        _check_integer(self.m, "order m")
         if abs(self.m) > self.l:
             raise ValueError(f"order m must satisfy |m| <= l, got (l={self.l}, m={self.m})")
 
@@ -45,8 +50,14 @@ class HarmonicIndex:
         return f"Y({self.l},{self.m})"
 
 
+def _check_integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_degree(l) -> int:
-    l = int(l)
+    l = _check_integer(l, "degree l")
     if l < 0:
         raise ValueError(f"degree l must be nonnegative, got {l}")
     if l > MAX_DEGREE:
@@ -129,9 +140,17 @@ def _newton_zero(l: int, a: float, b: float, fa: float) -> float:
 
 def bessel_zero(l: int, n: int) -> float:
     """n-th positive zero z_{l,n} of j_l, absolute accuracy ~1e-14."""
-    n = int(n)
+    l = _check_degree(l)
+    n = _check_integer(n, "zero index n")
     if n < 1:
         raise ValueError(f"zero index n must be >= 1, got {n}")
+    return _bessel_zero(l, n)
+
+
+@functools.cache
+def _bessel_zero(l: int, n: int) -> float:
+    """bessel_zero on validated ints, memoized: each search rescans the
+    zeros of j_l below z_{l,n} by scalar scipy calls that hold the GIL."""
     return next(islice(_bessel_zeros(l), n - 1, None))
 
 

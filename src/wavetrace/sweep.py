@@ -11,11 +11,14 @@ whose spectra the sweep kept, and classify it by the largest gap among the
 collapsed values of the spectrum the search evaluated at k*. No k is
 evaluated twice. This layer knows no oracle and no geometry.
 
-The sweep layer owns the machine's parallelism: while sweep_k, refine_dip
-and find_dips run, the OpenBLAS builds bundled with numpy and scipy are
-pinned to one thread, and find_dips samples, then refines and classifies,
-on pools of `threads` workers. Each evaluation therefore runs the same
-single-threaded arithmetic whatever the pool size or OPENBLAS_NUM_THREADS.
+The sweep layer owns the machine's parallelism. _one_blas_thread pins the
+OpenBLAS builds bundled with numpy and scipy to one thread: the CLI runs
+every subcommand under it, and sweep_k, refine_dip and find_dips take it
+too when called as a library. find_dips samples, then refines and
+classifies, on pools of `threads` workers (_map), and verify's default
+suite runs its checks on a pool of the same kind. Each evaluation or check
+therefore runs the same single-threaded arithmetic whatever the pool size
+or OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations

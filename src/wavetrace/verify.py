@@ -39,6 +39,7 @@ from .surface import (
     make_direction_grid,
     make_sphere,
 )
+from .sweep import _map
 
 __all__ = [
     "VerificationReport",
@@ -239,11 +240,15 @@ def check_decomposition(
 ) -> VerificationReport:
     """Split a bandlimited surface function across traces + eigen normal span.
 
-    psi defaults to a seeded random combination of Y_lm, l <= 4; the trace
-    columns are the real ones of the fit and the sweep. Projection uses the
-    left singular vectors of the weighted column stack above a relative
-    cutoff; residual is the relative norm of what the projection leaves,
-    ||b - U U^* b|| / ||b||, formed directly: the difference of squared
+    psi defaults to a seeded random combination of Y_lm, l <= 4. The column
+    stack is real: the trace columns are the real ones of the fit and the
+    sweep, and each eigen normal derivative joins as its real and imaginary
+    parts, which span the same complex space as the eigenspace's 2l+1
+    columns, since Y_{l,-m} = (-1)^m conj(Y_lm). Projection uses the left
+    singular vectors U of the weighted stack above a relative cutoff, with
+    the target's real and imaginary parts as two right-hand sides B; the
+    residual is the relative norm of what the projection leaves,
+    ||B - U U^T B|| / ||b||, formed directly: the difference of squared
     norms has a floor of sqrt(eps).
     """
     _, theta, phi = _spherical_coords(grid.nodes)
@@ -265,12 +270,12 @@ def check_decomposition(
     eigen_indices = [(rec.l, rec.n) for rec in eigs if abs(rec.k - k) <= _EIGEN_MATCH_RTOL * k]
     for l, n in eigen_indices:
         for m in range(-l, l + 1):
-            v_n = eigenfunction_normal_derivative(HarmonicIndex(l, m), n, R, grid)
-            columns.append((v_n * np.sqrt(grid.weights))[:, None])
-    stack = np.hstack(columns)
-    U, s, _ = np.linalg.svd(stack, full_matrices=False)
+            v_n = eigenfunction_normal_derivative(HarmonicIndex(l, m), n, R, grid) * np.sqrt(grid.weights)
+            columns += [v_n.real[:, None], v_n.imag[:, None]]
+    U, s, _ = np.linalg.svd(np.hstack(columns), full_matrices=False)
     U_keep = U[:, s > s[0] * _DECOMPOSITION_SVD_CUTOFF]
-    residual = float(np.linalg.norm(b - U_keep @ (U_keep.conj().T @ b)) / np.linalg.norm(b))
+    B = np.column_stack([b.real, b.imag])
+    residual = float(np.linalg.norm(B - U_keep @ (U_keep.T @ B)) / np.linalg.norm(b))
     return VerificationReport(
         check_name="decomposition",
         inputs={
@@ -293,39 +298,46 @@ def check_decomposition(
 def run_default_suite(
     seed: int = 7, inject_off_spectrum: bool = False
 ) -> list[VerificationReport]:
-    """The full ball verification suite with the default desk-scale grids."""
-    reports = []
+    """The full ball verification suite with the default desk-scale grids.
+
+    The checks are independent and each draws from its own seeded
+    generator, so they run concurrently on the sweep layer's pool, one
+    worker per CPU and one BLAS thread each, and the reports come back in
+    the order the checks are listed here: no report depends on the pool
+    size or on OPENBLAS_NUM_THREADS.
+    """
+    # each check is a zero-argument lambda; its defaults bind the loop's values
+    checks = []
     dirs = make_direction_grid(12, 24)
     spheres = {R: make_sphere(R, 40, 80) for R in (0.7, 1.0, 2.0)}
     for R, grid in spheres.items():
         for l in range(4):
             for n in (1, 2):
-                reports.append(check_necessity(HarmonicIndex(l, 0), n, R, grid, seed=seed))
+                checks.append(lambda i=HarmonicIndex(l, 0), n=n, R=R, g=grid: check_necessity(i, n, R, g, seed=seed))
         if inject_off_spectrum:
-            reports.append(check_necessity(HarmonicIndex(0, 0), 1, R, grid, seed=seed, k_factor=1.01))
+            checks.append(lambda R=R, g=grid: check_necessity(HarmonicIndex(0, 0), 1, R, g, seed=seed, k_factor=1.01))
     grid1 = spheres[1.0]
     for l in range(3):
         for n in (1, 2):
-            reports.append(
-                check_lemma1_orthogonality(HarmonicIndex(l, min(l, 1)), n, 1.0, grid1, dirs, seed=seed)
-            )
+            idx = HarmonicIndex(l, min(l, 1))
+            checks.append(lambda i=idx, n=n: check_lemma1_orthogonality(i, n, 1.0, grid1, dirs, seed=seed))
     if inject_off_spectrum:
         _, theta, phi = _spherical_coords(grid1.nodes)
         y00 = sph_harm(HarmonicIndex(0, 0), theta, phi)
-        reports.append(
-            check_lemma1_orthogonality(
+        checks.append(
+            lambda: check_lemma1_orthogonality(
                 HarmonicIndex(0, 0), 1, 1.0, grid1, dirs, seed=seed,
                 k_override=1.0, reference_override=y00,
             )
         )
     for l in range(4):
         for n in (1, 2):
-            reports.append(check_green_reduction(HarmonicIndex(l, 0), n, 1.0))
+            checks.append(lambda i=HarmonicIndex(l, 0), n=n: check_green_reduction(i, n, 1.0))
     grid_dec = make_sphere(1.0, 30, 60)
-    reports.append(check_decomposition(1.0, 1.0, grid_dec, dirs, seed=seed))
-    reports.append(
-        check_decomposition(
+    checks.append(lambda: check_decomposition(1.0, 1.0, grid_dec, dirs, seed=seed))
+    checks.append(
+        lambda: check_decomposition(
             np.pi, 1.0, grid_dec, dirs, seed=seed, psi=HarmonicIndex(0, 0), tolerance=1e-8
         )
     )
-    return reports
+    return _map(lambda check: check(), checks, None)

@@ -167,6 +167,25 @@ def complex_trace_fit(k, grid, target, dirs, ridge=None):
     return float(np.linalg.norm(A @ h - b) / np.linalg.norm(b)), float(np.linalg.norm(h))
 
 
+def complex_decomposition_residual(k, R, grid, dirs, psi, eigen_indices):
+    """The decomposition residual with a complex column stack: the trace
+    matrix over every direction, then the weighted normal derivatives
+    k_n j_l'(k_n R) Y_lm, k_n = z_{l,n}/R, of every (l, n) in eigen_indices
+    and every m; projected onto the left singular vectors above 1e-10 of the
+    leading value. Returns ||b - U U^H b|| / ||b|| for b = Y_psi sqrt(sigma)."""
+    sqrt_w = np.sqrt(grid.weights)
+    columns = [stacked_trace_matrix(k, grid, dirs)]
+    for l, n in eigen_indices:
+        k_n = bessel_zero(l, n) / R
+        for m in range(-l, l + 1):
+            v_n = k_n * spherical_jn(l, k_n * R, derivative=True) * harmonic_on(grid, l, m)
+            columns.append((v_n * sqrt_w)[:, None])
+    U, s, _ = np.linalg.svd(np.hstack(columns), full_matrices=False)
+    U = U[:, s > s[0] * 1e-10]
+    b = harmonic_on(grid, psi.l, psi.m) * sqrt_w
+    return float(np.linalg.norm(b - U @ (U.conj().T @ b)) / np.linalg.norm(b))
+
+
 def complex_trace_spectrum(k, grid, dirs, interior):
     """The trace spectrum factored in complex arithmetic over every direction:
     the thin Q of the pivoted QR of the stacked trace matrix, cut by the

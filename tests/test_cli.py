@@ -1,10 +1,11 @@
+import hashlib
 import inspect
 import json
 import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -15,8 +16,9 @@ from click.testing import CliRunner
 import wavetrace
 import wavetrace.spectra
 import wavetrace.sweep
+import wavetrace.verify
 from wavetrace import BracketError
-from wavetrace.cli import RunConfig, main
+from wavetrace.cli import EXIT_VERIFY_FAIL, RunConfig, main
 from wavetrace.sweep import _blas_threads, _openblas_thread_controls
 
 
@@ -435,6 +437,38 @@ class TestEigsCommand:
         assert result.exit_code == 2
 
 
+@pytest.mark.skipif(
+    not _openblas_thread_controls(),
+    reason="the BLAS exposes no scipy_openblas thread controls, so its thread count may move bytes",
+)
+@pytest.mark.parametrize(
+    "args, out_flag",
+    [
+        (["eigs", "--surface", "ball", "--kmax", "6.5"], "--out-json"),
+        (STAR_SINGLE_LAYER, "--out-json"),
+        (["fit", "--target", "0,0", "--k", "3.14159265358979"], "--out-json"),
+        (["verify", "--inject-off-spectrum", "--seed", "0"], "--out"),
+    ],
+    ids=["eigs-analytic", "eigs-single-layer", "fit", "verify"],
+)
+def test_every_subcommand_artifact_independent_of_blas_threads(tmp_path, args, out_flag):
+    # every subcommand runs on one BLAS thread, not only the sweeps
+    env = dict(os.environ)
+    src = str(Path(wavetrace.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = []
+    for n in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = n
+        out = tmp_path / f"{n}.out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavetrace.cli", *args, out_flag, str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
 class TestVerifyCommand:
     def test_default_suite_passes(self, runner, tmp_path):
         out = tmp_path / "reports.jsonl"
@@ -460,6 +494,35 @@ class TestVerifyCommand:
         for path in (tmp_path / "no" / "x.jsonl", tmp_path):
             result = runner.invoke(main, ["verify", "--out", str(path)])
             assert result.exit_code == 2, result.output
+
+    @pytest.mark.skipif(not _openblas_thread_controls(), reason="the BLAS exposes no scipy_openblas thread controls")
+    def test_blas_pinned_during_and_restored_after(self, runner, monkeypatch):
+        # at two threads before each run, so that a pin left behind shows:
+        # a passing suite, a usage error and a failing check all restore it
+        controls = _openblas_thread_controls()
+        real_green_reduction = wavetrace.verify.check_green_reduction
+        seen = set()
+
+        def failing_green_reduction(*args):
+            seen.add(_blas_threads())
+            return replace(real_green_reduction(*args), residual=1.0)
+
+        before = _blas_threads()
+        for _, put in controls:
+            put(2)
+        try:
+            assert runner.invoke(main, ["verify"]).exit_code == 0
+            assert _blas_threads() == (2,) * len(controls)
+            assert runner.invoke(main, ["verify", "--seed", "-1"]).exit_code == 2
+            assert _blas_threads() == (2,) * len(controls)
+            monkeypatch.setattr(wavetrace.verify, "check_green_reduction", failing_green_reduction)
+            result = runner.invoke(main, ["verify"])
+            assert result.exit_code == EXIT_VERIFY_FAIL, result.output
+            assert _blas_threads() == (2,) * len(controls)
+        finally:
+            for (_, put), n in zip(controls, before):
+                put(n)
+        assert seen == {(1,) * len(controls)}
 
 
 def _types(record: dict) -> dict:

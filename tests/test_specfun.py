@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import wavetrace
+import wavetrace.specfun
 from scipy.special import spherical_yn
 
 from oracles import bessel_j_series, central_difference
@@ -121,6 +122,57 @@ class TestBesselZero:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestIntegerArguments:
+    """A degree, order or zero index is an integer: a bool or a float is
+    refused, not coerced by int()."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: bessel_zero(1.5, 1),
+            lambda: bessel_zero(True, 1),
+            lambda: bessel_zero(1, 1.9),
+            lambda: bessel_zero(1, True),
+            lambda: sph_bessel_j(2.7, 1.0),
+            lambda: sph_bessel_j(True, 1.0),
+            lambda: sph_bessel_j_deriv(2.0, 1.0),
+            lambda: HarmonicIndex(1.5, 0),
+            lambda: HarmonicIndex(True, 0),
+            lambda: HarmonicIndex(1, 0.5),
+            lambda: HarmonicIndex(1, False),
+        ],
+        ids=[
+            "zero-float-degree", "zero-bool-degree", "zero-float-index", "zero-bool-index",
+            "j-float-degree", "j-bool-degree", "j-deriv-integral-float-degree",
+            "index-float-degree", "index-bool-degree", "index-float-order", "index-bool-order",
+        ],
+    )
+    def test_coerced_input_raises(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert bessel_zero(np.int64(1), np.int32(1)) == bessel_zero(1, 1)
+        assert sph_bessel_j(np.int64(2), 1.0) == sph_bessel_j(2, 1.0)
+        assert HarmonicIndex(np.int64(2), np.int64(-1)) == HarmonicIndex(2, -1)
+
+    def test_memo_refuses_a_bool_equal_to_a_cached_key(self):
+        # True == 1 and hash(True) == hash(1): the memo sees validated ints only
+        bessel_zero(1, 1)
+        for l, n in ((True, 1), (1, True)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                bessel_zero(l, n)
+
+    def test_repeat_call_searches_no_more(self, monkeypatch):
+        z = bessel_zero(3, 2)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("bessel_zero searched again for a zero it has found")
+
+        monkeypatch.setattr(wavetrace.specfun, "spherical_jn", no_search)
+        assert bessel_zero(3, 2) == z
 
 
 class TestSphHarm:

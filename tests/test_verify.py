@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import harmonic_on, herglotz_wave, radial_bessel_moment
+import wavetrace.sweep
+from oracles import complex_decomposition_residual, harmonic_on, herglotz_wave, radial_bessel_moment
 from wavetrace import (
     HarmonicIndex,
     bessel_zero,
@@ -12,6 +13,7 @@ from wavetrace import (
     fit_trace,
     make_direction_grid,
     make_sphere,
+    run_default_suite,
     sph_harm,
 )
 from wavetrace.sweep import _one_blas_thread
@@ -131,6 +133,28 @@ class TestDecomposition:
         a = check_decomposition(1.0, 1.0, sphere_30_60, dirs_12_24, seed=11)
         b = check_decomposition(1.0, 1.0, sphere_30_60, dirs_12_24, seed=11)
         assert a.residual == b.residual
+
+    @pytest.mark.parametrize("l,m", [(1, 1), (2, -1)])
+    def test_real_stack_on_a_complex_eigenspace(self, sphere_30_60, dirs_12_24, l, m):
+        # at k = z_l1 the eigen normal derivatives are complex for m != 0;
+        # the stack takes their real and imaginary parts as real columns
+        k = bessel_zero(l, 1)
+        rep = check_decomposition(k, 1.0, sphere_30_60, dirs_12_24, psi=HarmonicIndex(l, m), tolerance=1e-8)
+        assert rep.passed
+        assert rep.inputs["eigen_indices"] == [(l, 1)]
+        reference = complex_decomposition_residual(k, 1.0, sphere_30_60, dirs_12_24, HarmonicIndex(l, m), [(l, 1)])
+        assert rep.residual == pytest.approx(reference, abs=1e-12)
+
+
+class TestDefaultSuite:
+    def test_reports_independent_of_the_pool_size(self, monkeypatch):
+        # the pool sizes itself from the CPU count; each check has its own generator
+        suites = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(wavetrace.sweep.os, "cpu_count", lambda n=cpus: n)
+            suites.append(run_default_suite(seed=0, inject_off_spectrum=True))
+        assert len(suites[0]) == 44
+        assert suites[0] == suites[1]
 
 
 class TestReportShape:
