@@ -96,7 +96,6 @@ class RunConfig:
     refine_tol: float = DEFAULT_REFINE_TOL
     ridge: float | None = None
     band_limit: int = 8
-    threads: int | None = None
 
     def check(self, k_sweep: bool):
         """Usage error for any field of the wrong type or out of range,
@@ -154,7 +153,6 @@ _RANGES = {
     "refine_tol": (lambda v: 0 < v < math.inf, "positive and finite"),
     "ridge": (lambda v: 0 <= v < math.inf, "nonnegative and finite"),
     "band_limit": (lambda v: v >= 0, "nonnegative"),
-    "threads": (lambda v: v >= 1, "positive"),
 }
 
 
@@ -300,7 +298,6 @@ def main():
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--interior-count", type=int)
 @click.option("--refine-tol", type=float, default=RunConfig.refine_tol, show_default=True)
-@click.option("--threads", type=int, help="Size of the sweep-and-refinement pool (default: CPU count).")
 @click.option("--out-csv", type=str, default="sweep.csv", show_default=True)
 @click.option("--out-json", type=str, default="sweep.json", show_default=True)
 @click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
@@ -317,7 +314,7 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     interior_count = cfg.interior_count or default_interior_count(dirs)
     interior = seed_interior_points(grid, interior_count, cfg.seed)
     ks = np.linspace(cfg.k_min, cfg.k_max, cfg.samples)
-    values, refined = find_dips(make_trace_spectrum(grid, dirs, interior), ks, cfg.refine_tol, cfg.threads)
+    values, refined = find_dips(make_trace_spectrum(grid, dirs, interior), ks, cfg.refine_tol)
     _write_text(out_csv, "k,indicator\n" + "".join(f"{k:.17g},{v:.17g}\n" for k, v in zip(ks, values)))
     payload = {
         "config": {
@@ -378,10 +375,9 @@ def cmd_eigs(ctx, method, out_json, config_path, **flags):
         except ValueError as exc:
             raise click.UsageError(f"bad band limit: {exc}")
         _, dips = find_dips(
-            make_single_layer_spectrum(grid, cfg.band_limit, cfg.k_min, cfg.k_max, cfg.threads),
+            make_single_layer_spectrum(grid, cfg.band_limit, cfg.k_min, cfg.k_max),
             np.linspace(cfg.k_min, cfg.k_max, cfg.samples),
             cfg.refine_tol,
-            cfg.threads,
         )
         records = [
             EigenvalueRecord(k=dip.k, multiplicity=dip.multiplicity, source="single-layer")
@@ -448,6 +444,8 @@ def cmd_fit(ctx, target, out_json, config_path, **flags):
     """Fit one spherical-harmonic trace against the plane-wave trace span."""
     # --k is the working wavenumber, so the resolution rules key off it as k_max
     cfg = _run_config(ctx, config_path, k_sweep=False, **flags)
+    if cfg.surface != "ball":
+        raise click.UsageError(f"fit runs only on the ball, got surface {cfg.surface!r}")
     _check_writable(out_json)
     grid = _build_surface(cfg)
     dirs = _build_dirs(cfg)

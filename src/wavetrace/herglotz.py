@@ -125,7 +125,7 @@ def seed_interior_points(grid: SurfaceGrid, count: int, seed: int) -> np.ndarray
     u = rng.random(count)
     theta = np.arccos(np.clip(v[:, 2], -1.0, 1.0))
     phi = np.arctan2(v[:, 1], v[:, 0])
-    rho = surface_radius(grid.descriptor, theta, phi)
+    rho, _, _ = surface_radius(grid.descriptor, theta, phi)
     return v * (_INTERIOR_RADIUS_FRACTION * rho * np.cbrt(u))[:, None]
 
 
@@ -139,7 +139,7 @@ def _check_interior(grid: SurfaceGrid, interior) -> np.ndarray:
         raise ValueError("interior points must have shape (P, 3)")
     if grid.descriptor.get("kind") in ("sphere", "star"):
         r, theta, phi = _spherical_coords(interior)
-        rho = surface_radius(grid.descriptor, theta, phi)
+        rho, _, _ = surface_radius(grid.descriptor, theta, phi)
         if not np.all(r < rho * (1 - 1e-9)):  # a NaN point fails too
             raise ValueError("interior point on or outside the surface")
     return interior

@@ -60,14 +60,7 @@ from .specfun import (
     sph_bessel_j_deriv,
     sph_harm,
 )
-from .surface import (
-    SurfaceGrid,
-    _normalize_perturbation,
-    _spherical_coords,
-    _spherical_frame,
-    _star_radius_terms,
-    _unit_vectors,
-)
+from .surface import SurfaceGrid, _spherical_coords, _spherical_frame, _unit_vectors, surface_radius
 from .sweep import _map
 
 __all__ = [
@@ -157,7 +150,7 @@ def eigenfunction_normal_derivative(
     return k * sph_bessel_j_deriv(idx.l, k * R) * sph_harm(idx, theta, phi)
 
 
-def static_row_integral(grid: SurfaceGrid, threads: int | None = None) -> np.ndarray:
+def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
     """g(x_m) = integral_S ds(y) / (4 pi |x_m - y|) for every node.
 
     Sphere:  exact closed form g = R.
@@ -168,8 +161,8 @@ def static_row_integral(grid: SurfaceGrid, threads: int | None = None) -> np.nda
              r_phi^2 / sin^2 theta) dOmega, and the sin theta' of dOmega
              cancels the 1/|x - y| singularity at the pole, so the rule
              converges spectrally. Evaluated _STATICS_ROW_BLOCK nodes at a
-             time, the blocks on a pool of `threads` workers as in
-             find_dips; each block writes only its own nodes' values.
+             time, the blocks on the sweep layer's pool; each block
+             writes only its own nodes' values.
     """
     desc = grid.descriptor
     kind = desc.get("kind")
@@ -177,8 +170,6 @@ def static_row_integral(grid: SurfaceGrid, threads: int | None = None) -> np.nda
         return np.full(grid.n_nodes, float(desc["radius"]))
     if kind != "star":
         raise UnsupportedSurfaceError(f"static row integral needs a sphere or star grid, got {kind!r}")
-    R0 = float(desc["R0"])
-    pert = _normalize_perturbation(desc["perturbation"])
     t, wt = leggauss(_POLE_RULE_NODES)
     polar = 0.5 * np.pi * (t + 1)
     n_azimuth = 2 * _POLE_RULE_NODES
@@ -195,24 +186,24 @@ def static_row_integral(grid: SurfaceGrid, threads: int | None = None) -> np.nda
         rows = slice(start, start + _STATICS_ROW_BLOCK)
         y = local @ frames[rows]  # the rule's directions, then y - x
         _, theta, phi = _spherical_coords(y)
-        r, rt, rp = _star_radius_terms(theta, phi, R0, pert)
+        r, rt, rp = surface_radius(desc, theta, phi)
         y *= r[..., None]
         y -= grid.nodes[rows, None, :]
         ds = r * np.sqrt(r * r + rt * rt + (rp / np.sin(theta)) ** 2)
         g[rows] = (ds / np.linalg.norm(y, axis=-1)) @ weights
 
-    _map(fill, range(0, grid.n_nodes, _STATICS_ROW_BLOCK), threads)
+    _map(fill, range(0, grid.n_nodes, _STATICS_ROW_BLOCK))
     return g
 
 
-def _nystrom_statics(grid: SurfaceGrid, static_integral: np.ndarray, threads: int | None = None):
+def _nystrom_statics(grid: SurfaceGrid, static_integral: np.ndarray):
     """k-independent parts of the weighted Nystrom matrix: weights, node
     distances (unit diagonal), the symmetric off-diagonal weight
     sqrt(sigma_m) sqrt(sigma_p) / (4 pi r_mp), static diagonal term.
 
-    Filled _STATICS_ROW_BLOCK rows at a time, the blocks on a pool of
-    `threads` workers, so the coordinate differences never occupy more than
-    a row block per worker; each block writes only its own rows, and every
+    Filled _STATICS_ROW_BLOCK rows at a time, the blocks on the sweep
+    layer's pool, so the coordinate differences never occupy more than a
+    row block per worker; each block writes only its own rows, and every
     entry equals the whole-matrix expression's.
     """
     nodes, w = grid.nodes, grid.weights
@@ -231,7 +222,7 @@ def _nystrom_statics(grid: SurfaceGrid, static_integral: np.ndarray, threads: in
         static_offdiag_rowsum[rows] = ((1.0 / four_pi_dist) * w[None, :]).sum(axis=1)
         np.divide(np.outer(sw[rows], sw), four_pi_dist, out=weight[rows])
 
-    _map(fill, range(0, n, _STATICS_ROW_BLOCK), threads)
+    _map(fill, range(0, n, _STATICS_ROW_BLOCK))
     static_offdiag_rowsum -= (1.0 / (4 * np.pi)) * w
     return w, dist, weight, static_integral - static_offdiag_rowsum
 
@@ -325,9 +316,7 @@ def _cheb_start_degree(half_width: float, diameter: float) -> int:
     return m + 2
 
 
-def make_single_layer_spectrum(
-    grid: SurfaceGrid, band_limit: int, k_min: float, k_max: float, threads: int | None = None
-):
+def make_single_layer_spectrum(grid: SurfaceGrid, band_limit: int, k_min: float, k_max: float):
     """Callable k -> singular values (descending) of the bandlimit-compressed
     single-layer matrix B(k) = Q^T A(k) Q on [k_min, k_max], Q the real
     bandlimited_basis; the last one is the indicator.
@@ -335,8 +324,8 @@ def make_single_layer_spectrum(
     B is built by the direct route at the n + 1 Chebyshev-Lobatto points of
     the range, n from _cheb_start_degree with the largest node distance;
     InterpolationError unless _chebyshev_tail is then within _CHEB_TAIL_TOL. The
-    static row integral, the statics and the builds run on one pool size,
-    `threads` workers as in find_dips; each build fills one N x N complex
+    static row integral, the statics and the builds run on the sweep
+    layer's pool, one worker per CPU; each build fills one N x N complex
     buffer, compressed by _compress. An evaluation is a barycentric sum and
     an SVD of size (L+1)^2; at a node it is that node's matrix. The band
     limit is checked before any work; k_min < k_max, and k must be positive
@@ -346,7 +335,7 @@ def make_single_layer_spectrum(
     if not k_min < k_max:
         raise ValueError(f"need k_min < k_max, got [{k_min}, {k_max}]")
     Q = bandlimited_basis(grid, band_limit)
-    statics = _nystrom_statics(grid, static_row_integral(grid, threads), threads)
+    statics = _nystrom_statics(grid, static_row_integral(grid))
 
     def build(j: int):
         stack[j] = _compress(Q, _nystrom_matrix(ks[j], *statics))
@@ -354,7 +343,7 @@ def make_single_layer_spectrum(
     n = _cheb_start_degree(0.5 * (k_max - k_min), statics[1].max())
     ks = _lobatto_points(k_min, k_max, n)
     stack = np.empty((n + 1, Q.shape[1], Q.shape[1]), dtype=complex)
-    _map(build, range(n + 1), threads)
+    _map(build, range(n + 1))
     if _chebyshev_tail(stack) > _CHEB_TAIL_TOL:
         raise InterpolationError(
             f"single-layer interpolant on [{k_min}, {k_max}] not converged at degree {n}"

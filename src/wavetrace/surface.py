@@ -249,13 +249,13 @@ def make_direction_grid(n_theta: int, n_phi: int) -> DirectionGrid:
 
 
 def surface_radius(descriptor: dict, theta, phi):
-    """Radius function rho(theta, phi) of a sphere or star descriptor."""
+    """Radius function of a sphere or star descriptor with its angular
+    derivatives: (rho, rho_theta, rho_phi) at (theta, phi)."""
     kind = descriptor.get("kind")
     theta = np.asarray(theta, dtype=float)
     if kind == "sphere":
-        return np.full_like(theta, descriptor["radius"])
+        return np.full_like(theta, descriptor["radius"]), np.zeros_like(theta), np.zeros_like(theta)
     if kind == "star":
         pert = _normalize_perturbation(descriptor["perturbation"])
-        r, _, _ = _star_radius_terms(theta, np.asarray(phi, dtype=float), descriptor["R0"], pert)
-        return r
+        return _star_radius_terms(theta, np.asarray(phi, dtype=float), descriptor["R0"], pert)
     raise ValueError(f"no radius function for surface kind {kind!r}")

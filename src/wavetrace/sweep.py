@@ -14,11 +14,11 @@ evaluated twice. This layer knows no oracle and no geometry.
 The sweep layer owns the machine's parallelism. _one_blas_thread pins the
 OpenBLAS builds bundled with numpy and scipy to one thread: the CLI runs
 every subcommand under it, and sweep_k, refine_dip and find_dips take it
-too when called as a library. find_dips samples, then refines and
-classifies, on pools of `threads` workers (_map), and verify's default
-suite runs its checks on a pool of the same kind. Each evaluation or check
-therefore runs the same single-threaded arithmetic whatever the pool size
-or OPENBLAS_NUM_THREADS.
+too when called as a library. _map is the one place a pool is sized: one
+worker per CPU. find_dips samples, then refines and classifies, on such
+pools, as do the single-layer oracle's builds and verify's default suite.
+Each evaluation or check therefore runs the same single-threaded
+arithmetic whatever the pool size or OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -112,12 +112,10 @@ def _one_blas_thread():
                     put(n)
 
 
-def _map(fn, items, threads: int | None) -> list:
+def _map(fn, items) -> list:
     """fn over items with BLAS pinned to one thread, results in item order,
-    on a pool of `threads` workers (None: the CPU count)."""
-    if threads is None:
-        threads = os.cpu_count() or 1
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
+    on a pool of one worker per CPU."""
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         return list(pool.map(fn, items))
 
 
@@ -134,19 +132,18 @@ class Dip:
     multiplicity: int
 
 
-def sweep_k(spectrum, ks, threads: int | None = None) -> np.ndarray:
+def sweep_k(spectrum, ks) -> np.ndarray:
     """The indicator, spectrum(k)[-1], on an ascending k-grid.
 
-    Evaluations at distinct k run on a thread pool, one BLAS thread each,
-    and merge in k order; they overlap only while they sit in calls that
-    release the GIL, as the trace spectrum's tall factorization steps do.
-    threads=None sizes the pool to the CPU count; threads=1 evaluates one k
-    at a time.
+    Evaluations at distinct k run on a pool of one worker per CPU, one BLAS
+    thread each, and merge in k order; they overlap only while they sit in
+    calls that release the GIL, as the trace spectrum's tall factorization
+    steps do.
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or len(ks) < 2 or not np.isfinite(ks).all() or ks[0] <= 0 or np.any(np.diff(ks) <= 0):
         raise ValueError("need at least 2 positive, finite, strictly ascending k samples")
-    return np.array(_map(lambda k: spectrum(k)[-1], ks, threads))
+    return np.array(_map(lambda k: spectrum(k)[-1], ks))
 
 
 def detect_dips(values) -> list[int]:
@@ -248,16 +245,16 @@ def estimate_multiplicity(singular_values) -> int:
     return 1 + int(np.argmax(gaps)) if len(gaps) else 1
 
 
-def find_dips(spectrum, ks, refine_tol: float = DEFAULT_REFINE_TOL, threads: int | None = None):
+def find_dips(spectrum, ks, refine_tol: float = DEFAULT_REFINE_TOL):
     """Sweep, detect, refine and classify: returns (sampled values, dips).
 
     The sweep keeps every sample's spectrum, and each dip is refined from
     its sampled minimum and the two samples beside it, whose spectra are
     looked up, not evaluated again; a sampled minimum at an end of the
     range has no neighbour beyond it and raises BracketError. The dips are
-    refined and classified concurrently on a pool of the same size as the
-    sweep's; each keeps its own search sequence, so the results do not
-    depend on the pool size. Each is classified from the spectrum its
+    refined and classified concurrently on a pool like the sweep's; each
+    keeps its own search sequence, so the results do not depend on the
+    pool size. Each is classified from the spectrum its
     refinement evaluated at k*.
     """
     ks = np.asarray(ks, dtype=float)
@@ -274,5 +271,5 @@ def find_dips(spectrum, ks, refine_tol: float = DEFAULT_REFINE_TOL, threads: int
         k_star, s = refine_dip(known, ks[j - 1 : j + 2], refine_tol)
         return Dip(k=k_star, indicator=float(s[-1]), multiplicity=estimate_multiplicity(s))
 
-    values = sweep_k(known, ks, threads)
-    return values, _map(refine_and_classify, detect_dips(values), threads)
+    values = sweep_k(known, ks)
+    return values, _map(refine_and_classify, detect_dips(values))

@@ -215,8 +215,6 @@ def check_green_reduction(idx: HarmonicIndex, n: int, R: float) -> VerificationR
         inputs={
             "l": idx.l,
             "m": idx.m,
-            "v_l": idx.l,
-            "v_m": idx.m,
             "n": n,
             "R": R,
             "k": float(k),
@@ -284,7 +282,6 @@ def check_decomposition(
             "psi": psi_label,
             "seed": seed,
             "band_limit": _DECOMPOSITION_BAND_LIMIT,
-            "include_eigenspace": True,
             "eigen_indices": eigen_indices,
             "surface": grid.descriptor,
             "directions": dirs.descriptor,
@@ -340,4 +337,4 @@ def run_default_suite(
             np.pi, 1.0, grid_dec, dirs, seed=seed, psi=HarmonicIndex(0, 0), tolerance=1e-8
         )
     )
-    return _map(lambda check: check(), checks, None)
+    return _map(lambda check: check(), checks)

@@ -5,7 +5,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import wavetrace.sweep
 from wavetrace import make_direction_grid, make_sphere, make_star_surface
+
+
+@pytest.fixture()
+def set_pool_size(monkeypatch):
+    """Setter of the sweep layer's pool size: the pools take one worker per
+    CPU, so it sets the CPU count they read."""
+
+    def set_size(n: int):
+        monkeypatch.setattr(wavetrace.sweep.os, "cpu_count", lambda: n)
+
+    return set_size
 
 
 @pytest.fixture(scope="session")

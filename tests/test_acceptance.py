@@ -206,7 +206,7 @@ class TestCriterion6CrossOracle:
             f"sphere: trace-vs-single-layer {pair_err:.2e}, vs analytic {analytic_err:.2e} (<= 5e-3)",
         )
 
-    def test_star_surface_agreement(self):
+    def test_star_surface_agreement(self, set_pool_size):
         star = make_star_surface(1.0, [(2, 0, 0.1)], 24, 48)
         dirs = make_direction_grid(10, 20)
         ks = np.linspace(2.9, 3.4, 26)
@@ -217,7 +217,8 @@ class TestCriterion6CrossOracle:
         k = ks[trace_dips[0]]
         k_trace, _ = refine_dip(trace, (k - 0.03, k, k + 0.03), tol=1e-4)
         sl = make_single_layer_spectrum(star, 8, ks[0], ks[-1])
-        sl_dips = detect_dips(sweep_k(sl, ks, threads=1))
+        set_pool_size(1)
+        sl_dips = detect_dips(sweep_k(sl, ks))
         assert len(sl_dips) == 1
         k = ks[sl_dips[0]]
         k_sl, _ = refine_dip(sl, (k - 0.03, k, k + 0.03), tol=1e-4)

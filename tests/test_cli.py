@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import json
 import os
 import re
@@ -54,7 +53,7 @@ CLI_FLAGS = {
     "sweep": {
         "--surface", "--radius", "--coef", "--ntheta", "--nphi", "--dirs-ntheta", "--dirs-nphi",
         "--kmin", "--kmax", "--samples", "--seed", "--interior-count", "--refine-tol",
-        "--threads", "--out-csv", "--out-json", "--config", "--help",
+        "--out-csv", "--out-json", "--config", "--help",
     },
     "eigs": {
         "--surface", "--radius", "--coef", "--method", "--ntheta", "--nphi", "--kmin", "--kmax",
@@ -81,7 +80,6 @@ def test_flag_sets_unchanged(runner):
 RUN_CONFIG_FIELDS = {
     "surface", "radius", "coefficients", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi",
     "k_min", "k_max", "samples", "seed", "interior_count", "refine_tol", "ridge", "band_limit",
-    "threads",
 }
 
 
@@ -152,6 +150,9 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         (["eigs", "--surface", "star", "--method", "single-layer"], {"coefficients": [[2, 0, float("nan")]]}),
         (["sweep", *FAST_SWEEP, "--depth-ratio", "0.1"], None),
         (["eigs"], {"gap_ratio": 10.0}),
+        (["sweep", *FAST_SWEEP, "--threads", "2"], None),
+        (["eigs"], {"threads": 2}),
+        (["fit", "--target", "0,0", "--k", "1.0"], {"surface": "star", "coefficients": [[2, 0, 0.1]]}),
         (["eigs", "--surface", "star", "--coef", "2,0,0.1", "--ntheta", "12", "--nphi", "24",
           "--kmin", "5", "--kmax", "5.2", "--samples", "5", "--method", "single-layer",
           "--band-limit", "20"], None),
@@ -173,6 +174,7 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         "config-coefficient-not-a-triple", "config-star-ntheta-huge", "sweep-dirs-nphi-huge",
         "eigs-analytic-kmax-64", "eigs-analytic-kmax-r-64", "sweep-coef-nan", "eigs-coef-inf",
         "config-coefficient-nan", "sweep-depth-ratio-flag-removed", "config-gap-ratio-key-removed",
+        "sweep-threads-flag-removed", "config-threads-key-removed", "config-fit-star",
         "eigs-band-limit-above-node-count", "eigs-band-limit-above-max-degree",
         "fit-target-degree-65", "fit-target-degree-1000", "sweep-coef-degree-65",
         "config-coefficient-float-degree", "config-coefficient-bool-degree", "config-coefficient-float-order",
@@ -192,6 +194,7 @@ def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
         out += ["--config", str(cfg_path)]
     result = runner.invoke(main, [*args, *out])
     assert result.exit_code == 2, result.output
+    assert not any((tmp_path / name).exists() for name in ("out.json", "out.csv", "out.jsonl"))
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -275,15 +278,16 @@ class TestSweepCommand:
         assert artifacts[0][0] == artifacts[1][0]
         assert artifacts[0][1] == artifacts[1][1]
 
-    def test_refinement_failure_exits_3_with_blas_restored(self, runner, tmp_path, monkeypatch):
+    def test_refinement_failure_exits_3_with_blas_restored(self, runner, tmp_path, monkeypatch, set_pool_size):
         def no_bracket(spectrum, bracket, tol):
             raise BracketError(f"no interior minimum detected in {list(bracket)}")
 
         monkeypatch.setattr(wavetrace.sweep, "refine_dip", no_bracket)
+        set_pool_size(2)
         before = _blas_threads()
         result = runner.invoke(
             main,
-            [*CRITERION8_SWEEP, "--threads", "2",
+            [*CRITERION8_SWEEP,
              "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(tmp_path / "s.json")],
         )
         assert result.exit_code == 3, result.output
@@ -395,28 +399,25 @@ class TestEigsCommand:
         assert result.exit_code == 0, result.output
         assert len(calls) == 1
 
-    def test_star_single_layer_independent_of_pool_size(self, runner, tmp_path, monkeypatch):
+    def test_star_single_layer_independent_of_pool_size(self, runner, tmp_path, monkeypatch, set_pool_size):
         seen = []
-        original = wavetrace.cli.find_dips
+        original = wavetrace.sweep.ThreadPoolExecutor
 
-        def spy(*args, **kwargs):
-            seen.append(inspect.signature(original).bind(*args, **kwargs).arguments["threads"])
-            return original(*args, **kwargs)
+        def spy(max_workers):
+            seen.append(max_workers)
+            return original(max_workers)
 
-        monkeypatch.setattr(wavetrace.cli, "find_dips", spy)
+        monkeypatch.setattr(wavetrace.sweep, "ThreadPoolExecutor", spy)
         texts = []
-        for threads in (1, 2):
-            cfg_path = tmp_path / f"threads{threads}.json"
-            cfg_path.write_text(json.dumps({"threads": threads}))
-            json_path = tmp_path / f"eigs{threads}.json"
-            result = runner.invoke(
-                main, [*STAR_SINGLE_LAYER, "--config", str(cfg_path), "--out-json", str(json_path)]
-            )
+        for cpus in (1, 2):
+            set_pool_size(cpus)
+            json_path = tmp_path / f"eigs{cpus}.json"
+            result = runner.invoke(main, [*STAR_SINGLE_LAYER, "--out-json", str(json_path)])
             assert result.exit_code == 0, result.output
             texts.append(json_path.read_text())
-        assert seen == [1, 2]
-        # the artifact records its run configuration, so only that line may differ
-        assert texts[0].replace('"threads": 1', '"threads": 2') == texts[1]
+        # every pool of the first run had one worker, every pool of the second two
+        assert seen == sorted(seen) and set(seen) == {1, 2}
+        assert texts[0] == texts[1]
 
     def test_single_layer_default_samples(self, runner, tmp_path, monkeypatch):
         seen = []
@@ -425,7 +426,7 @@ class TestEigsCommand:
             seen.append(len(ks))
             return np.ones(len(ks)), []
 
-        monkeypatch.setattr(wavetrace.cli, "make_single_layer_spectrum", lambda grid, band_limit, k_min, k_max, threads: None)
+        monkeypatch.setattr(wavetrace.cli, "make_single_layer_spectrum", lambda grid, band_limit, k_min, k_max: None)
         monkeypatch.setattr(wavetrace.cli, "find_dips", spy)
         args = [a for a in STAR_SINGLE_LAYER if a not in ("--samples", "26")]
         result = runner.invoke(main, [*args, "--out-json", str(tmp_path / "e.json")])

@@ -70,6 +70,21 @@ def test_sweep_knows_no_oracle_and_no_geometry():
     assert not imported & {"herglotz", "surface", "spectra"}
 
 
+def test_one_home_for_the_pool_size():
+    # every pool has one worker per CPU, sized by sweep._map alone: no other
+    # module builds a pool or reads the CPU count, and no export takes a size
+    for path in Path(wavetrace.__file__).parent.glob("*.py"):
+        if path.name != "sweep.py":
+            text = path.read_text(encoding="utf-8")
+            assert "ThreadPoolExecutor" not in text and "cpu_count" not in text, path.name
+    sized = [
+        name for layer in LAYERS for name in importlib.import_module(f"wavetrace.{layer}").__all__
+        if inspect.isfunction(function := getattr(wavetrace, name))
+        and "threads" in inspect.signature(function).parameters
+    ]
+    assert not sized
+
+
 def test_every_defaulted_parameter_is_passed_inside_the_package():
     # a parameter that only the tests set keeps a branch that only the tests
     # reach: each defaulted parameter of an exported function is passed, by

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import wavetrace.spectra
+import wavetrace.sweep
 from wavetrace import (
     HarmonicIndex,
     InterpolationError,
@@ -100,7 +101,8 @@ def recorded_interpolant(grid, k_min, k_max):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wavetrace.spectra, "_nystrom_matrix", counting)
         mp.setattr(wavetrace.spectra, "static_row_integral", recording)
-        spectrum = make_single_layer_spectrum(grid, 8, k_min, k_max, threads=2)
+        mp.setattr(wavetrace.sweep.os, "cpu_count", lambda: 2)
+        spectrum = make_single_layer_spectrum(grid, 8, k_min, k_max)
     (g,) = integrals
     return SimpleNamespace(grid=grid, k_min=k_min, k_max=k_max, spectrum=spectrum, node_ks=node_ks, g=g)
 
@@ -279,17 +281,19 @@ class TestStaticRowIntegral:
     def test_star_integral_is_finite(self, coefs):
         assert np.isfinite(static_row_integral(make_star_surface(1.0, coefs, 24, 48))).all()
 
-    def test_pool_size_leaves_the_statics_bit_identical(self, star_grid_24_48):
+    def test_pool_size_leaves_the_statics_bit_identical(self, star_grid_24_48, set_pool_size):
         # the row blocks fill shared arrays block by block
+        set_pool_size(8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            pooled_g = static_row_integral(star_grid_24_48, threads=8)
-            pooled = _nystrom_statics(star_grid_24_48, pooled_g, threads=8)
+            pooled_g = static_row_integral(star_grid_24_48)
+            pooled = _nystrom_statics(star_grid_24_48, pooled_g)
         finally:
             sys.setswitchinterval(interval)
-        serial_g = static_row_integral(star_grid_24_48, threads=1)
-        serial = _nystrom_statics(star_grid_24_48, serial_g, threads=1)
+        set_pool_size(1)
+        serial_g = static_row_integral(star_grid_24_48)
+        serial = _nystrom_statics(star_grid_24_48, serial_g)
         assert np.array_equal(pooled_g, serial_g)
         for a, b in zip(pooled, serial):
             assert np.array_equal(a, b)
@@ -444,16 +448,18 @@ class TestSingleLayerInterpolant:
         with pytest.raises(InterpolationError, match="not converged at degree 8"):
             make_single_layer_spectrum(make_sphere(1.0, 8, 16), 4, 1.0, 6.5)
 
-    def test_more_workers_than_cores_build_the_same_interpolant(self):
+    def test_more_workers_than_cores_build_the_same_interpolant(self, set_pool_size):
         # the node builds fill a shared array slot by slot
         grid = make_star_surface(1.0, [(2, 0, 0.1)], 12, 24)
+        set_pool_size(8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            pooled = make_single_layer_spectrum(grid, 6, 3.0, 3.4, threads=8)
+            pooled = make_single_layer_spectrum(grid, 6, 3.0, 3.4)
         finally:
             sys.setswitchinterval(interval)
-        serial = make_single_layer_spectrum(grid, 6, 3.0, 3.4, threads=1)
+        set_pool_size(1)
+        serial = make_single_layer_spectrum(grid, 6, 3.0, 3.4)
         with _one_blas_thread():
             for k in np.linspace(3.0, 3.4, 7):
                 assert np.array_equal(pooled(k), serial(k))
@@ -485,34 +491,37 @@ class TestSingleLayerInterpolant:
         with pytest.raises(InterpolationError, match="not converged at degree 8"):
             make_single_layer_spectrum(star_grid_24_48, 8, 5.0, 6.5)
 
-    def test_star_cross_dips_from_at_most_33_kernels(self, star_interpolant, monkeypatch):
+    def test_star_cross_dips_from_at_most_33_kernels(self, star_interpolant, monkeypatch, set_pool_size):
         # the star-cross eigs problem; direct evaluation built 108 kernels
         ks = np.linspace(5.0, 6.5, 76)
         run = star_interpolant
         later = []
+        set_pool_size(2)
         monkeypatch.setattr(wavetrace.spectra, "_nystrom_matrix", lambda *args: later.append(args))
-        _, dips = find_dips(run.spectrum, ks, threads=2)
+        _, dips = find_dips(run.spectrum, ks)
         assert len(run.node_ks) <= 33
         assert later == []
-        _, reference = find_dips(direct_spectrum(run.grid, run.g), ks, threads=2)
+        _, reference = find_dips(direct_spectrum(run.grid, run.g), ks)
         assert [d.multiplicity for d in dips] == [d.multiplicity for d in reference] == [1, 2, 2, 1]
         assert max(abs(a.k - b.k) for a, b in zip(dips, reference)) <= 1e-10
 
 
 class TestSingleLayerSweep:
-    def test_star_with_zero_perturbation_equals_sphere_run(self):
+    def test_star_with_zero_perturbation_equals_sphere_run(self, set_pool_size):
         sphere = make_sphere(1.0, 12, 24)
         star0 = make_star_surface(1.0, [(2, 0, 0.0)], 12, 24)
         ks = np.linspace(3.0, 3.3, 7)
-        a = sweep_k(make_single_layer_spectrum(sphere, 6, 3.0, 3.3), ks, threads=1)
-        b = sweep_k(make_single_layer_spectrum(star0, 6, 3.0, 3.3), ks, threads=1)
+        set_pool_size(1)
+        a = sweep_k(make_single_layer_spectrum(sphere, 6, 3.0, 3.3), ks)
+        b = sweep_k(make_single_layer_spectrum(star0, 6, 3.0, 3.3), ks)
         assert np.abs(a - b).max() <= 1e-12
 
-    def test_sphere_dip_near_pi(self):
+    def test_sphere_dip_near_pi(self, set_pool_size):
         grid = make_sphere(1.0, 16, 32)
         ks = np.linspace(2.9, 3.4, 41)
         spectrum = make_single_layer_spectrum(grid, 8, 2.9, 3.4)
-        dips = detect_dips(sweep_k(spectrum, ks, threads=1))
+        set_pool_size(1)
+        dips = detect_dips(sweep_k(spectrum, ks))
         assert len(dips) == 1
         assert abs(ks[dips[0]] - np.pi) <= 0.02  # coarse localization
 

@@ -304,15 +304,16 @@ def criterion8_spectrum(kind):
 
 
 class TestSweepK:
-    def test_invalid_range(self, ball_setup):
+    def test_invalid_range(self, ball_setup, set_pool_size):
         grid, dirs, interior = ball_setup
         with pytest.raises(ValueError):
             sweep_k(make_trace_spectrum(grid, dirs, interior), np.linspace(5.0, 3.0, 10))
         for ks in ([3.0, np.nan], [3.0, 3.05, np.inf], [np.nan, 3.0, 3.05]):
             with pytest.raises(ValueError, match="finite"):
                 sweep_k(make_trace_spectrum(grid, dirs, interior), ks)
+        set_pool_size(1)
         with pytest.raises(ValueError, match="finite"):
-            find_dips(lambda k: np.array([abs(k - 3.02) + 1e-3]), [3.0, 3.05, np.nan], threads=1)
+            find_dips(lambda k: np.array([abs(k - 3.02) + 1e-3]), [3.0, 3.05, np.nan])
 
     def test_deterministic_given_seed(self):
         grid = make_sphere(1.0, 16, 32)
@@ -336,10 +337,12 @@ class TestSweepK:
         assert abs(ks[dips[0]] - np.pi) <= 0.02
 
     @pytest.mark.parametrize("kind", ["trace", "single-layer"])
-    def test_values_independent_of_thread_count(self, kind):
+    def test_values_independent_of_thread_count(self, kind, set_pool_size):
         spectrum, ks = criterion8_spectrum(kind)
-        serial = sweep_k(spectrum, ks, threads=1)
-        pooled = sweep_k(spectrum, ks, threads=2)
+        set_pool_size(1)
+        serial = sweep_k(spectrum, ks)
+        set_pool_size(2)
+        pooled = sweep_k(spectrum, ks)
         assert serial.tobytes() == pooled.tobytes()
 
     @pytest.mark.parametrize("interior", ["seeded", "short"])
@@ -515,7 +518,7 @@ class TestEstimateMultiplicity:
             s = make_trace_spectrum(grid, dirs, interior)(bessel_zero(1, 1))
         assert estimate_multiplicity(s) == 3
 
-    def test_no_collapsed_value_counts_as_simple(self):
+    def test_no_collapsed_value_counts_as_simple(self, set_pool_size):
         # a dip whose spectrum shows no gap is still one collapsed direction
         assert estimate_multiplicity(np.array([1.0, 0.9, 0.8])) == 1
 
@@ -523,7 +526,8 @@ class TestEstimateMultiplicity:
             # the same spread, scaled so its last entry dips at 3.2
             return (abs(k - 3.2) + 1e-3) * np.array([1.0, 0.9, 0.8]) / 0.8
 
-        _, dips = find_dips(spectrum, np.linspace(3.0, 3.4, 21), threads=1)
+        set_pool_size(1)
+        _, dips = find_dips(spectrum, np.linspace(3.0, 3.4, 21))
         assert len(dips) == 1
         assert dips[0].multiplicity == 1
 
@@ -554,16 +558,18 @@ def ball_two_dips():
 
 
 class TestFindDips:
-    def test_pool_size_does_not_change_dips(self):
+    def test_pool_size_does_not_change_dips(self, set_pool_size):
         spectrum, ks = ball_two_dips()
-        serial_values, serial = find_dips(spectrum, ks, threads=1)
-        pooled_values, pooled = find_dips(spectrum, ks, threads=2)
+        set_pool_size(1)
+        serial_values, serial = find_dips(spectrum, ks)
+        set_pool_size(2)
+        pooled_values, pooled = find_dips(spectrum, ks)
         assert [d.multiplicity for d in serial] == [1, 3]
         assert pooled == serial
         assert pooled_values.tobytes() == serial_values.tobytes()
 
     @needs_openblas_controls
-    def test_blas_pinned_during_and_restored_after(self):
+    def test_blas_pinned_during_and_restored_after(self, set_pool_size):
         # more workers than cores and frequent thread switches, so nested
         # pins interleave
         spectrum, ks = ball_two_dips()
@@ -574,10 +580,11 @@ class TestFindDips:
             return spectrum(k)
 
         before = _blas_threads()
+        set_pool_size(min(2 * (os.cpu_count() or 1), 16))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _, dips = find_dips(recording, ks, threads=min(2 * (os.cpu_count() or 1), 16))
+            _, dips = find_dips(recording, ks)
         finally:
             sys.setswitchinterval(interval)
         assert len(dips) == 2
@@ -585,19 +592,20 @@ class TestFindDips:
         assert _blas_threads() == before
 
     @needs_openblas_controls
-    def test_blas_restored_after_bracket_error(self):
+    def test_blas_restored_after_bracket_error(self, set_pool_size):
         # decreasing past 3.9: the last samples dip, but the refinement
         # bracket's minimum is its right end, not an interior point
         def spectrum(k):
             return np.array([1.0 / (1.0 + 1e4 * max(0.0, k - 3.9) ** 2)])
 
         before = _blas_threads()
+        set_pool_size(2)
         with pytest.raises(BracketError):
-            find_dips(spectrum, np.linspace(3.0, 4.0, 11), threads=2)
+            find_dips(spectrum, np.linspace(3.0, 4.0, 11))
         assert _blas_threads() == before
 
     @pytest.mark.parametrize("side", [-1, 1], ids=["below-kmin", "above-kmax"])
-    def test_brackets_stay_inside_the_sweep_range(self, side):
+    def test_brackets_stay_inside_the_sweep_range(self, side, set_pool_size):
         # the minimum lies one spacing past an end of the range: the edge
         # sample dips, and its bracket is clipped to the range, so the
         # refinement ends on the bracket end
@@ -610,44 +618,49 @@ class TestFindDips:
             seen.append(k)
             return np.array([1.0 - np.exp(-(((k - k_min) / (4 * spacing)) ** 2))])
 
+        set_pool_size(1)
         with pytest.raises(BracketError):
-            find_dips(spectrum, ks, threads=1)
+            find_dips(spectrum, ks)
         assert ks[0] <= min(seen) and max(seen) <= ks[-1]
 
     @pytest.mark.parametrize("kind", ["trace", "single-layer"])
-    def test_pool_size_does_not_change_either_oracle(self, kind):
+    def test_pool_size_does_not_change_either_oracle(self, kind, set_pool_size):
         spectrum, ks = criterion8_spectrum(kind)
-        serial_values, serial = find_dips(spectrum, ks, threads=1)
-        pooled_values, pooled = find_dips(spectrum, ks, threads=2)
+        set_pool_size(1)
+        serial_values, serial = find_dips(spectrum, ks)
+        set_pool_size(2)
+        pooled_values, pooled = find_dips(spectrum, ks)
         assert len(serial) == 1
         assert pooled == serial
         assert pooled_values.tobytes() == serial_values.tobytes()
 
     @pytest.mark.parametrize("problem", ["ball-two-dips", "criterion8-trace", "criterion8-single-layer"])
-    def test_refinement_reuses_the_sweep(self, problem):
+    def test_refinement_reuses_the_sweep(self, problem, set_pool_size):
         # each dip is seeded with the spectra its sweep kept: no k is
         # evaluated twice, sweep samples included, and a dip costs at most
         # 5 evaluations beyond the sweep
         spectrum, ks = ball_two_dips() if problem == "ball-two-dips" else criterion8_spectrum(problem[11:])
         recording, calls = recorded(spectrum)
-        _, dips = find_dips(recording, ks, threads=2)
+        set_pool_size(2)
+        _, dips = find_dips(recording, ks)
         assert len(dips) == (2 if problem == "ball-two-dips" else 1)
         assert max(Counter(calls).values()) == 1
         assert set(ks) <= set(calls)
         assert len(calls) - len(ks) <= 5 * len(dips)
 
     @pytest.mark.parametrize("end", [0, -1], ids=["kmin", "kmax"])
-    def test_dip_at_a_range_end_raises_before_refining(self, end):
+    def test_dip_at_a_range_end_raises_before_refining(self, end, set_pool_size):
         # the sampled minimum has no sample beyond it, so nothing is refined
         ks = np.linspace(3.0, 4.0, 11)
         spacing = ks[1] - ks[0]
         spectrum, calls = recorded(lambda k: np.array([1.0 - np.exp(-(((k - ks[end]) / spacing) ** 2))]))
+        set_pool_size(1)
         with pytest.raises(BracketError, match="end of the sweep range"):
-            find_dips(spectrum, ks, threads=1)
+            find_dips(spectrum, ks)
         assert sorted(calls) == list(ks)
 
     @pytest.mark.parametrize("kind", ["trace", "single-layer"])
-    def test_refined_dip_is_evaluated_once(self, kind):
+    def test_refined_dip_is_evaluated_once(self, kind, set_pool_size):
         # the dip is classified from the spectrum its refinement computed
         spectrum, ks = criterion8_spectrum(kind)
         calls = Counter()
@@ -656,7 +669,8 @@ class TestFindDips:
             calls[k] += 1
             return spectrum(k)
 
-        _, dips = find_dips(recording, ks, threads=1)
+        set_pool_size(1)
+        _, dips = find_dips(recording, ks)
         assert len(dips) == 1
         assert [calls[dip.k] for dip in dips] == [1]
 
