@@ -31,7 +31,6 @@ from click.core import ParameterSource
 from .herglotz import (
     DEFAULT_QR_RTOL,
     IllPosedIndicatorError,
-    default_interior_count,
     fit_trace,
     make_trace_spectrum,
     seed_interior_points,
@@ -126,9 +125,12 @@ class RunConfig:
                 )
         if k_sweep and not (0 < self.k_min < self.k_max):
             raise click.UsageError(f"need 0 < kmin < kmax, got [{self.k_min}, {self.k_max}]")
+        if self.surface == "ball" and self.coefficients:
+            raise click.UsageError(f"coefficients perturb only the star surface, got {self.coefficients!r} on the ball")
 
     def resolved(self) -> "RunConfig":
-        """Fill resolution defaults from the wavenumber range (k R rules)."""
+        """Fill resolution defaults from the wavenumber range (k R rules),
+        and the interior count from the direction grid they give."""
         cfg = RunConfig(**asdict(self))
         n_theta, dirs_n_theta = _theta_defaults(cfg.k_max * cfg.radius)
         if cfg.n_theta is None:
@@ -139,6 +141,8 @@ class RunConfig:
             cfg.dirs_n_theta = dirs_n_theta
         if cfg.dirs_n_phi is None:
             cfg.dirs_n_phi = 2 * cfg.dirs_n_theta
+        if cfg.interior_count is None:
+            cfg.interior_count = max(2 * cfg.dirs_n_theta * cfg.dirs_n_phi, 500)
         return cfg
 
 
@@ -257,13 +261,6 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _report_line(report) -> str:
-    """One verify report as a JSON line, its check_name under "check"."""
-    record = asdict(report)
-    record["check"] = record.pop("check_name")
-    return json.dumps(record, sort_keys=True)
-
-
 class _Main(click.Group):
     """The `wavetrace` group: every subcommand runs on one BLAS thread, so
     its artifact does not depend on OPENBLAS_NUM_THREADS, and a numerical
@@ -311,8 +308,7 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
         raise click.UsageError(f"--out-csv and --out-json name the same file {out_csv}")
     grid = _build_surface(cfg)
     dirs = _build_dirs(cfg)
-    interior_count = cfg.interior_count or default_interior_count(dirs)
-    interior = seed_interior_points(grid, interior_count, cfg.seed)
+    interior = seed_interior_points(grid, cfg.interior_count, cfg.seed)
     ks = np.linspace(cfg.k_min, cfg.k_max, cfg.samples)
     values, refined = find_dips(make_trace_spectrum(grid, dirs, interior), ks, cfg.refine_tol)
     _write_text(out_csv, "k,indicator\n" + "".join(f"{k:.17g},{v:.17g}\n" for k, v in zip(ks, values)))
@@ -321,11 +317,6 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
             "indicator": "trace-subspace",
             "surface": grid.descriptor,
             "directions": dirs.descriptor,
-            "k_lo": float(cfg.k_min),
-            "k_hi": float(cfg.k_max),
-            "n_samples": int(cfg.samples),
-            "interior_seed": int(cfg.seed),
-            "interior_count": int(interior_count),
             "qr_rtol": float(DEFAULT_QR_RTOL),
             "depth_ratio": float(DEFAULT_DEPTH_RATIO),
             "run_config": asdict(cfg),
@@ -407,7 +398,7 @@ def cmd_verify(seed, inject_off_spectrum, out_path):
     if out_path is not None:
         _check_writable(out_path)
     reports = run_default_suite(seed=seed, inject_off_spectrum=inject_off_spectrum)
-    lines = [_report_line(r) for r in reports]
+    lines = [json.dumps(asdict(r), sort_keys=True) for r in reports]
     for line in lines:
         click.echo(line)
     if out_path is not None:
@@ -421,16 +412,15 @@ def cmd_verify(seed, inject_off_spectrum, out_path):
     )
     if genuine_fail or vacuous_controls:
         for r in genuine_fail:
-            click.echo(f"FAILED: {r.check_name} residual={r.residual:.3e} > {r.tolerance:.1e}", err=True)
+            click.echo(f"FAILED: {r.check} residual={r.residual:.3e} > {r.tolerance:.1e}", err=True)
         for r in vacuous_controls:
-            click.echo(f"CONTROL DID NOT DISCRIMINATE: {r.check_name}", err=True)
+            click.echo(f"CONTROL DID NOT DISCRIMINATE: {r.check}", err=True)
         sys.exit(EXIT_VERIFY_FAIL)
 
 
 @main.command("fit")
 @click.option("--target", required=True, callback=_parse_target, help="Spherical-harmonic target 'l,m'.")
 @click.option("--k", "k_max", type=float, required=True)
-@click.option("--surface", type=click.Choice(["ball"]), default=RunConfig.surface, show_default=True)
 @click.option("--radius", type=float, default=RunConfig.radius, show_default=True)
 @click.option("--ntheta", "n_theta", type=int)
 @click.option("--nphi", "n_phi", type=int)

@@ -129,10 +129,6 @@ def seed_interior_points(grid: SurfaceGrid, count: int, seed: int) -> np.ndarray
     return v * (_INTERIOR_RADIUS_FRACTION * rho * np.cbrt(u))[:, None]
 
 
-def default_interior_count(dirs: DirectionGrid) -> int:
-    return max(2 * dirs.n_directions, 500)
-
-
 def _check_interior(grid: SurfaceGrid, interior) -> np.ndarray:
     interior = np.atleast_2d(np.asarray(interior, dtype=float))
     if interior.shape[1] != 3:

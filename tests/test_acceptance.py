@@ -181,9 +181,9 @@ class TestCriterion5GreenReduction:
 
     def test_l0_closed_form(self):
         rep = check_green_reduction(HarmonicIndex(0, 0), 1, 1.0)
-        volume = complex(*rep.inputs["volume_side"])
+        volume = rep.inputs["volume_side"]
         ok = abs(volume - 1.0) <= 1e-10
-        assert report(5, ok, f"pi^2 int r^2 j0(pi r) dr = {volume.real:.12f} (=1 within 1e-10)")
+        assert report(5, ok, f"pi^2 int r^2 j0(pi r) dr = {volume:.12f} (=1 within 1e-10)")
 
 
 class TestCriterion6CrossOracle:

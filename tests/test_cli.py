@@ -61,7 +61,7 @@ CLI_FLAGS = {
     },
     "verify": {"--seed", "--inject-off-spectrum", "--out", "--help"},
     "fit": {
-        "--target", "--k", "--surface", "--radius", "--ntheta", "--nphi", "--dirs-ntheta",
+        "--target", "--k", "--radius", "--ntheta", "--nphi", "--dirs-ntheta",
         "--dirs-nphi", "--ridge", "--out-json", "--config", "--help",
     },
 }
@@ -108,6 +108,13 @@ def test_phi_resolution_defaults_to_twice_the_theta_in_use():
     assert (cfg.n_phi, cfg.dirs_n_phi) == (64, 28)
     default = RunConfig().resolved()
     assert (default.n_phi, default.dirs_n_phi) == (2 * default.n_theta, 2 * default.dirs_n_theta)
+
+
+def test_interior_count_defaults_from_the_direction_grid():
+    # the counts of the benchmark's ball and star sweeps
+    assert RunConfig(dirs_n_theta=12, dirs_n_phi=24).resolved().interior_count == 576
+    assert RunConfig(dirs_n_theta=10, dirs_n_phi=20).resolved().interior_count == 500
+    assert RunConfig(dirs_n_theta=12, dirs_n_phi=24, interior_count=300).resolved().interior_count == 300
 
 
 def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
@@ -165,6 +172,9 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [[2, 0.9, 0.1]]}),
         (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [["2", 0, 0.1]]}),
         (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [[2, 0, True]]}),
+        (["eigs", "--coef", "2,0,0.1", "--kmax", "4"], None),
+        (["sweep", *FAST_SWEEP, "--coef", "2,0,0.1"], None),
+        (["sweep", *FAST_SWEEP], {"coefficients": [[2, 0, 0.1]]}),
     ],
     ids=[
         "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
@@ -179,6 +189,7 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         "fit-target-degree-65", "fit-target-degree-1000", "sweep-coef-degree-65",
         "config-coefficient-float-degree", "config-coefficient-bool-degree", "config-coefficient-float-order",
         "config-coefficient-string-degree", "config-coefficient-bool-eps",
+        "eigs-coef-on-ball", "sweep-coef-on-ball", "config-coefficients-on-ball",
     ],
 )
 def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
@@ -541,7 +552,11 @@ class TestArtifactSchemas:
         assert csv_path.read_text().splitlines()[0] == "k,indicator"
         payload = json.loads(json_path.read_text())
         assert set(payload) == {"config", "k_samples", "indicator", "dips"}
+        assert set(payload["config"]) == {
+            "indicator", "surface", "directions", "qr_rtol", "depth_ratio", "run_config",
+        }
         assert set(payload["config"]["run_config"]) == RUN_CONFIG_FIELDS
+        assert type(payload["config"]["run_config"]["interior_count"]) is int
         assert {type(v) for v in payload["k_samples"] + payload["indicator"]} == {float}
         assert payload["dips"]
         for dip in payload["dips"]:
@@ -559,6 +574,7 @@ class TestArtifactSchemas:
         payload = json.loads(json_path.read_text())
         assert _types(payload) == {"run_config": dict, "method": str, "records": list}
         assert set(payload["run_config"]) == RUN_CONFIG_FIELDS
+        assert type(payload["run_config"]["interior_count"]) is int
         assert payload["records"]
         for record in payload["records"]:
             assert _types(record) == {
@@ -588,6 +604,7 @@ class TestArtifactSchemas:
             "run_config": dict, "target": list, "k": float, "residual": float, "density_norm": float,
         }
         assert set(payload["run_config"]) == RUN_CONFIG_FIELDS
+        assert type(payload["run_config"]["interior_count"]) is int
 
 
 class TestFitCommand:
@@ -595,8 +612,7 @@ class TestFitCommand:
         json_path = tmp_path / "fit.json"
         result = runner.invoke(
             main,
-            ["fit", "--target", "0,0", "--k", "3.14159265358979", "--surface", "ball",
-             "--out-json", str(json_path)],
+            ["fit", "--target", "0,0", "--k", "3.14159265358979", "--out-json", str(json_path)],
         )
         assert result.exit_code == 0, result.output
         payload = json.loads(json_path.read_text())

@@ -20,6 +20,22 @@ def test_exports_are_the_layer_all_lists():
     assert listed == exported
 
 
+def test_one_export_list_per_layer():
+    # __init__ star-imports each layer, so its __all__ is the one list of
+    # the names the package exports; __init__ binds only __version__ itself
+    tree = ast.parse(Path(wavetrace.__file__).read_text(encoding="utf-8"))
+    star_imports, bound = [], []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and [a.name for a in node.names] == ["*"]:
+            star_imports.append(node.module)
+        elif isinstance(node, ast.Assign):
+            bound += [target.id for target in node.targets]
+        else:
+            assert isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant), ast.dump(node)
+    assert star_imports == list(LAYERS)
+    assert bound == ["__version__"]
+
+
 def test_every_export_is_used_inside_the_package():
     # the library keeps only what a subcommand runs: a name that only the
     # tests call belongs in tests/oracles.py, not in a layer's __all__

@@ -24,7 +24,7 @@ from wavetrace import (
 )
 import scipy.linalg as la
 from oracles import complex_trace_spectrum, stacked_trace_matrix
-from wavetrace.herglotz import _antipodal_half, _rank_cutoff, default_interior_count
+from wavetrace.herglotz import _antipodal_half, _rank_cutoff
 from wavetrace.sweep import _blas_threads, _one_blas_thread, _openblas_thread_controls
 
 needs_openblas_controls = pytest.mark.skipif(
@@ -499,7 +499,7 @@ class TestRefineDip:
     def test_refines_ball_eigenvalue(self):
         grid = make_sphere(1.0, 20, 40)
         dirs = make_direction_grid(10, 20)
-        interior = seed_interior_points(grid, default_interior_count(dirs), seed=0)
+        interior = seed_interior_points(grid, 500, seed=0)  # the default, max(2 * 200 directions, 500)
         k, s = refine_dip(make_trace_spectrum(grid, dirs, interior), (3.12, 3.14, 3.16), tol=1e-4)
         assert abs(k - np.pi) <= 1e-3
         assert s[-1] <= 1e-3
