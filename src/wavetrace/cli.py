@@ -3,9 +3,10 @@
 This module is the one writer of artifacts: the library returns plain
 values and records, and the commands here fix every file format (the
 sweep CSV at .17g, each JSON payload from the records' fields). Every
-artifact embeds the full run configuration and seed, so any CSV or JSON
-output can be regenerated byte-identically on the same machine and BLAS
-configuration. Exit codes follow the CI contract: 0 success,
+artifact embeds its run configuration (a JSON's run_config, the RunConfig
+fields its command's options bind; a verify report, its seed and inputs),
+so any CSV or JSON output can be regenerated byte-identically on the same
+machine and BLAS configuration. Exit codes follow the CI contract: 0 success,
 1 verification failure, 2 usage/config error, 3 numerical failure.
 
 RunConfig declares every run parameter once: --help shows its defaults,
@@ -43,13 +44,7 @@ from .spectra import (
     ball_dirichlet_eigs,
     make_single_layer_spectrum,
 )
-from .surface import (
-    DegenerateSurfaceError,
-    _spherical_coords,
-    make_direction_grid,
-    make_sphere,
-    make_star_surface,
-)
+from .surface import _spherical_coords, make_direction_grid, make_star_surface
 from .sweep import (
     DEFAULT_DEPTH_RATIO,
     DEFAULT_REFINE_TOL,
@@ -74,7 +69,7 @@ NUMERICAL_ERRORS = (
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; embedded verbatim in every artifact.
+    """Everything a run needs; each artifact embeds its command's fields.
 
     The one place a run parameter's default is written: the commands'
     options show these, and `check` holds each field's range.
@@ -184,20 +179,22 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _run_config(ctx: click.Context, config_path: str | None, k_sweep: bool, **flags) -> RunConfig:
+def _run_config(ctx: click.Context, config_path: str | None, k_sweep: bool, **flags) -> tuple[RunConfig, dict]:
     """RunConfig defaults, then config-file keys, then flags given on the
-    command line; checked, then resolved."""
+    command line; checked, then resolved. The command's fields are the names
+    in flags, the RunConfig fields its options bind: a config key outside
+    them is a usage error, and the returned run_config holds exactly them."""
     cfg = RunConfig()
-    names = {f.name for f in fields(RunConfig)}
     for key, value in _load_config_file(config_path).items():
-        if key not in names:
+        if key not in flags:
             raise click.UsageError(f"unknown config key {key!r}")
         setattr(cfg, key, value)
     for key, value in flags.items():
         if ctx.get_parameter_source(key) is ParameterSource.COMMANDLINE:
             setattr(cfg, key, value)
     cfg.check(k_sweep)
-    return cfg.resolved()
+    cfg = cfg.resolved()
+    return cfg, {name: getattr(cfg, name) for name in flags}
 
 
 def _parse_coef(ctx, param, values) -> list:
@@ -210,8 +207,6 @@ def _parse_coef(ctx, param, values) -> list:
             l, m, eps = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise click.UsageError(f"--coef wants 'l,m,eps' numbers, got {text!r}")
-        if abs(m) > l:
-            raise click.UsageError(f"--coef needs |m| <= l, got l={l}, m={m}")
         out.append([l, m, eps])
     return out
 
@@ -231,11 +226,10 @@ def _parse_target(ctx, param, text: str) -> HarmonicIndex:
 
 
 def _build_surface(cfg: RunConfig):
+    # the ball is the unperturbed star; RunConfig.check refuses coefficients on it
     try:
-        if cfg.surface == "ball":
-            return make_sphere(cfg.radius, cfg.n_theta, cfg.n_phi)
         return make_star_surface(cfg.radius, cfg.coefficients, cfg.n_theta, cfg.n_phi)
-    except (DegenerateSurfaceError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise click.UsageError(f"bad surface configuration: {exc}")
 
 
@@ -301,7 +295,7 @@ def main():
 @click.pass_context
 def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     """Sweep the completeness indicator over k and report dips."""
-    cfg = _run_config(ctx, config_path, k_sweep=True, **flags)
+    cfg, run_config = _run_config(ctx, config_path, k_sweep=True, **flags)
     _check_writable(out_csv)
     _check_writable(out_json)
     if Path(out_csv).resolve() == Path(out_json).resolve():
@@ -319,7 +313,7 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
             "directions": dirs.descriptor,
             "qr_rtol": float(DEFAULT_QR_RTOL),
             "depth_ratio": float(DEFAULT_DEPTH_RATIO),
-            "run_config": asdict(cfg),
+            "run_config": run_config,
         },
         "k_samples": ks.tolist(),
         "indicator": values.tolist(),
@@ -350,7 +344,7 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
 @click.pass_context
 def cmd_eigs(ctx, method, out_json, config_path, **flags):
     """List Dirichlet eigenvalue candidates from an oracle."""
-    cfg = _run_config(ctx, config_path, k_sweep=method == "single-layer", **flags)
+    cfg, run_config = _run_config(ctx, config_path, k_sweep=method == "single-layer", **flags)
     _check_writable(out_json)
     if method == "analytic":
         if cfg.surface != "ball":
@@ -375,7 +369,7 @@ def cmd_eigs(ctx, method, out_json, config_path, **flags):
             for dip in dips
         ]
     payload = {
-        "run_config": asdict(cfg),
+        "run_config": run_config,
         "method": method,
         "records": [asdict(rec) for rec in records],
     }
@@ -433,16 +427,14 @@ def cmd_verify(seed, inject_off_spectrum, out_path):
 def cmd_fit(ctx, target, out_json, config_path, **flags):
     """Fit one spherical-harmonic trace against the plane-wave trace span."""
     # --k is the working wavenumber, so the resolution rules key off it as k_max
-    cfg = _run_config(ctx, config_path, k_sweep=False, **flags)
-    if cfg.surface != "ball":
-        raise click.UsageError(f"fit runs only on the ball, got surface {cfg.surface!r}")
+    cfg, run_config = _run_config(ctx, config_path, k_sweep=False, **flags)
     _check_writable(out_json)
     grid = _build_surface(cfg)
     dirs = _build_dirs(cfg)
     _, theta, phi = _spherical_coords(grid.nodes)
     residual, density_norm = fit_trace(cfg.k_max, grid, sph_harm(target, theta, phi), dirs, ridge=cfg.ridge)
     payload = {
-        "run_config": asdict(cfg),
+        "run_config": run_config,
         "target": [target.l, target.m],
         "k": cfg.k_max,
         "residual": residual,

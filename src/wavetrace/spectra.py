@@ -133,18 +133,20 @@ def ball_dirichlet_eigs(R: float, k_max: float) -> list[EigenvalueRecord]:
     return sorted(records, key=lambda rec: rec.k)
 
 
-def eigenfunction_normal_derivative(
-    idx: HarmonicIndex, n: int, R: float, grid: SurfaceGrid
-) -> np.ndarray:
-    """Outward normal derivative u_N = k j_l'(kR) Y_lm on a sphere of radius R.
+def _sphere_radius(grid: SurfaceGrid) -> float:
+    """The radius of a sphere grid; UnsupportedSurfaceError on any other kind."""
+    kind = grid.descriptor.get("kind")
+    if kind != "sphere":
+        raise UnsupportedSurfaceError(f"a ball eigenfunction needs a sphere grid, got {kind!r}")
+    return grid.descriptor["radius"]
+
+
+def eigenfunction_normal_derivative(idx: HarmonicIndex, n: int, grid: SurfaceGrid) -> np.ndarray:
+    """Outward normal derivative u_N = k j_l'(kR) Y_lm on a sphere grid of radius R.
 
     Nonvanishing by construction: j_l' cannot share a zero with j_l.
     """
-    desc = grid.descriptor
-    if desc.get("kind") != "sphere" or abs(desc.get("radius", -1.0) - R) > 1e-12 * max(R, 1.0):
-        raise UnsupportedSurfaceError(
-            "normal derivative of a ball eigenfunction needs a sphere grid of matching radius"
-        )
+    R = _sphere_radius(grid)
     k = bessel_zero(idx.l, n) / R
     _, theta, phi = _spherical_coords(grid.nodes)
     return k * sph_bessel_j_deriv(idx.l, k * R) * sph_harm(idx, theta, phi)

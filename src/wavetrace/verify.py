@@ -30,7 +30,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .herglotz import _trace_columns
 from .specfun import HarmonicIndex, bessel_zero, sph_bessel_j, sph_bessel_j_deriv, sph_harm
-from .spectra import ball_dirichlet_eigs, eigenfunction_normal_derivative
+from .spectra import _sphere_radius, ball_dirichlet_eigs, eigenfunction_normal_derivative
 from .surface import (
     DirectionGrid,
     SurfaceGrid,
@@ -91,7 +91,6 @@ class VerificationReport:
 def check_necessity(
     idx: HarmonicIndex,
     n: int,
-    R: float,
     grid: SurfaceGrid,
     seed: int = 7,
     k_factor: float = 1.0,
@@ -104,7 +103,8 @@ def check_necessity(
     k_factor != 1 shifts the trace wavenumber off the spectrum and serves
     as a negative control (the residual must then be large).
     """
-    u_n = eigenfunction_normal_derivative(idx, n, R, grid)
+    R = _sphere_radius(grid)
+    u_n = eigenfunction_normal_derivative(idx, n, grid)
     norm = float(np.sqrt(np.sum(grid.weights * np.abs(u_n) ** 2)))
     if not norm > 0:
         raise InconclusiveCheckError("u_N vanished identically; construction broken")
@@ -135,7 +135,6 @@ def check_necessity(
 def check_lemma1_orthogonality(
     idx: HarmonicIndex,
     n: int,
-    R: float,
     grid: SurfaceGrid,
     dirs: DirectionGrid,
     seed: int = 7,
@@ -149,12 +148,13 @@ def check_lemma1_orthogonality(
     coefficients of the real trace columns A, so sqrt(sigma) w|_S = A h.
     Passing k_override (off-spectrum) together with reference_override
     (e.g. a Y_00 trace) builds the negative control where orthogonality
-    must fail.
+    must fail. The grid must be a sphere's.
     """
+    R = _sphere_radius(grid)
     if reference_override is not None:
         v = np.asarray(reference_override, dtype=complex)
     else:
-        v = eigenfunction_normal_derivative(idx, n, R, grid)
+        v = eigenfunction_normal_derivative(idx, n, grid)
     k = k_override if k_override is not None else bessel_zero(idx.l, n) / R
     A = _trace_columns(k, grid, dirs)
     v = v * np.sqrt(grid.weights)
@@ -222,7 +222,6 @@ def check_green_reduction(idx: HarmonicIndex, n: int, R: float) -> VerificationR
 
 def check_decomposition(
     k: float,
-    R: float,
     grid: SurfaceGrid,
     dirs: DirectionGrid,
     seed: int = 7,
@@ -240,8 +239,9 @@ def check_decomposition(
     the target's real and imaginary parts as two right-hand sides B; the
     residual is the relative norm of what the projection leaves,
     ||B - U U^T B|| / ||b||, formed directly: the difference of squared
-    norms has a floor of sqrt(eps).
+    norms has a floor of sqrt(eps). The grid must be a sphere's.
     """
+    R = _sphere_radius(grid)
     _, theta, phi = _spherical_coords(grid.nodes)
     if psi is not None:
         psi_values = sph_harm(psi, theta, phi)
@@ -261,7 +261,7 @@ def check_decomposition(
     eigen_indices = [(rec.l, rec.n) for rec in eigs if abs(rec.k - k) <= _EIGEN_MATCH_RTOL * k]
     for l, n in eigen_indices:
         for m in range(-l, l + 1):
-            v_n = eigenfunction_normal_derivative(HarmonicIndex(l, m), n, R, grid) * np.sqrt(grid.weights)
+            v_n = eigenfunction_normal_derivative(HarmonicIndex(l, m), n, grid) * np.sqrt(grid.weights)
             columns += [v_n.real[:, None], v_n.imag[:, None]]
     U, s, _ = np.linalg.svd(np.hstack(columns), full_matrices=False)
     U_keep = U[:, s > s[0] * _DECOMPOSITION_SVD_CUTOFF]
@@ -300,23 +300,23 @@ def run_default_suite(
     checks = []
     dirs = make_direction_grid(12, 24)
     spheres = {R: make_sphere(R, 40, 80) for R in (0.7, 1.0, 2.0)}
-    for R, grid in spheres.items():
+    for grid in spheres.values():
         for l in range(4):
             for n in (1, 2):
-                checks.append(lambda i=HarmonicIndex(l, 0), n=n, R=R, g=grid: check_necessity(i, n, R, g, seed=seed))
+                checks.append(lambda i=HarmonicIndex(l, 0), n=n, g=grid: check_necessity(i, n, g, seed=seed))
         if inject_off_spectrum:
-            checks.append(lambda R=R, g=grid: check_necessity(HarmonicIndex(0, 0), 1, R, g, seed=seed, k_factor=1.01))
+            checks.append(lambda g=grid: check_necessity(HarmonicIndex(0, 0), 1, g, seed=seed, k_factor=1.01))
     grid1 = spheres[1.0]
     for l in range(3):
         for n in (1, 2):
             idx = HarmonicIndex(l, min(l, 1))
-            checks.append(lambda i=idx, n=n: check_lemma1_orthogonality(i, n, 1.0, grid1, dirs, seed=seed))
+            checks.append(lambda i=idx, n=n: check_lemma1_orthogonality(i, n, grid1, dirs, seed=seed))
     if inject_off_spectrum:
         _, theta, phi = _spherical_coords(grid1.nodes)
         y00 = sph_harm(HarmonicIndex(0, 0), theta, phi)
         checks.append(
             lambda: check_lemma1_orthogonality(
-                HarmonicIndex(0, 0), 1, 1.0, grid1, dirs, seed=seed,
+                HarmonicIndex(0, 0), 1, grid1, dirs, seed=seed,
                 k_override=1.0, reference_override=y00,
             )
         )
@@ -324,10 +324,10 @@ def run_default_suite(
         for n in (1, 2):
             checks.append(lambda i=HarmonicIndex(l, 0), n=n: check_green_reduction(i, n, 1.0))
     grid_dec = make_sphere(1.0, 30, 60)
-    checks.append(lambda: check_decomposition(1.0, 1.0, grid_dec, dirs, seed=seed))
+    checks.append(lambda: check_decomposition(1.0, grid_dec, dirs, seed=seed))
     checks.append(
         lambda: check_decomposition(
-            np.pi, 1.0, grid_dec, dirs, seed=seed, psi=HarmonicIndex(0, 0), tolerance=1e-8
+            np.pi, grid_dec, dirs, seed=seed, psi=HarmonicIndex(0, 0), tolerance=1e-8
         )
     )
     return _map(lambda check: check(), checks)

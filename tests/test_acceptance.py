@@ -119,14 +119,14 @@ class TestCriterion2Necessity:
             grid = make_sphere(R, 40, 80)
             for l in range(4):
                 for n in (1, 2):
-                    rep = check_necessity(HarmonicIndex(l, 0), n, R, grid)
+                    rep = check_necessity(HarmonicIndex(l, 0), n, grid)
                     worst = max(worst, rep.residual)
                     assert rep.passed, f"necessity failed at l={l}, n={n}, R={R}"
         assert report(2, worst <= 1e-8, f"worst normalized residual {worst:.2e} <= 1e-8")
 
     def test_off_spectrum_negative_control(self):
         grid = make_sphere(1.0, 40, 80)
-        rep = check_necessity(HarmonicIndex(0, 0), 1, 1.0, grid, k_factor=1.01)
+        rep = check_necessity(HarmonicIndex(0, 0), 1, grid, k_factor=1.01)
         assert report(2, rep.residual >= 1e-3, f"control residual {rep.residual:.2e} >= 1e-3")
 
 
@@ -150,7 +150,7 @@ class TestCriterion4Lemma1:
         worst = 0.0
         for l in range(3):
             for n in (1, 2):
-                rep = check_lemma1_orthogonality(HarmonicIndex(l, min(l, 1)), n, 1.0, grid, dirs)
+                rep = check_lemma1_orthogonality(HarmonicIndex(l, min(l, 1)), n, grid, dirs)
                 worst = max(worst, rep.residual)
                 assert rep.passed
         assert report(4, worst <= 1e-7, f"worst orthogonality residual {worst:.2e} <= 1e-7")
@@ -158,8 +158,8 @@ class TestCriterion4Lemma1:
     def test_decomposition_at_both_wavenumbers(self):
         grid = make_sphere(1.0, 30, 60)
         dirs = make_direction_grid(12, 24)
-        off = check_decomposition(1.0, 1.0, grid, dirs, seed=7)
-        at_pi = check_decomposition(np.pi, 1.0, grid, dirs, psi=HarmonicIndex(0, 0), tolerance=1e-8)
+        off = check_decomposition(1.0, grid, dirs, seed=7)
+        at_pi = check_decomposition(np.pi, grid, dirs, psi=HarmonicIndex(0, 0), tolerance=1e-8)
         traces_only, _ = fit_trace(np.pi, grid, harmonic_on(grid, 0, 0), dirs)
         ok = off.passed and at_pi.passed and abs(traces_only - 1.0) <= 1e-6
         assert report(

@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+import itertools
 import json
 import os
 import re
@@ -75,16 +77,44 @@ def test_flag_sets_unchanged(runner):
         assert set(re.findall(r"^  (--[\w-]+)", result.output, re.M)) == flags, command
 
 
-# The RunConfig fields, which every artifact embeds as its run_config: adding
-# or removing one changes the artifact schema, so it must change this set too
+def test_benchmark_command_lines_parse(tmp_path):
+    # every command line of the benchmark's workloads parses, so a flag the
+    # benchmark passes cannot be renamed or removed here unnoticed; nothing runs
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in (*workloads.WORKLOADS, workloads.SMOKE_WORKLOAD):
+        for argv in workloads.commands(workload, 0, tmp_path):
+            main.commands[argv[0]].make_context(argv[0], argv[1:])
+
+
+# The RunConfig fields: adding or removing one changes the run parameters,
+# so it must change this set too
 RUN_CONFIG_FIELDS = {
     "surface", "radius", "coefficients", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi",
     "k_min", "k_max", "samples", "seed", "interior_count", "refine_tol", "ridge", "band_limit",
 }
 
+# The RunConfig fields each command's options bind (fit's --k binds k_max):
+# the keys its config file may set and its artifact's run_config holds
+COMMAND_FIELDS = {
+    "sweep": {
+        "surface", "radius", "coefficients", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi",
+        "k_min", "k_max", "samples", "seed", "interior_count", "refine_tol",
+    },
+    "eigs": {
+        "surface", "radius", "coefficients", "n_theta", "n_phi", "k_min", "k_max", "samples",
+        "refine_tol", "band_limit",
+    },
+    "fit": {"k_max", "radius", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi", "ridge"},
+}
+
 
 def test_run_config_fields_unchanged():
     assert set(asdict(RunConfig())) == RUN_CONFIG_FIELDS
+    # no field is out of every command's reach
+    assert set().union(*COMMAND_FIELDS.values()) == RUN_CONFIG_FIELDS
 
 
 @pytest.mark.parametrize("command", ["sweep", "eigs", "fit"])
@@ -175,6 +205,13 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         (["eigs", "--coef", "2,0,0.1", "--kmax", "4"], None),
         (["sweep", *FAST_SWEEP, "--coef", "2,0,0.1"], None),
         (["sweep", *FAST_SWEEP], {"coefficients": [[2, 0, 0.1]]}),
+        (["sweep", *FAST_SWEEP], {"band_limit": 3}),
+        (["sweep", *FAST_SWEEP], {"ridge": 5.0}),
+        (["eigs"], {"seed": 1}),
+        (["eigs"], {"interior_count": 100}),
+        (["fit", "--target", "0,0", "--k", "1.0"], {"samples": 10}),
+        (["fit", "--target", "0,0", "--k", "1.0"], {"surface": "ball"}),
+        (["sweep", *FAST_SWEEP, "--surface", "star", "--coef", "1,2,0.1"], None),
     ],
     ids=[
         "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
@@ -190,6 +227,8 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         "config-coefficient-float-degree", "config-coefficient-bool-degree", "config-coefficient-float-order",
         "config-coefficient-string-degree", "config-coefficient-bool-eps",
         "eigs-coef-on-ball", "sweep-coef-on-ball", "config-coefficients-on-ball",
+        "config-sweep-band-limit", "config-sweep-ridge", "config-eigs-seed", "config-eigs-interior-count",
+        "config-fit-samples", "config-fit-surface-ball", "sweep-coef-m-above-l",
     ],
 )
 def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
@@ -481,6 +520,36 @@ def test_every_subcommand_artifact_independent_of_blas_threads(tmp_path, args, o
     assert digests[0] == digests[1]
 
 
+@pytest.mark.parametrize(
+    "args, outputs",
+    [
+        (CRITERION8_SWEEP, ["--out-csv", "--out-json"]),
+        (STAR_SINGLE_LAYER, ["--out-json"]),
+        (["eigs", "--surface", "ball", "--kmax", "6.5"], ["--out-json"]),
+    ],
+    ids=["sweep", "eigs-single-layer", "eigs-analytic"],
+)
+def test_artifact_regenerates_from_its_run_config(runner, tmp_path, args, outputs):
+    # the artifact's run_config as the config file, with only the method and
+    # the output paths on the command line, writes the same bytes again
+    def run(argv, tag):
+        paths = [tmp_path / f"{tag}.{flag[len('--out-'):]}" for flag in outputs]
+        result = runner.invoke(main, [*argv, *itertools.chain(*zip(outputs, map(str, paths)))])
+        assert result.exit_code == 0, result.output
+        return [path.read_bytes() for path in paths]
+
+    first = run(args, "a")
+    payload = json.loads(first[-1])
+    cfg_path = tmp_path / "cfg.json"
+    if args[0] == "sweep":
+        cfg_path.write_text(json.dumps(payload["config"]["run_config"]))
+        method = []
+    else:
+        cfg_path.write_text(json.dumps(payload["run_config"]))
+        method = ["--method", payload["method"]]
+    assert run([args[0], *method, "--config", str(cfg_path)], "b") == first
+
+
 class TestVerifyCommand:
     def test_default_suite_passes(self, runner, tmp_path):
         out = tmp_path / "reports.jsonl"
@@ -555,7 +624,7 @@ class TestArtifactSchemas:
         assert set(payload["config"]) == {
             "indicator", "surface", "directions", "qr_rtol", "depth_ratio", "run_config",
         }
-        assert set(payload["config"]["run_config"]) == RUN_CONFIG_FIELDS
+        assert set(payload["config"]["run_config"]) == COMMAND_FIELDS["sweep"]
         assert type(payload["config"]["run_config"]["interior_count"]) is int
         assert {type(v) for v in payload["k_samples"] + payload["indicator"]} == {float}
         assert payload["dips"]
@@ -573,8 +642,7 @@ class TestArtifactSchemas:
         assert result.exit_code == 0, result.output
         payload = json.loads(json_path.read_text())
         assert _types(payload) == {"run_config": dict, "method": str, "records": list}
-        assert set(payload["run_config"]) == RUN_CONFIG_FIELDS
-        assert type(payload["run_config"]["interior_count"]) is int
+        assert set(payload["run_config"]) == COMMAND_FIELDS["eigs"]
         assert payload["records"]
         for record in payload["records"]:
             assert _types(record) == {
@@ -603,8 +671,7 @@ class TestArtifactSchemas:
         assert _types(payload) == {
             "run_config": dict, "target": list, "k": float, "residual": float, "density_norm": float,
         }
-        assert set(payload["run_config"]) == RUN_CONFIG_FIELDS
-        assert type(payload["run_config"]["interior_count"]) is int
+        assert set(payload["run_config"]) == COMMAND_FIELDS["fit"]
 
 
 class TestFitCommand:

@@ -200,27 +200,27 @@ class TestBallEigenfunction:
 
 class TestNormalDerivative:
     def test_l0_closed_form(self, sphere_30_60):
-        u_n = eigenfunction_normal_derivative(HarmonicIndex(0, 0), 1, 1.0, sphere_30_60)
+        u_n = eigenfunction_normal_derivative(HarmonicIndex(0, 0), 1, sphere_30_60)
         expect = np.pi * (-1 / np.pi) / np.sqrt(4 * np.pi)  # k j_0'(pi) Y_00
         assert np.abs(u_n - expect).max() <= 1e-13
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
     def test_nonvanishing_norm(self, sphere_30_60, l):
-        u_n = eigenfunction_normal_derivative(HarmonicIndex(l, 0), 1, 1.0, sphere_30_60)
+        u_n = eigenfunction_normal_derivative(HarmonicIndex(l, 0), 1, sphere_30_60)
         norm = np.sqrt(np.sum(sphere_30_60.weights * np.abs(u_n) ** 2))
         assert norm > 0.1
 
     @pytest.mark.parametrize("l,n", [(0, 1), (1, 1), (2, 2), (3, 1)])
     def test_norm_matches_orthonormality(self, sphere_30_60, l, n):
         # ||u_N||_{L2(S)} = |k j_l'(kR)| R by Y_lm orthonormality
-        u_n = eigenfunction_normal_derivative(HarmonicIndex(l, 1 if l else 0), n, 1.0, sphere_30_60)
+        u_n = eigenfunction_normal_derivative(HarmonicIndex(l, 1 if l else 0), n, sphere_30_60)
         norm = np.sqrt(np.sum(sphere_30_60.weights * np.abs(u_n) ** 2))
         k = bessel_zero(l, n)
         assert norm == pytest.approx(abs(k * sph_bessel_j_deriv(l, k)), abs=1e-10)
 
     def test_non_sphere_rejected(self, star_grid_24_48):
         with pytest.raises(UnsupportedSurfaceError):
-            eigenfunction_normal_derivative(HarmonicIndex(0, 0), 1, 1.0, star_grid_24_48)
+            eigenfunction_normal_derivative(HarmonicIndex(0, 0), 1, star_grid_24_48)
 
 
 class TestSingleLayerSymbol:

@@ -21,31 +21,31 @@ from wavetrace.sweep import _one_blas_thread
 
 class TestNecessity:
     def test_ground_mode_tight_residual(self, sphere_40_80):
-        rep = check_necessity(HarmonicIndex(0, 0), 1, 1.0, sphere_40_80)
+        rep = check_necessity(HarmonicIndex(0, 0), 1, sphere_40_80)
         assert rep.passed
         assert rep.residual <= 1e-10
 
     def test_l2_mode(self, sphere_40_80):
-        rep = check_necessity(HarmonicIndex(2, 1), 1, 1.0, sphere_40_80)
+        rep = check_necessity(HarmonicIndex(2, 1), 1, sphere_40_80)
         assert rep.passed
         assert rep.residual <= 1e-8
 
     def test_off_spectrum_control_discriminates(self, sphere_40_80):
-        rep = check_necessity(HarmonicIndex(0, 0), 1, 1.0, sphere_40_80, k_factor=1.01)
+        rep = check_necessity(HarmonicIndex(0, 0), 1, sphere_40_80, k_factor=1.01)
         assert rep.expected_failure
         assert not rep.passed
         assert rep.residual >= 1e-3
 
     def test_reproducible_from_seed(self, sphere_40_80):
-        a = check_necessity(HarmonicIndex(1, 0), 1, 1.0, sphere_40_80, seed=123)
-        b = check_necessity(HarmonicIndex(1, 0), 1, 1.0, sphere_40_80, seed=123)
+        a = check_necessity(HarmonicIndex(1, 0), 1, sphere_40_80, seed=123)
+        b = check_necessity(HarmonicIndex(1, 0), 1, sphere_40_80, seed=123)
         assert a.residual == b.residual
         assert a.inputs == b.inputs
 
 
 class TestLemma1Orthogonality:
     def test_ground_eigenvalue(self, sphere_40_80, dirs_12_24):
-        rep = check_lemma1_orthogonality(HarmonicIndex(0, 0), 1, 1.0, sphere_40_80, dirs_12_24)
+        rep = check_lemma1_orthogonality(HarmonicIndex(0, 0), 1, sphere_40_80, dirs_12_24)
         assert rep.passed
         assert rep.residual <= 1e-8
 
@@ -60,7 +60,7 @@ class TestLemma1Orthogonality:
         phi = np.arctan2(dirs_12_24.directions[:, 1], dirs_12_24.directions[:, 0])
         h = sph_harm(idx, theta, phi)
         w_trace = herglotz_wave(k, h, dirs_12_24, sphere_40_80.nodes)
-        v_n = eigenfunction_normal_derivative(idx, 1, 1.0, sphere_40_80)
+        v_n = eigenfunction_normal_derivative(idx, 1, sphere_40_80)
         inner = np.sum(sphere_40_80.weights * w_trace * np.conj(v_n))
         # the matched trace itself vanishes at the eigenvalue, so the raw
         # pairing is the (zero) closed-form sphere integral
@@ -68,7 +68,7 @@ class TestLemma1Orthogonality:
 
     def test_off_spectrum_control(self, sphere_40_80, dirs_12_24):
         rep = check_lemma1_orthogonality(
-            HarmonicIndex(0, 0), 1, 1.0, sphere_40_80, dirs_12_24,
+            HarmonicIndex(0, 0), 1, sphere_40_80, dirs_12_24,
             k_override=1.0, reference_override=harmonic_on(sphere_40_80, 0, 0),
         )
         assert rep.expected_failure
@@ -100,14 +100,14 @@ class TestGreenReduction:
 
 class TestDecomposition:
     def test_off_spectrum_traces_suffice(self, sphere_30_60, dirs_12_24):
-        rep = check_decomposition(1.0, 1.0, sphere_30_60, dirs_12_24, seed=7)
+        rep = check_decomposition(1.0, sphere_30_60, dirs_12_24, seed=7)
         assert rep.passed
         assert rep.residual <= 1e-5
         assert rep.inputs["eigen_indices"] == []
 
     def test_at_eigenvalue_needs_normal_derivative(self, sphere_30_60, dirs_12_24):
         with_eig = check_decomposition(
-            np.pi, 1.0, sphere_30_60, dirs_12_24, psi=HarmonicIndex(0, 0), tolerance=1e-8
+            np.pi, sphere_30_60, dirs_12_24, psi=HarmonicIndex(0, 0), tolerance=1e-8
         )
         assert with_eig.passed
         assert with_eig.inputs["eigen_indices"] == [(0, 1)]
@@ -120,9 +120,9 @@ class TestDecomposition:
         # a sqrt(eps) floor and clamps to 0, so it could not pass this
         with _one_blas_thread():
             reports = [
-                check_decomposition(1.0, 1.0, sphere_30_60, dirs_12_24, seed=7),
+                check_decomposition(1.0, sphere_30_60, dirs_12_24, seed=7),
                 check_decomposition(
-                    np.pi, 1.0, sphere_30_60, dirs_12_24, seed=7, psi=HarmonicIndex(0, 0), tolerance=1e-8
+                    np.pi, sphere_30_60, dirs_12_24, seed=7, psi=HarmonicIndex(0, 0), tolerance=1e-8
                 ),
             ]
         for rep in reports:
@@ -130,8 +130,8 @@ class TestDecomposition:
             assert 0 < rep.residual <= 1e-12
 
     def test_reproducible(self, sphere_30_60, dirs_12_24):
-        a = check_decomposition(1.0, 1.0, sphere_30_60, dirs_12_24, seed=11)
-        b = check_decomposition(1.0, 1.0, sphere_30_60, dirs_12_24, seed=11)
+        a = check_decomposition(1.0, sphere_30_60, dirs_12_24, seed=11)
+        b = check_decomposition(1.0, sphere_30_60, dirs_12_24, seed=11)
         assert a.residual == b.residual
 
     @pytest.mark.parametrize("l,m", [(1, 1), (2, -1)])
@@ -139,7 +139,7 @@ class TestDecomposition:
         # at k = z_l1 the eigen normal derivatives are complex for m != 0;
         # the stack takes their real and imaginary parts as real columns
         k = bessel_zero(l, 1)
-        rep = check_decomposition(k, 1.0, sphere_30_60, dirs_12_24, psi=HarmonicIndex(l, m), tolerance=1e-8)
+        rep = check_decomposition(k, sphere_30_60, dirs_12_24, psi=HarmonicIndex(l, m), tolerance=1e-8)
         assert rep.passed
         assert rep.inputs["eigen_indices"] == [(l, 1)]
         reference = complex_decomposition_residual(k, 1.0, sphere_30_60, dirs_12_24, HarmonicIndex(l, m), [(l, 1)])
@@ -159,5 +159,5 @@ class TestDefaultSuite:
 
 class TestReportShape:
     def test_passed_iff_residual_within_tolerance(self, sphere_40_80):
-        rep = check_necessity(HarmonicIndex(0, 0), 1, 1.0, sphere_40_80)
+        rep = check_necessity(HarmonicIndex(0, 0), 1, sphere_40_80)
         assert rep.passed == (rep.residual <= rep.tolerance)
