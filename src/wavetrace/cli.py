@@ -4,10 +4,11 @@ This module is the one writer of artifacts: the library returns plain
 values and records, and the commands here fix every file format (the
 sweep CSV at .17g, each JSON payload from the records' fields). Every
 artifact embeds its run configuration (a JSON's run_config, the RunConfig
-fields its command's options bind; a verify report, its seed and inputs),
-so any CSV or JSON output can be regenerated byte-identically on the same
-machine and BLAS configuration. Exit codes follow the CI contract: 0 success,
-1 verification failure, 2 usage/config error, 3 numerical failure.
+fields its command's options bind; a verify report, its inputs and any
+seed it drew from), so any CSV or JSON output can be regenerated
+byte-identically with the same BLAS library and kernel. Exit codes follow
+the CI contract: 0 success, 1 verification failure, 2 usage/config error,
+3 numerical failure.
 
 RunConfig declares every run parameter once: --help shows its defaults,
 and RunConfig.check sends a flag or config value of the wrong type or out
@@ -88,7 +89,6 @@ class RunConfig:
     seed: int = 0
     interior_count: int | None = None
     refine_tol: float = DEFAULT_REFINE_TOL
-    ridge: float | None = None
     band_limit: int = 8
 
     def check(self, k_sweep: bool):
@@ -150,7 +150,6 @@ _RANGES = {
     "seed": (lambda v: v >= 0, "nonnegative"),
     "interior_count": (lambda v: v >= 1, "positive"),
     "refine_tol": (lambda v: 0 < v < math.inf, "positive and finite"),
-    "ridge": (lambda v: 0 <= v < math.inf, "nonnegative and finite"),
     "band_limit": (lambda v: v >= 0, "nonnegative"),
 }
 
@@ -381,7 +380,8 @@ def cmd_eigs(ctx, method, out_json, config_path, **flags):
 
 
 @main.command("verify")
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--seed", type=int, default=7, show_default=True,
+              help="Seeds the necessity checks' directions and the orthogonality checks' densities.")
 @click.option("--inject-off-spectrum", is_flag=True, default=False,
               help="Add negative controls that must fail by design.")
 @click.option("--out", "out_path", type=str, default=None, help="Also write the JSON lines here.")
@@ -420,7 +420,6 @@ def cmd_verify(seed, inject_off_spectrum, out_path):
 @click.option("--nphi", "n_phi", type=int)
 @click.option("--dirs-ntheta", "dirs_n_theta", type=int)
 @click.option("--dirs-nphi", "dirs_n_phi", type=int)
-@click.option("--ridge", type=float, help="Default: 1e-12 * ||A||^2.")
 @click.option("--out-json", type=str, default="fit.json", show_default=True)
 @click.option("--config", "config_path", type=str, default=None)
 @click.pass_context
@@ -432,17 +431,16 @@ def cmd_fit(ctx, target, out_json, config_path, **flags):
     grid = _build_surface(cfg)
     dirs = _build_dirs(cfg)
     _, theta, phi = _spherical_coords(grid.nodes)
-    residual, density_norm = fit_trace(cfg.k_max, grid, sph_harm(target, theta, phi), dirs, ridge=cfg.ridge)
+    residual, density_norm = fit_trace(cfg.k_max, grid, sph_harm(target, theta, phi), dirs)
     payload = {
         "run_config": run_config,
         "target": [target.l, target.m],
-        "k": cfg.k_max,
         "residual": residual,
         "density_norm": density_norm,
     }
     _write_text(out_json, _json_dumps(payload))
     click.echo(f"relative residual = {residual:.12g}")
-    click.echo(f"density L2 norm   = {density_norm:.12g}")
+    click.echo("density L2 norm   = " + ("none" if density_norm is None else f"{density_norm:.12g}"))
 
 
 if __name__ == "__main__":

@@ -13,10 +13,11 @@ The weighted trace matrix A[m, j] = sqrt(sigma_m) e^{i k beta_j . s_m}
 sqrt(w_j) realizes the map h -> w|_S between discrete weighted L^2 spaces,
 so its singular values approximate those of the continuous trace operator
 independently of the grids (up to quadrature error). Fitting a target
-surface function against the columns of A measures its distance to the
-closure of the plane-wave trace span: the relative residual is 1 exactly
-when the target is orthogonal to every trace, the signature of a lost
-(rank-collapsed) direction.
+surface function against the columns of A, truncated by the spectrum's own
+rank rule (singular values above DEFAULT_QR_RTOL of the leading one),
+measures its distance to the closure of the plane-wave trace span: the
+relative residual is 1 exactly when the target is orthogonal to every
+trace, the signature of a lost (rank-collapsed) direction.
 
 The raw smallest singular value of A cannot serve as a completeness
 indicator: the trace operator is compact, so any fine discretization has
@@ -49,8 +50,8 @@ the retained rank counts the diagonal entries of R above DEFAULT_QR_RTOL
 of the leading one, and a dense SVD of the retained columns' boundary
 rows, at most M x rank, gives the spectrum. The QRs release the GIL; only
 that small SVD holds it. On one BLAS thread, as in a sweep, this fixed
-sequence of LAPACK calls reproduces the values byte for byte for a fixed
-BLAS library, given the interior points.
+sequence of LAPACK calls reproduces the values byte for byte with the same
+BLAS library and kernel, given the interior points.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ DEFAULT_QR_RTOL = 1e-8
 # interior block (300 copies of one point: 108 of 109 sines); sound problems
 # stay below 1 - 1e-8 (1 - 1.3e-5 over the 71-sample ball sweep).
 _BLIND_SINE_TOL = 1e-12
+# Criterion 3's bound: a fit whose residual is within this of 1 has no
+# density above rounding (fit_trace).
+_ORTHOGONAL_TOL = 1e-6
 # Interior points stay within this fraction of the local surface radius.
 _INTERIOR_RADIUS_FRACTION = 0.95
 
@@ -210,48 +214,55 @@ def make_trace_spectrum(grid: SurfaceGrid, dirs: DirectionGrid, interior):
     return singular_values
 
 
-def fit_trace(
-    k: float,
-    grid: SurfaceGrid,
-    target,
-    dirs: DirectionGrid,
-    ridge: float | None = None,
-):
+def _project_onto_span(A: np.ndarray, B: np.ndarray, rtol: float = DEFAULT_QR_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated projection of the real right-hand sides B onto the column
+    span of the real matrix A: the singular triplets (u, s, v) of A with s
+    above rtol of the leading one, by default the trace spectrum's rank
+    rule. Returns the remainder B - U (U^T B), formed directly (a
+    difference of squared norms has a floor of sqrt(eps)), and the
+    minimum-norm coefficients V (U^T B / s)."""
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    keep = s > rtol * s[0]
+    c = U[:, keep].T @ B
+    return B - U[:, keep] @ c, Vh[keep].T @ (c / s[keep, None])
+
+
+def fit_trace(k: float, grid: SurfaceGrid, target, dirs: DirectionGrid):
     """Least-squares fit of a surface target by plane-wave traces.
 
-    Solves min_h ||A h - target*sqrt(sigma)||^2 + ridge*||h||^2 over the
-    weighted density coefficients and returns (relative residual, density
-    norm), the norm being the discrete L^2(S^2) norm sqrt(sum_j w_j |h_j|^2)
-    of the fitted density h. ridge=None applies the default
-    1e-12 * ||A||^2; ridge=0 solves by truncated-SVD pseudo-inverse. A
-    relative residual of 1 means the target is orthogonal to the whole trace
-    span -- totality failed in that direction.
+    Projects the weighted target target*sqrt(sigma) onto the truncated
+    span of the weighted trace matrix A (_project_onto_span) and returns
+    (relative residual, density norm), the norm being the discrete
+    L^2(S^2) norm sqrt(sum_j w_j |h_j|^2) of the minimum-norm density h. A
+    relative residual of 1 means the target is orthogonal to the whole
+    trace span -- totality failed in that direction. The cutoff holds that
+    on coarse grids: at 1e-14 a trace column would fit to 6.5e-15, not
+    2.4e-9, but on fit's default grids Y_00 at k = 3.14159265358979 would
+    read 1 - 2.6e-5, rounding mixing it into the kept singular vectors.
+
+    The density norm is None when the residual is within _ORTHOGONAL_TOL
+    of 1, as for a target orthogonal to the span (Y_00 at k = pi) or with
+    its density past the cutoff (Y_91 at k = 1). At most 1.4e-3 of the
+    target is then in the span, and the rest's rounding outweighs its
+    density: at k = pi, Y_00 puts 1.6e-3 into the norm, 1.4e-3 Y_10 only
+    3.5e-4 (30x60 sphere, 12x24 directions).
 
     A is the sweep's real trace matrix, so dirs must be antipodally
     symmetric: a unitary 2x2 per antipodal pair keeps the residual and the
-    density norm, and one real SVD fits the target's real and imaginary parts.
+    density norm those of the complex fit over every direction.
     """
     target = np.asarray(target, dtype=complex)
     if target.shape != (grid.n_nodes,):
         raise ValueError("target length does not match grid")
     if not np.all(np.isfinite(target)):
         raise ValueError("target must be finite")
-    if ridge is not None and ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
     b = target * np.sqrt(grid.weights)
     b_norm = np.linalg.norm(b)
     if b_norm == 0:
         raise ValueError("zero target: relative residual undefined")
-    A = _trace_columns(k, grid, dirs)
-    B = np.column_stack([b.real, b.imag])
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    c = U.T @ B
-    if ridge is None:
-        ridge = 1e-12 * s[0] ** 2
-    if ridge == 0:
-        keep = s > s[0] * 1e-14
-        h = Vh[keep].T @ (c[keep] / s[keep, None])
-    else:
-        h = Vh.T @ ((s / (s * s + ridge))[:, None] * c)
+    remainder, h = _project_onto_span(_trace_columns(k, grid, dirs), np.column_stack([b.real, b.imag]))
+    residual = float(np.linalg.norm(remainder) / b_norm)
+    if abs(residual - 1) <= _ORTHOGONAL_TOL:
+        return residual, None
     # the sqrt(w_j) column weights and the unitary 2x2s keep the L^2(S^2) norm
-    return float(np.linalg.norm(A @ h - B) / b_norm), float(np.linalg.norm(h))
+    return residual, float(np.linalg.norm(h))

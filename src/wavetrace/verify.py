@@ -14,11 +14,13 @@
   which collapses to the 1-d radial identity
   k^2 R^{-l} integral_0^R r^{l+2} j_l(kr) dr = -k j_l'(kR) R^2;
 * decomposition: bandlimited surface functions split into the trace span
-  plus the span of the eigenfunction normal derivatives present at k.
+  plus the span of the eigenfunction normal derivatives present at k, the
+  residual being the worst case over all of them.
 
-Each check emits a reproducible VerificationReport (seed and inputs
-embedded); off-spectrum variants act as negative controls and must fail
-by a wide margin.
+Each check emits a reproducible VerificationReport (inputs embedded, and
+the seed where one drives a sample: the necessity check's directions and
+the orthogonality check's densities). Off-spectrum variants act as
+negative controls and must fail by a wide margin.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .herglotz import _trace_columns
+from .herglotz import DEFAULT_QR_RTOL, _project_onto_span, _trace_columns
 from .specfun import HarmonicIndex, bessel_zero, sph_bessel_j, sph_bessel_j_deriv, sph_harm
 from .spectra import _sphere_radius, ball_dirichlet_eigs, eigenfunction_normal_derivative
 from .surface import (
@@ -60,10 +62,8 @@ _N_DIRECTIONS = 100
 _N_RANDOM_DENSITIES = 20
 _N_RADIAL = 64
 
-# Decomposition: degree bound of the random target and relative cutoff of
-# the projection's singular values.
+# Decomposition: degree bound of the band-limited targets.
 _DECOMPOSITION_BAND_LIMIT = 4
-_DECOMPOSITION_SVD_CUTOFF = 1e-10
 
 # A ball eigenvalue k_{l,n} counts as present at k within this relative
 # distance: near a zero |j_l(kR)| is about |k/k_{l,n} - 1|, so this stands
@@ -224,37 +224,31 @@ def check_decomposition(
     k: float,
     grid: SurfaceGrid,
     dirs: DirectionGrid,
-    seed: int = 7,
     psi: HarmonicIndex | None = None,
     tolerance: float = 1e-5,
 ) -> VerificationReport:
-    """Split a bandlimited surface function across traces + eigen normal span.
+    """Split bandlimited surface functions across traces + eigen normal span.
 
-    psi defaults to a seeded random combination of Y_lm, l <= 4. The column
-    stack is real: the trace columns are the real ones of the fit and the
-    sweep, and each eigen normal derivative joins as its real and imaginary
-    parts, which span the same complex space as the eigenspace's 2l+1
-    columns, since Y_{l,-m} = (-1)^m conj(Y_lm). Projection uses the left
-    singular vectors U of the weighted stack above a relative cutoff, with
-    the target's real and imaginary parts as two right-hand sides B; the
-    residual is the relative norm of what the projection leaves,
-    ||B - U U^T B|| / ||b||, formed directly: the difference of squared
-    norms has a floor of sqrt(eps). The grid must be a sphere's.
+    The targets are every combination of the Y_lm, l <= 4, or the multiples
+    of the one Y_psi given. The column stack is real: the trace columns are
+    the real ones of the fit and the sweep, and each eigen normal derivative
+    joins as its real and imaginary parts, which span the same complex space
+    as the eigenspace's 2l+1 columns, since Y_{l,-m} = (-1)^m conj(Y_lm).
+    The weighted targets are orthonormalized by a QR, Q; the real and
+    imaginary parts of Q are the right-hand sides of the truncated span
+    projection of fit_trace, and the residual is the spectral norm of what
+    it leaves of Q: the worst relative residual over every target, equal
+    to the single target's for one psi. The grid must be a sphere's.
     """
     R = _sphere_radius(grid)
     _, theta, phi = _spherical_coords(grid.nodes)
-    if psi is not None:
-        psi_values = sph_harm(psi, theta, phi)
-        psi_label = str(psi)
+    if psi is None:
+        targets = [HarmonicIndex(l, m) for l in range(_DECOMPOSITION_BAND_LIMIT + 1) for m in range(-l, l + 1)]
+        psi_label = f"worst case over band-limited l<={_DECOMPOSITION_BAND_LIMIT}"
     else:
-        rng = np.random.default_rng(seed)
-        psi_values = np.zeros(grid.n_nodes, dtype=complex)
-        for l in range(_DECOMPOSITION_BAND_LIMIT + 1):
-            for m in range(-l, l + 1):
-                c = rng.standard_normal() + 1j * rng.standard_normal()
-                psi_values += c * sph_harm(HarmonicIndex(l, m), theta, phi)
-        psi_label = f"random band-limited l<={_DECOMPOSITION_BAND_LIMIT}"
-    b = psi_values * np.sqrt(grid.weights)
+        targets, psi_label = [psi], str(psi)
+    Y = np.column_stack([sph_harm(idx, theta, phi) for idx in targets])
+    Q, _ = np.linalg.qr(Y * np.sqrt(grid.weights)[:, None])
 
     columns = [_trace_columns(k, grid, dirs)]
     eigs = ball_dirichlet_eigs(R, k * (1 + _EIGEN_MATCH_RTOL))
@@ -263,22 +257,18 @@ def check_decomposition(
         for m in range(-l, l + 1):
             v_n = eigenfunction_normal_derivative(HarmonicIndex(l, m), n, grid) * np.sqrt(grid.weights)
             columns += [v_n.real[:, None], v_n.imag[:, None]]
-    U, s, _ = np.linalg.svd(np.hstack(columns), full_matrices=False)
-    U_keep = U[:, s > s[0] * _DECOMPOSITION_SVD_CUTOFF]
-    B = np.column_stack([b.real, b.imag])
-    residual = float(np.linalg.norm(B - U_keep @ (U_keep.T @ B)) / np.linalg.norm(b))
+    remainder, _ = _project_onto_span(np.hstack(columns), np.hstack([Q.real, Q.imag]))
+    residual = float(np.linalg.norm(remainder[:, : Q.shape[1]] + 1j * remainder[:, Q.shape[1] :], 2))
     return VerificationReport(
         check="decomposition",
         inputs={
             "k": float(k),
             "R": R,
             "psi": psi_label,
-            "seed": seed,
-            "band_limit": _DECOMPOSITION_BAND_LIMIT,
             "eigen_indices": eigen_indices,
             "surface": grid.descriptor,
             "directions": dirs.descriptor,
-            "svd_cutoff": _DECOMPOSITION_SVD_CUTOFF,
+            "svd_cutoff": DEFAULT_QR_RTOL,
         },
         residual=residual,
         tolerance=tolerance,
@@ -290,11 +280,11 @@ def run_default_suite(
 ) -> list[VerificationReport]:
     """The full ball verification suite with the default desk-scale grids.
 
-    The checks are independent and each draws from its own seeded
-    generator, so they run concurrently on the sweep layer's pool, one
-    worker per CPU and one BLAS thread each, and the reports come back in
-    the order the checks are listed here: no report depends on the pool
-    size or on OPENBLAS_NUM_THREADS.
+    The checks are independent, and those that sample draw from their own
+    generator seeded by seed, so they run concurrently on the sweep layer's
+    pool, one worker per CPU and one BLAS thread each, and the reports come
+    back in the order the checks are listed here: no report depends on the
+    pool size or on OPENBLAS_NUM_THREADS.
     """
     # each check is a zero-argument lambda; its defaults bind the loop's values
     checks = []
@@ -324,10 +314,8 @@ def run_default_suite(
         for n in (1, 2):
             checks.append(lambda i=HarmonicIndex(l, 0), n=n: check_green_reduction(i, n, 1.0))
     grid_dec = make_sphere(1.0, 30, 60)
-    checks.append(lambda: check_decomposition(1.0, grid_dec, dirs, seed=seed))
+    checks.append(lambda: check_decomposition(1.0, grid_dec, dirs))
     checks.append(
-        lambda: check_decomposition(
-            np.pi, grid_dec, dirs, seed=seed, psi=HarmonicIndex(0, 0), tolerance=1e-8
-        )
+        lambda: check_decomposition(np.pi, grid_dec, dirs, psi=HarmonicIndex(0, 0), tolerance=1e-8)
     )
     return _map(lambda check: check(), checks)

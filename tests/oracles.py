@@ -152,26 +152,27 @@ def stacked_trace_matrix(k, grid, dirs, interior=None):
     return np.vstack([A, B])
 
 
-def complex_trace_fit(k, grid, target, dirs, ridge=None):
-    """The trace fit in complex arithmetic over every direction: the ridge
-    solution, by one complex SVD of the stacked trace matrix, for the
-    weighted target target * sqrt(sigma); ridge=None is 1e-12 ||A||^2.
-    Returns (relative residual, ||h||), the unknowns being sqrt(w_j) h_j,
-    so that ||h|| is the density's discrete L^2(S^2) norm."""
+def complex_trace_fit(k, grid, target, dirs):
+    """The trace fit in complex arithmetic over every direction: the
+    minimum-norm solution on the left singular vectors above 1e-8 of the
+    leading value, by one complex SVD of the stacked trace matrix, for the
+    weighted target target * sqrt(sigma). Returns (relative residual,
+    ||h||), the unknowns being sqrt(w_j) h_j, so that ||h|| is the
+    density's discrete L^2(S^2) norm."""
     A = stacked_trace_matrix(k, grid, dirs)
     b = target * np.sqrt(grid.weights)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    if ridge is None:
-        ridge = 1e-12 * s[0] ** 2
-    h = Vh.conj().T @ (s / (s * s + ridge) * (U.conj().T @ b))
-    return float(np.linalg.norm(A @ h - b) / np.linalg.norm(b)), float(np.linalg.norm(h))
+    keep = s > s[0] * 1e-8
+    c = U[:, keep].conj().T @ b
+    h = Vh[keep].conj().T @ (c / s[keep])
+    return float(np.linalg.norm(b - U[:, keep] @ c) / np.linalg.norm(b)), float(np.linalg.norm(h))
 
 
 def complex_decomposition_residual(k, R, grid, dirs, psi, eigen_indices):
     """The decomposition residual with a complex column stack: the trace
     matrix over every direction, then the weighted normal derivatives
     k_n j_l'(k_n R) Y_lm, k_n = z_{l,n}/R, of every (l, n) in eigen_indices
-    and every m; projected onto the left singular vectors above 1e-10 of the
+    and every m; projected onto the left singular vectors above 1e-8 of the
     leading value. Returns ||b - U U^H b|| / ||b|| for b = Y_psi sqrt(sigma)."""
     sqrt_w = np.sqrt(grid.weights)
     columns = [stacked_trace_matrix(k, grid, dirs)]
@@ -181,7 +182,7 @@ def complex_decomposition_residual(k, R, grid, dirs, psi, eigen_indices):
             v_n = k_n * spherical_jn(l, k_n * R, derivative=True) * harmonic_on(grid, l, m)
             columns.append((v_n * sqrt_w)[:, None])
     U, s, _ = np.linalg.svd(np.hstack(columns), full_matrices=False)
-    U = U[:, s > s[0] * 1e-10]
+    U = U[:, s > s[0] * 1e-8]
     b = harmonic_on(grid, psi.l, psi.m) * sqrt_w
     return float(np.linalg.norm(b - U @ (U.conj().T @ b)) / np.linalg.norm(b))
 

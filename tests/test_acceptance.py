@@ -136,7 +136,7 @@ class TestCriterion3TotalityFailureExact:
         dirs = make_direction_grid(12, 24)
         target = harmonic_on(grid, 0, 0)
         res_at_pi, _ = fit_trace(np.pi, grid, target, dirs)
-        res_at_1, _ = fit_trace(1.0, grid, target, dirs, ridge=1e-12)
+        res_at_1, _ = fit_trace(1.0, grid, target, dirs)
         ok = abs(res_at_pi - 1.0) <= 1e-6 and res_at_1 <= 1e-8
         assert report(
             3, ok, f"residual(k=pi) = {res_at_pi:.9f} (=1 within 1e-6); residual(k=1) = {res_at_1:.2e} <= 1e-8"
@@ -158,7 +158,7 @@ class TestCriterion4Lemma1:
     def test_decomposition_at_both_wavenumbers(self):
         grid = make_sphere(1.0, 30, 60)
         dirs = make_direction_grid(12, 24)
-        off = check_decomposition(1.0, grid, dirs, seed=7)
+        off = check_decomposition(1.0, grid, dirs)
         at_pi = check_decomposition(np.pi, grid, dirs, psi=HarmonicIndex(0, 0), tolerance=1e-8)
         traces_only, _ = fit_trace(np.pi, grid, harmonic_on(grid, 0, 0), dirs)
         ok = off.passed and at_pi.passed and abs(traces_only - 1.0) <= 1e-6

@@ -19,7 +19,7 @@ import wavetrace.spectra
 import wavetrace.sweep
 import wavetrace.verify
 from wavetrace import BracketError
-from wavetrace.cli import EXIT_VERIFY_FAIL, RunConfig, main
+from wavetrace.cli import _RANGES, EXIT_VERIFY_FAIL, RunConfig, main
 from wavetrace.sweep import _blas_threads, _openblas_thread_controls
 
 
@@ -64,7 +64,7 @@ CLI_FLAGS = {
     "verify": {"--seed", "--inject-off-spectrum", "--out", "--help"},
     "fit": {
         "--target", "--k", "--radius", "--ntheta", "--nphi", "--dirs-ntheta",
-        "--dirs-nphi", "--ridge", "--out-json", "--config", "--help",
+        "--dirs-nphi", "--out-json", "--config", "--help",
     },
 }
 
@@ -93,7 +93,7 @@ def test_benchmark_command_lines_parse(tmp_path):
 # so it must change this set too
 RUN_CONFIG_FIELDS = {
     "surface", "radius", "coefficients", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi",
-    "k_min", "k_max", "samples", "seed", "interior_count", "refine_tol", "ridge", "band_limit",
+    "k_min", "k_max", "samples", "seed", "interior_count", "refine_tol", "band_limit",
 }
 
 # The RunConfig fields each command's options bind (fit's --k binds k_max):
@@ -107,7 +107,7 @@ COMMAND_FIELDS = {
         "surface", "radius", "coefficients", "n_theta", "n_phi", "k_min", "k_max", "samples",
         "refine_tol", "band_limit",
     },
-    "fit": {"k_max", "radius", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi", "ridge"},
+    "fit": {"k_max", "radius", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi"},
 }
 
 
@@ -115,6 +115,11 @@ def test_run_config_fields_unchanged():
     assert set(asdict(RunConfig())) == RUN_CONFIG_FIELDS
     # no field is out of every command's reach
     assert set().union(*COMMAND_FIELDS.values()) == RUN_CONFIG_FIELDS
+
+
+def test_every_range_rule_names_a_field():
+    # a deleted field must take its range rule with it
+    assert set(_RANGES) <= RUN_CONFIG_FIELDS
 
 
 @pytest.mark.parametrize("command", ["sweep", "eigs", "fit"])
@@ -669,7 +674,7 @@ class TestArtifactSchemas:
         assert result.exit_code == 0, result.output
         payload = json.loads(json_path.read_text())
         assert _types(payload) == {
-            "run_config": dict, "target": list, "k": float, "residual": float, "density_norm": float,
+            "run_config": dict, "target": list, "residual": float, "density_norm": type(None),
         }
         assert set(payload["run_config"]) == COMMAND_FIELDS["fit"]
 
@@ -684,6 +689,9 @@ class TestFitCommand:
         assert result.exit_code == 0, result.output
         payload = json.loads(json_path.read_text())
         assert abs(payload["residual"] - 1.0) <= 1e-6
+        # the target is orthogonal to the trace span: no density, written null
+        assert payload["density_norm"] is None
+        assert "density L2 norm   = none" in result.output
 
     def test_representable_target(self, runner, tmp_path):
         json_path = tmp_path / "fit.json"
@@ -691,7 +699,9 @@ class TestFitCommand:
             main, ["fit", "--target", "0,0", "--k", "1.0", "--out-json", str(json_path)]
         )
         assert result.exit_code == 0, result.output
-        assert json.loads(json_path.read_text())["residual"] <= 1e-8
+        payload = json.loads(json_path.read_text())
+        assert payload["residual"] <= 1e-8
+        assert payload["density_norm"] == pytest.approx(1 / (4 * np.pi * np.sin(1.0)), rel=1e-12)
 
     def test_invalid_harmonic_index(self, runner):
         result = runner.invoke(main, ["fit", "--target", "5,9", "--k", "1.0"])

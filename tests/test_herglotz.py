@@ -25,7 +25,7 @@ from wavetrace import (
     sph_bessel_j,
     sph_harm,
 )
-from wavetrace.herglotz import _antipodal_half, _real_columns, _trace_columns
+from wavetrace.herglotz import _antipodal_half, _project_onto_span, _real_columns, _trace_columns
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -177,41 +177,50 @@ class TestFunkHecke:
         assert funk_hecke(HarmonicIndex(2, 1), k, 1.0, beta) == pytest.approx(quad, abs=1e-12)
 
 
+def pseudo_inverse_fit(k, grid, target, dirs):
+    """fit_trace's projection cut at 1e-14 instead of DEFAULT_QR_RTOL:
+    (relative residual, density norm) of the truncated pseudo-inverse."""
+    b = target * np.sqrt(grid.weights)
+    remainder, h = _project_onto_span(_trace_columns(k, grid, dirs), np.column_stack([b.real, b.imag]), rtol=1e-14)
+    return np.linalg.norm(remainder) / np.linalg.norm(b), np.linalg.norm(h)
+
+
 class TestFitTrace:
     def test_lost_direction_residual_is_one(self, sphere_30_60, dirs_12_24):
         target = harmonic_on(sphere_30_60, 0, 0)
-        for ridge in (None, 0.0, 1e-8):
-            residual, _ = fit_trace(np.pi, sphere_30_60, target, dirs_12_24, ridge=ridge)
-            assert residual == pytest.approx(1.0, abs=1e-6)
+        residual, _ = fit_trace(np.pi, sphere_30_60, target, dirs_12_24)
+        assert residual == pytest.approx(1.0, abs=1e-6)
 
     def test_representable_target_tiny_residual(self, sphere_30_60, dirs_12_24):
         target = harmonic_on(sphere_30_60, 0, 0)
-        residual, _ = fit_trace(1.0, sphere_30_60, target, dirs_12_24, ridge=1e-12)
+        residual, _ = fit_trace(1.0, sphere_30_60, target, dirs_12_24)
         assert residual <= 1e-8
 
-    @pytest.mark.parametrize("ridge", [None, 1e-12])
+    # scale: the target as given (None) or times a tiny factor. Every cutoff
+    # of the fit is relative, so the fit is homogeneous in the target.
+    @pytest.mark.parametrize("scale", [None, 1e-12])
     @pytest.mark.parametrize("k", [1.0, 2.0, 2.5])
-    def test_density_norm_is_the_funk_hecke_value(self, sphere_30_60, dirs_12_24, k, ridge):
+    def test_density_norm_is_the_funk_hecke_value(self, sphere_30_60, dirs_12_24, k, scale):
         # Funk-Hecke on the unit sphere: the density h = Y_00 / (4 pi j_0(k))
-        # has the trace Y_00, so its norm is 1 / (4 pi j_0(k)). Not at
-        # ridge 0: the truncated pseudo-inverse is 3e-7 to 4e-6 off.
-        target = harmonic_on(sphere_30_60, 0, 0)
-        _, density_norm = fit_trace(k, sphere_30_60, target, dirs_12_24, ridge=ridge)
-        assert density_norm == pytest.approx(1 / (4 * np.pi * sph_bessel_j(0, k)), rel=1e-9)
+        # has the trace Y_00, so its norm is 1 / (4 pi j_0(k))
+        scale = 1.0 if scale is None else scale
+        target = scale * harmonic_on(sphere_30_60, 0, 0)
+        _, density_norm = fit_trace(k, sphere_30_60, target, dirs_12_24)
+        assert density_norm == pytest.approx(scale / (4 * np.pi * sph_bessel_j(0, k)), rel=1e-12)
 
-    @pytest.mark.parametrize("ridge", [None, 1e-8])
+    @pytest.mark.parametrize("scale", [None, 1e-8])
     @pytest.mark.parametrize("l,m,k", [(2, 1, 1.0), (3, 2, 4.0), (5, 3, 3.0)])
     @pytest.mark.parametrize(
         "coefs, n_theta", [([], 20), ([], 24), ([(2, 0, 0.1)], 24)], ids=["sphere-20x40", "sphere-24x48", "star-24x48"]
     )
-    def test_matches_the_complex_fit(self, dirs_10_20, coefs, n_theta, l, m, k, ridge):
+    def test_matches_the_complex_fit(self, dirs_10_20, coefs, n_theta, l, m, k, scale):
         # off the spectrum, one real SVD on the half grid fits as the complex
-        # SVD over every direction does; at ridge 0 or at an eigenvalue the
-        # density norm is rounding noise, so those are not compared
+        # SVD over every direction does, for the target as given (None) or
+        # times a tiny factor; at an eigenvalue there is no density
         grid = make_star_surface(1.0, coefs, n_theta, 2 * n_theta)
-        target = harmonic_on(grid, l, m)
-        residual, density_norm = fit_trace(k, grid, target, dirs_10_20, ridge=ridge)
-        expected_residual, expected_norm = complex_trace_fit(k, grid, target, dirs_10_20, ridge=ridge)
+        target = (1.0 if scale is None else scale) * harmonic_on(grid, l, m)
+        residual, density_norm = fit_trace(k, grid, target, dirs_10_20)
+        expected_residual, expected_norm = complex_trace_fit(k, grid, target, dirs_10_20)
         assert density_norm == pytest.approx(expected_norm, rel=1e-10)
         assert residual == pytest.approx(expected_residual, abs=1e-12)
 
@@ -222,9 +231,13 @@ class TestFitTrace:
             fit_trace(1.0, sphere_30_60, target, dirs_12_24)
 
     def test_column_target_exact(self, sphere_30_60, dirs_12_24):
+        # a trace column is in the span: the projection cut at 1e-14 leaves
+        # rounding of it, the fit's cutoff less than 1e-8 (measured 2.4e-9)
         target = np.exp(2j * (sphere_30_60.nodes @ dirs_12_24.directions[37]))
-        residual, _ = fit_trace(2.0, sphere_30_60, target, dirs_12_24, ridge=0.0)
+        residual, _ = pseudo_inverse_fit(2.0, sphere_30_60, target, dirs_12_24)
         assert residual <= 1e-12
+        residual, _ = fit_trace(2.0, sphere_30_60, target, dirs_12_24)
+        assert residual <= 1e-8
 
     def test_zero_target_rejected(self, sphere_30_60, dirs_12_24):
         with pytest.raises(ValueError):
@@ -236,8 +249,35 @@ class TestFitTrace:
     def test_dichotomy_at_eigenvalues(self, sphere_30_60, dirs_12_24, l, m, k_eigen):
         k = bessel_zero(l, 1)
         target = harmonic_on(sphere_30_60, l, m)
-        residual, _ = fit_trace(k, sphere_30_60, target, dirs_12_24)
+        residual, density_norm = fit_trace(k, sphere_30_60, target, dirs_12_24)
         assert residual == pytest.approx(1.0, abs=1e-6)
+        # the target is orthogonal to the trace span: no density fits it, and
+        # the norm of a computed one would be rounding
+        assert density_norm is None
+
+    def test_density_norm_of_a_mixed_target_at_pi(self, sphere_30_60, dirs_12_24):
+        # at k = pi, Y_00 is orthogonal to the trace span and Y_10 is not. The
+        # rounding of the Y_00 part (1.6e-3) outweighs the density of a 1e-3
+        # Y_10 part, so there is none; a 0.1 part's density norm is its own
+        # (measured 0.2% off)
+        y00, y10 = harmonic_on(sphere_30_60, 0, 0), harmonic_on(sphere_30_60, 1, 0)
+        _, y10_norm = fit_trace(np.pi, sphere_30_60, y10, dirs_12_24)
+        _, small_part = fit_trace(np.pi, sphere_30_60, y00 + 1e-3 * y10, dirs_12_24)
+        _, large_part = fit_trace(np.pi, sphere_30_60, y00 + 0.1 * y10, dirs_12_24)
+        assert small_part is None
+        assert large_part == pytest.approx(0.1 * y10_norm, rel=1e-2)
+
+    def test_density_past_the_truncation(self, sphere_30_60, dirs_12_24):
+        # j_9(1) = 1.5e-9 puts Y_91's density on singular values below
+        # DEFAULT_QR_RTOL: the target reads as orthogonal to the truncated
+        # span, and the cut at 1e-14 finds its Funk-Hecke density
+        target = harmonic_on(sphere_30_60, 9, 1)
+        residual, density_norm = fit_trace(1.0, sphere_30_60, target, dirs_12_24)
+        assert residual == pytest.approx(1.0, abs=1e-6)
+        assert density_norm is None
+        residual, density_norm = pseudo_inverse_fit(1.0, sphere_30_60, target, dirs_12_24)
+        assert residual <= 1e-6
+        assert density_norm == pytest.approx(1 / (4 * np.pi * sph_bessel_j(9, 1.0)), rel=1e-6)
 
     @pytest.mark.parametrize("l,m", [(0, 0), (1, 0), (2, 2), (3, -1), (4, 4)])
     def test_dichotomy_off_spectrum(self, sphere_30_60, dirs_12_24, l, m):
@@ -260,6 +300,8 @@ class TestFitTrace:
             ),
         )
         target = harmonic_on(sphere_30_60, 3, 1)
-        res_base, _ = fit_trace(2.0, sphere_30_60, target, base, ridge=0.0)
-        res_enlarged, _ = fit_trace(2.0, sphere_30_60, target, enlarged, ridge=0.0)
+        # the spans cut at 1e-14 are nested; the fit's truncated ones need
+        # not be (Y_31 goes from 5.0e-10 to 8.9e-10)
+        res_base, _ = pseudo_inverse_fit(2.0, sphere_30_60, target, base)
+        res_enlarged, _ = pseudo_inverse_fit(2.0, sphere_30_60, target, enlarged)
         assert res_enlarged <= res_base + 1e-12
