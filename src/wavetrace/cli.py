@@ -4,11 +4,11 @@ This module is the one writer of artifacts: the library returns plain
 values and records, and the commands here fix every file format (the
 sweep CSV at .17g, each JSON payload from the records' fields). Every
 artifact embeds its run configuration (a JSON's run_config, the RunConfig
-fields its command's options bind; a verify report, its inputs and any
-seed it drew from), so any CSV or JSON output can be regenerated
-byte-identically with the same BLAS library and kernel. Exit codes follow
-the CI contract: 0 success, 1 verification failure, 2 usage/config error,
-3 numerical failure.
+fields its command's options bind, for eigs its method's; a verify
+report, its inputs and any seed it drew from), so any CSV or JSON output
+can be regenerated byte-identically with the same BLAS library and
+kernel. Exit codes follow the CI contract: 0 success, 1 verification
+failure, 2 usage/config error, 3 numerical failure.
 
 RunConfig declares every run parameter once: --help shows its defaults,
 and RunConfig.check sends a flag or config value of the wrong type or out
@@ -91,12 +91,13 @@ class RunConfig:
     refine_tol: float = DEFAULT_REFINE_TOL
     band_limit: int = 8
 
-    def check(self, k_sweep: bool):
+    def check(self, bound):
         """Usage error for any field of the wrong type or out of range,
         raised before any work.
 
         A bool is not an int; an int may stand for a float. The
-        0 < k_min < k_max relation binds only where a k sweep runs.
+        0 < k_min < k_max relation binds where the fields the command binds
+        include k_min, and coefficients go with the star surface and only with it.
         """
         hints = typing.get_type_hints(RunConfig)
         for f in fields(self):
@@ -118,10 +119,10 @@ class RunConfig:
                 raise click.UsageError(
                     f"{name} must be at most {_GRID_CAP * default} ({_GRID_CAP}x its k R default), got {value!r}"
                 )
-        if k_sweep and not (0 < self.k_min < self.k_max):
+        if "k_min" in bound and not (0 < self.k_min < self.k_max):
             raise click.UsageError(f"need 0 < kmin < kmax, got [{self.k_min}, {self.k_max}]")
-        if self.surface == "ball" and self.coefficients:
-            raise click.UsageError(f"coefficients perturb only the star surface, got {self.coefficients!r} on the ball")
+        if (self.surface == "star") != bool(self.coefficients):
+            raise click.UsageError(f"coefficients go with the star alone, got {self.coefficients!r} on {self.surface}")
 
     def resolved(self) -> "RunConfig":
         """Fill resolution defaults from the wavenumber range (k R rules),
@@ -178,22 +179,23 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _run_config(ctx: click.Context, config_path: str | None, k_sweep: bool, **flags) -> tuple[RunConfig, dict]:
-    """RunConfig defaults, then config-file keys, then flags given on the
-    command line; checked, then resolved. The command's fields are the names
-    in flags, the RunConfig fields its options bind: a config key outside
-    them is a usage error, and the returned run_config holds exactly them."""
+def _run_config(ctx: click.Context, config_path: str | None, bound) -> tuple[RunConfig, dict]:
+    """RunConfig defaults, then config-file keys, then run options given on
+    the command line; checked, then resolved. bound holds the RunConfig
+    fields the command (for eigs, its method) binds: a config key or a
+    given run option outside them is a usage error, and the returned
+    run_config holds exactly them."""
     cfg = RunConfig()
-    for key, value in _load_config_file(config_path).items():
-        if key not in flags:
-            raise click.UsageError(f"unknown config key {key!r}")
+    run_options = {f.name for f in fields(RunConfig)}
+    given = [(key, value) for key, value in ctx.params.items()
+             if key in run_options and ctx.get_parameter_source(key) is ParameterSource.COMMANDLINE]
+    for key, value in [*_load_config_file(config_path).items(), *given]:
+        if key not in bound:
+            raise click.UsageError(f"{key!r} is not an option of this run")
         setattr(cfg, key, value)
-    for key, value in flags.items():
-        if ctx.get_parameter_source(key) is ParameterSource.COMMANDLINE:
-            setattr(cfg, key, value)
-    cfg.check(k_sweep)
+    cfg.check(bound)
     cfg = cfg.resolved()
-    return cfg, {name: getattr(cfg, name) for name in flags}
+    return cfg, {name: getattr(cfg, name) for name in bound}
 
 
 def _parse_coef(ctx, param, values) -> list:
@@ -294,7 +296,7 @@ def main():
 @click.pass_context
 def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     """Sweep the completeness indicator over k and report dips."""
-    cfg, run_config = _run_config(ctx, config_path, k_sweep=True, **flags)
+    cfg, run_config = _run_config(ctx, config_path, flags)
     _check_writable(out_csv)
     _check_writable(out_json)
     if Path(out_csv).resolve() == Path(out_json).resolve():
@@ -343,11 +345,9 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
 @click.pass_context
 def cmd_eigs(ctx, method, out_json, config_path, **flags):
     """List Dirichlet eigenvalue candidates from an oracle."""
-    cfg, run_config = _run_config(ctx, config_path, k_sweep=method == "single-layer", **flags)
+    cfg, run_config = _run_config(ctx, config_path, ("radius", "k_max") if method == "analytic" else flags)
     _check_writable(out_json)
     if method == "analytic":
-        if cfg.surface != "ball":
-            raise click.UsageError("analytic spectrum exists only for the ball")
         try:
             records = ball_dirichlet_eigs(cfg.radius, cfg.k_max)
         except ValueError as exc:
@@ -381,7 +381,7 @@ def cmd_eigs(ctx, method, out_json, config_path, **flags):
 
 @main.command("verify")
 @click.option("--seed", type=int, default=7, show_default=True,
-              help="Seeds the necessity checks' directions and the orthogonality checks' densities.")
+              help="Seeds the orthogonality checks' random densities; no other check draws.")
 @click.option("--inject-off-spectrum", is_flag=True, default=False,
               help="Add negative controls that must fail by design.")
 @click.option("--out", "out_path", type=str, default=None, help="Also write the JSON lines here.")
@@ -426,7 +426,7 @@ def cmd_verify(seed, inject_off_spectrum, out_path):
 def cmd_fit(ctx, target, out_json, config_path, **flags):
     """Fit one spherical-harmonic trace against the plane-wave trace span."""
     # --k is the working wavenumber, so the resolution rules key off it as k_max
-    cfg, run_config = _run_config(ctx, config_path, k_sweep=False, **flags)
+    cfg, run_config = _run_config(ctx, config_path, flags)
     _check_writable(out_json)
     grid = _build_surface(cfg)
     dirs = _build_dirs(cfg)

@@ -18,9 +18,11 @@
   residual being the worst case over all of them.
 
 Each check emits a reproducible VerificationReport (inputs embedded, and
-the seed where one drives a sample: the necessity check's directions and
-the orthogonality check's densities). Off-spectrum variants act as
-negative controls and must fail by a wide margin.
+the seed of the one sample drawn, the orthogonality check's densities).
+The necessity and orthogonality checks pair with the real trace columns
+of the one plane-wave assembler, herglotz._trace_columns, over the
+suite's direction grid; the same checks at k x 1.01, off the spectrum,
+are the negative controls and must fail by a wide margin.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .spectra import _sphere_radius, ball_dirichlet_eigs, eigenfunction_normal_d
 from .surface import (
     DirectionGrid,
     SurfaceGrid,
-    _random_unit_vectors,
     _spherical_coords,
     make_direction_grid,
     make_sphere,
@@ -55,10 +56,8 @@ __all__ = [
 
 EPS_GUARD = 1e-300  # additive floor so normalized residuals never divide by zero
 
-# The suite's sample sizes: random plane-wave directions of the necessity
-# check, random Herglotz densities of the orthogonality check, and radial
-# Gauss-Legendre nodes of the Green reduction.
-_N_DIRECTIONS = 100
+# The suite's sample sizes: random Herglotz densities of the orthogonality
+# check, and radial Gauss-Legendre nodes of the Green reduction.
 _N_RANDOM_DENSITIES = 20
 _N_RADIAL = 64
 
@@ -92,26 +91,29 @@ def check_necessity(
     idx: HarmonicIndex,
     n: int,
     grid: SurfaceGrid,
-    seed: int = 7,
+    dirs: DirectionGrid,
     k_factor: float = 1.0,
 ) -> VerificationReport:
     """Annihilation of all plane-wave traces by f = u_N at an eigenvalue.
 
-    residual = max_beta |integral_S u_N e^{ik beta . s} ds| / (||u_N|| R)
-    over _N_DIRECTIONS seeded random directions beta. They form no grid and
-    have no antipodes, so they pair with complex plane waves, not real columns.
-    k_factor != 1 shifts the trace wavenumber off the spectrum and serves
-    as a negative control (the residual must then be large).
+    residual = ||v^T A|| / (sqrt(4 pi) ||v|| R) for v = u_N sqrt(sigma) and
+    A the real trace columns: the RMS over S^2 of |integral_S u_N
+    e^{ik beta . s} ds| relative to ||u_N|| R, by the direction grid's
+    quadrature over every direction and its antipode; on a sphere it is
+    sqrt(4 pi) |j_l(kR)| (Funk-Hecke). k_factor != 1 shifts the trace
+    wavenumber off the spectrum and serves as a negative control (the
+    residual must then be large).
     """
     R = _sphere_radius(grid)
-    u_n = eigenfunction_normal_derivative(idx, n, grid)
-    norm = float(np.sqrt(np.sum(grid.weights * np.abs(u_n) ** 2)))
+    v = eigenfunction_normal_derivative(idx, n, grid) * np.sqrt(grid.weights)
+    norm = float(np.linalg.norm(v))
     if not norm > 0:
         raise InconclusiveCheckError("u_N vanished identically; construction broken")
     k = bessel_zero(idx.l, n) / R * k_factor
-    betas = _random_unit_vectors(np.random.default_rng(seed), _N_DIRECTIONS)
-    pairings = (grid.weights * u_n) @ np.exp(1j * k * (grid.nodes @ betas.T))
-    residual = float(np.max(np.abs(pairings)) / (norm * R))
+    A = _trace_columns(k, grid, dirs)
+    # two real products: v @ A would copy A to complex
+    pairings = v.real @ A + 1j * (v.imag @ A)
+    residual = float(np.linalg.norm(pairings) / (np.sqrt(4 * np.pi) * norm * R))
     return VerificationReport(
         check="necessity",
         inputs={
@@ -121,9 +123,8 @@ def check_necessity(
             "R": R,
             "k": k,
             "k_factor": k_factor,
-            "n_directions": _N_DIRECTIONS,
-            "seed": seed,
             "surface": grid.descriptor,
+            "directions": dirs.descriptor,
             "u_N_norm": norm,
         },
         residual=residual,
@@ -138,35 +139,26 @@ def check_lemma1_orthogonality(
     grid: SurfaceGrid,
     dirs: DirectionGrid,
     seed: int = 7,
-    k_override: float | None = None,
-    reference_override: np.ndarray | None = None,
+    k_factor: float = 1.0,
 ) -> VerificationReport:
     """Herglotz traces are orthogonal to v_N at an eigenvalue.
 
     residual = max over _N_RANDOM_DENSITIES seeded random densities h of
     |<w|_S, v>| / (||w|| ||v|| + guard), in L^2(S). Each h holds complex
     coefficients of the real trace columns A, so sqrt(sigma) w|_S = A h.
-    Passing k_override (off-spectrum) together with reference_override
-    (e.g. a Y_00 trace) builds the negative control where orthogonality
-    must fail. The grid must be a sphere's.
+    k_factor != 1 shifts the trace wavenumber off the spectrum and serves
+    as the negative control, where orthogonality must fail. The grid must
+    be a sphere's.
     """
     R = _sphere_radius(grid)
-    if reference_override is not None:
-        v = np.asarray(reference_override, dtype=complex)
-    else:
-        v = eigenfunction_normal_derivative(idx, n, grid)
-    k = k_override if k_override is not None else bessel_zero(idx.l, n) / R
+    v = eigenfunction_normal_derivative(idx, n, grid) * np.sqrt(grid.weights)
+    k = bessel_zero(idx.l, n) / R * k_factor
     A = _trace_columns(k, grid, dirs)
-    v = v * np.sqrt(grid.weights)
-    v_norm = np.linalg.norm(v)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(_N_RANDOM_DENSITIES):
-        h = rng.standard_normal(A.shape[1]) + 1j * rng.standard_normal(A.shape[1])
-        # two real products: A @ h would copy A to complex for every density
-        w_trace = A @ h.real + 1j * (A @ h.imag)
-        rel = abs(np.vdot(v, w_trace)) / (np.linalg.norm(w_trace) * v_norm + EPS_GUARD)
-        worst = max(worst, float(rel))
+    # each density's real part, then its imaginary part, as the draws come
+    h = np.random.default_rng(seed).standard_normal((_N_RANDOM_DENSITIES, 2, A.shape[1]))
+    # two real products: A @ h would copy A to complex
+    w_traces = A @ h[:, 0].T + 1j * (A @ h[:, 1].T)
+    rel = np.abs(v.conj() @ w_traces) / (np.linalg.norm(w_traces, axis=0) * np.linalg.norm(v) + EPS_GUARD)
     return VerificationReport(
         check="lemma1-orthogonality",
         inputs={
@@ -175,15 +167,15 @@ def check_lemma1_orthogonality(
             "n": n,
             "R": R,
             "k": float(k),
+            "k_factor": k_factor,
             "n_random_densities": _N_RANDOM_DENSITIES,
             "seed": seed,
             "surface": grid.descriptor,
             "directions": dirs.descriptor,
-            "reference": "override" if reference_override is not None else "eigen-normal-derivative",
         },
-        residual=worst,
+        residual=float(rel.max()),
         tolerance=1e-7,
-        expected_failure=(k_override is not None or reference_override is not None),
+        expected_failure=(k_factor != 1.0),
     )
 
 
@@ -280,11 +272,12 @@ def run_default_suite(
 ) -> list[VerificationReport]:
     """The full ball verification suite with the default desk-scale grids.
 
-    The checks are independent, and those that sample draw from their own
-    generator seeded by seed, so they run concurrently on the sweep layer's
-    pool, one worker per CPU and one BLAS thread each, and the reports come
-    back in the order the checks are listed here: no report depends on the
-    pool size or on OPENBLAS_NUM_THREADS.
+    The checks are independent, and the orthogonality checks, the only
+    ones that sample, each draw from their own generator seeded by seed, so
+    they run concurrently on the sweep layer's pool, one worker per CPU and
+    one BLAS thread each, and the reports come back in the order the checks
+    are listed here: no report depends on the pool size or on
+    OPENBLAS_NUM_THREADS.
     """
     # each check is a zero-argument lambda; its defaults bind the loop's values
     checks = []
@@ -293,23 +286,16 @@ def run_default_suite(
     for grid in spheres.values():
         for l in range(4):
             for n in (1, 2):
-                checks.append(lambda i=HarmonicIndex(l, 0), n=n, g=grid: check_necessity(i, n, g, seed=seed))
+                checks.append(lambda i=HarmonicIndex(l, 0), n=n, g=grid: check_necessity(i, n, g, dirs))
         if inject_off_spectrum:
-            checks.append(lambda g=grid: check_necessity(HarmonicIndex(0, 0), 1, g, seed=seed, k_factor=1.01))
+            checks.append(lambda g=grid: check_necessity(HarmonicIndex(0, 0), 1, g, dirs, k_factor=1.01))
     grid1 = spheres[1.0]
     for l in range(3):
         for n in (1, 2):
             idx = HarmonicIndex(l, min(l, 1))
             checks.append(lambda i=idx, n=n: check_lemma1_orthogonality(i, n, grid1, dirs, seed=seed))
     if inject_off_spectrum:
-        _, theta, phi = _spherical_coords(grid1.nodes)
-        y00 = sph_harm(HarmonicIndex(0, 0), theta, phi)
-        checks.append(
-            lambda: check_lemma1_orthogonality(
-                HarmonicIndex(0, 0), 1, grid1, dirs, seed=seed,
-                k_override=1.0, reference_override=y00,
-            )
-        )
+        checks.append(lambda: check_lemma1_orthogonality(HarmonicIndex(0, 0), 1, grid1, dirs, seed=seed, k_factor=1.01))
     for l in range(4):
         for n in (1, 2):
             checks.append(lambda i=HarmonicIndex(l, 0), n=n: check_green_reduction(i, n, 1.0))

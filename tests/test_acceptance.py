@@ -115,18 +115,19 @@ class TestCriterion1TheoremDichotomy:
 class TestCriterion2Necessity:
     def test_all_modes_all_radii(self):
         worst = 0.0
+        dirs = make_direction_grid(12, 24)
         for R in (0.7, 1.0, 2.0):
             grid = make_sphere(R, 40, 80)
             for l in range(4):
                 for n in (1, 2):
-                    rep = check_necessity(HarmonicIndex(l, 0), n, grid)
+                    rep = check_necessity(HarmonicIndex(l, 0), n, grid, dirs)
                     worst = max(worst, rep.residual)
                     assert rep.passed, f"necessity failed at l={l}, n={n}, R={R}"
         assert report(2, worst <= 1e-8, f"worst normalized residual {worst:.2e} <= 1e-8")
 
     def test_off_spectrum_negative_control(self):
         grid = make_sphere(1.0, 40, 80)
-        rep = check_necessity(HarmonicIndex(0, 0), 1, grid, k_factor=1.01)
+        rep = check_necessity(HarmonicIndex(0, 0), 1, grid, make_direction_grid(12, 24), k_factor=1.01)
         assert report(2, rep.residual >= 1e-3, f"control residual {rep.residual:.2e} >= 1e-3")
 
 

@@ -96,14 +96,16 @@ RUN_CONFIG_FIELDS = {
     "k_min", "k_max", "samples", "seed", "interior_count", "refine_tol", "band_limit",
 }
 
-# The RunConfig fields each command's options bind (fit's --k binds k_max):
-# the keys its config file may set and its artifact's run_config holds
+# The RunConfig fields each command's options bind, for eigs each method's
+# (fit's --k binds k_max): the keys its config file may set, the run options
+# its command line may give, and its artifact's run_config holds
 COMMAND_FIELDS = {
     "sweep": {
         "surface", "radius", "coefficients", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi",
         "k_min", "k_max", "samples", "seed", "interior_count", "refine_tol",
     },
-    "eigs": {
+    "eigs-analytic": {"radius", "k_max"},
+    "eigs-single-layer": {
         "surface", "radius", "coefficients", "n_theta", "n_phi", "k_min", "k_max", "samples",
         "refine_tol", "band_limit",
     },
@@ -154,12 +156,12 @@ def test_interior_count_defaults_from_the_direction_grid():
 
 def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
     # at k_max 6.5 the k R theta defaults are 23 and 12, capped at 4x
-    RunConfig(n_theta=92, dirs_n_theta=48).check(k_sweep=True)
+    RunConfig(n_theta=92, dirs_n_theta=48).check(RUN_CONFIG_FIELDS)
     cfg = RunConfig(n_theta=92, dirs_n_theta=48).resolved()
-    cfg.check(k_sweep=True)
+    cfg.check(RUN_CONFIG_FIELDS)
     for name, value in [("n_theta", 93), ("n_phi", 185), ("dirs_n_theta", 49), ("dirs_n_phi", 97)]:
         with pytest.raises(click.UsageError, match=name):
-            RunConfig(**{name: value}).check(k_sweep=True)
+            RunConfig(**{name: value}).check(RUN_CONFIG_FIELDS)
 
 
 @pytest.mark.parametrize(
@@ -178,12 +180,12 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         (["verify", "--seed", "-1"], None),
         (["sweep", *FAST_SWEEP, "--depth-ratio", "1"], None),
         (["sweep", *FAST_SWEEP, "--threads", "0"], None),
-        (["eigs"], {"samples": "40"}),
+        (["eigs", "--method", "single-layer"], {"samples": "40"}),
         (["eigs"], {"threads": "2"}),
-        (["eigs"], {"band_limit": True}),
+        (["eigs", "--method", "single-layer"], {"band_limit": True}),
         (["eigs"], {"gap_ratio": 0}),
         (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [5]}),
-        (["sweep", "--surface", "star"], {"n_theta": 100000000}),
+        (["sweep", "--surface", "star", "--coef", "2,0,0.1"], {"n_theta": 100000000}),
         (["sweep", *FAST_SWEEP, "--dirs-nphi", "100000"], None),
         (["eigs", "--kmax", "64"], None),
         (["eigs", "--radius", "2", "--kmax", "32"], None),
@@ -207,16 +209,23 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [[2, 0.9, 0.1]]}),
         (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [["2", 0, 0.1]]}),
         (["sweep", *FAST_SWEEP, "--surface", "star"], {"coefficients": [[2, 0, True]]}),
-        (["eigs", "--coef", "2,0,0.1", "--kmax", "4"], None),
+        (["eigs", "--method", "single-layer", "--coef", "2,0,0.1", "--kmax", "4"], None),
         (["sweep", *FAST_SWEEP, "--coef", "2,0,0.1"], None),
         (["sweep", *FAST_SWEEP], {"coefficients": [[2, 0, 0.1]]}),
         (["sweep", *FAST_SWEEP], {"band_limit": 3}),
         (["sweep", *FAST_SWEEP], {"ridge": 5.0}),
-        (["eigs"], {"seed": 1}),
-        (["eigs"], {"interior_count": 100}),
+        (["eigs", "--method", "single-layer"], {"seed": 1}),
+        (["eigs", "--method", "single-layer"], {"interior_count": 100}),
         (["fit", "--target", "0,0", "--k", "1.0"], {"samples": 10}),
         (["fit", "--target", "0,0", "--k", "1.0"], {"surface": "ball"}),
         (["sweep", *FAST_SWEEP, "--surface", "star", "--coef", "1,2,0.1"], None),
+        (["sweep", *FAST_SWEEP, "--surface", "star"], None),
+        (["sweep", *FAST_SWEEP], {"surface": "star"}),
+        (["eigs", "--method", "single-layer", "--surface", "star"], None),
+        (["eigs", "--kmax", "4", "--samples", "10"], None),
+        (["eigs", "--surface", "ball", "--kmax", "4"], None),
+        (["eigs", "--kmax", "4"], {"band_limit": 3, "samples": 10}),
+        (["eigs", "--kmax", "4"], {"surface": "ball"}),
     ],
     ids=[
         "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
@@ -234,6 +243,9 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         "eigs-coef-on-ball", "sweep-coef-on-ball", "config-coefficients-on-ball",
         "config-sweep-band-limit", "config-sweep-ridge", "config-eigs-seed", "config-eigs-interior-count",
         "config-fit-samples", "config-fit-surface-ball", "sweep-coef-m-above-l",
+        "sweep-star-without-coef", "config-star-without-coef", "eigs-star-without-coef",
+        "eigs-analytic-samples-flag", "eigs-analytic-surface-flag", "config-eigs-analytic-band-limit",
+        "config-eigs-analytic-surface",
     ],
 )
 def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
@@ -416,7 +428,7 @@ class TestEigsCommand:
         json_path = tmp_path / "eigs.json"
         result = runner.invoke(
             main,
-            ["eigs", "--surface", "ball", "--radius", "1", "--kmax", "6.5",
+            ["eigs", "--radius", "1", "--kmax", "6.5",
              "--out-json", str(json_path)],
         )
         assert result.exit_code == 0, result.output
@@ -428,7 +440,7 @@ class TestEigsCommand:
     def test_empty_list_below_first_eigenvalue(self, runner, tmp_path):
         json_path = tmp_path / "eigs.json"
         result = runner.invoke(
-            main, ["eigs", "--surface", "ball", "--kmax", "3", "--out-json", str(json_path)]
+            main, ["eigs", "--kmax", "3", "--out-json", str(json_path)]
         )
         assert result.exit_code == 0, result.output
         assert json.loads(json_path.read_text())["records"] == []
@@ -489,8 +501,10 @@ class TestEigsCommand:
         assert seen == [RunConfig.samples] == [350]
 
     def test_analytic_star_is_usage_error(self, runner):
+        # --surface and --coef are not options of the analytic method
         result = runner.invoke(main, ["eigs", "--surface", "star", "--coef", "2,0,0.1"])
         assert result.exit_code == 2
+        assert "'surface' is not an option of this run" in result.output
 
 
 @pytest.mark.skipif(
@@ -500,7 +514,7 @@ class TestEigsCommand:
 @pytest.mark.parametrize(
     "args, out_flag",
     [
-        (["eigs", "--surface", "ball", "--kmax", "6.5"], "--out-json"),
+        (["eigs", "--kmax", "6.5"], "--out-json"),
         (STAR_SINGLE_LAYER, "--out-json"),
         (["fit", "--target", "0,0", "--k", "3.14159265358979"], "--out-json"),
         (["verify", "--inject-off-spectrum", "--seed", "0"], "--out"),
@@ -530,7 +544,7 @@ def test_every_subcommand_artifact_independent_of_blas_threads(tmp_path, args, o
     [
         (CRITERION8_SWEEP, ["--out-csv", "--out-json"]),
         (STAR_SINGLE_LAYER, ["--out-json"]),
-        (["eigs", "--surface", "ball", "--kmax", "6.5"], ["--out-json"]),
+        (["eigs", "--kmax", "6.5"], ["--out-json"]),
     ],
     ids=["sweep", "eigs-single-layer", "eigs-analytic"],
 )
@@ -638,7 +652,7 @@ class TestArtifactSchemas:
 
     @pytest.mark.parametrize(
         "args, index_type",
-        [(["eigs", "--surface", "ball", "--kmax", "6.5"], int), (STAR_SINGLE_LAYER, type(None))],
+        [(["eigs", "--kmax", "6.5"], int), (STAR_SINGLE_LAYER, type(None))],
         ids=["analytic", "single-layer"],
     )
     def test_eigs(self, runner, tmp_path, args, index_type):
@@ -647,7 +661,7 @@ class TestArtifactSchemas:
         assert result.exit_code == 0, result.output
         payload = json.loads(json_path.read_text())
         assert _types(payload) == {"run_config": dict, "method": str, "records": list}
-        assert set(payload["run_config"]) == COMMAND_FIELDS["eigs"]
+        assert set(payload["run_config"]) == COMMAND_FIELDS[f"eigs-{payload['method']}"]
         assert payload["records"]
         for record in payload["records"]:
             assert _types(record) == {

@@ -101,6 +101,18 @@ def test_one_home_for_the_pool_size():
     assert not sized
 
 
+def test_one_home_for_the_plane_wave_directions():
+    # the plane waves are formed by herglotz's one assembler alone: no other
+    # module reads a direction grid's directions or draws random directions
+    for path in Path(wavetrace.__file__).parent.glob("*.py"):
+        if path.stem not in ("surface", "herglotz"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+            assert not names & {"directions", "_random_unit_vectors"}, path.name
+
+
 def test_every_defaulted_parameter_is_passed_inside_the_package():
     # a parameter that only the tests set keeps a branch that only the tests
     # reach: each defaulted parameter of an exported function is passed, by

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import wavetrace.sweep
-from oracles import complex_decomposition_residual, harmonic_on, herglotz_wave, radial_bessel_moment
+from oracles import (
+    bessel_j_series,
+    complex_decomposition_residual,
+    harmonic_on,
+    herglotz_wave,
+    radial_bessel_moment,
+)
 from wavetrace import (
     HarmonicIndex,
     bessel_zero,
@@ -10,37 +16,51 @@ from wavetrace import (
     check_green_reduction,
     check_lemma1_orthogonality,
     check_necessity,
+    eigenfunction_normal_derivative,
     fit_trace,
     make_direction_grid,
     make_sphere,
     run_default_suite,
     sph_harm,
 )
+from wavetrace.herglotz import _trace_columns
 from wavetrace.sweep import _one_blas_thread
 
 
 class TestNecessity:
-    def test_ground_mode_tight_residual(self, sphere_40_80):
-        rep = check_necessity(HarmonicIndex(0, 0), 1, sphere_40_80)
+    def test_ground_mode_tight_residual(self, sphere_40_80, dirs_12_24):
+        rep = check_necessity(HarmonicIndex(0, 0), 1, sphere_40_80, dirs_12_24)
         assert rep.passed
         assert rep.residual <= 1e-10
 
-    def test_l2_mode(self, sphere_40_80):
-        rep = check_necessity(HarmonicIndex(2, 1), 1, sphere_40_80)
+    def test_l2_mode(self, sphere_40_80, dirs_12_24):
+        rep = check_necessity(HarmonicIndex(2, 1), 1, sphere_40_80, dirs_12_24)
         assert rep.passed
         assert rep.residual <= 1e-8
 
-    def test_off_spectrum_control_discriminates(self, sphere_40_80):
-        rep = check_necessity(HarmonicIndex(0, 0), 1, sphere_40_80, k_factor=1.01)
+    def test_off_spectrum_control_discriminates(self, sphere_40_80, dirs_12_24):
+        rep = check_necessity(HarmonicIndex(0, 0), 1, sphere_40_80, dirs_12_24, k_factor=1.01)
         assert rep.expected_failure
         assert not rep.passed
         assert rep.residual >= 1e-3
 
-    def test_reproducible_from_seed(self, sphere_40_80):
-        a = check_necessity(HarmonicIndex(1, 0), 1, sphere_40_80, seed=123)
-        b = check_necessity(HarmonicIndex(1, 0), 1, sphere_40_80, seed=123)
-        assert a.residual == b.residual
-        assert a.inputs == b.inputs
+    @pytest.mark.parametrize("k_factor", [1.01, 0.97])
+    @pytest.mark.parametrize("R", [0.7, 1.0])
+    @pytest.mark.parametrize("l,m", [(0, 0), (1, 1), (2, -1)])
+    def test_off_spectrum_residual_is_funk_hecke(self, dirs_12_24, l, m, R, k_factor):
+        # the pairing with u_N ~ Y_lm is 4 pi R^2 i^l j_l(kR) Y_lm(beta) times
+        # u_N's amplitude, so its RMS over the direction sphere, relative to
+        # ||u_N|| R, is sqrt(4 pi) |j_l(k_factor z_l1)| for every m; the
+        # maximum over some directions would be another number for l >= 1
+        rep = check_necessity(HarmonicIndex(l, m), 1, make_sphere(R, 40, 80), dirs_12_24, k_factor=k_factor)
+        reference = np.sqrt(4 * np.pi) * abs(bessel_j_series(l, rep.inputs["k"] * R))
+        assert rep.residual == pytest.approx(reference, rel=1e-12)
+
+    def test_reproducible_from_seed(self, sphere_40_80, dirs_12_24):
+        # the check draws nothing: two runs give the same report, whole
+        a = check_necessity(HarmonicIndex(1, 0), 1, sphere_40_80, dirs_12_24)
+        b = check_necessity(HarmonicIndex(1, 0), 1, sphere_40_80, dirs_12_24)
+        assert a == b
 
 
 class TestLemma1Orthogonality:
@@ -52,8 +72,6 @@ class TestLemma1Orthogonality:
     def test_matched_harmonic_density_is_funk_hecke_zero(self, sphere_40_80, dirs_12_24):
         # h = Y_lm of the eigen index: the pairing is exactly the vanishing
         # sphere integral, evaluated through the Herglotz route
-        from wavetrace import eigenfunction_normal_derivative
-
         idx = HarmonicIndex(1, 0)
         k = bessel_zero(1, 1)
         theta = np.arccos(dirs_12_24.directions[:, 2])
@@ -67,13 +85,25 @@ class TestLemma1Orthogonality:
         assert abs(inner) <= 1e-10
 
     def test_off_spectrum_control(self, sphere_40_80, dirs_12_24):
-        rep = check_lemma1_orthogonality(
-            HarmonicIndex(0, 0), 1, sphere_40_80, dirs_12_24,
-            k_override=1.0, reference_override=harmonic_on(sphere_40_80, 0, 0),
-        )
+        rep = check_lemma1_orthogonality(HarmonicIndex(0, 0), 1, sphere_40_80, dirs_12_24, k_factor=1.01)
         assert rep.expected_failure
         assert not rep.passed
         assert rep.residual >= 1e-2
+
+    def test_batched_densities_match_the_per_density_loop(self, sphere_40_80, dirs_12_24):
+        # one density at a time, its real part then its imaginary part drawn
+        # from the one generator; off the spectrum, so that the residual is
+        # no rounding (0.016) and any other draw order would move it
+        idx = HarmonicIndex(1, 1)
+        rep = check_lemma1_orthogonality(idx, 1, sphere_40_80, dirs_12_24, seed=3, k_factor=1.01)
+        A = _trace_columns(rep.inputs["k"], sphere_40_80, dirs_12_24)
+        v = eigenfunction_normal_derivative(idx, 1, sphere_40_80) * np.sqrt(sphere_40_80.weights)
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(rep.inputs["n_random_densities"]):
+            w = A @ (rng.standard_normal(A.shape[1]) + 1j * rng.standard_normal(A.shape[1]))
+            worst = max(worst, abs(np.vdot(v, w)) / (np.linalg.norm(w) * np.linalg.norm(v)))
+        assert rep.residual == pytest.approx(worst, rel=1e-12)
 
 
 class TestGreenReduction:
@@ -168,7 +198,7 @@ class TestDecomposition:
 
 class TestDefaultSuite:
     def test_reports_independent_of_the_pool_size(self, monkeypatch):
-        # the pool sizes itself from the CPU count; each check has its own generator
+        # the pool sizes itself from the CPU count; each sampling check has its own generator
         suites = []
         for cpus in (1, 2):
             monkeypatch.setattr(wavetrace.sweep.os, "cpu_count", lambda n=cpus: n)
@@ -178,6 +208,6 @@ class TestDefaultSuite:
 
 
 class TestReportShape:
-    def test_passed_iff_residual_within_tolerance(self, sphere_40_80):
-        rep = check_necessity(HarmonicIndex(0, 0), 1, sphere_40_80)
+    def test_passed_iff_residual_within_tolerance(self, sphere_40_80, dirs_12_24):
+        rep = check_necessity(HarmonicIndex(0, 0), 1, sphere_40_80, dirs_12_24)
         assert rep.passed == (rep.residual <= rep.tolerance)
