@@ -88,7 +88,6 @@ class RunConfig:
     samples: int = 350
     seed: int = 0
     interior_count: int | None = None
-    refine_tol: float = DEFAULT_REFINE_TOL
     band_limit: int = 8
 
     def check(self, bound):
@@ -150,7 +149,6 @@ _RANGES = {
     "samples": (lambda v: v >= 2, "at least 2"),
     "seed": (lambda v: v >= 0, "nonnegative"),
     "interior_count": (lambda v: v >= 1, "positive"),
-    "refine_tol": (lambda v: 0 < v < math.inf, "positive and finite"),
     "band_limit": (lambda v: v >= 0, "nonnegative"),
 }
 
@@ -282,14 +280,13 @@ def main():
               help="Star perturbation 'l,m,eps'; repeatable.")
 @click.option("--ntheta", "n_theta", type=int, help="Surface polar resolution.")
 @click.option("--nphi", "n_phi", type=int, help="Surface azimuthal resolution.")
-@click.option("--dirs-ntheta", "dirs_n_theta", type=int)
-@click.option("--dirs-nphi", "dirs_n_phi", type=int)
+@click.option("--dirs-ntheta", "dirs_n_theta", type=int, help="Direction grid polar resolution.")
+@click.option("--dirs-nphi", "dirs_n_phi", type=int, help="Direction grid azimuthal resolution; even.")
 @click.option("--kmin", "k_min", type=float, default=RunConfig.k_min, show_default=True)
 @click.option("--kmax", "k_max", type=float, default=RunConfig.k_max, show_default=True)
 @click.option("--samples", type=int, default=RunConfig.samples, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
 @click.option("--interior-count", type=int)
-@click.option("--refine-tol", type=float, default=RunConfig.refine_tol, show_default=True)
 @click.option("--out-csv", type=str, default="sweep.csv", show_default=True)
 @click.option("--out-json", type=str, default="sweep.json", show_default=True)
 @click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
@@ -305,7 +302,7 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     dirs = _build_dirs(cfg)
     interior = seed_interior_points(grid, cfg.interior_count, cfg.seed)
     ks = np.linspace(cfg.k_min, cfg.k_max, cfg.samples)
-    values, refined = find_dips(make_trace_spectrum(grid, dirs, interior), ks, cfg.refine_tol)
+    values, refined = find_dips(make_trace_spectrum(grid, dirs, interior), ks)
     _write_text(out_csv, "k,indicator\n" + "".join(f"{k:.17g},{v:.17g}\n" for k, v in zip(ks, values)))
     payload = {
         "config": {
@@ -314,6 +311,7 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
             "directions": dirs.descriptor,
             "qr_rtol": float(DEFAULT_QR_RTOL),
             "depth_ratio": float(DEFAULT_DEPTH_RATIO),
+            "refine_tol": float(DEFAULT_REFINE_TOL),
             "run_config": run_config,
         },
         "k_samples": ks.tolist(),
@@ -330,18 +328,18 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
 @main.command("eigs")
 @click.option("--surface", type=click.Choice(["ball", "star"]), default=RunConfig.surface, show_default=True)
 @click.option("--radius", type=float, default=RunConfig.radius, show_default=True)
-@click.option("--coef", "coefficients", multiple=True, callback=_parse_coef)
+@click.option("--coef", "coefficients", multiple=True, callback=_parse_coef,
+              help="Star perturbation 'l,m,eps'; repeatable.")
 @click.option("--method", type=click.Choice(["analytic", "single-layer"]), default="analytic",
               show_default=True)
-@click.option("--ntheta", "n_theta", type=int)
-@click.option("--nphi", "n_phi", type=int)
+@click.option("--ntheta", "n_theta", type=int, help="Surface polar resolution.")
+@click.option("--nphi", "n_phi", type=int, help="Surface azimuthal resolution.")
 @click.option("--kmin", "k_min", type=float, default=RunConfig.k_min, show_default=True)
 @click.option("--kmax", "k_max", type=float, default=RunConfig.k_max, show_default=True)
 @click.option("--samples", type=int, default=RunConfig.samples, show_default=True)
-@click.option("--refine-tol", type=float, default=RunConfig.refine_tol, show_default=True)
 @click.option("--band-limit", type=int, default=RunConfig.band_limit, show_default=True)
 @click.option("--out-json", type=str, default="eigs.json", show_default=True)
-@click.option("--config", "config_path", type=str, default=None)
+@click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
 @click.pass_context
 def cmd_eigs(ctx, method, out_json, config_path, **flags):
     """List Dirichlet eigenvalue candidates from an oracle."""
@@ -361,7 +359,6 @@ def cmd_eigs(ctx, method, out_json, config_path, **flags):
         _, dips = find_dips(
             make_single_layer_spectrum(grid, cfg.band_limit, cfg.k_min, cfg.k_max),
             np.linspace(cfg.k_min, cfg.k_max, cfg.samples),
-            cfg.refine_tol,
         )
         records = [
             EigenvalueRecord(k=dip.k, multiplicity=dip.multiplicity, source="single-layer")
@@ -416,12 +413,12 @@ def cmd_verify(seed, inject_off_spectrum, out_path):
 @click.option("--target", required=True, callback=_parse_target, help="Spherical-harmonic target 'l,m'.")
 @click.option("--k", "k_max", type=float, required=True)
 @click.option("--radius", type=float, default=RunConfig.radius, show_default=True)
-@click.option("--ntheta", "n_theta", type=int)
-@click.option("--nphi", "n_phi", type=int)
-@click.option("--dirs-ntheta", "dirs_n_theta", type=int)
-@click.option("--dirs-nphi", "dirs_n_phi", type=int)
+@click.option("--ntheta", "n_theta", type=int, help="Surface polar resolution.")
+@click.option("--nphi", "n_phi", type=int, help="Surface azimuthal resolution.")
+@click.option("--dirs-ntheta", "dirs_n_theta", type=int, help="Direction grid polar resolution.")
+@click.option("--dirs-nphi", "dirs_n_phi", type=int, help="Direction grid azimuthal resolution; even.")
 @click.option("--out-json", type=str, default="fit.json", show_default=True)
-@click.option("--config", "config_path", type=str, default=None)
+@click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
 @click.pass_context
 def cmd_fit(ctx, target, out_json, config_path, **flags):
     """Fit one spherical-harmonic trace against the plane-wave trace span."""

@@ -5,9 +5,10 @@ singular values of a k-dependent matrix, descending as the SVD returns
 them, whose last entry is the indicator (make_trace_spectrum in herglotz,
 make_single_layer_spectrum in spectra). find_dips takes any such spectrum
 through one path: sample it over k, flag dips scale-free against the
-median of the last entries, refine each by a safeguarded parabolic search
-on the squared indicator seeded with the sampled minimum and its two neighbours,
-whose spectra the sweep kept, and classify it by the largest gap among the
+median of the last entries, refine each to a certified bracket
+DEFAULT_REFINE_TOL wide by a safeguarded parabolic search on the squared
+indicator seeded with the sampled minimum and its two neighbours, whose
+spectra the sweep kept, and classify it by the largest gap among the
 collapsed values of the spectrum the search evaluated at k*. No k is
 evaluated twice. This layer knows no oracle and no geometry.
 
@@ -168,7 +169,7 @@ def detect_dips(values) -> list[int]:
     return dips
 
 
-def refine_dip(spectrum, bracket, tol: float = DEFAULT_REFINE_TOL):
+def refine_dip(spectrum, bracket, tol: float):
     """Refine one dip from three seeds a < k < b: (k*, spectrum(k*)) with k*
     minimizing the indicator, the spectrum's last entry, inside (a, b).
 
@@ -245,16 +246,17 @@ def estimate_multiplicity(singular_values) -> int:
     return 1 + int(np.argmax(gaps)) if len(gaps) else 1
 
 
-def find_dips(spectrum, ks, refine_tol: float = DEFAULT_REFINE_TOL):
+def find_dips(spectrum, ks):
     """Sweep, detect, refine and classify: returns (sampled values, dips).
 
     The sweep keeps every sample's spectrum, and each dip is refined from
     its sampled minimum and the two samples beside it, whose spectra are
-    looked up, not evaluated again; a sampled minimum at an end of the
-    range has no neighbour beyond it and raises BracketError. The dips are
-    refined and classified concurrently on a pool like the sweep's; each
-    keeps its own search sequence, so the results do not depend on the
-    pool size. Each is classified from the spectrum its
+    looked up, not evaluated again, to a certified bracket DEFAULT_REFINE_TOL
+    wide: a constant, like the depth and gap rules. A sampled minimum at an
+    end of the range has no neighbour beyond it and raises BracketError.
+    The dips are refined and classified concurrently on a pool like the
+    sweep's; each keeps its own search sequence, so the results do not
+    depend on the pool size. Each is classified from the spectrum its
     refinement evaluated at k*.
     """
     ks = np.asarray(ks, dtype=float)
@@ -268,7 +270,7 @@ def find_dips(spectrum, ks, refine_tol: float = DEFAULT_REFINE_TOL):
     def refine_and_classify(j: int) -> Dip:
         if j in (0, len(ks) - 1):
             raise BracketError(f"the sampled minimum k={float(ks[j])} is an end of the sweep range")
-        k_star, s = refine_dip(known, ks[j - 1 : j + 2], refine_tol)
+        k_star, s = refine_dip(known, ks[j - 1 : j + 2], DEFAULT_REFINE_TOL)
         return Dip(k=k_star, indicator=float(s[-1]), multiplicity=estimate_multiplicity(s))
 
     values = sweep_k(known, ks)

@@ -54,8 +54,6 @@ __all__ = [
     "run_default_suite",
 ]
 
-EPS_GUARD = 1e-300  # additive floor so normalized residuals never divide by zero
-
 # The suite's sample sizes: random Herglotz densities of the orthogonality
 # check, and radial Gauss-Legendre nodes of the Green reduction.
 _N_RANDOM_DENSITIES = 20
@@ -87,6 +85,28 @@ class VerificationReport:
         object.__setattr__(self, "passed", bool(self.residual <= self.tolerance))
 
 
+def _eigen_pairing(idx: HarmonicIndex, n: int, grid: SurfaceGrid, dirs: DirectionGrid, k_factor: float):
+    """What the necessity and orthogonality checks pair: (report inputs,
+    v = u_N sqrt(sigma), the real trace columns A at k = z_{l,n}/R x k_factor).
+    A vanishing u_N leaves nothing to pair, so no check can conclude."""
+    R = _sphere_radius(grid)
+    v = eigenfunction_normal_derivative(idx, n, grid) * np.sqrt(grid.weights)
+    if not np.linalg.norm(v) > 0:
+        raise InconclusiveCheckError("u_N vanished identically; construction broken")
+    k = bessel_zero(idx.l, n) / R * k_factor
+    inputs = {
+        "l": idx.l,
+        "m": idx.m,
+        "n": n,
+        "R": R,
+        "k": k,
+        "k_factor": k_factor,
+        "surface": grid.descriptor,
+        "directions": dirs.descriptor,
+    }
+    return inputs, v, _trace_columns(k, grid, dirs)
+
+
 def check_necessity(
     idx: HarmonicIndex,
     n: int,
@@ -104,29 +124,14 @@ def check_necessity(
     wavenumber off the spectrum and serves as a negative control (the
     residual must then be large).
     """
-    R = _sphere_radius(grid)
-    v = eigenfunction_normal_derivative(idx, n, grid) * np.sqrt(grid.weights)
+    inputs, v, A = _eigen_pairing(idx, n, grid, dirs, k_factor)
     norm = float(np.linalg.norm(v))
-    if not norm > 0:
-        raise InconclusiveCheckError("u_N vanished identically; construction broken")
-    k = bessel_zero(idx.l, n) / R * k_factor
-    A = _trace_columns(k, grid, dirs)
     # two real products: v @ A would copy A to complex
     pairings = v.real @ A + 1j * (v.imag @ A)
-    residual = float(np.linalg.norm(pairings) / (np.sqrt(4 * np.pi) * norm * R))
+    residual = float(np.linalg.norm(pairings) / (np.sqrt(4 * np.pi) * norm * inputs["R"]))
     return VerificationReport(
         check="necessity",
-        inputs={
-            "l": idx.l,
-            "m": idx.m,
-            "n": n,
-            "R": R,
-            "k": k,
-            "k_factor": k_factor,
-            "surface": grid.descriptor,
-            "directions": dirs.descriptor,
-            "u_N_norm": norm,
-        },
+        inputs={**inputs, "u_N_norm": norm},
         residual=residual,
         tolerance=1e-8,
         expected_failure=(k_factor != 1.0),
@@ -144,35 +149,21 @@ def check_lemma1_orthogonality(
     """Herglotz traces are orthogonal to v_N at an eigenvalue.
 
     residual = max over _N_RANDOM_DENSITIES seeded random densities h of
-    |<w|_S, v>| / (||w|| ||v|| + guard), in L^2(S). Each h holds complex
+    |<w|_S, v>| / (||w|| ||v||), in L^2(S). Each h holds complex
     coefficients of the real trace columns A, so sqrt(sigma) w|_S = A h.
     k_factor != 1 shifts the trace wavenumber off the spectrum and serves
     as the negative control, where orthogonality must fail. The grid must
     be a sphere's.
     """
-    R = _sphere_radius(grid)
-    v = eigenfunction_normal_derivative(idx, n, grid) * np.sqrt(grid.weights)
-    k = bessel_zero(idx.l, n) / R * k_factor
-    A = _trace_columns(k, grid, dirs)
+    inputs, v, A = _eigen_pairing(idx, n, grid, dirs, k_factor)
     # each density's real part, then its imaginary part, as the draws come
     h = np.random.default_rng(seed).standard_normal((_N_RANDOM_DENSITIES, 2, A.shape[1]))
     # two real products: A @ h would copy A to complex
     w_traces = A @ h[:, 0].T + 1j * (A @ h[:, 1].T)
-    rel = np.abs(v.conj() @ w_traces) / (np.linalg.norm(w_traces, axis=0) * np.linalg.norm(v) + EPS_GUARD)
+    rel = np.abs(v.conj() @ w_traces) / (np.linalg.norm(w_traces, axis=0) * np.linalg.norm(v))
     return VerificationReport(
         check="lemma1-orthogonality",
-        inputs={
-            "l": idx.l,
-            "m": idx.m,
-            "n": n,
-            "R": R,
-            "k": float(k),
-            "k_factor": k_factor,
-            "n_random_densities": _N_RANDOM_DENSITIES,
-            "seed": seed,
-            "surface": grid.descriptor,
-            "directions": dirs.descriptor,
-        },
+        inputs={**inputs, "n_random_densities": _N_RANDOM_DENSITIES, "seed": seed},
         residual=float(rel.max()),
         tolerance=1e-7,
         expected_failure=(k_factor != 1.0),

@@ -60,7 +60,7 @@ def ball_sweep():
         return spectrum(k)
 
     ks = np.linspace(3.0, 6.5, 350)
-    _, dips = find_dips(counted, ks, refine_tol=1e-4)
+    _, dips = find_dips(counted, ks)
     refined = [(dip.k, dip.indicator, dip.multiplicity) for dip in dips]
     controls = [spectrum(k)[-1] for k in CONTROL_POINTS]
     elapsed = time.perf_counter() - t0

@@ -54,12 +54,12 @@ STAR_SINGLE_LAYER = [
 CLI_FLAGS = {
     "sweep": {
         "--surface", "--radius", "--coef", "--ntheta", "--nphi", "--dirs-ntheta", "--dirs-nphi",
-        "--kmin", "--kmax", "--samples", "--seed", "--interior-count", "--refine-tol",
+        "--kmin", "--kmax", "--samples", "--seed", "--interior-count",
         "--out-csv", "--out-json", "--config", "--help",
     },
     "eigs": {
         "--surface", "--radius", "--coef", "--method", "--ntheta", "--nphi", "--kmin", "--kmax",
-        "--samples", "--refine-tol", "--band-limit", "--out-json", "--config", "--help",
+        "--samples", "--band-limit", "--out-json", "--config", "--help",
     },
     "verify": {"--seed", "--inject-off-spectrum", "--out", "--help"},
     "fit": {
@@ -93,7 +93,7 @@ def test_benchmark_command_lines_parse(tmp_path):
 # so it must change this set too
 RUN_CONFIG_FIELDS = {
     "surface", "radius", "coefficients", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi",
-    "k_min", "k_max", "samples", "seed", "interior_count", "refine_tol", "band_limit",
+    "k_min", "k_max", "samples", "seed", "interior_count", "band_limit",
 }
 
 # The RunConfig fields each command's options bind, for eigs each method's
@@ -102,12 +102,12 @@ RUN_CONFIG_FIELDS = {
 COMMAND_FIELDS = {
     "sweep": {
         "surface", "radius", "coefficients", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi",
-        "k_min", "k_max", "samples", "seed", "interior_count", "refine_tol",
+        "k_min", "k_max", "samples", "seed", "interior_count",
     },
     "eigs-analytic": {"radius", "k_max"},
     "eigs-single-layer": {
         "surface", "radius", "coefficients", "n_theta", "n_phi", "k_min", "k_max", "samples",
-        "refine_tol", "band_limit",
+        "band_limit",
     },
     "fit": {"k_max", "radius", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi"},
 }
@@ -138,6 +138,33 @@ def test_help_shows_run_config_defaults(command):
             assert "[default:" not in help_text, param.name
         else:
             assert f"[default: {default}]" in help_text, param.name
+
+
+def test_a_flag_reads_the_same_in_every_help():
+    # a flag binding the same RunConfig field in several subcommands, and
+    # --config, has one help line; verify's --seed binds no field
+    bound = {
+        "sweep": COMMAND_FIELDS["sweep"],
+        "eigs": COMMAND_FIELDS["eigs-analytic"] | COMMAND_FIELDS["eigs-single-layer"],
+        "fit": COMMAND_FIELDS["fit"],
+        "verify": set(),
+    }
+    records = {}
+    for name, cmd in main.commands.items():
+        ctx = click.Context(cmd, info_name=name)
+        for param in cmd.params:
+            if param.name in bound[name] | {"config_path"}:
+                records.setdefault(param.opts[0], {})[name] = param.get_help_record(ctx)
+    shared = {flag: set(by_command.values()) for flag, by_command in records.items() if len(by_command) > 1}
+    assert set(shared) == {
+        "--surface", "--radius", "--coef", "--ntheta", "--nphi", "--dirs-ntheta", "--dirs-nphi",
+        "--kmin", "--kmax", "--samples", "--config",
+    }
+    assert all(len(lines) == 1 for lines in shared.values()), shared
+    # these say what they set, not only their default
+    for flag in ("--coef", "--ntheta", "--nphi", "--dirs-ntheta", "--dirs-nphi", "--config"):
+        [(_, help_text)] = shared[flag]
+        assert help_text, flag
 
 
 def test_phi_resolution_defaults_to_twice_the_theta_in_use():
@@ -226,6 +253,10 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         (["eigs", "--surface", "ball", "--kmax", "4"], None),
         (["eigs", "--kmax", "4"], {"band_limit": 3, "samples": 10}),
         (["eigs", "--kmax", "4"], {"surface": "ball"}),
+        (["sweep", *FAST_SWEEP, "--refine-tol", "1e-4"], None),
+        ([*STAR_SINGLE_LAYER, "--refine-tol", "1e-4"], None),
+        (["sweep", *FAST_SWEEP], {"refine_tol": 1e-4}),
+        (STAR_SINGLE_LAYER, {"refine_tol": 1e-4}),
     ],
     ids=[
         "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
@@ -245,7 +276,8 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         "config-fit-samples", "config-fit-surface-ball", "sweep-coef-m-above-l",
         "sweep-star-without-coef", "config-star-without-coef", "eigs-star-without-coef",
         "eigs-analytic-samples-flag", "eigs-analytic-surface-flag", "config-eigs-analytic-band-limit",
-        "config-eigs-analytic-surface",
+        "config-eigs-analytic-surface", "sweep-refine-tol-flag-removed", "eigs-refine-tol-flag-removed",
+        "config-sweep-refine-tol-key-removed", "config-eigs-refine-tol-key-removed",
     ],
 )
 def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
@@ -539,6 +571,112 @@ def test_every_subcommand_artifact_independent_of_blas_threads(tmp_path, args, o
     assert digests[0] == digests[1]
 
 
+# One child process per kernel runs every command of KERNEL_RUNS in its
+# working directory, after reporting the kernel each bundled OpenBLAS chose;
+# under a forced kernel that OpenBLAS did not take it runs nothing.
+_KERNEL_CHILD = """
+import ctypes, json, os, sys
+from pathlib import Path
+import numpy, scipy
+from wavetrace.cli import main
+
+kernels = set()
+for package in (numpy, scipy):
+    for path in sorted((Path(package.__file__).parent.parent / f"{package.__name__}.libs").glob("libscipy_openblas*.so")):
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):
+            corename = getattr(lib, f"scipy_openblas_get_corename{suffix}", None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                kernels.add(corename().decode().lower())
+                break
+print(json.dumps(sorted(kernels)))
+forced = os.environ.get("OPENBLAS_CORETYPE", "").lower()
+if kernels and (not forced or kernels == {forced}):
+    for argv in json.loads(sys.argv[1]):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            if exc.code:
+                raise
+"""
+
+KERNEL_RUNS = [
+    [*CRITERION8_SWEEP, "--out-csv", "sweep.csv", "--out-json", "sweep.json"],
+    [*STAR_SINGLE_LAYER, "--out-json", "eigs.json"],
+    ["verify", "--inject-off-spectrum", "--seed", "0", "--out", "verify.jsonl"],
+    ["fit", "--target", "0,0", "--k", "1.0", "--out-json", "fit-1.json"],
+    ["fit", "--target", "0,0", "--k", "3.14159265358979", "--out-json", "fit-pi.json"],
+]
+
+
+def _run_under_kernel(workdir: Path, kernel: str | None) -> tuple[list, dict]:
+    """(the kernels the child's OpenBLAS builds report, the artifacts of
+    KERNEL_RUNS parsed) under OPENBLAS_CORETYPE=kernel, or OpenBLAS's own
+    choice for None; no artifacts where the forced kernel was not taken."""
+    workdir.mkdir()
+    env = dict(os.environ)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if kernel is not None:
+        env["OPENBLAS_CORETYPE"] = kernel
+    src = str(Path(wavetrace.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNEL_CHILD, json.dumps(KERNEL_RUNS)],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    artifacts = {}
+    for path in workdir.iterdir():
+        if path.suffix == ".csv":
+            artifacts[path.name] = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]
+        elif path.suffix == ".jsonl":
+            artifacts[path.name] = [json.loads(line) for line in path.read_text().splitlines()]
+        else:
+            artifacts[path.name] = json.loads(path.read_text())
+    return json.loads(proc.stdout.splitlines()[0]), artifacts
+
+
+@pytest.fixture(scope="module")
+def default_kernel_artifacts(tmp_path_factory):
+    kernels, artifacts = _run_under_kernel(tmp_path_factory.mktemp("kernels") / "default", None)
+    if not kernels:
+        pytest.skip("no bundled scipy-openblas reports its kernel, so none can be forced")
+    return artifacts
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_artifacts_agree_across_blas_kernels(tmp_path, default_kernel_artifacts, kernel):
+    # each kernel rounds differently, so the bytes may change; these bounds
+    # sit 50x or more above the spread measured on a SkylakeX machine
+    ref = default_kernel_artifacts
+    kernels, got = _run_under_kernel(tmp_path / kernel, kernel)
+    if kernels != [kernel.lower()]:
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} gave the kernels {kernels}")
+    assert set(got) == set(ref) == {
+        "sweep.csv", "sweep.json", "eigs.json", "verify.jsonl", "fit-1.json", "fit-pi.json",
+    }
+    # the sampled indicator to 1e-9 relative (measured 1.5e-12)
+    np.testing.assert_allclose(got["sweep.csv"], ref["sweep.csv"], rtol=1e-9, atol=0)
+    # dips of both oracles to 1e-12 (measured 4.4e-16), multiplicities equal
+    for name, key in [("sweep.json", "dips"), ("eigs.json", "records")]:
+        dips, ref_dips = got[name][key], ref[name][key]
+        assert ref_dips and [d["multiplicity"] for d in dips] == [d["multiplicity"] for d in ref_dips]
+        assert all(abs(d["k"] - r["k"]) <= 1e-12 for d, r in zip(dips, ref_dips)), (dips, ref_dips)
+    # every check and control concludes the same, residuals to 1e-12 (measured 2.1e-14)
+    checks, ref_checks = got["verify.jsonl"], ref["verify.jsonl"]
+    assert [(c["check"], c["inputs"], c["passed"]) for c in checks] == [
+        (c["check"], c["inputs"], c["passed"]) for c in ref_checks
+    ]
+    assert all(abs(c["residual"] - r["residual"]) <= 1e-12 for c, r in zip(checks, ref_checks))
+    # fit residuals to 1e-12 (measured 1.6e-15); the density off the
+    # spectrum to 1e-12 relative (measured 1.3e-15), none at pi
+    for name in ("fit-1.json", "fit-pi.json"):
+        assert abs(got[name]["residual"] - ref[name]["residual"]) <= 1e-12
+    assert got["fit-1.json"]["density_norm"] == pytest.approx(ref["fit-1.json"]["density_norm"], rel=1e-12)
+    assert got["fit-pi.json"]["density_norm"] is ref["fit-pi.json"]["density_norm"] is None
+
+
 @pytest.mark.parametrize(
     "args, outputs",
     [
@@ -641,8 +779,9 @@ class TestArtifactSchemas:
         payload = json.loads(json_path.read_text())
         assert set(payload) == {"config", "k_samples", "indicator", "dips"}
         assert set(payload["config"]) == {
-            "indicator", "surface", "directions", "qr_rtol", "depth_ratio", "run_config",
+            "indicator", "surface", "directions", "qr_rtol", "depth_ratio", "refine_tol", "run_config",
         }
+        assert payload["config"]["refine_tol"] == wavetrace.sweep.DEFAULT_REFINE_TOL
         assert set(payload["config"]["run_config"]) == COMMAND_FIELDS["sweep"]
         assert type(payload["config"]["run_config"]["interior_count"]) is int
         assert {type(v) for v in payload["k_samples"] + payload["indicator"]} == {float}

@@ -394,7 +394,7 @@ class TestRefineDip:
     @pytest.mark.parametrize("seeds", [(1.0, 1.0, 1.5), (1.5, 1.0, 0.5), (0.5, 1.5, 1.0)])
     def test_seeds_must_ascend(self, seeds):
         with pytest.raises(ValueError, match="a < k < b"):
-            refine_dip(lambda x: np.array([(x - 1.0) ** 2]), seeds)
+            refine_dip(lambda x: np.array([(x - 1.0) ** 2]), seeds, tol=1e-4)
 
     def test_stub_quadratic_recovers_minimum(self):
         target = 3.21
@@ -413,7 +413,7 @@ class TestRefineDip:
         target = 3.125 if tie == "left" else 3.375
         spectrum, calls = recorded(lambda x: np.array([abs(x - target) + 0.125]))
         with pytest.raises(BracketError):
-            refine_dip(spectrum, (3.0, 3.25, 3.5))
+            refine_dip(spectrum, (3.0, 3.25, 3.5), tol=1e-4)
         assert calls == [3.0, 3.25, 3.5]
 
     def test_kink_contracts_to_tolerance(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wavetrace.sweep
+import wavetrace.verify
 from oracles import (
     bessel_j_series,
     complex_decomposition_residual,
@@ -11,6 +12,7 @@ from oracles import (
 )
 from wavetrace import (
     HarmonicIndex,
+    InconclusiveCheckError,
     bessel_zero,
     check_decomposition,
     check_green_reduction,
@@ -104,6 +106,16 @@ class TestLemma1Orthogonality:
             w = A @ (rng.standard_normal(A.shape[1]) + 1j * rng.standard_normal(A.shape[1]))
             worst = max(worst, abs(np.vdot(v, w)) / (np.linalg.norm(w) * np.linalg.norm(v)))
         assert rep.residual == pytest.approx(worst, rel=1e-12)
+
+
+@pytest.mark.parametrize("check", [check_necessity, check_lemma1_orthogonality])
+def test_vanishing_normal_derivative_is_inconclusive(monkeypatch, sphere_40_80, dirs_12_24, check):
+    # a u_N that vanished leaves nothing to pair, so neither check may pass on it
+    monkeypatch.setattr(
+        wavetrace.verify, "eigenfunction_normal_derivative", lambda idx, n, grid: np.zeros(len(grid.weights), complex)
+    )
+    with pytest.raises(InconclusiveCheckError, match="u_N vanished"):
+        check(HarmonicIndex(0, 0), 1, sphere_40_80, dirs_12_24)
 
 
 class TestGreenReduction:
