@@ -274,21 +274,30 @@ def main():
 
 
 @main.command("sweep")
-@click.option("--surface", type=click.Choice(["ball", "star"]), default=RunConfig.surface, show_default=True)
-@click.option("--radius", type=float, default=RunConfig.radius, show_default=True)
+@click.option("--surface", type=click.Choice(["ball", "star"]), default=RunConfig.surface, show_default=True,
+              help="The ball of --radius, or the star r = R0 (1 + sum eps Re Y_lm) of --coef.")
+@click.option("--radius", type=float, default=RunConfig.radius, show_default=True,
+              help="Ball radius, or the star's base radius R0.")
 @click.option("--coef", "coefficients", multiple=True, callback=_parse_coef,
               help="Star perturbation 'l,m,eps'; repeatable.")
 @click.option("--ntheta", "n_theta", type=int, help="Surface polar resolution.")
 @click.option("--nphi", "n_phi", type=int, help="Surface azimuthal resolution.")
 @click.option("--dirs-ntheta", "dirs_n_theta", type=int, help="Direction grid polar resolution.")
 @click.option("--dirs-nphi", "dirs_n_phi", type=int, help="Direction grid azimuthal resolution; even.")
-@click.option("--kmin", "k_min", type=float, default=RunConfig.k_min, show_default=True)
-@click.option("--kmax", "k_max", type=float, default=RunConfig.k_max, show_default=True)
-@click.option("--samples", type=int, default=RunConfig.samples, show_default=True)
-@click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
-@click.option("--interior-count", type=int)
-@click.option("--out-csv", type=str, default="sweep.csv", show_default=True)
-@click.option("--out-json", type=str, default="sweep.json", show_default=True)
+@click.option("--kmin", "k_min", type=float, default=RunConfig.k_min, show_default=True,
+              help="Lower end of the wavenumber range.")
+@click.option("--kmax", "k_max", type=float, default=RunConfig.k_max, show_default=True,
+              help="Upper end of the wavenumber range.")
+@click.option("--samples", type=int, default=RunConfig.samples, show_default=True,
+              help="Equispaced wavenumbers sampled on [kmin, kmax].")
+@click.option("--seed", type=int, default=RunConfig.seed, show_default=True,
+              help="Seeds the random interior points; nothing else draws.")
+@click.option("--interior-count", type=int,
+              help="Random interior points of the indicator; default max(2 x the direction count, 500).")
+@click.option("--out-csv", type=str, default="sweep.csv", show_default=True,
+              help="Write the sampled indicator here.")
+@click.option("--out-json", type=str, default="sweep.json", show_default=True,
+              help="Write the samples, dips and run configuration here.")
 @click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
 @click.pass_context
 def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
@@ -326,19 +335,27 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
 
 
 @main.command("eigs")
-@click.option("--surface", type=click.Choice(["ball", "star"]), default=RunConfig.surface, show_default=True)
-@click.option("--radius", type=float, default=RunConfig.radius, show_default=True)
+@click.option("--surface", type=click.Choice(["ball", "star"]), default=RunConfig.surface, show_default=True,
+              help="The ball of --radius, or the star r = R0 (1 + sum eps Re Y_lm) of --coef.")
+@click.option("--radius", type=float, default=RunConfig.radius, show_default=True,
+              help="Ball radius, or the star's base radius R0.")
 @click.option("--coef", "coefficients", multiple=True, callback=_parse_coef,
               help="Star perturbation 'l,m,eps'; repeatable.")
 @click.option("--method", type=click.Choice(["analytic", "single-layer"]), default="analytic",
-              show_default=True)
+              show_default=True,
+              help="Bessel zeros of the ball, or dips of the single-layer operator on the surface.")
 @click.option("--ntheta", "n_theta", type=int, help="Surface polar resolution.")
 @click.option("--nphi", "n_phi", type=int, help="Surface azimuthal resolution.")
-@click.option("--kmin", "k_min", type=float, default=RunConfig.k_min, show_default=True)
-@click.option("--kmax", "k_max", type=float, default=RunConfig.k_max, show_default=True)
-@click.option("--samples", type=int, default=RunConfig.samples, show_default=True)
-@click.option("--band-limit", type=int, default=RunConfig.band_limit, show_default=True)
-@click.option("--out-json", type=str, default="eigs.json", show_default=True)
+@click.option("--kmin", "k_min", type=float, default=RunConfig.k_min, show_default=True,
+              help="Lower end of the wavenumber range.")
+@click.option("--kmax", "k_max", type=float, default=RunConfig.k_max, show_default=True,
+              help="Upper end of the wavenumber range.")
+@click.option("--samples", type=int, default=RunConfig.samples, show_default=True,
+              help="Equispaced wavenumbers sampled on [kmin, kmax].")
+@click.option("--band-limit", type=int, default=RunConfig.band_limit, show_default=True,
+              help="Degree L of the harmonics the single-layer matrix is compressed onto.")
+@click.option("--out-json", type=str, default="eigs.json", show_default=True,
+              help="Write the eigenvalue records and run configuration here.")
 @click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
 @click.pass_context
 def cmd_eigs(ctx, method, out_json, config_path, **flags):
@@ -411,13 +428,15 @@ def cmd_verify(seed, inject_off_spectrum, out_path):
 
 @main.command("fit")
 @click.option("--target", required=True, callback=_parse_target, help="Spherical-harmonic target 'l,m'.")
-@click.option("--k", "k_max", type=float, required=True)
-@click.option("--radius", type=float, default=RunConfig.radius, show_default=True)
+@click.option("--k", "k_max", type=float, required=True, help="The wavenumber of the fit.")
+@click.option("--radius", type=float, default=RunConfig.radius, show_default=True,
+              help="Ball radius, or the star's base radius R0.")
 @click.option("--ntheta", "n_theta", type=int, help="Surface polar resolution.")
 @click.option("--nphi", "n_phi", type=int, help="Surface azimuthal resolution.")
 @click.option("--dirs-ntheta", "dirs_n_theta", type=int, help="Direction grid polar resolution.")
 @click.option("--dirs-nphi", "dirs_n_phi", type=int, help="Direction grid azimuthal resolution; even.")
-@click.option("--out-json", type=str, default="fit.json", show_default=True)
+@click.option("--out-json", type=str, default="fit.json", show_default=True,
+              help="Write the residual, density norm and run configuration here.")
 @click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
 @click.pass_context
 def cmd_fit(ctx, target, out_json, config_path, **flags):

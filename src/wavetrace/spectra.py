@@ -24,9 +24,14 @@ bandlimited angular subspace (the real and imaginary parts of Y_lm,
 l <= L, orthonormalized in surface weights: a real basis Q spanning the
 complex harmonics) and take the singular values of the compressed matrix:
 the spectrum that find_dips samples, refines and classifies. Dips of its
-smallest value mark the Dirichlet spectrum. A is complex symmetric: a
-build computes its upper triangle and mirrors it, and Q^T A Q is two real
-matrix products on the float view of A.
+smallest value mark the Dirichlet spectrum.
+
+A sphere or star grid is invariant under the rotation by 2 pi / n about z,
+n = gcd(n_phi, |m| of every star term), so A is block-circulant over its n
+azimuthal sectors (Young, Hao & Martinsson 2012): a build forms only the
+first sector's N / n rows and applies A to Q by FFTs over the sectors
+(_compressed_kernel), with no N x N array when n > 1. The static row
+integral is evaluated on the first sector too.
 
 The compressed matrix B(k) = Q^T A(k) Q is entire in k, so it is built
 once per k range as a Chebyshev interpolant (Effenberger & Kressner 2012;
@@ -38,13 +43,14 @@ for the smallest n with (h D / 2)^(n-2) / (n-2)! <= 1e-14, D the largest
 node distance: the last three coefficients are then below 1e-14 of the
 leading one. That test still guards the result: a range that fails it
 raises InterpolationError. On the 24x48 star over [5, 6.5] at band limit
-8 (h D / 2 = 0.797) n is 18: 19 N x N kernel builds, against one per
-evaluation (92 for a 76-sample sweep and its refinements); an evaluation
-then costs an 81 x 81 SVD, about 2 ms.
+8 (h D / 2 = 0.797) n is 18: 19 builds of 24 x 1152 kernel rows (the
+group order is 48), against one per evaluation (92 for a 76-sample sweep
+and its refinements); an evaluation then costs an 81 x 81 SVD, about 2 ms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import takewhile
 
@@ -74,10 +80,14 @@ __all__ = [
 ]
 
 
-# Rows of the node-distance matrix filled at once, and nodes of the static
-# row integral evaluated at once: bounds a block's N x 3 coordinate
-# differences, or its rule points, to a few MB at the grids used here.
+# Nodes of the static row integral evaluated at once: bounds a block's rule
+# points to a few MB at the grids used here.
 _STATICS_ROW_BLOCK = 64
+
+# Relative deviation of a grid's azimuthal sectors from rotated copies of
+# the first that _orbit tolerates: the product grids' rotations reproduce
+# their nodes and weights to about 1e-15.
+_ORBIT_TOL = 1e-12
 
 # Gauss-Legendre nodes in the polar angle of the static row integral's
 # rule; it takes twice as many azimuths.
@@ -152,6 +162,38 @@ def eigenfunction_normal_derivative(idx: HarmonicIndex, n: int, grid: SurfaceGri
     return k * sph_bessel_j_deriv(idx.l, k * R) * sph_harm(idx, theta, phi)
 
 
+def _orbit(grid: SurfaceGrid) -> tuple[int, np.ndarray]:
+    """The order n of the grid's rotation group about z, n = gcd(n_phi, |m|
+    of every star term) (n_phi on a sphere), and the node order that lists
+    its n azimuthal sectors one after another, each in grid order.
+    UnsupportedSurfaceError unless the descriptor names a sphere or star
+    product grid of N nodes whose sector t is sector 0 rotated by
+    2 pi t / n, nodes and weights to _ORBIT_TOL relative.
+    """
+    desc = grid.descriptor
+    kind = desc.get("kind")
+    if kind not in ("sphere", "star"):
+        raise UnsupportedSurfaceError(f"needs a sphere or star grid, got {kind!r}")
+    n_theta, n_phi = desc.get("n_theta", 0), desc.get("n_phi", 0)
+    if n_theta * n_phi != grid.n_nodes:
+        raise UnsupportedSurfaceError(f"a {n_theta}x{n_phi} {kind} descriptor on a grid of {grid.n_nodes} nodes")
+    n = math.gcd(n_phi, *(abs(m) for _, m, _ in desc.get("perturbation", ())))
+    order = np.arange(grid.n_nodes).reshape(n_theta, n, -1).transpose(1, 0, 2).ravel()
+    nodes = grid.nodes[order].reshape(n, -1, 3)
+    weights = grid.weights[order].reshape(n, -1)
+    angle = (2 * np.pi / n) * np.arange(n)[:, None]
+    c, s = np.cos(angle), np.sin(angle)
+    x, y, z = nodes[0].T
+    rotated = np.stack(np.broadcast_arrays(c * x - s * y, s * x + c * y, z), axis=-1)
+    deviation = max(np.abs(rotated - nodes).max() / np.abs(nodes).max(), np.abs(weights / weights[0] - 1).max())
+    # `not <=` rather than `>`, so that a NaN fails too
+    if not deviation <= _ORBIT_TOL:
+        raise UnsupportedSurfaceError(
+            f"the {kind} grid is not {n} rotated copies of its first sector (deviation {deviation:.2e})"
+        )
+    return n, order
+
+
 def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
     """g(x_m) = integral_S ds(y) / (4 pi |x_m - y|) for every node.
 
@@ -162,16 +204,18 @@ def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
              surface y = r(s) s has ds = r sqrt(r^2 + r_theta^2 +
              r_phi^2 / sin^2 theta) dOmega, and the sin theta' of dOmega
              cancels the 1/|x - y| singularity at the pole, so the rule
-             converges spectrally. Evaluated _STATICS_ROW_BLOCK nodes at a
-             time, the blocks on the sweep layer's pool; each block
-             writes only its own nodes' values.
+             converges spectrally. g is invariant under the grid's rotations
+             (_orbit), so the rule runs on the first azimuthal sector's
+             nodes only, _STATICS_ROW_BLOCK at a time on the sweep layer's
+             pool, each block writing only its own nodes' values, and the
+             result is tiled over the sectors.
     """
     desc = grid.descriptor
     kind = desc.get("kind")
     if kind == "sphere":
         return np.full(grid.n_nodes, float(desc["radius"]))
-    if kind != "star":
-        raise UnsupportedSurfaceError(f"static row integral needs a sphere or star grid, got {kind!r}")
+    n, order = _orbit(grid)
+    sector = grid.nodes[order[: grid.n_nodes // n]]
     t, wt = leggauss(_POLE_RULE_NODES)
     polar = 0.5 * np.pi * (t + 1)
     n_azimuth = 2 * _POLE_RULE_NODES
@@ -180,9 +224,9 @@ def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
     # its weights with the 1/(4 pi) of the kernel
     local = _unit_vectors(T.ravel(), P.ravel())
     weights = np.repeat(wt * np.sin(polar) * (np.pi / (4 * n_azimuth)), n_azimuth)
-    r_hat, theta_hat, phi_hat = _spherical_frame(*_spherical_coords(grid.nodes)[1:])
+    r_hat, theta_hat, phi_hat = _spherical_frame(*_spherical_coords(sector)[1:])
     frames = np.stack([theta_hat, phi_hat, r_hat], axis=1)
-    g = np.empty(grid.n_nodes)
+    g = np.empty(len(sector))
 
     def fill(start: int):
         rows = slice(start, start + _STATICS_ROW_BLOCK)
@@ -190,62 +234,58 @@ def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
         _, theta, phi = _spherical_coords(y)
         r, rt, rp = surface_radius(desc, theta, phi)
         y *= r[..., None]
-        y -= grid.nodes[rows, None, :]
+        y -= sector[rows, None, :]
         ds = r * np.sqrt(r * r + rt * rt + (rp / np.sin(theta)) ** 2)
         g[rows] = (ds / np.linalg.norm(y, axis=-1)) @ weights
 
-    _map(fill, range(0, grid.n_nodes, _STATICS_ROW_BLOCK))
-    return g
+    _map(fill, range(0, len(sector), _STATICS_ROW_BLOCK))
+    tiled = np.empty(grid.n_nodes)
+    tiled[order] = np.tile(g, n)
+    return tiled
 
 
-def _nystrom_statics(grid: SurfaceGrid, static_integral: np.ndarray):
-    """k-independent parts of the weighted Nystrom matrix: weights, node
-    distances (unit diagonal), the symmetric off-diagonal weight
-    sqrt(sigma_m) sqrt(sigma_p) / (4 pi r_mp), static diagonal term.
-
-    Filled _STATICS_ROW_BLOCK rows at a time, the blocks on the sweep
-    layer's pool, so the coordinate differences never occupy more than a
-    row block per worker; each block writes only its own rows, and every
-    entry equals the whole-matrix expression's.
-    """
-    nodes, w = grid.nodes, grid.weights
-    n = len(w)
+def _sector_statics(grid: SurfaceGrid, static_integral: np.ndarray):
+    """The node order of _orbit, and the k-independent parts of the first
+    sector's rows of the weighted Nystrom matrix, columns in that order:
+    the sector's weights, its node distances (unit at each node's own
+    column), the off-diagonal weight sqrt(sigma_a) sqrt(sigma_b) /
+    (4 pi r_ab), and the static diagonal term. Every array is N / n x N at
+    most."""
+    n, order = _orbit(grid)
+    nodes, w = grid.nodes[order], grid.weights[order]
+    m = len(w) // n
+    dist = np.sqrt(sum((nodes[:m, None, i] - nodes[None, :, i]) ** 2 for i in range(3)))
+    own = np.arange(m)
+    dist[own, own] = 1.0
+    four_pi_dist = 4 * np.pi * dist
+    static_offdiag_rowsum = (w / four_pi_dist).sum(axis=1) - w[:m] / (4 * np.pi)
     sw = np.sqrt(w)
-    dist = np.empty((n, n))
-    weight = np.empty((n, n))
-    static_offdiag_rowsum = np.empty(n)
-
-    def fill(start: int):
-        rows = slice(start, start + _STATICS_ROW_BLOCK)
-        block = dist[rows]
-        block[:] = np.linalg.norm(nodes[rows, None, :] - nodes[None, :, :], axis=-1)
-        np.fill_diagonal(block[:, start:], 1.0)
-        four_pi_dist = 4 * np.pi * block
-        static_offdiag_rowsum[rows] = ((1.0 / four_pi_dist) * w[None, :]).sum(axis=1)
-        np.divide(np.outer(sw[rows], sw), four_pi_dist, out=weight[rows])
-
-    _map(fill, range(0, n, _STATICS_ROW_BLOCK))
-    static_offdiag_rowsum -= (1.0 / (4 * np.pi)) * w
-    return w, dist, weight, static_integral - static_offdiag_rowsum
+    weight = np.outer(sw[:m], sw) / four_pi_dist
+    return order, w[:m], dist, weight, static_integral[order[:m]] - static_offdiag_rowsum
 
 
-def _nystrom_matrix(k: float, w, dist, weight, static_diag) -> np.ndarray:
-    """The weighted Nystrom matrix at k, in one N x N complex buffer: its
-    upper triangle, e^{ik r} times the weight, _STATICS_ROW_BLOCK rows at a
-    time, each row block mirrored into the lower triangle; exactly symmetric."""
-    n = len(w)
-    A = np.empty((n, n), dtype=complex)
-    for start in range(0, n, _STATICS_ROW_BLOCK):
-        stop = start + _STATICS_ROW_BLOCK
-        rows = slice(start, stop)
-        block = A[rows, start:]
-        np.multiply(1j * k, dist[rows, start:], out=block)
-        np.exp(block, out=block)
-        np.multiply(block, weight[rows, start:], out=block)
-        A[stop:, rows] = A[rows, stop:].T
-    idx = np.arange(n)
-    A[idx, idx] = 1j * k * w / (4 * np.pi) + static_diag
-    return A
+def _compressed_kernel(k: float, Qt, Q_hat, w, dist, weight, static_diag) -> np.ndarray:
+    """B(k) = Q^T A(k) Q from the first sector's rows of A(k), with no
+    N x N array.
+
+    A is block-circulant over the n sectors: A[sector t, sector t + d] is
+    C_d = A[sector 0, sector d]. So (A Q)_t = sum_d C_d Q_{t+d}, which is
+    FFT_p(C^_p IFFT_t(Q)_p) with C^ = FFT_d(C): Q_hat holds IFFT_t(Q),
+    formed once, and Qt is Q^T with its columns in sector order. The N / n
+    x N rows are exponentiated and transformed in one buffer, and B is one
+    real product on the float view of A Q.
+    """
+    m, N = dist.shape
+    rows = np.multiply(1j * k, dist)
+    np.exp(rows, out=rows)
+    rows *= weight
+    own = np.arange(m)
+    rows[own, own] = 1j * k * w / (4 * np.pi) + static_diag
+    blocks = rows.reshape(m, N // m, m).transpose(1, 0, 2)
+    np.fft.fft(blocks, axis=0, out=blocks)
+    AQ = np.matmul(blocks, Q_hat)
+    np.fft.fft(AQ, axis=0, out=AQ)
+    return (Qt @ AQ.reshape(N, -1).view(float)).view(complex)
 
 
 def _check_band_limit(grid: SurfaceGrid, band_limit: int):
@@ -277,11 +317,19 @@ def bandlimited_basis(grid: SurfaceGrid, band_limit: int) -> np.ndarray:
     return Q
 
 
-def _compress(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Q^T A Q for a real Q and an exactly symmetric complex A, as two real
-    matrix products on the float views: Q^T A, then Q^T (Q^T A)^T = Q^T A^T Q."""
-    QtA = (Q.T @ A.view(float)).view(complex)
-    return (Q.T @ np.ascontiguousarray(QtA.T).view(float)).view(complex)
+def _orbit_build(grid: SurfaceGrid, band_limit: int):
+    """The callable k -> B(k) = Q^T A(k) Q by _compressed_kernel, and the
+    largest node distance. The band limit is checked first; the static row
+    integral, the first sector's statics and IFFT_t(Q) are formed once."""
+    Q = bandlimited_basis(grid, band_limit)
+    order, *statics = _sector_statics(grid, static_row_integral(grid))
+    Q = Q[order]
+    Q_hat = np.fft.ifft(Q.reshape(-1, len(statics[0]), Q.shape[1]), axis=0)
+
+    def compressed_at(k: float) -> np.ndarray:
+        return _compressed_kernel(k, Q.T, Q_hat, *statics)
+
+    return compressed_at, statics[1].max()
 
 
 def _lobatto_points(k_min: float, k_max: float, n: int) -> np.ndarray:
@@ -323,28 +371,29 @@ def make_single_layer_spectrum(grid: SurfaceGrid, band_limit: int, k_min: float,
     single-layer matrix B(k) = Q^T A(k) Q on [k_min, k_max], Q the real
     bandlimited_basis; the last one is the indicator.
 
-    B is built by the direct route at the n + 1 Chebyshev-Lobatto points of
-    the range, n from _cheb_start_degree with the largest node distance;
-    InterpolationError unless _chebyshev_tail is then within _CHEB_TAIL_TOL. The
-    static row integral, the statics and the builds run on the sweep
-    layer's pool, one worker per CPU; each build fills one N x N complex
-    buffer, compressed by _compress. An evaluation is a barycentric sum and
-    an SVD of size (L+1)^2; at a node it is that node's matrix. The band
-    limit is checked before any work; k_min < k_max, and k must be positive
-    and finite, then inside [k_min, k_max] (ValueError otherwise).
+    B is built at the n + 1 Chebyshev-Lobatto points of the range, n from
+    _cheb_start_degree with the largest node distance; InterpolationError
+    unless _chebyshev_tail is then within _CHEB_TAIL_TOL. Each build is
+    _compressed_kernel on the first azimuthal sector's rows (_orbit checks
+    the grid's rotational symmetry first, UnsupportedSurfaceError if it
+    fails), so no N x N array is formed when the group order n > 1. The
+    static row integral and the builds run on the sweep layer's pool, one
+    worker per CPU. An evaluation is a barycentric sum and an SVD of size
+    (L+1)^2; at a node it is that node's matrix. The band limit is checked
+    before any work; k_min < k_max, and k must be positive and finite, then
+    inside [k_min, k_max] (ValueError otherwise).
     """
     k_min, k_max = _check_wavenumber(k_min), _check_wavenumber(k_max)
     if not k_min < k_max:
         raise ValueError(f"need k_min < k_max, got [{k_min}, {k_max}]")
-    Q = bandlimited_basis(grid, band_limit)
-    statics = _nystrom_statics(grid, static_row_integral(grid))
+    compressed_at, diameter = _orbit_build(grid, band_limit)
 
     def build(j: int):
-        stack[j] = _compress(Q, _nystrom_matrix(ks[j], *statics))
+        stack[j] = compressed_at(ks[j])
 
-    n = _cheb_start_degree(0.5 * (k_max - k_min), statics[1].max())
+    n = _cheb_start_degree(0.5 * (k_max - k_min), diameter)
     ks = _lobatto_points(k_min, k_max, n)
-    stack = np.empty((n + 1, Q.shape[1], Q.shape[1]), dtype=complex)
+    stack = np.empty((n + 1, (band_limit + 1) ** 2, (band_limit + 1) ** 2), dtype=complex)
     _map(build, range(n + 1))
     if _chebyshev_tail(stack) > _CHEB_TAIL_TOL:
         raise InterpolationError(

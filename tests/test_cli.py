@@ -167,6 +167,15 @@ def test_a_flag_reads_the_same_in_every_help():
         assert help_text, flag
 
 
+@pytest.mark.parametrize("command", sorted(CLI_FLAGS))
+def test_every_option_has_help_text(command):
+    # a type and a default do not say what an option sets
+    params = main.commands[command].params
+    assert params
+    for param in params:
+        assert param.help and param.help.strip(), param.opts[0]
+
+
 def test_phi_resolution_defaults_to_twice_the_theta_in_use():
     cfg = RunConfig(n_theta=32, dirs_n_theta=14).resolved()
     assert (cfg.n_phi, cfg.dirs_n_phi) == (64, 28)
