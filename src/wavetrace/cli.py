@@ -291,9 +291,11 @@ def main():
 @click.option("--samples", type=int, default=RunConfig.samples, show_default=True,
               help="Equispaced wavenumbers sampled on [kmin, kmax].")
 @click.option("--seed", type=int, default=RunConfig.seed, show_default=True,
-              help="Seeds the random interior points; nothing else draws.")
+              help="Seeds the random interior points, each taken with its n rotations about z "
+                   "(n the grids' common rotation order); nothing else draws.")
 @click.option("--interior-count", type=int,
-              help="Random interior points of the indicator; default max(2 x the direction count, 500).")
+              help="Seeded interior points of the indicator, each taken with its n rotations; "
+                   "default max(2 x the direction count, 500).")
 @click.option("--out-csv", type=str, default="sweep.csv", show_default=True,
               help="Write the sampled indicator here.")
 @click.option("--out-json", type=str, default="sweep.json", show_default=True,

@@ -22,44 +22,75 @@ trace, the signature of a lost (rank-collapsed) direction.
 The raw smallest singular value of A cannot serve as a completeness
 indicator: the trace operator is compact, so any fine discretization has
 tiny singular values at every k. The trace oracle, make_trace_spectrum,
-stacks A on an interior block, the same plane waves at P seeded points
-inside S with one row weight sqrt(area(S)/P). Its spectrum is the singular
-values of the boundary rows of the stack's orthonormal factor: the sines
-of the principal angles between its column space and functions supported
-off the boundary, the smallest being the indicator. Near an interior
-Dirichlet eigenvalue some plane-wave combination is O(1) inside but
-vanishes on S (on the ball, h = Y_lm gives w = 4 pi i^l j_l(kr) Y_lm with
-j_l(kR) = 0), driving the indicator toward zero; away from the spectrum it
-stays O(1). A sine of 1 to rounding marks a retained direction the
-interior points cannot see: the indicator is then ill-posed.
+stacks A on an interior block: the same plane waves at P seeded points
+inside S and at their rotations about z by 2 pi t / n (the orbit of the
+points, n P in all), with one row weight sqrt(area(S) / (n P)). Its
+spectrum is the singular values of the boundary rows of the stack's
+orthonormal factor: the sines of the principal angles between its column
+space and functions supported off the boundary, the smallest being the
+indicator. Near an interior Dirichlet eigenvalue some plane-wave
+combination is O(1) inside but vanishes on S (on the ball, h = Y_lm gives
+w = 4 pi i^l j_l(kr) Y_lm with j_l(kR) = 0), driving the indicator toward
+zero; away from the spectrum it stays O(1). A sine of 1 to rounding marks
+a retained direction the interior points cannot see: the indicator is
+then ill-posed.
 
-All of it is real arithmetic. e^{-i k beta . x} is the complex conjugate
+The columns are real. e^{-i k beta . x} is the complex conjugate
 of e^{i k beta . x}, so on an antipodally symmetric direction grid (a
 product grid with even n_phi) the columns of beta and -beta span what
 cos(k beta . x) and sin(k beta . x) span, with the same singular values.
 One assembler, _real_columns, writes those real columns on one direction
-of each pair for the sweep, fit_trace and verify alike. The trace spectrum
-assembles each block column-major, so that LAPACK factors it in place, and
-reduces it to the R factor of its own QR (geqrf), at most M x M for M real
-columns.
-[B; I] = diag(Q_B, Q_I) [R_B; R_I] with orthonormal diag(Q_B, Q_I), so
-[R_B; R_I] keeps the Gram matrix, pivoted R, retained rank and principal
-angles of [B; I], which is never formed; only the rounding differs. The
-column-pivoted QR (geqp3) of that stack, at most 2M x M, forms its thin Q;
-the retained rank counts the diagonal entries of R above DEFAULT_QR_RTOL
-of the leading one, and a dense SVD of the retained columns' boundary
-rows, at most M x rank, gives the spectrum. The QRs release the GIL; only
-that small SVD holds it. On one BLAS thread, as in a sweep, this fixed
-sequence of LAPACK calls reproduces the values byte for byte with the same
-BLAS library and kernel, given the interior points.
+of each pair for the sweep, fit_trace and verify alike.
+
+The group order n is the gcd of the surface's and the direction grid's
+rotation orders (surface._rotation_order: n_phi, and for a star also the
+|m| of every term), and 1 on custom grids and for a direction grid of odd
+n_theta, whose antipodal half keeps half of its equator ring. The surface,
+the half direction grid and the orbit are then invariant under the
+rotation by 2 pi / n, so with rows and columns listed sector by sector
+(surface._orbit) the stacked matrix is block-circulant: the rows of
+sector t against the columns of sector u depend on t - u alone. An
+evaluation assembles only the first direction sector's columns against
+every row, (N + n P) x M / n for M real columns, and a real FFT over the
+sectors (numpy's rfft) turns them into the n // 2 + 1 blocks of the
+block-diagonalized matrix, one per azimuthal mode p (Allgower, Boehmer,
+Georg & Miranda 1992). Modes 0 and n / 2 are real and factored in real
+arithmetic; the others are complex, and the conjugate mode n - p has the
+same spectrum, which counts twice. At n = 1 the one mode is the whole
+matrix, and the route is the whole-matrix one.
+
+Each mode's two blocks, column-major, are reduced to the R factors of
+their own QRs (geqrf), at most M / n x M / n each. [B; I] = diag(Q_B,
+Q_I) [R_B; R_I] with orthonormal diag(Q_B, Q_I), so [R_B; R_I] keeps the
+Gram matrix, pivoted R, retained rank and principal angles of [B; I],
+which is never formed; only the rounding differs. The column-pivoted QR
+(geqp3) of that stack forms its thin Q. One rank rule holds over every
+mode: the retained columns are the R-diagonal entries above
+DEFAULT_QR_RTOL of the largest leading one of all modes. A dense SVD of
+each mode's retained columns' boundary rows gives its spectrum, and the
+trace spectrum is their sorted union. The QRs release the GIL; only the
+modes' small SVDs hold it. On one BLAS thread, as in a sweep, this fixed
+sequence of LAPACK calls reproduces the values byte for byte with the
+same BLAS library and kernel, given the interior points.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg as la
 
-from .surface import DirectionGrid, SurfaceGrid, _random_unit_vectors, _spherical_coords, surface_radius
+from .surface import (
+    DirectionGrid,
+    SurfaceGrid,
+    _orbit,
+    _random_unit_vectors,
+    _rotation_order,
+    _rotations,
+    _spherical_coords,
+    surface_radius,
+)
 
 __all__ = [
     "IllPosedIndicatorError",
@@ -94,13 +125,14 @@ def _check_wavenumber(k: float) -> float:
     return k
 
 
-def _real_columns(k: float, points: np.ndarray, row_weight, dirs: DirectionGrid) -> np.ndarray:
-    """The plane waves at (P, 3) points as real column pairs, P x 2M:
-    row_weight * cos(k beta_j . x_m) sqrt(w_j), then the same with sin;
-    column-major so that LAPACK factors them in place, without a copy."""
-    phase = k * (points @ dirs.directions.T)
-    sqrt_w = np.sqrt(dirs.weights)[None, :]
-    X = np.empty((len(points), 2 * dirs.n_directions), order="F")
+def _real_columns(k: float, points: np.ndarray, row_weight, directions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The plane waves at (P, 3) points as real column pairs, P x 2M for M
+    directions of weights w_j: row_weight * cos(k beta_j . x_m) sqrt(w_j),
+    then the same with sin; column-major so that LAPACK factors them in
+    place, without a copy."""
+    phase = k * (points @ directions.T)
+    sqrt_w = np.sqrt(weights)[None, :]
+    X = np.empty((len(points), 2 * len(weights)), order="F")
     for part, wave in ((X[:, 0::2], np.cos), (X[:, 1::2], np.sin)):
         wave(phase, out=part)
         np.multiply(row_weight, part, out=part)
@@ -112,7 +144,9 @@ def _trace_columns(k: float, grid: SurfaceGrid, dirs: DirectionGrid) -> np.ndarr
     """The weighted trace matrix at k in real arithmetic, N x M: the
     boundary's cos/sin column pairs, rows weighted by sqrt(sigma_m), on one
     direction of each antipodal pair of an antipodally symmetric grid."""
-    return _real_columns(_check_wavenumber(k), grid.nodes, np.sqrt(grid.weights)[:, None], _antipodal_half(dirs))
+    half = _antipodal_half(dirs)
+    k = _check_wavenumber(k)
+    return _real_columns(k, grid.nodes, np.sqrt(grid.weights)[:, None], half.directions, half.weights)
 
 
 def seed_interior_points(grid: SurfaceGrid, count: int, seed: int) -> np.ndarray:
@@ -174,40 +208,103 @@ def _antipodal_half(dirs: DirectionGrid) -> DirectionGrid:
     return DirectionGrid(directions=D[keep], weights=2 * w[keep])
 
 
+def _group_order(grid: SurfaceGrid, dirs: DirectionGrid) -> int:
+    """The order n of the rotation group about z that the trace oracle
+    block-diagonalizes over: the gcd of the surface's and the direction
+    grid's _rotation_order, or 1 if the direction grid has an odd n_theta,
+    whose antipodal half keeps half of its equator ring."""
+    if dirs.descriptor.get("n_theta", 0) % 2:
+        return 1
+    return math.gcd(_rotation_order(grid.descriptor), _rotation_order(dirs.descriptor))
+
+
 def make_trace_spectrum(grid: SurfaceGrid, dirs: DirectionGrid, interior):
     """Callable k -> singular values (descending) of the boundary rows of the
     orthonormal factor of [boundary; interior]: sines of principal angles,
     each below 1; the last one is the indicator.
 
+    The interior block is the orbit of the P given points under the
+    rotations by 2 pi t / n about z, n the grids' _group_order (at n = 1,
+    as on custom grids, the points themselves): n P rows, each of weight
+    sqrt(area(S) / (n P)), so that the squared weights still sum to the
+    area. The stacked matrix is then block-circulant over the n azimuthal
+    sectors. An evaluation assembles the first direction sector's columns
+    against every row, takes their rfft over the sectors, and factors the
+    n // 2 + 1 mode blocks one by one: modes 0 and n / 2 are real and
+    factored as such, a complex mode's spectrum counts twice (its conjugate
+    mode's is the same). One rank rule cuts every mode, against the largest
+    leading R-diagonal entry of all; the spectrum is the sorted union, and
+    the zero-rank and blind-sine errors apply to it.
+
     The direction grid must be antipodally symmetric and the interior points,
     of shape (P, 3), inside the surface (ValueError here, before any
     evaluation); they are checked against it only on sphere and star grids,
-    so on any other grid the caller must supply points inside it. An
-    evaluation raises IllPosedIndicatorError if it retains no column, or if
-    a retained direction's sine is within _BLIND_SINE_TOL of 1.
+    so on any other grid the caller must supply points inside it. A sphere
+    or star grid whose sectors are not rotated copies of its first is
+    refused (UnsupportedSurfaceError, from _orbit). An evaluation raises
+    IllPosedIndicatorError if it retains no column, or if a retained
+    direction's sine is within _BLIND_SINE_TOL of 1.
     """
     interior = _check_interior(grid, interior)
     half = _antipodal_half(dirs)
-    blocks = ((grid.nodes, np.sqrt(grid.weights)[:, None]), (interior, np.sqrt(grid.area / len(interior))))
+    n = _group_order(grid, dirs)
+    nodes, directions = np.arange(grid.n_nodes), np.arange(half.n_directions)
+    if n > 1:
+        # the half of an even-n_theta product grid is its first n_theta / 2
+        # rows, so it keeps the sectors of the whole grid
+        nodes, directions = _orbit(grid, n)[1], _orbit(dirs, n)[1]
+        directions = directions[directions < half.n_directions]
+    sector = directions[: half.n_directions // n]
+    columns = half.directions[sector], half.weights[sector]
+    orbit = _rotations(interior, n).reshape(-1, 3)
+    blocks = (
+        (grid.nodes[nodes], np.sqrt(grid.weights[nodes])[:, None]),
+        (orbit, np.sqrt(grid.area / len(orbit))),
+    )
+
+    # modes 0 and n / 2 are real; mode p and its conjugate n - p share one
+    # spectrum, which counts twice
+    real = [2 * p % n == 0 for p in range(n // 2 + 1)]
+
+    def mode_factors(k: float, points: np.ndarray, row_weight) -> list[np.ndarray]:
+        # one block's rows, sector after sector, against the first sector's
+        # columns, transformed over the sectors (over one sector the
+        # transform is the identity, and the block is factored in place):
+        # the R factor of each mode, min(rows, M / n) x M / n; a block
+        # shorter than wide passes as its own trapezoid
+        X = _real_columns(k, points, row_weight, *columns).reshape(len(points) // n, n, -1, order="F")
+        if n > 1:
+            X = np.fft.rfft(X, axis=1)
+        return [
+            la.qr(X[:, p].real if real[p] else X[:, p], mode="raw", overwrite_a=True, check_finite=False)[1]
+            for p in range(n // 2 + 1)
+        ]
 
     def singular_values(k: float) -> np.ndarray:
         k = _check_wavenumber(k)
-        # each block by the R factor of its real columns, min(rows, M) x M, one
-        # block at a time; a block shorter than wide passes as its own trapezoid
-        R_B, R_I = (
-            la.qr(_real_columns(k, points, row_weight, half), mode="raw", overwrite_a=True, check_finite=False)[1]
-            for points, row_weight in blocks
-        )
-        Q, R, _ = la.qr(np.vstack([R_B, R_I]), mode="economic", pivoting=True, overwrite_a=True)
-        cutoff = _rank_cutoff(np.abs(np.diag(R)))
+        factors = []
+        for R_B, R_I, self_conjugate in zip(*(mode_factors(k, *block) for block in blocks), real):
+            Q, R, _ = la.qr(np.vstack([R_B, R_I]), mode="economic", pivoting=True, overwrite_a=True)
+            # the boundary rows, now the first len(R_B)
+            factors.append((Q[: len(R_B)], np.abs(np.diag(R)), 1 if self_conjugate else 2))
+        # one rank rule over every mode, on their R-diagonals pooled: the
+        # entries above DEFAULT_QR_RTOL of the largest leading one; each mode
+        # keeps its entries down to the last one counted
+        pooled = np.sort(np.concatenate([diag for _, diag, _ in factors]))[::-1]
+        cutoff = _rank_cutoff(pooled)
         if cutoff == 0:
             raise IllPosedIndicatorError("trace matrix is numerically zero")
-        # the boundary rows of the retained columns, now the first len(R_B)
-        s = la.svd(Q[: len(R_B), :cutoff], compute_uv=False)
+        last = pooled[:cutoff][-1]
+        s = np.concatenate([
+            np.tile(la.svd(Q_B[:, :kept], compute_uv=False), copies)
+            for Q_B, diag, copies in factors
+            if (kept := int((diag >= last).sum()))
+        ])
+        s = np.sort(s)[::-1]
         blind = int((1 - s <= _BLIND_SINE_TOL).sum())
         if blind:
             raise IllPosedIndicatorError(
-                f"the {len(interior)} interior points cannot see {blind} of the {cutoff} retained directions"
+                f"the {len(orbit)} interior points cannot see {blind} of the {len(s)} retained directions"
             )
         return s
 

@@ -50,7 +50,6 @@ and its refinements); an evaluation then costs an 81 x 81 SVD, about 2 ms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import takewhile
 
@@ -66,13 +65,20 @@ from .specfun import (
     sph_bessel_j_deriv,
     sph_harm,
 )
-from .surface import SurfaceGrid, _spherical_coords, _spherical_frame, _unit_vectors, surface_radius
+from .surface import (
+    SurfaceGrid,
+    UnsupportedSurfaceError,
+    _orbit,
+    _spherical_coords,
+    _spherical_frame,
+    _unit_vectors,
+    surface_radius,
+)
 from .sweep import _map
 
 __all__ = [
     "EigenvalueRecord",
     "InterpolationError",
-    "UnsupportedSurfaceError",
     "ball_dirichlet_eigs",
     "eigenfunction_normal_derivative",
     "static_row_integral",
@@ -84,11 +90,6 @@ __all__ = [
 # points to a few MB at the grids used here.
 _STATICS_ROW_BLOCK = 64
 
-# Relative deviation of a grid's azimuthal sectors from rotated copies of
-# the first that _orbit tolerates: the product grids' rotations reproduce
-# their nodes and weights to about 1e-15.
-_ORBIT_TOL = 1e-12
-
 # Gauss-Legendre nodes in the polar angle of the static row integral's
 # rule; it takes twice as many azimuths.
 _POLE_RULE_NODES = 24
@@ -99,10 +100,6 @@ _POLE_RULE_NODES = 24
 _CHEB_MAX_DEGREE = 256
 _CHEB_TAIL = 3
 _CHEB_TAIL_TOL = 1e-14
-
-
-class UnsupportedSurfaceError(ValueError):
-    """Raised when an operation needs a surface kind it does not support."""
 
 
 class InterpolationError(RuntimeError):
@@ -160,38 +157,6 @@ def eigenfunction_normal_derivative(idx: HarmonicIndex, n: int, grid: SurfaceGri
     k = bessel_zero(idx.l, n) / R
     _, theta, phi = _spherical_coords(grid.nodes)
     return k * sph_bessel_j_deriv(idx.l, k * R) * sph_harm(idx, theta, phi)
-
-
-def _orbit(grid: SurfaceGrid) -> tuple[int, np.ndarray]:
-    """The order n of the grid's rotation group about z, n = gcd(n_phi, |m|
-    of every star term) (n_phi on a sphere), and the node order that lists
-    its n azimuthal sectors one after another, each in grid order.
-    UnsupportedSurfaceError unless the descriptor names a sphere or star
-    product grid of N nodes whose sector t is sector 0 rotated by
-    2 pi t / n, nodes and weights to _ORBIT_TOL relative.
-    """
-    desc = grid.descriptor
-    kind = desc.get("kind")
-    if kind not in ("sphere", "star"):
-        raise UnsupportedSurfaceError(f"needs a sphere or star grid, got {kind!r}")
-    n_theta, n_phi = desc.get("n_theta", 0), desc.get("n_phi", 0)
-    if n_theta * n_phi != grid.n_nodes:
-        raise UnsupportedSurfaceError(f"a {n_theta}x{n_phi} {kind} descriptor on a grid of {grid.n_nodes} nodes")
-    n = math.gcd(n_phi, *(abs(m) for _, m, _ in desc.get("perturbation", ())))
-    order = np.arange(grid.n_nodes).reshape(n_theta, n, -1).transpose(1, 0, 2).ravel()
-    nodes = grid.nodes[order].reshape(n, -1, 3)
-    weights = grid.weights[order].reshape(n, -1)
-    angle = (2 * np.pi / n) * np.arange(n)[:, None]
-    c, s = np.cos(angle), np.sin(angle)
-    x, y, z = nodes[0].T
-    rotated = np.stack(np.broadcast_arrays(c * x - s * y, s * x + c * y, z), axis=-1)
-    deviation = max(np.abs(rotated - nodes).max() / np.abs(nodes).max(), np.abs(weights / weights[0] - 1).max())
-    # `not <=` rather than `>`, so that a NaN fails too
-    if not deviation <= _ORBIT_TOL:
-        raise UnsupportedSurfaceError(
-            f"the {kind} grid is not {n} rotated copies of its first sector (deviation {deviation:.2e})"
-        )
-    return n, order
 
 
 def static_row_integral(grid: SurfaceGrid) -> np.ndarray:
@@ -274,17 +239,43 @@ def _compressed_kernel(k: float, Qt, Q_hat, w, dist, weight, static_diag) -> np.
     formed once, and Qt is Q^T with its columns in sector order. The N / n
     x N rows are exponentiated and transformed in one buffer, and B is one
     real product on the float view of A Q.
+
+    C_0 is exactly symmetric, as the distances are, so only its upper
+    triangle goes through exp, _STATICS_ROW_BLOCK rows at a time, each
+    mirrored into the lower. The blocks C^_0 and, for an even n, C^_n/2
+    meet real blocks of Q_hat, and C^_p^T = C^_-p makes them symmetric:
+    each is multiplied on its float view (at n = 1, all of A).
     """
     m, N = dist.shape
-    rows = np.multiply(1j * k, dist)
-    np.exp(rows, out=rows)
+    n = N // m
+
+    def over_sectors(a):
+        # the FFT over the sectors, in place; of length 1 it is the identity
+        if n > 1:
+            np.fft.fft(a, axis=0, out=a)
+
+    def exp_ik(part):
+        np.multiply(1j * k, dist[part], out=rows[part])
+        np.exp(rows[part], out=rows[part])
+
+    rows = np.empty((m, N), dtype=complex)
+    for start in range(0, m, _STATICS_ROW_BLOCK):
+        stop = min(start + _STATICS_ROW_BLOCK, m)
+        exp_ik(np.s_[start:stop, start:m])
+        rows[stop:m, start:stop] = rows[start:stop, stop:m].T
+    exp_ik(np.s_[:, m:])
     rows *= weight
     own = np.arange(m)
     rows[own, own] = 1j * k * w / (4 * np.pi) + static_diag
-    blocks = rows.reshape(m, N // m, m).transpose(1, 0, 2)
-    np.fft.fft(blocks, axis=0, out=blocks)
-    AQ = np.matmul(blocks, Q_hat)
-    np.fft.fft(AQ, axis=0, out=AQ)
+    blocks = rows.reshape(m, n, m).transpose(1, 0, 2)
+    over_sectors(blocks)
+    AQ = np.empty((n, m, Q_hat.shape[2]), dtype=complex)
+    for p in (0, n // 2) if n % 2 == 0 else (0,):
+        # C^_p Q_hat_p = (Q_hat_p^T C^_p)^T: two real products
+        AQ[p] = (Q_hat[p].real.T @ blocks[p].view(float)).view(complex).T
+    for lo, hi in ((1, (n + 1) // 2), (n // 2 + 1, n)):
+        np.matmul(blocks[lo:hi], Q_hat[lo:hi], out=AQ[lo:hi])
+    over_sectors(AQ)
     return (Qt @ AQ.reshape(N, -1).view(float)).view(complex)
 
 

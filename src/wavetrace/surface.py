@@ -12,6 +12,7 @@ parametrization, so the quadrature keeps spectral accuracy.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ __all__ = [
     "SurfaceGrid",
     "DirectionGrid",
     "DegenerateSurfaceError",
+    "UnsupportedSurfaceError",
     "make_sphere",
     "make_star_surface",
     "make_direction_grid",
@@ -32,6 +34,16 @@ __all__ = [
 
 class DegenerateSurfaceError(ValueError):
     """Raised when a star-shaped radius collapses toward or below zero."""
+
+
+class UnsupportedSurfaceError(ValueError):
+    """Raised when an operation needs a grid kind or layout it does not support."""
+
+
+# Relative deviation of a grid's azimuthal sectors from rotated copies of
+# the first that _orbit tolerates: the product grids' rotations reproduce
+# their nodes and weights to about 1e-15.
+_ORBIT_TOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -246,6 +258,59 @@ def make_direction_grid(n_theta: int, n_phi: int) -> DirectionGrid:
     theta, phi, w = _product_angles(n_theta, n_phi)
     desc = {"kind": "product", "n_theta": int(n_theta), "n_phi": int(n_phi)}
     return DirectionGrid(directions=_unit_vectors(theta, phi), weights=w, descriptor=desc)
+
+
+def _rotation_order(descriptor: dict) -> int:
+    """The order of the group of rotations about z that maps a product grid
+    onto itself, read from its descriptor: n_phi for a sphere or a product
+    direction grid, gcd(n_phi, |m| of every term) for a star, and 1 for
+    any other kind."""
+    if descriptor.get("kind") not in ("sphere", "star", "product"):
+        return 1
+    return math.gcd(descriptor["n_phi"], *(abs(m) for _, m, _ in descriptor.get("perturbation", ())))
+
+
+def _rotations(points: np.ndarray, n: int) -> np.ndarray:
+    """(P, 3) points rotated about z by 2 pi t / n for t = 0, ..., n - 1:
+    an (n, P, 3) array whose first entry is the points themselves."""
+    angle = (2 * np.pi / n) * np.arange(n)[:, None]
+    c, s = np.cos(angle), np.sin(angle)
+    x, y, z = points.T
+    return np.stack(np.broadcast_arrays(c * x - s * y, s * x + c * y, z), axis=-1)
+
+
+def _orbit(grid, n: int | None = None) -> tuple[int, np.ndarray]:
+    """n and the node order that lists a product grid's n azimuthal sectors
+    one after another, each in grid order: by default n is the grid's
+    _rotation_order, and any divisor of it regroups the sectors into those
+    of n_phi / n azimuths of every polar row. The grid is a sphere or star
+    SurfaceGrid, or a product DirectionGrid (its directions are the nodes).
+    UnsupportedSurfaceError unless its descriptor names such a grid of as
+    many nodes and its sector t is sector 0 rotated by 2 pi t / n, nodes
+    and weights to _ORBIT_TOL relative (an n that does not divide the
+    group order fails this).
+    """
+    desc = grid.descriptor
+    kind = desc.get("kind")
+    if kind not in ("sphere", "star", "product"):
+        raise UnsupportedSurfaceError(f"needs a sphere, star or product direction grid, got {kind!r}")
+    points = grid.directions if kind == "product" else grid.nodes
+    n_theta, n_phi = desc.get("n_theta", 0), desc.get("n_phi", 0)
+    if n_theta * n_phi != len(points):
+        raise UnsupportedSurfaceError(f"a {n_theta}x{n_phi} {kind} descriptor on a grid of {len(points)} nodes")
+    n = _rotation_order(desc) if n is None else n
+    order = np.arange(len(points)).reshape(n_theta, n, -1).transpose(1, 0, 2).ravel()
+    nodes = points[order].reshape(n, -1, 3)
+    weights = grid.weights[order].reshape(n, -1)
+    deviation = max(
+        np.abs(_rotations(nodes[0], n) - nodes).max() / np.abs(nodes).max(), np.abs(weights / weights[0] - 1).max()
+    )
+    # `not <=` rather than `>`, so that a NaN fails too
+    if not deviation <= _ORBIT_TOL:
+        raise UnsupportedSurfaceError(
+            f"the {kind} grid is not {n} rotated copies of its first sector (deviation {deviation:.2e})"
+        )
+    return n, order
 
 
 def surface_radius(descriptor: dict, theta, phi):

@@ -22,7 +22,7 @@ from scipy.special import spherical_jn, spherical_yn
 
 from wavetrace.specfun import HarmonicIndex, bessel_zero, sph_bessel_j, sph_harm
 from wavetrace.surface import _spherical_coords
-from wavetrace.herglotz import _rank_cutoff
+from wavetrace.herglotz import DEFAULT_QR_RTOL, _antipodal_half, _rank_cutoff
 
 mp.mp.dps = 40
 
@@ -195,6 +195,95 @@ def complex_trace_spectrum(k, grid, dirs, interior):
     Q, R, _ = la.qr(stacked_trace_matrix(k, grid, dirs, interior), mode="economic", pivoting=True)
     cutoff = _rank_cutoff(np.abs(np.diag(R)))
     return la.svd(Q[: grid.n_nodes, :cutoff], compute_uv=False)
+
+
+def orbit_points(interior, n):
+    """The (P, 3) points rotated about z by 2 pi t / n for t = 0, ..., n - 1,
+    by explicit rotation matrices: n P points, one rotation after another.
+    The trace oracle's interior block."""
+    rotations = [
+        np.array([[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0], [0.0, 0.0, 1.0]])
+        for a in 2 * np.pi * np.arange(n) / n
+    ]
+    return np.vstack([interior @ rot.T for rot in rotations])
+
+
+def real_trace_matrix(k, grid, dirs, interior):
+    """The stacked trace matrix as the indicator factors it: one column pair
+    sqrt(2 w) cos, sqrt(2 w) sin per antipodal direction pair."""
+    return stacked_trace_matrix(k, grid, _antipodal_half(dirs), interior).view(float)
+
+
+def compressed_trace_matrix(k, grid, dirs, interior):
+    """The real trace matrix with each block replaced by the R factor of its
+    own QR, min(N, M) + min(P, M) rows for M columns, written with scipy's
+    mode="raw". Returns (matrix, number of boundary rows)."""
+    A = real_trace_matrix(k, grid, dirs, interior)
+    R_B, R_I = (la.qr(rows, mode="raw")[1] for rows in (A[: grid.n_nodes], A[grid.n_nodes :]))
+    return np.vstack([R_B, R_I]), len(R_B)
+
+
+def thin_q_reference(A, n_boundary):
+    """The indicator's spectrum written out step by step on one matrix: the
+    thin Q of the pivoted QR of A, then a dense SVD of its retained first
+    n_boundary rows. On the compressed matrix these are the whole-matrix
+    route's own steps. Returns (cutoff, singular values)."""
+    Q, R, _ = la.qr(A, mode="economic", pivoting=True)
+    cutoff = _rank_cutoff(np.abs(np.diag(R)))
+    return cutoff, la.svd(Q[:n_boundary, :cutoff], compute_uv=False)
+
+
+def _sector(points, n):
+    """The azimuthal sector t of each point: its azimuth in [2 pi t / n, 2 pi (t + 1) / n)."""
+    phi = np.mod(np.arctan2(points[:, 1], points[:, 0]), 2 * np.pi)
+    return np.floor(phi * n / (2 * np.pi) + 1e-9).astype(int) % n
+
+
+def sector_blocks(k, grid, dirs, orbit, n):
+    """The stacked real trace matrix on the orbit of some interior points
+    (orbit_points), for a surface and a direction grid invariant under the
+    rotation by 2 pi / n, as its boundary and interior blocks of shape (n,
+    rows per sector, columns), by whole-matrix exponentials: the boundary
+    rows sorted by sector, each in grid order, against the columns of the
+    half grid's sector 0."""
+    half = _antipodal_half(dirs)
+    X = stacked_trace_matrix(k, grid, half, orbit)
+    rows = np.concatenate([np.argsort(_sector(grid.nodes, n), kind="stable"), np.arange(grid.n_nodes, len(X))])
+    X = np.ascontiguousarray(X[np.ix_(rows, _sector(half.directions, n) == 0)]).view(float)
+    return [block.reshape(n, -1, X.shape[1]) for block in np.split(X, [grid.n_nodes])]
+
+
+def dft_modes(blocks):
+    """The blocks of sector_blocks by azimuthal mode: for p = 0, ..., n // 2
+    the pair sum_t e^{-2 pi i p t / n} X_t, by an explicit DFT matrix
+    product; modes 0 and n / 2 are real arrays."""
+    n = len(blocks[0])
+    dft = np.exp(-2j * np.pi * np.outer(np.arange(n // 2 + 1), np.arange(n)) / n)
+    modes = [[np.tensordot(row, block, axes=1) for block in blocks] for row in dft]
+    return [[block.real for block in pair] if 2 * p % n == 0 else pair for p, pair in enumerate(modes)]
+
+
+def mode_spectrum(modes, compress=True):
+    """The trace spectrum from the (boundary, interior) pairs of each
+    azimuthal mode (dft_modes), written out mode by mode: with compress,
+    each block by the R factor of its own QR (mode="raw"); the thin Q of
+    the pivoted QR of the mode's stacked blocks; one cut over every mode,
+    the R-diagonal entries above DEFAULT_QR_RTOL of the largest; and the
+    singular values of each mode's retained boundary rows, twice for a
+    complex mode (its conjugate's are the same)."""
+    factors = []
+    for B, I in modes:
+        if compress:
+            B, I = (la.qr(block, mode="raw")[1] for block in (B, I))
+        Q, R, _ = la.qr(np.vstack([B, I]), mode="economic", pivoting=True)
+        factors.append((Q[: len(B)], np.abs(np.diag(R)), 1 if np.isrealobj(B) else 2))
+    top = max(diag[0] for _, diag, _ in factors)
+    s = [
+        np.tile(la.svd(Q_B[:, :kept], compute_uv=False), copies)
+        for Q_B, diag, copies in factors
+        if (kept := int((diag > DEFAULT_QR_RTOL * top).sum()))
+    ]
+    return np.sort(np.concatenate(s))[::-1]
 
 
 def complex_basis_compression(grid, band_limit, A):

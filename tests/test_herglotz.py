@@ -93,7 +93,7 @@ class TestHelmholtzResidual:
 def interior_block(k, grid, dirs, pts):
     """The interior rows as the trace spectrum assembles them: real cos/sin
     column pairs at one row weight sqrt(area / P)."""
-    return _real_columns(k, pts, np.sqrt(grid.area / len(pts)), dirs)
+    return _real_columns(k, pts, np.sqrt(grid.area / len(pts)), dirs.directions, dirs.weights)
 
 
 class TestAssembleTraceMatrix:
@@ -111,7 +111,8 @@ class TestAssembleTraceMatrix:
         N = grid.n_nodes
         for k in (3.0, np.pi, 5.7):
             expected = stacked_trace_matrix(k, grid, dirs, pts).view(float)
-            assert np.array_equal(_real_columns(k, grid.nodes, np.sqrt(grid.weights)[:, None], dirs), expected[:N])
+            boundary = _real_columns(k, grid.nodes, np.sqrt(grid.weights)[:, None], dirs.directions, dirs.weights)
+            assert np.array_equal(boundary, expected[:N])
             if pts is not None:
                 assert np.array_equal(interior_block(k, grid, dirs, pts), expected[N:])
 
@@ -123,7 +124,7 @@ class TestAssembleTraceMatrix:
         dirs = make_direction_grid(12, 24)
         pts = seed_interior_points(grid, 576, seed=0)
         expected = stacked_trace_matrix(k, grid, dirs, pts)
-        boundary = _real_columns(k, grid.nodes, np.sqrt(grid.weights)[:, None], dirs)
+        boundary = _real_columns(k, grid.nodes, np.sqrt(grid.weights)[:, None], dirs.directions, dirs.weights)
         X = np.vstack([boundary, interior_block(k, grid, dirs, pts)])
         A = X[:, 0::2] + 1j * X[:, 1::2]
         assert np.max(np.abs(A - expected) / np.abs(expected)) <= 1e-15

@@ -30,12 +30,11 @@ from wavetrace.spectra import (
     _cheb_start_degree,
     _chebyshev_tail,
     _lobatto_points,
-    _orbit,
     _orbit_build,
     _sector_statics,
     bandlimited_basis,
 )
-from wavetrace.surface import SurfaceGrid, _spherical_coords
+from wavetrace.surface import SurfaceGrid, _orbit, _spherical_coords
 from wavetrace.sweep import _one_blas_thread
 from oracles import (
     ball_eigenfunction,

@@ -7,12 +7,14 @@ from wavetrace import (
     DirectionGrid,
     HarmonicIndex,
     SurfaceGrid,
+    UnsupportedSurfaceError,
     make_direction_grid,
     make_sphere,
     make_star_surface,
     sph_harm,
 )
 from wavetrace.herglotz import _check_interior
+from wavetrace.surface import _orbit
 
 
 def node_angles(grid):
@@ -170,6 +172,37 @@ class TestDirectionGrid:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             make_direction_grid(2, 24)
+
+
+class TestOrbit:
+    """One helper lists the azimuthal sectors of any product grid, for the
+    group order or any divisor of it."""
+
+    @pytest.mark.parametrize(
+        "grid, n", [(make_sphere(1.0, 24, 48), 4), (make_star_surface(1.0, [(2, 2, 0.1)], 12, 24), 2),
+                    (make_direction_grid(12, 24), 24), (make_direction_grid(8, 16), 16)],
+        ids=["sphere-divisor", "y22-star", "directions", "directions-8x16"],
+    )
+    def test_sectors_are_rotated_copies(self, grid, n):
+        # the sector t of a divisor n holds every polar row's azimuths
+        # 2 pi j / n_phi with j in [t n_phi / n, (t + 1) n_phi / n), in grid order
+        points = grid.nodes if isinstance(grid, SurfaceGrid) else grid.directions
+        got, order = _orbit(grid, n)
+        assert got == n
+        assert sorted(order) == list(range(len(points)))
+        phi = np.mod(np.arctan2(points[:, 1], points[:, 0]), 2 * np.pi)
+        sector = np.floor(phi * n / (2 * np.pi) + 1e-9).astype(int) % n
+        assert np.array_equal(sector[order], np.repeat(np.arange(n), len(points) // n))
+        assert np.all(np.diff(order.reshape(n, -1), axis=1) > 0)
+
+    def test_group_order_by_default(self):
+        assert _orbit(make_sphere(1.0, 24, 48))[0] == 48
+        assert _orbit(make_direction_grid(10, 20))[0] == 20
+
+    def test_a_non_divisor_of_the_group_order_is_refused(self):
+        # the Y_22 star's group order is 2: its quarter-turns are no symmetry
+        with pytest.raises(UnsupportedSurfaceError, match="not 4 rotated copies of its first sector"):
+            _orbit(make_star_surface(1.0, [(2, 2, 0.1)], 12, 24), 4)
 
 
 class TestIntegrateSurface:
