@@ -196,30 +196,22 @@ def _run_config(ctx: click.Context, config_path: str | None, bound) -> tuple[Run
     return cfg, {name: getattr(cfg, name) for name in bound}
 
 
+def _comma_tuple(flag: str, form: str, types, text: str) -> list:
+    """text's comma-separated fields, one of each type in turn; a usage
+    error naming the flag and its form otherwise."""
+    try:
+        return [kind(part) for kind, part in zip(types, text.split(","), strict=True)]
+    except ValueError:
+        raise click.UsageError(f"{flag} wants '{form}', got {text!r}")
+
+
 def _parse_coef(ctx, param, values) -> list:
-    out = []
-    for text in values:
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise click.UsageError(f"--coef wants 'l,m,eps', got {text!r}")
-        try:
-            l, m, eps = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise click.UsageError(f"--coef wants 'l,m,eps' numbers, got {text!r}")
-        out.append([l, m, eps])
-    return out
+    return [_comma_tuple("--coef", "l,m,eps", (int, int, float), text) for text in values]
 
 
 def _parse_target(ctx, param, text: str) -> HarmonicIndex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise click.UsageError(f"--target wants 'l,m', got {text!r}")
     try:
-        l, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise click.UsageError(f"--target wants integers 'l,m', got {text!r}")
-    try:
-        return HarmonicIndex(l, m)
+        return HarmonicIndex(*_comma_tuple("--target", "l,m", (int, int), text))
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -243,11 +235,6 @@ def _check_writable(path: str):
     parent = Path(path).resolve().parent
     if Path(path).is_dir() or not parent.is_dir() or not os.access(parent, os.W_OK):
         raise click.UsageError(f"output path {path} is not a writable file")
-
-
-def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
 
 
 def _json_dumps(payload) -> str:
@@ -314,7 +301,8 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     interior = seed_interior_points(grid, cfg.interior_count, cfg.seed)
     ks = np.linspace(cfg.k_min, cfg.k_max, cfg.samples)
     values, refined = find_dips(make_trace_spectrum(grid, dirs, interior), ks)
-    _write_text(out_csv, "k,indicator\n" + "".join(f"{k:.17g},{v:.17g}\n" for k, v in zip(ks, values)))
+    rows = "".join(f"{k:.17g},{v:.17g}\n" for k, v in zip(ks, values))
+    Path(out_csv).write_text("k,indicator\n" + rows, encoding="utf-8")
     payload = {
         "config": {
             "indicator": "trace-subspace",
@@ -329,7 +317,7 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
         "indicator": values.tolist(),
         "dips": [asdict(dip) for dip in refined],
     }
-    _write_text(out_json, _json_dumps(payload))
+    Path(out_json).write_text(_json_dumps(payload), encoding="utf-8")
     click.echo(f"{len(refined)} dip(s) in [{cfg.k_min}, {cfg.k_max}]:")
     click.echo("k_refined        indicator    multiplicity")
     for dip in refined:
@@ -388,7 +376,7 @@ def cmd_eigs(ctx, method, out_json, config_path, **flags):
         "method": method,
         "records": [asdict(rec) for rec in records],
     }
-    _write_text(out_json, _json_dumps(payload))
+    Path(out_json).write_text(_json_dumps(payload), encoding="utf-8")
     click.echo(f"{len(records)} eigenvalue record(s) up to k = {cfg.k_max}:")
     for rec in records:
         tag = "" if rec.l is None else f"  l={rec.l} n={rec.n}"
@@ -412,7 +400,7 @@ def cmd_verify(seed, inject_off_spectrum, out_path):
     for line in lines:
         click.echo(line)
     if out_path is not None:
-        _write_text(out_path, "\n".join(lines) + "\n")
+        Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     genuine_fail = [r for r in reports if not r.expected_failure and not r.passed]
     vacuous_controls = [r for r in reports if r.expected_failure and r.passed]
     n_controls = sum(1 for r in reports if r.expected_failure)
@@ -456,7 +444,7 @@ def cmd_fit(ctx, target, out_json, config_path, **flags):
         "residual": residual,
         "density_norm": density_norm,
     }
-    _write_text(out_json, _json_dumps(payload))
+    Path(out_json).write_text(_json_dumps(payload), encoding="utf-8")
     click.echo(f"relative residual = {residual:.12g}")
     click.echo("density L2 norm   = " + ("none" if density_norm is None else f"{density_norm:.12g}"))
 

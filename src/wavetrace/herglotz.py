@@ -85,7 +85,6 @@ from .surface import (
     DirectionGrid,
     SurfaceGrid,
     _orbit,
-    _random_unit_vectors,
     _rotation_order,
     _rotations,
     _spherical_coords,
@@ -152,14 +151,15 @@ def _trace_columns(k: float, grid: SurfaceGrid, dirs: DirectionGrid) -> np.ndarr
 def seed_interior_points(grid: SurfaceGrid, count: int, seed: int) -> np.ndarray:
     """Seeded quasi-uniform points strictly inside the surface.
 
-    Directions are isotropic Gaussian draws; radii scale as u^(1/3) of 0.95
-    times the local surface radius, so the cloud fills the volume and stays
-    strictly interior.
+    Directions are isotropic, normalized standard Gaussian triples; radii
+    scale as u^(1/3) of 0.95 times the local surface radius, so the cloud
+    fills the volume and stays strictly interior.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     rng = np.random.default_rng(seed)
-    v = _random_unit_vectors(rng, count)
+    v = rng.standard_normal((count, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
     u = rng.random(count)
     theta = np.arccos(np.clip(v[:, 2], -1.0, 1.0))
     phi = np.arctan2(v[:, 1], v[:, 0])
@@ -168,14 +168,21 @@ def seed_interior_points(grid: SurfaceGrid, count: int, seed: int) -> np.ndarray
 
 
 def _check_interior(grid: SurfaceGrid, interior) -> np.ndarray:
+    """The points as a (P, 3) array; ValueError unless each is finite and
+    inside the surface: inside its radius function on a sphere or star grid,
+    else inside the ball through its farthest node."""
     interior = np.atleast_2d(np.asarray(interior, dtype=float))
     if interior.shape[1] != 3:
         raise ValueError("interior points must have shape (P, 3)")
+    if not np.isfinite(interior).all():
+        raise ValueError("interior points must be finite")
+    r, theta, phi = _spherical_coords(interior)
     if grid.descriptor.get("kind") in ("sphere", "star"):
-        r, theta, phi = _spherical_coords(interior)
-        rho, _, _ = surface_radius(grid.descriptor, theta, phi)
-        if not np.all(r < rho * (1 - 1e-9)):  # a NaN point fails too
-            raise ValueError("interior point on or outside the surface")
+        bound = surface_radius(grid.descriptor, theta, phi)[0] * (1 - 1e-9)
+    else:
+        bound = np.linalg.norm(grid.nodes, axis=1).max()
+    if not np.all(r < bound):
+        raise ValueError("interior point on or outside the surface")
     return interior
 
 
@@ -237,11 +244,12 @@ def make_trace_spectrum(grid: SurfaceGrid, dirs: DirectionGrid, interior):
     the zero-rank and blind-sine errors apply to it.
 
     The direction grid must be antipodally symmetric and the interior points,
-    of shape (P, 3), inside the surface (ValueError here, before any
-    evaluation); they are checked against it only on sphere and star grids,
-    so on any other grid the caller must supply points inside it. A sphere
-    or star grid whose sectors are not rotated copies of its first is
-    refused (UnsupportedSurfaceError, from _orbit). An evaluation raises
+    of shape (P, 3), finite and inside the surface (ValueError here, before
+    any evaluation); a grid with no radius function is only checked against
+    the ball through its farthest node, so on a non-convex custom surface
+    the caller must supply points inside it. A sphere or star grid whose
+    sectors are not rotated copies of its first is refused
+    (UnsupportedSurfaceError, from _orbit). An evaluation raises
     IllPosedIndicatorError if it retains no column, or if a retained
     direction's sine is within _BLIND_SINE_TOL of 1.
     """
@@ -311,15 +319,15 @@ def make_trace_spectrum(grid: SurfaceGrid, dirs: DirectionGrid, interior):
     return singular_values
 
 
-def _project_onto_span(A: np.ndarray, B: np.ndarray, rtol: float = DEFAULT_QR_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def _project_onto_span(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Truncated projection of the real right-hand sides B onto the column
     span of the real matrix A: the singular triplets (u, s, v) of A with s
-    above rtol of the leading one, by default the trace spectrum's rank
+    above DEFAULT_QR_RTOL of the leading one, the trace spectrum's rank
     rule. Returns the remainder B - U (U^T B), formed directly (a
     difference of squared norms has a floor of sqrt(eps)), and the
     minimum-norm coefficients V (U^T B / s)."""
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    keep = s > rtol * s[0]
+    keep = s > DEFAULT_QR_RTOL * s[0]
     c = U[:, keep].T @ B
     return B - U[:, keep] @ c, Vh[keep].T @ (c / s[keep, None])
 

@@ -153,12 +153,6 @@ def _spherical_frame(theta, phi):
     return _unit_vectors(theta, phi), theta_hat, phi_hat
 
 
-def _random_unit_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count isotropic unit vectors: normalized standard Gaussian triples."""
-    v = rng.standard_normal((count, 3))
-    return v / np.linalg.norm(v, axis=1)[:, None]
-
-
 def _spherical_coords(points: np.ndarray):
     """Cartesian points (..., 3) -> (r, theta, phi); theta = 0 at the origin."""
     r = np.linalg.norm(points, axis=-1)

@@ -149,24 +149,14 @@ def sweep_k(spectrum, ks) -> np.ndarray:
 
 def detect_dips(values) -> list[int]:
     """Indices of the sampled dips: samples at or below DEFAULT_DEPTH_RATIO *
-    median are flagged, and each run of adjacent flags gives its minimum."""
+    median are flagged, and each run of adjacent flags gives its minimum,
+    the first on ties."""
     vals = np.asarray(values, dtype=float)
     if len(vals) == 0:
         return []
-    threshold = DEFAULT_DEPTH_RATIO * float(np.median(vals))
-    flagged = vals <= threshold
-    dips = []
-    i = 0
-    while i < len(vals):
-        if flagged[i]:
-            j = i
-            while j + 1 < len(vals) and flagged[j + 1]:
-                j += 1
-            dips.append(i + int(np.argmin(vals[i : j + 1])))
-            i = j + 1
-        else:
-            i += 1
-    return dips
+    flagged = np.flatnonzero(vals <= DEFAULT_DEPTH_RATIO * float(np.median(vals)))
+    runs = np.split(flagged, np.flatnonzero(np.diff(flagged) > 1) + 1)
+    return [int(run[np.argmin(vals[run])]) for run in runs if len(run)]
 
 
 def refine_dip(spectrum, bracket, tol: float):
@@ -184,7 +174,8 @@ def refine_dip(spectrum, bracket, tol: float):
     2 sqrt(eps) |k|; then k* +- max(tol/2, floor) are evaluated, and if
     neither is lower the tol-wide bracket is certified, else the search goes
     on from the lower one. k* is the best evaluated point and its spectrum
-    the one evaluated there; no k is evaluated twice. The middle seed must
+    the one evaluated there; the evaluations are cached (functools.cache),
+    so no k is evaluated twice. The middle seed must
     be strictly lowest, or BracketError is raised.
     """
     if not tol > 0:
@@ -192,11 +183,10 @@ def refine_dip(spectrum, bracket, tol: float):
     lo, x, hi = map(float, bracket)
     if not lo < x < hi:
         raise ValueError(f"need seeds a < k < b, got {tuple(bracket)}")
-    seen = {}
+    spectrum = functools.cache(spectrum)
 
     def squared(k):
-        seen[k] = spectrum(k)
-        return float(seen[k][-1]) ** 2
+        return float(spectrum(k)[-1]) ** 2
 
     with _one_blas_thread():
         f_lo, fx, f_hi = squared(lo), squared(x), squared(hi)
@@ -227,7 +217,7 @@ def refine_dip(spectrum, bracket, tol: float):
                 lo, f_lo, hi, f_hi = (lo, f_lo, t, ft) if t > x else (t, ft, hi, f_hi)
             else:
                 if converged:
-                    return x, seen[x]
+                    return x, spectrum(x)
 
 
 def estimate_multiplicity(singular_values) -> int:
@@ -249,10 +239,11 @@ def estimate_multiplicity(singular_values) -> int:
 def find_dips(spectrum, ks):
     """Sweep, detect, refine and classify: returns (sampled values, dips).
 
-    The sweep keeps every sample's spectrum, and each dip is refined from
-    its sampled minimum and the two samples beside it, whose spectra are
-    looked up, not evaluated again, to a certified bracket DEFAULT_REFINE_TOL
-    wide: a constant, like the depth and gap rules. A sampled minimum at an
+    The sweep keeps every sample's spectrum in a functools.cache, and each
+    dip is refined from its sampled minimum and the two samples beside it,
+    whose spectra are looked up, not evaluated again, to a certified
+    bracket DEFAULT_REFINE_TOL wide: a constant, like the depth and gap
+    rules. A sampled minimum at an
     end of the range has no neighbour beyond it and raises BracketError.
     The dips are refined and classified concurrently on a pool like the
     sweep's; each keeps its own search sequence, so the results do not
@@ -260,12 +251,7 @@ def find_dips(spectrum, ks):
     refinement evaluated at k*.
     """
     ks = np.asarray(ks, dtype=float)
-    evaluated = {}
-
-    def known(k):
-        if k not in evaluated:
-            evaluated[k] = spectrum(k)
-        return evaluated[k]
+    known = functools.cache(spectrum)
 
     def refine_and_classify(j: int) -> Dip:
         if j in (0, len(ks) - 1):

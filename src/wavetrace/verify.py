@@ -15,7 +15,8 @@
   k^2 R^{-l} integral_0^R r^{l+2} j_l(kr) dr = -k j_l'(kR) R^2;
 * decomposition: bandlimited surface functions split into the trace span
   plus the span of the eigenfunction normal derivatives present at k, the
-  residual being the worst case over all of them.
+  residual being the worst case over every Y_lm with l <= 4, within 1e-8
+  (7.7e-14 at k = 1 and 9.7e-15 at k = pi on the suite's grids).
 
 Each check emits a reproducible VerificationReport (inputs embedded, and
 the seed of the one sample drawn, the orthogonality check's densities).
@@ -59,8 +60,10 @@ __all__ = [
 _N_RANDOM_DENSITIES = 20
 _N_RADIAL = 64
 
-# Decomposition: degree bound of the band-limited targets.
+# Decomposition: degree bound of the band-limited targets, and the bound on
+# the worst case over them.
 _DECOMPOSITION_BAND_LIMIT = 4
+_DECOMPOSITION_TOL = 1e-8
 
 # A ball eigenvalue k_{l,n} counts as present at k within this relative
 # distance: near a zero |j_l(kR)| is about |k/k_{l,n} - 1|, so this stands
@@ -203,33 +206,23 @@ def check_green_reduction(idx: HarmonicIndex, n: int, R: float) -> VerificationR
     )
 
 
-def check_decomposition(
-    k: float,
-    grid: SurfaceGrid,
-    dirs: DirectionGrid,
-    psi: HarmonicIndex | None = None,
-    tolerance: float = 1e-5,
-) -> VerificationReport:
+def check_decomposition(k: float, grid: SurfaceGrid, dirs: DirectionGrid) -> VerificationReport:
     """Split bandlimited surface functions across traces + eigen normal span.
 
-    The targets are every combination of the Y_lm, l <= 4, or the multiples
-    of the one Y_psi given. The column stack is real: the trace columns are
-    the real ones of the fit and the sweep, and each eigen normal derivative
-    joins as its real and imaginary parts, which span the same complex space
-    as the eigenspace's 2l+1 columns, since Y_{l,-m} = (-1)^m conj(Y_lm).
+    The targets are every combination of the Y_lm, l <= 4. The column stack
+    is real: the trace columns are the real ones of the fit and the sweep,
+    and each eigen normal derivative joins as its real and imaginary parts,
+    which span the same complex space as the eigenspace's 2l+1 columns,
+    since Y_{l,-m} = (-1)^m conj(Y_lm).
     The weighted targets are orthonormalized by a QR, Q; the real and
     imaginary parts of Q are the right-hand sides of the truncated span
     projection of fit_trace, and the residual is the spectral norm of what
-    it leaves of Q: the worst relative residual over every target, equal
-    to the single target's for one psi. The grid must be a sphere's.
+    it leaves of Q: the worst relative residual over every target, checked
+    against _DECOMPOSITION_TOL. The grid must be a sphere's.
     """
     R = _sphere_radius(grid)
     _, theta, phi = _spherical_coords(grid.nodes)
-    if psi is None:
-        targets = [HarmonicIndex(l, m) for l in range(_DECOMPOSITION_BAND_LIMIT + 1) for m in range(-l, l + 1)]
-        psi_label = f"worst case over band-limited l<={_DECOMPOSITION_BAND_LIMIT}"
-    else:
-        targets, psi_label = [psi], str(psi)
+    targets = [HarmonicIndex(l, m) for l in range(_DECOMPOSITION_BAND_LIMIT + 1) for m in range(-l, l + 1)]
     Y = np.column_stack([sph_harm(idx, theta, phi) for idx in targets])
     Q, _ = np.linalg.qr(Y * np.sqrt(grid.weights)[:, None])
 
@@ -247,14 +240,14 @@ def check_decomposition(
         inputs={
             "k": float(k),
             "R": R,
-            "psi": psi_label,
+            "psi": f"worst case over band-limited l<={_DECOMPOSITION_BAND_LIMIT}",
             "eigen_indices": eigen_indices,
             "surface": grid.descriptor,
             "directions": dirs.descriptor,
             "svd_cutoff": DEFAULT_QR_RTOL,
         },
         residual=residual,
-        tolerance=tolerance,
+        tolerance=_DECOMPOSITION_TOL,
     )
 
 
@@ -292,7 +285,5 @@ def run_default_suite(
             checks.append(lambda i=HarmonicIndex(l, 0), n=n: check_green_reduction(i, n, 1.0))
     grid_dec = make_sphere(1.0, 30, 60)
     checks.append(lambda: check_decomposition(1.0, grid_dec, dirs))
-    checks.append(
-        lambda: check_decomposition(np.pi, grid_dec, dirs, psi=HarmonicIndex(0, 0), tolerance=1e-8)
-    )
+    checks.append(lambda: check_decomposition(np.pi, grid_dec, dirs))
     return _map(lambda check: check(), checks)

@@ -168,12 +168,14 @@ def complex_trace_fit(k, grid, target, dirs):
     return float(np.linalg.norm(b - U[:, keep] @ c) / np.linalg.norm(b)), float(np.linalg.norm(h))
 
 
-def complex_decomposition_residual(k, R, grid, dirs, psi, eigen_indices):
+def complex_decomposition_residual(k, R, grid, dirs, targets, eigen_indices):
     """The decomposition residual with a complex column stack: the trace
     matrix over every direction, then the weighted normal derivatives
     k_n j_l'(k_n R) Y_lm, k_n = z_{l,n}/R, of every (l, n) in eigen_indices
     and every m; projected onto the left singular vectors above 1e-8 of the
-    leading value. Returns ||b - U U^H b|| / ||b|| for b = Y_psi sqrt(sigma)."""
+    leading value. The targets Y_lm, (l, m) in targets, weighted by
+    sqrt(sigma), are orthonormalized to Q; returns the spectral norm
+    ||Q - U U^H Q||, the worst relative residual over their combinations."""
     sqrt_w = np.sqrt(grid.weights)
     columns = [stacked_trace_matrix(k, grid, dirs)]
     for l, n in eigen_indices:
@@ -183,8 +185,8 @@ def complex_decomposition_residual(k, R, grid, dirs, psi, eigen_indices):
             columns.append((v_n * sqrt_w)[:, None])
     U, s, _ = np.linalg.svd(np.hstack(columns), full_matrices=False)
     U = U[:, s > s[0] * 1e-8]
-    b = harmonic_on(grid, psi.l, psi.m) * sqrt_w
-    return float(np.linalg.norm(b - U @ (U.conj().T @ b)) / np.linalg.norm(b))
+    Q, _ = np.linalg.qr(np.column_stack([harmonic_on(grid, l, m) * sqrt_w for l, m in targets]))
+    return float(np.linalg.norm(Q - U @ (U.conj().T @ Q), 2))
 
 
 def complex_trace_spectrum(k, grid, dirs, interior):

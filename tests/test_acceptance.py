@@ -160,7 +160,7 @@ class TestCriterion4Lemma1:
         grid = make_sphere(1.0, 30, 60)
         dirs = make_direction_grid(12, 24)
         off = check_decomposition(1.0, grid, dirs)
-        at_pi = check_decomposition(np.pi, grid, dirs, psi=HarmonicIndex(0, 0), tolerance=1e-8)
+        at_pi = check_decomposition(np.pi, grid, dirs)
         traces_only, _ = fit_trace(np.pi, grid, harmonic_on(grid, 0, 0), dirs)
         ok = off.passed and at_pi.passed and abs(traces_only - 1.0) <= 1e-6
         assert report(

@@ -305,6 +305,22 @@ def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
     assert not any((tmp_path / name).exists() for name in ("out.json", "out.csv", "out.jsonl"))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--surface", "star", "--coef", "1,2"],
+        ["sweep", "--surface", "star", "--coef", "1,x,0.1"],
+        ["fit", "--k", "1.0", "--target", "1"],
+        ["fit", "--k", "1.0", "--target", "1.5,0"],
+    ],
+    ids=["coef-two-fields", "coef-not-a-number", "target-one-field", "target-float-degree"],
+)
+def test_malformed_comma_flag_names_the_flag(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"Error: {args[-2]} wants" in result.output
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("command", ["sweep", "fit"])
 def test_odd_direction_phi_is_usage_error(runner, tmp_path, monkeypatch, command, source):

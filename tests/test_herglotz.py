@@ -25,7 +25,7 @@ from wavetrace import (
     sph_bessel_j,
     sph_harm,
 )
-from wavetrace.herglotz import _antipodal_half, _project_onto_span, _real_columns, _trace_columns
+from wavetrace.herglotz import _antipodal_half, _real_columns, _trace_columns
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -179,11 +179,15 @@ class TestFunkHecke:
 
 
 def pseudo_inverse_fit(k, grid, target, dirs):
-    """fit_trace's projection cut at 1e-14 instead of DEFAULT_QR_RTOL:
-    (relative residual, density norm) of the truncated pseudo-inverse."""
+    """fit_trace's projection written out with its cut at 1e-14 instead of
+    DEFAULT_QR_RTOL: (relative residual, density norm) of the truncated
+    pseudo-inverse, by one SVD of the real trace columns."""
     b = target * np.sqrt(grid.weights)
-    remainder, h = _project_onto_span(_trace_columns(k, grid, dirs), np.column_stack([b.real, b.imag]), rtol=1e-14)
-    return np.linalg.norm(remainder) / np.linalg.norm(b), np.linalg.norm(h)
+    B = np.column_stack([b.real, b.imag])
+    U, s, Vh = np.linalg.svd(_trace_columns(k, grid, dirs), full_matrices=False)
+    keep = s > 1e-14 * s[0]
+    c = U[:, keep].T @ B
+    return np.linalg.norm(B - U[:, keep] @ c) / np.linalg.norm(b), np.linalg.norm(Vh[keep].T @ (c / s[keep, None]))
 
 
 class TestFitTrace:

@@ -115,8 +115,9 @@ def test_one_home_for_the_plane_wave_directions():
 
 def test_every_defaulted_parameter_is_passed_inside_the_package():
     # a parameter that only the tests set keeps a branch that only the tests
-    # reach: each defaulted parameter of an exported function is passed, by
-    # position or by keyword, by some call inside the package
+    # reach: each defaulted parameter of a layer's module-level functions,
+    # exported or private, is passed, by position or by keyword, by some
+    # call inside the package
     calls = {}
     for path in Path(wavetrace.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
@@ -130,9 +131,8 @@ def test_every_defaulted_parameter_is_passed_inside_the_package():
     unpassed = []
     for layer in LAYERS:
         module = importlib.import_module(f"wavetrace.{layer}")
-        for name in module.__all__:
-            function = getattr(module, name)
-            if not inspect.isfunction(function):
+        for name, function in vars(module).items():
+            if not inspect.isfunction(function) or function.__module__ != module.__name__:
                 continue
             for i, param in enumerate(inspect.signature(function).parameters.values()):
                 if param.default is not param.empty and not any(

@@ -62,6 +62,15 @@ def workload_problem(name):
     return grid, dirs, seed_interior_points(grid, count, seed=0), ks
 
 
+def reference_problem(name):
+    """A workload's trace problem at a size its whole-matrix references
+    afford: ball-trace keeps its grids (group order 24), samples and four
+    dips, with the first 48 of its interior points (an orbit of 1152 rows,
+    not 13 824); star-cross is the workload's own."""
+    grid, dirs, interior, ks = workload_problem(name)
+    return grid, dirs, interior[:48] if name == "ball-trace" else interior, ks
+
+
 def rotated_star_problem():
     """The star r = 1 + 0.1 Re Y_20 + 0.03 Re Y_31 (20x40) with 10x20
     directions and 400 interior points, and the same problem rotated off the
@@ -117,6 +126,28 @@ class TestCompletenessIndicator:
         bad = np.array([[0.0, 0.0, 1.2]])
         with pytest.raises(ValueError):
             make_trace_spectrum(grid, dirs, bad)
+
+    @pytest.mark.parametrize(
+        "kind, bad, message",
+        [
+            ("custom", (5.0, 0.0, 0.0), "outside"),
+            ("sphere", (np.nan, 0.0, 0.0), "finite"),
+            ("custom", (np.nan, 0.0, 0.0), "finite"),
+        ],
+        ids=["custom-outside", "sphere-nan", "custom-nan"],
+    )
+    def test_interior_point_outside_or_not_finite_rejected_on_every_grid(self, kind, bad, message):
+        # the 8x16 unit sphere's nodes, also under a descriptor with no
+        # radius function: one of 40 seeded points moved out, or made NaN,
+        # is refused when the points are bound, before any evaluation (a
+        # point outside the sphere itself: test_interior_point_outside_rejected)
+        sphere = make_sphere(1.0, 8, 16)
+        grid = sphere if kind == "sphere" else as_custom(sphere)
+        dirs, interior = make_direction_grid(8, 16), seed_interior_points(sphere, 40, seed=0)
+        make_trace_spectrum(grid, dirs, interior)
+        interior[7] = bad
+        with pytest.raises(ValueError, match=message):
+            make_trace_spectrum(grid, dirs, interior)
 
     def test_too_few_interior_points_ill_posed(self):
         # the equator ring of an odd dirs n_theta makes the group order 1, so
@@ -369,9 +400,10 @@ class TestRealArithmetic:
         assert s.shape == expected.shape
         assert np.abs(s - expected).max() <= 1e-14 * expected[0]
 
-    def test_indicator_matches_the_complex_form(self, problem):
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_indicator_matches_the_complex_form(self, name):
         # the complex form over every direction, on the orbit of the points
-        grid, dirs, interior = problem
+        problem = grid, dirs, interior = reference_problem(name)[:3]
         orbit = orbit_points(interior, _group_order(grid, dirs))
         for k in self.KS:
             expected = complex_trace_spectrum(k, grid, dirs, orbit)[-1]
@@ -381,11 +413,12 @@ class TestRealArithmetic:
 class TestBlockRoute:
     """The block route against the whole-matrix route (thin_q_reference on
     the stacked R factors, the route of group order 1) on the same orbit
-    points, over the benchmark workloads' samples and their refined dips."""
+    points (reference_problem), over the workloads' samples and their
+    refined dips."""
 
     @pytest.fixture(scope="class", params=WORKLOADS)
     def sweeps(self, request):
-        grid, dirs, interior, ks = workload_problem(request.param)
+        grid, dirs, interior, ks = reference_problem(request.param)
         orbit = orbit_points(interior, _group_order(grid, dirs))
 
         def whole(k):
@@ -394,7 +427,7 @@ class TestBlockRoute:
         return request.param, find_dips(make_trace_spectrum(grid, dirs, interior), ks), find_dips(whole, ks)
 
     def test_indicator_matches_the_whole_matrix(self, sweeps):
-        # ball-trace: 2.3e-14 relative at most. star-cross: 5.4e-8, because
+        # ball-trace: 2.0e-14 relative at most. star-cross: 5.4e-8, because
         # the one rank rule cuts mode by mode inside a degree band of the
         # spectrum, where the whole matrix's pivoted QR cuts elsewhere
         name, (values, _), (expected, _) = sweeps
@@ -489,6 +522,22 @@ class TestDetectDips:
         assert len(dips) == 2
         assert vals[dips[0]] == pytest.approx(1e-3)
         assert vals[dips[1]] == pytest.approx(5e-4)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([], []),
+            ([1e-3, 2e-3, 1, 1, 1, 1, 1, 3e-3], [0, 7]),
+            ([1, 1, 2e-3, 1e-3, 5e-3, 1e-3, 1, 1], [3]),
+            ([1, 1, 1, 0.1, 1, 1, 1], [3]),
+            ([0.0, 0.0, 0.0, 0.0], [0]),
+        ],
+        ids=["empty", "a-run-at-each-end", "tie-first-wins", "at-the-threshold", "every-sample-flagged"],
+    )
+    def test_dip_indices(self, values, expected):
+        # the threshold is DEFAULT_DEPTH_RATIO = 0.1 of the median; the run
+        # at the upper end is one sample long
+        assert detect_dips(values) == expected
 
 
 def recorded(spectrum):
