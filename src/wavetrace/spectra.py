@@ -45,7 +45,7 @@ leading one. That test still guards the result: a range that fails it
 raises InterpolationError. On the 24x48 star over [5, 6.5] at band limit
 8 (h D / 2 = 0.797) n is 18: 19 builds of 24 x 1152 kernel rows (the
 group order is 48), against one per evaluation (92 for a 76-sample sweep
-and its refinements); an evaluation then costs an 81 x 81 SVD, about 2 ms.
+and its refinements); an evaluation then costs an 81 x 81 SVD, about 1 ms.
 """
 
 from __future__ import annotations

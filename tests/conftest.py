@@ -48,3 +48,8 @@ def dirs_10_20():
 @pytest.fixture(scope="session")
 def star_grid_24_48():
     return make_star_surface(1.0, [(2, 0, 0.1)], 24, 48)
+
+
+# numpy's CPU dispatch with its AVX-512 targets switched off, for a child
+# process's environment: float64 tan then runs libm, not the vectorized code
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}

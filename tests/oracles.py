@@ -3,7 +3,9 @@
 These deliberately avoid the library's own code paths: the spherical
 Bessel series is summed in mpmath extended precision, derivatives come
 from central finite differences, integrals from adaptive quadrature or
-brute-force refined grids.
+brute-force refined grids. The one exception, library_entries, takes the
+library's plane-wave entries, for the references that pin the steps after
+the assembly bit for bit.
 
 The sphere's closed forms (the Funk-Hecke pairing, the single-layer
 symbol, the ball eigenfunctions) and the discrete Herglotz wave are plain
@@ -22,7 +24,7 @@ from scipy.special import spherical_jn, spherical_yn
 
 from wavetrace.specfun import HarmonicIndex, bessel_zero, sph_bessel_j, sph_harm
 from wavetrace.surface import _spherical_coords
-from wavetrace.herglotz import DEFAULT_QR_RTOL, _antipodal_half, _rank_cutoff
+from wavetrace.herglotz import DEFAULT_QR_RTOL, _antipodal_half, _rank_cutoff, _real_columns
 
 mp.mp.dps = 40
 
@@ -210,17 +212,30 @@ def orbit_points(interior, n):
     return np.vstack([interior @ rot.T for rot in rotations])
 
 
-def real_trace_matrix(k, grid, dirs, interior):
-    """The stacked trace matrix as the indicator factors it: one column pair
-    sqrt(2 w) cos, sqrt(2 w) sin per antipodal direction pair."""
+def exp_entries(k, grid, dirs, interior):
+    """The stacked trace matrix as the indicator factors it, by complex
+    exponentials: one column pair sqrt(2 w) cos, sqrt(2 w) sin per
+    antipodal direction pair, the real and imaginary parts of
+    stacked_trace_matrix on the half grid."""
     return stacked_trace_matrix(k, grid, _antipodal_half(dirs), interior).view(float)
 
 
-def compressed_trace_matrix(k, grid, dirs, interior):
-    """The real trace matrix with each block replaced by the R factor of its
-    own QR, min(N, M) + min(P, M) rows for M columns, written with scipy's
-    mode="raw". Returns (matrix, number of boundary rows)."""
-    A = real_trace_matrix(k, grid, dirs, interior)
+def library_entries(k, grid, dirs, interior):
+    """The same real stacked matrix with the library's own entries: each
+    block from herglotz._real_columns at the row weights of
+    stacked_trace_matrix, stacked by a copy. A reference built on these
+    checks the steps that follow the assembly, not its arithmetic."""
+    half = _antipodal_half(dirs)
+    blocks = [(grid.nodes, np.sqrt(grid.weights)[:, None]), (interior, np.sqrt(grid.area / len(interior)))]
+    return np.vstack([_real_columns(k, points, weight, half.directions, half.weights) for points, weight in blocks])
+
+
+def compressed_trace_matrix(k, grid, dirs, interior, entries):
+    """The real trace matrix (entries: exp_entries or library_entries) with
+    each block replaced by the R factor of its own QR, min(N, M) + min(P, M)
+    rows for M columns, written with scipy's mode="raw". Returns (matrix,
+    number of boundary rows)."""
+    A = entries(k, grid, dirs, interior)
     R_B, R_I = (la.qr(rows, mode="raw")[1] for rows in (A[: grid.n_nodes], A[grid.n_nodes :]))
     return np.vstack([R_B, R_I]), len(R_B)
 
@@ -241,17 +256,16 @@ def _sector(points, n):
     return np.floor(phi * n / (2 * np.pi) + 1e-9).astype(int) % n
 
 
-def sector_blocks(k, grid, dirs, orbit, n):
+def sector_blocks(k, grid, dirs, orbit, n, entries):
     """The stacked real trace matrix on the orbit of some interior points
     (orbit_points), for a surface and a direction grid invariant under the
     rotation by 2 pi / n, as its boundary and interior blocks of shape (n,
-    rows per sector, columns), by whole-matrix exponentials: the boundary
-    rows sorted by sector, each in grid order, against the columns of the
-    half grid's sector 0."""
-    half = _antipodal_half(dirs)
-    X = stacked_trace_matrix(k, grid, half, orbit)
+    rows per sector, columns), from the whole matrix (entries: exp_entries
+    or library_entries): the boundary rows sorted by sector, each in grid
+    order, against the column pairs of the half grid's sector 0."""
+    X = entries(k, grid, dirs, orbit)
     rows = np.concatenate([np.argsort(_sector(grid.nodes, n), kind="stable"), np.arange(grid.n_nodes, len(X))])
-    X = np.ascontiguousarray(X[np.ix_(rows, _sector(half.directions, n) == 0)]).view(float)
+    X = X[np.ix_(rows, np.repeat(_sector(_antipodal_half(dirs).directions, n) == 0, 2))]
     return [block.reshape(n, -1, X.shape[1]) for block in np.split(X, [grid.n_nodes])]
 
 

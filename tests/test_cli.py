@@ -22,6 +22,8 @@ from wavetrace import BracketError
 from wavetrace.cli import _RANGES, EXIT_VERIFY_FAIL, RunConfig, main
 from wavetrace.sweep import _blas_threads, _openblas_thread_controls
 
+from conftest import NO_AVX512
+
 
 @pytest.fixture()
 def runner():
@@ -596,13 +598,15 @@ def test_every_subcommand_artifact_independent_of_blas_threads(tmp_path, args, o
     assert digests[0] == digests[1]
 
 
-# One child process per kernel runs every command of KERNEL_RUNS in its
-# working directory, after reporting the kernel each bundled OpenBLAS chose;
-# under a forced kernel that OpenBLAS did not take it runs nothing.
+# One child process per kernel or SIMD target runs every command of
+# KERNEL_RUNS in its working directory, after reporting the kernel each
+# bundled OpenBLAS chose and whether numpy dispatches AVX512_SKX code; under
+# a forced kernel that OpenBLAS did not take it runs nothing.
 _KERNEL_CHILD = """
 import ctypes, json, os, sys
 from pathlib import Path
 import numpy, scipy
+from numpy._core._multiarray_umath import __cpu_features__
 from wavetrace.cli import main
 
 kernels = set()
@@ -615,7 +619,7 @@ for package in (numpy, scipy):
                 corename.argtypes, corename.restype = [], ctypes.c_char_p
                 kernels.add(corename().decode().lower())
                 break
-print(json.dumps(sorted(kernels)))
+print(json.dumps({"kernels": sorted(kernels), "avx512_skx": __cpu_features__["AVX512_SKX"]}))
 forced = os.environ.get("OPENBLAS_CORETYPE", "").lower()
 if kernels and (not forced or kernels == {forced}):
     for argv in json.loads(sys.argv[1]):
@@ -635,15 +639,15 @@ KERNEL_RUNS = [
 ]
 
 
-def _run_under_kernel(workdir: Path, kernel: str | None) -> tuple[list, dict]:
-    """(the kernels the child's OpenBLAS builds report, the artifacts of
-    KERNEL_RUNS parsed) under OPENBLAS_CORETYPE=kernel, or OpenBLAS's own
-    choice for None; no artifacts where the forced kernel was not taken."""
+def _run_child(workdir: Path, variables: dict) -> tuple[dict, dict]:
+    """(the child's report: "kernels", those its OpenBLAS builds report, and
+    "avx512_skx"; the artifacts of KERNEL_RUNS parsed) with the environment
+    variables set, OPENBLAS_CORETYPE and NPY_DISABLE_CPU_FEATURES unset
+    unless given; no artifacts where a forced kernel was not taken."""
     workdir.mkdir()
-    env = dict(os.environ)
-    env.pop("OPENBLAS_CORETYPE", None)
-    if kernel is not None:
-        env["OPENBLAS_CORETYPE"] = kernel
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env.update(variables)
     src = str(Path(wavetrace.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -664,35 +668,41 @@ def _run_under_kernel(workdir: Path, kernel: str | None) -> tuple[list, dict]:
 
 @pytest.fixture(scope="module")
 def default_kernel_artifacts(tmp_path_factory):
-    kernels, artifacts = _run_under_kernel(tmp_path_factory.mktemp("kernels") / "default", None)
-    if not kernels:
+    report, artifacts = _run_child(tmp_path_factory.mktemp("kernels") / "default", {})
+    if not report["kernels"]:
         pytest.skip("no bundled scipy-openblas reports its kernel, so none can be forced")
     return artifacts
 
 
-@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
-def test_artifacts_agree_across_blas_kernels(tmp_path, default_kernel_artifacts, kernel):
-    # each kernel rounds differently, so the bytes may change; these bounds
-    # sit 50x or more above the spread measured on a SkylakeX machine
-    ref = default_kernel_artifacts
-    kernels, got = _run_under_kernel(tmp_path / kernel, kernel)
-    if kernels != [kernel.lower()]:
-        pytest.skip(f"OPENBLAS_CORETYPE={kernel} gave the kernels {kernels}")
+def _inputs_close(a, b, rel: float) -> bool:
+    """Equal report inputs, their floats to rel (at 0, exactly)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_inputs_close(a[key], b[key], rel) for key in a)
+    if isinstance(a, float) and isinstance(b, float):
+        return abs(a - b) <= rel * abs(b)
+    return a == b
+
+
+def _assert_artifacts_agree(got: dict, ref: dict, inputs_rel: float = 0.0):
+    # each kernel and each SIMD target rounds differently, so the bytes may
+    # change; these bounds sit 50x or more above the spread measured on a
+    # SkylakeX machine
     assert set(got) == set(ref) == {
         "sweep.csv", "sweep.json", "eigs.json", "verify.jsonl", "fit-1.json", "fit-pi.json",
     }
-    # the sampled indicator to 1e-9 relative (measured 1.5e-12)
+    # the sampled indicator to 1e-9 relative (measured 1.5e-12 across
+    # kernels, 1.0e-15 across SIMD targets)
     np.testing.assert_allclose(got["sweep.csv"], ref["sweep.csv"], rtol=1e-9, atol=0)
     # dips of both oracles to 1e-12 (measured 4.4e-16), multiplicities equal
     for name, key in [("sweep.json", "dips"), ("eigs.json", "records")]:
         dips, ref_dips = got[name][key], ref[name][key]
         assert ref_dips and [d["multiplicity"] for d in dips] == [d["multiplicity"] for d in ref_dips]
         assert all(abs(d["k"] - r["k"]) <= 1e-12 for d, r in zip(dips, ref_dips)), (dips, ref_dips)
-    # every check and control concludes the same, residuals to 1e-12 (measured 2.1e-14)
+    # every check and control concludes the same, on the same inputs to
+    # inputs_rel, residuals to 1e-12 (measured 2.1e-14)
     checks, ref_checks = got["verify.jsonl"], ref["verify.jsonl"]
-    assert [(c["check"], c["inputs"], c["passed"]) for c in checks] == [
-        (c["check"], c["inputs"], c["passed"]) for c in ref_checks
-    ]
+    assert [(c["check"], c["passed"]) for c in checks] == [(c["check"], c["passed"]) for c in ref_checks]
+    assert all(_inputs_close(c["inputs"], r["inputs"], inputs_rel) for c, r in zip(checks, ref_checks))
     assert all(abs(c["residual"] - r["residual"]) <= 1e-12 for c, r in zip(checks, ref_checks))
     # fit residuals to 1e-12 (measured 1.6e-15); the density off the
     # spectrum to 1e-12 relative (measured 1.3e-15), none at pi
@@ -700,6 +710,27 @@ def test_artifacts_agree_across_blas_kernels(tmp_path, default_kernel_artifacts,
         assert abs(got[name]["residual"] - ref[name]["residual"]) <= 1e-12
     assert got["fit-1.json"]["density_norm"] == pytest.approx(ref["fit-1.json"]["density_norm"], rel=1e-12)
     assert got["fit-pi.json"]["density_norm"] is ref["fit-pi.json"]["density_norm"] is None
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_artifacts_agree_across_blas_kernels(tmp_path, default_kernel_artifacts, kernel):
+    report, got = _run_child(tmp_path / kernel, {"OPENBLAS_CORETYPE": kernel})
+    if report["kernels"] != [kernel.lower()]:
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} gave the kernels {report['kernels']}")
+    _assert_artifacts_agree(got, default_kernel_artifacts)
+
+
+def test_artifacts_agree_across_simd_targets(tmp_path, default_kernel_artifacts):
+    # numpy's float64 tan, which every plane-wave entry goes through, and its
+    # arccos, arctan2 and cbrt on libm's code rather than the AVX-512 one;
+    # the verify input computed on the grid, u_N_norm, to 1e-12 relative
+    # (measured 2.3e-16), and the single-layer oracle's eigs.json keeps its
+    # bytes
+    report, got = _run_child(tmp_path / "no-avx512", NO_AVX512)
+    if report["avx512_skx"]:
+        pytest.skip(f"{NO_AVX512} left AVX512_SKX code dispatched")
+    _assert_artifacts_agree(got, default_kernel_artifacts, inputs_rel=1e-12)
+    assert got["eigs.json"] == default_kernel_artifacts["eigs.json"]
 
 
 @pytest.mark.parametrize(

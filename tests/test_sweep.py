@@ -28,9 +28,10 @@ from oracles import (
     complex_trace_spectrum,
     compressed_trace_matrix,
     dft_modes,
+    exp_entries,
+    library_entries,
     mode_spectrum,
     orbit_points,
-    real_trace_matrix,
     sector_blocks,
     stacked_trace_matrix,
     thin_q_reference,
@@ -223,7 +224,7 @@ def raw_trace_spectrum(grid, dirs, interior):
     the interior points, by explicit rotation and DFT matrices, as a spectrum."""
     n = _group_order(grid, dirs)
     orbit = orbit_points(interior, n)
-    return lambda k: mode_spectrum(dft_modes(sector_blocks(k, grid, dirs, orbit, n)), compress=False)
+    return lambda k: mode_spectrum(dft_modes(sector_blocks(k, grid, dirs, orbit, n, exp_entries)), compress=False)
 
 
 def rfft_modes(blocks):
@@ -253,11 +254,12 @@ class TestFactorization:
     their R factors, one pivoted QR and one SVD of the retained columns'
     boundary rows per mode, under one cut over every mode.
 
-    mode_spectrum on the modes of the library's own orbit points, through
-    rfft, writes out those same steps, so it pins the call sequence, not the
-    arithmetic. The independent checks are the uncompressed mode-by-mode
-    route by explicit rotation and DFT matrices here (2e-9), the whole
-    matrix (TestBlockRoute) and
+    mode_spectrum on the modes of the library's own orbit points and entries
+    (library_entries), through rfft, writes out those same steps, so it pins
+    the call sequence, not the arithmetic. The independent checks, on
+    complex exponentials, are the uncompressed mode-by-mode route by
+    explicit rotation and DFT matrices here (2e-9), the whole matrix
+    (TestBlockRoute) and
     TestRealArithmetic::test_indicator_matches_the_complex_form (1e-5)."""
 
     KS = [3.0, np.pi, 4.4934, 5.7, 6.3]
@@ -272,7 +274,8 @@ class TestFactorization:
     @staticmethod
     def stepwise(k, grid, dirs, interior):
         n = _group_order(grid, dirs)
-        return mode_spectrum(rfft_modes(sector_blocks(k, grid, dirs, _rotations(interior, n).reshape(-1, 3), n)))
+        orbit = _rotations(interior, n).reshape(-1, 3)
+        return mode_spectrum(rfft_modes(sector_blocks(k, grid, dirs, orbit, n, library_entries)))
 
     @pytest.mark.parametrize("k", KS)
     def test_matches_thin_q_reference(self, problem, k):
@@ -296,7 +299,7 @@ class TestFactorization:
         grid, dirs, interior = problem
         custom = as_custom(grid)
         assert _group_order(custom, dirs) == 1
-        _, expected = thin_q_reference(*compressed_trace_matrix(k, custom, dirs, interior))
+        _, expected = thin_q_reference(*compressed_trace_matrix(k, custom, dirs, interior, library_entries))
         assert np.array_equal(make_trace_spectrum(custom, dirs, interior)(k), expected)
 
     @staticmethod
@@ -396,7 +399,7 @@ class TestRealArithmetic:
     def test_real_matrix_has_the_complex_singular_values(self, problem, k):
         grid, dirs, interior = problem
         expected = la.svdvals(stacked_trace_matrix(k, grid, dirs, interior))
-        s = la.svdvals(real_trace_matrix(k, grid, dirs, interior))
+        s = la.svdvals(exp_entries(k, grid, dirs, interior))
         assert s.shape == expected.shape
         assert np.abs(s - expected).max() <= 1e-14 * expected[0]
 
@@ -422,7 +425,7 @@ class TestBlockRoute:
         orbit = orbit_points(interior, _group_order(grid, dirs))
 
         def whole(k):
-            return thin_q_reference(*compressed_trace_matrix(k, grid, dirs, orbit))[1]
+            return thin_q_reference(*compressed_trace_matrix(k, grid, dirs, orbit, exp_entries))[1]
 
         return request.param, find_dips(make_trace_spectrum(grid, dirs, interior), ks), find_dips(whole, ks)
 
