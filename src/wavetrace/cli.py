@@ -10,9 +10,11 @@ can be regenerated byte-identically with the same BLAS library and
 kernel. Exit codes follow the CI contract: 0 success, 1 verification
 failure, 2 usage/config error, 3 numerical failure.
 
-RunConfig declares every run parameter once: --help shows its defaults,
-and RunConfig.check sends a flag or config value of the wrong type or out
-of range to exit 2 before any work. The `wavetrace` group maps a numerical
+RunConfig declares every run parameter once, on its field: the default,
+and the flag, help text and range rule of the option that sets it. Each
+command names the fields it binds and gets their options from them;
+RunConfig.check sends a flag or config value of the wrong type or out of
+range to exit 2 before any work. The `wavetrace` group maps a numerical
 failure in any subcommand to exit 3.
 """
 
@@ -23,7 +25,7 @@ import math
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import click
@@ -68,35 +70,81 @@ NUMERICAL_ERRORS = (
 )
 
 
+def _comma_tuple(flag: str, form: str, types, text: str) -> list:
+    """text's comma-separated fields, one of each type in turn; a usage
+    error naming the flag and its form otherwise."""
+    try:
+        return [kind(part) for kind, part in zip(types, text.split(","), strict=True)]
+    except ValueError:
+        raise click.UsageError(f"{flag} wants '{form}', got {text!r}")
+
+
+def _parse_coef(ctx, param, values) -> list:
+    return [_comma_tuple("--coef", "l,m,eps", (int, int, float), text) for text in values]
+
+
+def _parse_target(ctx, param, text: str) -> HarmonicIndex:
+    try:
+        return HarmonicIndex(*_comma_tuple("--target", "l,m", (int, int), text))
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
+def _option(default, flag: str, help: str, rule=None, **extras):
+    """A RunConfig field declared with the option that sets it: its flag,
+    help text and click extras, and its range rule (ok, text), which
+    RunConfig.check applies to a flag and a config value alike."""
+    metadata = {"flag": flag, "help": help, "rule": rule, "extras": extras}
+    if default == []:
+        return field(default_factory=list, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+_POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "positive and finite")
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs; each artifact embeds its command's fields.
 
-    The one place a run parameter's default is written: the commands'
-    options show these, and `check` holds each field's range.
+    The one place a run parameter is declared: its default, and the flag,
+    help text and range rule of its option, which every command binding the
+    field shows; `check` applies the rules.
     """
 
-    surface: str = "ball"
-    radius: float = 1.0
-    coefficients: list = field(default_factory=list)  # [[l, m, eps], ...]
-    n_theta: int | None = None
-    n_phi: int | None = None
-    dirs_n_theta: int | None = None
-    dirs_n_phi: int | None = None
-    k_min: float = 3.0
-    k_max: float = 6.5
-    samples: int = 350
-    seed: int = 0
-    interior_count: int | None = None
-    band_limit: int = 8
+    surface: str = _option("ball", "--surface",
+                           "The ball of --radius, or the star r = R0 (1 + sum eps Re Y_lm) of --coef.",
+                           (lambda v: v in ("ball", "star"), "'ball' or 'star'"), type=click.Choice(["ball", "star"]))
+    radius: float = _option(1.0, "--radius", "Ball radius, or the star's base radius R0.", _POSITIVE_FINITE)
+    coefficients: list = _option([], "--coef", "Star perturbation 'l,m,eps'; repeatable.",  # [[l, m, eps], ...]
+                                 type=str, multiple=True, callback=_parse_coef)
+    n_theta: int | None = _option(None, "--ntheta", "Surface polar resolution.")
+    n_phi: int | None = _option(None, "--nphi", "Surface azimuthal resolution.")
+    dirs_n_theta: int | None = _option(None, "--dirs-ntheta", "Direction grid polar resolution.")
+    dirs_n_phi: int | None = _option(None, "--dirs-nphi", "Direction grid azimuthal resolution; even.",
+                                     (lambda v: v % 2 == 0, "even, so that each direction's antipode is on the grid"))
+    k_min: float = _option(3.0, "--kmin", "Lower end of the wavenumber range.")
+    k_max: float = _option(6.5, "--kmax", "Upper end of the wavenumber range.", _POSITIVE_FINITE)
+    samples: int = _option(350, "--samples", "Equispaced wavenumbers sampled on [kmin, kmax].",
+                           (lambda v: v >= 2, "at least 2"))
+    seed: int = _option(0, "--seed", "Seeds the random interior points, each taken with its n rotations about z "
+                        "(n the grids' common rotation order); nothing else draws.", (lambda v: v >= 0, "nonnegative"))
+    interior_count: int | None = _option(None, "--interior-count", "Seeded interior points of the indicator, each "
+                                         "taken with its n rotations; default max(2 x the direction count, 500).",
+                                         (lambda v: v >= 1, "positive"))
+    band_limit: int = _option(8, "--band-limit",
+                              "Degree L of the harmonics the single-layer matrix is compressed onto.",
+                              (lambda v: v >= 0, "nonnegative"))
 
     def check(self, bound):
         """Usage error for any field of the wrong type or out of range,
         raised before any work.
 
-        A bool is not an int; an int may stand for a float. The
-        0 < k_min < k_max relation binds where the fields the command binds
-        include k_min, and coefficients go with the star surface and only with it.
+        A bool is not an int; an int may stand for a float. A grid
+        resolution may be at most _GRID_CAP times the default `resolved`
+        gives it. The 0 < k_min < k_max relation binds where the fields the
+        command binds include k_min, and coefficients go with the star
+        surface and only with it.
         """
         hints = typing.get_type_hints(RunConfig)
         for f in fields(self):
@@ -106,34 +154,32 @@ class RunConfig:
                 kinds += (int,)
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise click.UsageError(f"{f.name} must be {f.type}, got {value!r}")
-        for name, (ok, rule) in _RANGES.items():
-            value = getattr(self, name)
-            if value is not None and not ok(value):
-                raise click.UsageError(f"{name} must be {rule}, got {value!r}")
-        n_theta, dirs_n_theta = _theta_defaults(self.k_max * self.radius)
-        caps = {"n_theta": n_theta, "n_phi": 2 * n_theta, "dirs_n_theta": dirs_n_theta, "dirs_n_phi": 2 * dirs_n_theta}
-        for name, default in caps.items():
-            value = getattr(self, name)
-            if value is not None and value > _GRID_CAP * default:
-                raise click.UsageError(
-                    f"{name} must be at most {_GRID_CAP * default} ({_GRID_CAP}x its k R default), got {value!r}"
-                )
+        for f in fields(self):
+            value, rule = getattr(self, f.name), f.metadata["rule"]
+            if rule is not None and value is not None and not rule[0](value):
+                raise click.UsageError(f"{f.name} must be {rule[1]}, got {value!r}")
+        defaults = RunConfig(radius=self.radius, k_max=self.k_max).resolved()
+        for name in ("n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi"):
+            value, cap = getattr(self, name), _GRID_CAP * getattr(defaults, name)
+            if value is not None and value > cap:
+                raise click.UsageError(f"{name} must be at most {cap} ({_GRID_CAP}x its k R default), got {value!r}")
         if "k_min" in bound and not (0 < self.k_min < self.k_max):
             raise click.UsageError(f"need 0 < kmin < kmax, got [{self.k_min}, {self.k_max}]")
         if (self.surface == "star") != bool(self.coefficients):
             raise click.UsageError(f"coefficients go with the star alone, got {self.coefficients!r} on {self.surface}")
 
     def resolved(self) -> "RunConfig":
-        """Fill resolution defaults from the wavenumber range (k R rules),
-        and the interior count from the direction grid they give."""
+        """Fill resolution defaults from the wavenumber range (k R rules; a
+        phi resolution defaults to twice the theta resolution in use), and
+        the interior count from the direction grid they give."""
         cfg = RunConfig(**asdict(self))
-        n_theta, dirs_n_theta = _theta_defaults(cfg.k_max * cfg.radius)
+        k_scale = cfg.k_max * cfg.radius
         if cfg.n_theta is None:
-            cfg.n_theta = n_theta
+            cfg.n_theta = max(20, math.ceil(2 * k_scale) + 10)
         if cfg.n_phi is None:
             cfg.n_phi = 2 * cfg.n_theta
         if cfg.dirs_n_theta is None:
-            cfg.dirs_n_theta = dirs_n_theta
+            cfg.dirs_n_theta = max(8, math.ceil(k_scale) + 5)
         if cfg.dirs_n_phi is None:
             cfg.dirs_n_phi = 2 * cfg.dirs_n_theta
         if cfg.interior_count is None:
@@ -141,27 +187,34 @@ class RunConfig:
         return cfg
 
 
-_RANGES = {
-    "surface": (lambda v: v in ("ball", "star"), "'ball' or 'star'"),
-    "radius": (lambda v: 0 < v < math.inf, "positive and finite"),
-    "dirs_n_phi": (lambda v: v % 2 == 0, "even, so that each direction's antipode is on the grid"),
-    "k_max": (lambda v: 0 < v < math.inf, "positive and finite"),
-    "samples": (lambda v: v >= 2, "at least 2"),
-    "seed": (lambda v: v >= 0, "nonnegative"),
-    "interior_count": (lambda v: v >= 1, "positive"),
-    "band_limit": (lambda v: v >= 0, "nonnegative"),
-}
-
-
 # Grid resolutions above _GRID_CAP times their k R default are refused: they
 # add no accuracy and their trace matrices outgrow memory.
 _GRID_CAP = 4
 
 
-def _theta_defaults(k_scale: float) -> tuple[int, int]:
-    """Default (surface, direction) grid theta resolutions at k R = k_scale.
-    A phi resolution defaults to twice the theta resolution in use."""
-    return max(20, math.ceil(2 * k_scale) + 10), max(8, math.ceil(k_scale) + 5)
+def _run_options(*names):
+    """Decorator adding the options of the named RunConfig fields to a
+    command, in the order named, each with its field's default."""
+    hints = typing.get_type_hints(RunConfig)
+    by_name = {f.name: f for f in fields(RunConfig)}
+
+    def decorate(command):
+        for name in reversed(names):
+            f = by_name[name]
+            attrs = {
+                "type": (typing.get_args(hints[name]) or (hints[name],))[0],
+                "default": None if f.default is MISSING else f.default,
+                "show_default": True,
+                "help": f.metadata["help"],
+                **f.metadata["extras"],
+            }
+            command = click.option(f.metadata["flag"], name, **attrs)(command)
+        return command
+
+    return decorate
+
+
+_config_option = click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -194,26 +247,6 @@ def _run_config(ctx: click.Context, config_path: str | None, bound) -> tuple[Run
     cfg.check(bound)
     cfg = cfg.resolved()
     return cfg, {name: getattr(cfg, name) for name in bound}
-
-
-def _comma_tuple(flag: str, form: str, types, text: str) -> list:
-    """text's comma-separated fields, one of each type in turn; a usage
-    error naming the flag and its form otherwise."""
-    try:
-        return [kind(part) for kind, part in zip(types, text.split(","), strict=True)]
-    except ValueError:
-        raise click.UsageError(f"{flag} wants '{form}', got {text!r}")
-
-
-def _parse_coef(ctx, param, values) -> list:
-    return [_comma_tuple("--coef", "l,m,eps", (int, int, float), text) for text in values]
-
-
-def _parse_target(ctx, param, text: str) -> HarmonicIndex:
-    try:
-        return HarmonicIndex(*_comma_tuple("--target", "l,m", (int, int), text))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
 
 def _build_surface(cfg: RunConfig):
@@ -261,33 +294,13 @@ def main():
 
 
 @main.command("sweep")
-@click.option("--surface", type=click.Choice(["ball", "star"]), default=RunConfig.surface, show_default=True,
-              help="The ball of --radius, or the star r = R0 (1 + sum eps Re Y_lm) of --coef.")
-@click.option("--radius", type=float, default=RunConfig.radius, show_default=True,
-              help="Ball radius, or the star's base radius R0.")
-@click.option("--coef", "coefficients", multiple=True, callback=_parse_coef,
-              help="Star perturbation 'l,m,eps'; repeatable.")
-@click.option("--ntheta", "n_theta", type=int, help="Surface polar resolution.")
-@click.option("--nphi", "n_phi", type=int, help="Surface azimuthal resolution.")
-@click.option("--dirs-ntheta", "dirs_n_theta", type=int, help="Direction grid polar resolution.")
-@click.option("--dirs-nphi", "dirs_n_phi", type=int, help="Direction grid azimuthal resolution; even.")
-@click.option("--kmin", "k_min", type=float, default=RunConfig.k_min, show_default=True,
-              help="Lower end of the wavenumber range.")
-@click.option("--kmax", "k_max", type=float, default=RunConfig.k_max, show_default=True,
-              help="Upper end of the wavenumber range.")
-@click.option("--samples", type=int, default=RunConfig.samples, show_default=True,
-              help="Equispaced wavenumbers sampled on [kmin, kmax].")
-@click.option("--seed", type=int, default=RunConfig.seed, show_default=True,
-              help="Seeds the random interior points, each taken with its n rotations about z "
-                   "(n the grids' common rotation order); nothing else draws.")
-@click.option("--interior-count", type=int,
-              help="Seeded interior points of the indicator, each taken with its n rotations; "
-                   "default max(2 x the direction count, 500).")
+@_run_options("surface", "radius", "coefficients", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi",
+              "k_min", "k_max", "samples", "seed", "interior_count")
 @click.option("--out-csv", type=str, default="sweep.csv", show_default=True,
               help="Write the sampled indicator here.")
 @click.option("--out-json", type=str, default="sweep.json", show_default=True,
               help="Write the samples, dips and run configuration here.")
-@click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
+@_config_option
 @click.pass_context
 def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     """Sweep the completeness indicator over k and report dips."""
@@ -325,28 +338,14 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
 
 
 @main.command("eigs")
-@click.option("--surface", type=click.Choice(["ball", "star"]), default=RunConfig.surface, show_default=True,
-              help="The ball of --radius, or the star r = R0 (1 + sum eps Re Y_lm) of --coef.")
-@click.option("--radius", type=float, default=RunConfig.radius, show_default=True,
-              help="Ball radius, or the star's base radius R0.")
-@click.option("--coef", "coefficients", multiple=True, callback=_parse_coef,
-              help="Star perturbation 'l,m,eps'; repeatable.")
+@_run_options("surface", "radius", "coefficients")
 @click.option("--method", type=click.Choice(["analytic", "single-layer"]), default="analytic",
               show_default=True,
               help="Bessel zeros of the ball, or dips of the single-layer operator on the surface.")
-@click.option("--ntheta", "n_theta", type=int, help="Surface polar resolution.")
-@click.option("--nphi", "n_phi", type=int, help="Surface azimuthal resolution.")
-@click.option("--kmin", "k_min", type=float, default=RunConfig.k_min, show_default=True,
-              help="Lower end of the wavenumber range.")
-@click.option("--kmax", "k_max", type=float, default=RunConfig.k_max, show_default=True,
-              help="Upper end of the wavenumber range.")
-@click.option("--samples", type=int, default=RunConfig.samples, show_default=True,
-              help="Equispaced wavenumbers sampled on [kmin, kmax].")
-@click.option("--band-limit", type=int, default=RunConfig.band_limit, show_default=True,
-              help="Degree L of the harmonics the single-layer matrix is compressed onto.")
+@_run_options("n_theta", "n_phi", "k_min", "k_max", "samples", "band_limit")
 @click.option("--out-json", type=str, default="eigs.json", show_default=True,
               help="Write the eigenvalue records and run configuration here.")
-@click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
+@_config_option
 @click.pass_context
 def cmd_eigs(ctx, method, out_json, config_path, **flags):
     """List Dirichlet eigenvalue candidates from an oracle."""
@@ -419,15 +418,10 @@ def cmd_verify(seed, inject_off_spectrum, out_path):
 @main.command("fit")
 @click.option("--target", required=True, callback=_parse_target, help="Spherical-harmonic target 'l,m'.")
 @click.option("--k", "k_max", type=float, required=True, help="The wavenumber of the fit.")
-@click.option("--radius", type=float, default=RunConfig.radius, show_default=True,
-              help="Ball radius, or the star's base radius R0.")
-@click.option("--ntheta", "n_theta", type=int, help="Surface polar resolution.")
-@click.option("--nphi", "n_phi", type=int, help="Surface azimuthal resolution.")
-@click.option("--dirs-ntheta", "dirs_n_theta", type=int, help="Direction grid polar resolution.")
-@click.option("--dirs-nphi", "dirs_n_phi", type=int, help="Direction grid azimuthal resolution; even.")
+@_run_options("radius", "n_theta", "n_phi", "dirs_n_theta", "dirs_n_phi")
 @click.option("--out-json", type=str, default="fit.json", show_default=True,
               help="Write the residual, density norm and run configuration here.")
-@click.option("--config", "config_path", type=str, default=None, help="JSON config file.")
+@_config_option
 @click.pass_context
 def cmd_fit(ctx, target, out_json, config_path, **flags):
     """Fit one spherical-harmonic trace against the plane-wave trace span."""

@@ -46,9 +46,6 @@ class HarmonicIndex:
         if abs(self.m) > self.l:
             raise ValueError(f"order m must satisfy |m| <= l, got (l={self.l}, m={self.m})")
 
-    def __str__(self):
-        return f"Y({self.l},{self.m})"
-
 
 def _check_integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):

@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import importlib.util
+import inspect
 import itertools
 import json
 import os
@@ -15,11 +17,12 @@ import pytest
 from click.testing import CliRunner
 
 import wavetrace
+import wavetrace.cli
 import wavetrace.spectra
 import wavetrace.sweep
 import wavetrace.verify
 from wavetrace import BracketError
-from wavetrace.cli import _RANGES, EXIT_VERIFY_FAIL, RunConfig, main
+from wavetrace.cli import EXIT_VERIFY_FAIL, RunConfig, main
 from wavetrace.sweep import _blas_threads, _openblas_thread_controls
 
 from conftest import NO_AVX512
@@ -51,23 +54,24 @@ STAR_SINGLE_LAYER = [
 ]
 
 
-# The flags of every subcommand, as `--help` lists them: adding or removing
-# one changes the command-line contract, so it must change this set too
+# The flags of every subcommand, in the order `--help` lists them: adding,
+# removing or moving one changes the command-line contract, so it must
+# change this list too
 CLI_FLAGS = {
-    "sweep": {
+    "sweep": [
         "--surface", "--radius", "--coef", "--ntheta", "--nphi", "--dirs-ntheta", "--dirs-nphi",
         "--kmin", "--kmax", "--samples", "--seed", "--interior-count",
         "--out-csv", "--out-json", "--config", "--help",
-    },
-    "eigs": {
+    ],
+    "eigs": [
         "--surface", "--radius", "--coef", "--method", "--ntheta", "--nphi", "--kmin", "--kmax",
         "--samples", "--band-limit", "--out-json", "--config", "--help",
-    },
-    "verify": {"--seed", "--inject-off-spectrum", "--out", "--help"},
-    "fit": {
+    ],
+    "verify": ["--seed", "--inject-off-spectrum", "--out", "--help"],
+    "fit": [
         "--target", "--k", "--radius", "--ntheta", "--nphi", "--dirs-ntheta",
         "--dirs-nphi", "--out-json", "--config", "--help",
-    },
+    ],
 }
 
 
@@ -76,7 +80,7 @@ def test_flag_sets_unchanged(runner):
     for command, flags in CLI_FLAGS.items():
         result = runner.invoke(main, [command, "--help"])
         assert result.exit_code == 0, result.output
-        assert set(re.findall(r"^  (--[\w-]+)", result.output, re.M)) == flags, command
+        assert re.findall(r"^  (--[\w-]+)", result.output, re.M) == flags, command
 
 
 def test_benchmark_command_lines_parse(tmp_path):
@@ -121,9 +125,24 @@ def test_run_config_fields_unchanged():
     assert set().union(*COMMAND_FIELDS.values()) == RUN_CONFIG_FIELDS
 
 
-def test_every_range_rule_names_a_field():
-    # a deleted field must take its range rule with it
-    assert set(_RANGES) <= RUN_CONFIG_FIELDS
+def test_no_command_spells_a_run_option_by_hand():
+    # a run option is declared once, on its RunConfig field, so deleting the
+    # field deletes its flag, help text and range rule; fit's --k binds k_max
+    # under its own flag, and verify's --seed binds no field
+    flags = {
+        param.opts[0] for command in ("sweep", "eigs") for param in main.commands[command].params
+        if param.name in RUN_CONFIG_FIELDS
+    }
+    assert len(flags) == len(RUN_CONFIG_FIELDS)
+    tree = ast.parse(inspect.getsource(wavetrace.cli))
+    spelled = [
+        decorator.args[0].value
+        for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in ("cmd_sweep", "cmd_eigs", "cmd_fit")
+        for decorator in node.decorator_list
+        if isinstance(decorator, ast.Call) and ast.unparse(decorator.func) == "click.option"
+    ]
+    assert {"--method", "--target", "--k", "--out-json"} <= set(spelled)
+    assert flags.isdisjoint(spelled), sorted(flags.intersection(spelled))
 
 
 @pytest.mark.parametrize("command", ["sweep", "eigs", "fit"])
@@ -268,6 +287,8 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         ([*STAR_SINGLE_LAYER, "--refine-tol", "1e-4"], None),
         (["sweep", *FAST_SWEEP], {"refine_tol": 1e-4}),
         (STAR_SINGLE_LAYER, {"refine_tol": 1e-4}),
+        (["sweep", *FAST_SWEEP], {"surface": "cube"}),
+        (["eigs", "--method", "single-layer"], {"surface": "cube"}),
     ],
     ids=[
         "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
@@ -289,6 +310,7 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         "eigs-analytic-samples-flag", "eigs-analytic-surface-flag", "config-eigs-analytic-band-limit",
         "config-eigs-analytic-surface", "sweep-refine-tol-flag-removed", "eigs-refine-tol-flag-removed",
         "config-sweep-refine-tol-key-removed", "config-eigs-refine-tol-key-removed",
+        "config-surface-unknown-sweep", "config-surface-unknown-eigs",
     ],
 )
 def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
