@@ -14,8 +14,10 @@ RunConfig declares every run parameter once, on its field: the default,
 and the flag, help text and range rule of the option that sets it. Each
 command names the fields it binds and gets their options from them;
 RunConfig.check sends a flag or config value of the wrong type or out of
-range to exit 2 before any work. The `wavetrace` group maps a numerical
-failure in any subcommand to exit 3.
+range to exit 2 before any work. The `wavetrace` group maps both codes
+the library's exceptions decide, once for every subcommand: a numerical
+failure exits 3, and any other ValueError the library raises on a run's
+input exits 2.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .specfun import HarmonicIndex, sph_harm
 from .spectra import (
     EigenvalueRecord,
     InterpolationError,
-    _check_band_limit,
     ball_dirichlet_eigs,
     make_single_layer_spectrum,
 )
@@ -67,6 +68,7 @@ NUMERICAL_ERRORS = (
     InterpolationError,
     np.linalg.LinAlgError,
     MemoryError,
+    OverflowError,
 )
 
 
@@ -84,10 +86,7 @@ def _parse_coef(ctx, param, values) -> list:
 
 
 def _parse_target(ctx, param, text: str) -> HarmonicIndex:
-    try:
-        return HarmonicIndex(*_comma_tuple("--target", "l,m", (int, int), text))
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    return HarmonicIndex(*_comma_tuple("--target", "l,m", (int, int), text))
 
 
 def _option(default, flag: str, help: str, rule=None, **extras):
@@ -143,8 +142,9 @@ class RunConfig:
         A bool is not an int; an int may stand for a float. A grid
         resolution may be at most _GRID_CAP times the default `resolved`
         gives it. The 0 < k_min < k_max relation binds where the fields the
-        command binds include k_min, and coefficients go with the star
-        surface and only with it.
+        command binds include k_min, and so does the rule that the samples
+        equispaced on [k_min, k_max] ascend strictly, as the sweep needs;
+        coefficients go with the star surface and only with it.
         """
         hints = typing.get_type_hints(RunConfig)
         for f in fields(self):
@@ -165,6 +165,8 @@ class RunConfig:
                 raise click.UsageError(f"{name} must be at most {cap} ({_GRID_CAP}x its k R default), got {value!r}")
         if "k_min" in bound and not (0 < self.k_min < self.k_max):
             raise click.UsageError(f"need 0 < kmin < kmax, got [{self.k_min}, {self.k_max}]")
+        if "k_min" in bound and not np.all(np.diff(np.linspace(self.k_min, self.k_max, self.samples)) > 0):
+            raise click.UsageError(f"[{self.k_min}, {self.k_max}] is too narrow for {self.samples} ascending samples")
         if (self.surface == "star") != bool(self.coefficients):
             raise click.UsageError(f"coefficients go with the star alone, got {self.coefficients!r} on {self.surface}")
 
@@ -251,17 +253,7 @@ def _run_config(ctx: click.Context, config_path: str | None, bound) -> tuple[Run
 
 def _build_surface(cfg: RunConfig):
     # the ball is the unperturbed star; RunConfig.check refuses coefficients on it
-    try:
-        return make_star_surface(cfg.radius, cfg.coefficients, cfg.n_theta, cfg.n_phi)
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"bad surface configuration: {exc}")
-
-
-def _build_dirs(cfg: RunConfig):
-    try:
-        return make_direction_grid(cfg.dirs_n_theta, cfg.dirs_n_phi)
-    except ValueError as exc:
-        raise click.UsageError(f"bad direction grid: {exc}")
+    return make_star_surface(cfg.radius, cfg.coefficients, cfg.n_theta, cfg.n_phi)
 
 
 def _check_writable(path: str):
@@ -276,8 +268,10 @@ def _json_dumps(payload) -> str:
 
 class _Main(click.Group):
     """The `wavetrace` group: every subcommand runs on one BLAS thread, so
-    its artifact does not depend on OPENBLAS_NUM_THREADS, and a numerical
-    failure in any subcommand exits 3."""
+    its artifact does not depend on OPENBLAS_NUM_THREADS; a numerical
+    failure in any subcommand exits 3, and any other ValueError the library
+    raises on a run's input exits 2, as a usage error does. LinAlgError is
+    a ValueError, so the numerical clause comes first."""
 
     def invoke(self, ctx):
         try:
@@ -286,6 +280,9 @@ class _Main(click.Group):
         except NUMERICAL_ERRORS as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             ctx.exit(EXIT_NUMERICAL)
+        except ValueError as exc:
+            click.echo(f"Error: {exc}", err=True)
+            ctx.exit(click.UsageError.exit_code)
 
 
 @click.group(cls=_Main)
@@ -310,7 +307,7 @@ def cmd_sweep(ctx, out_csv, out_json, config_path, **flags):
     if Path(out_csv).resolve() == Path(out_json).resolve():
         raise click.UsageError(f"--out-csv and --out-json name the same file {out_csv}")
     grid = _build_surface(cfg)
-    dirs = _build_dirs(cfg)
+    dirs = make_direction_grid(cfg.dirs_n_theta, cfg.dirs_n_phi)
     interior = seed_interior_points(grid, cfg.interior_count, cfg.seed)
     ks = np.linspace(cfg.k_min, cfg.k_max, cfg.samples)
     values, refined = find_dips(make_trace_spectrum(grid, dirs, interior), ks)
@@ -352,16 +349,9 @@ def cmd_eigs(ctx, method, out_json, config_path, **flags):
     cfg, run_config = _run_config(ctx, config_path, ("radius", "k_max") if method == "analytic" else flags)
     _check_writable(out_json)
     if method == "analytic":
-        try:
-            records = ball_dirichlet_eigs(cfg.radius, cfg.k_max)
-        except ValueError as exc:
-            raise click.UsageError(f"bad analytic spectrum request: {exc}")
+        records = ball_dirichlet_eigs(cfg.radius, cfg.k_max)
     else:
         grid = _build_surface(cfg)
-        try:
-            _check_band_limit(grid, cfg.band_limit)
-        except ValueError as exc:
-            raise click.UsageError(f"bad band limit: {exc}")
         _, dips = find_dips(
             make_single_layer_spectrum(grid, cfg.band_limit, cfg.k_min, cfg.k_max),
             np.linspace(cfg.k_min, cfg.k_max, cfg.samples),
@@ -429,7 +419,7 @@ def cmd_fit(ctx, target, out_json, config_path, **flags):
     cfg, run_config = _run_config(ctx, config_path, flags)
     _check_writable(out_json)
     grid = _build_surface(cfg)
-    dirs = _build_dirs(cfg)
+    dirs = make_direction_grid(cfg.dirs_n_theta, cfg.dirs_n_phi)
     _, theta, phi = _spherical_coords(grid.nodes)
     residual, density_norm = fit_trace(cfg.k_max, grid, sph_harm(target, theta, phi), dirs)
     payload = {

@@ -6,8 +6,8 @@ exactly up to degree min(2*n_theta - 1, n_phi - 1) and converges spectrally
 for analytic integrands, which is what the plane-wave pairings need.
 
 Surfaces are star-shaped, r = rho(theta, phi) about the origin; area
-elements and outward normals come from the analytic tangent vectors of the
-parametrization, so the quadrature keeps spectral accuracy.
+elements come from the analytic tangent vectors of the parametrization, so
+the quadrature keeps spectral accuracy.
 """
 
 from __future__ import annotations
@@ -54,39 +54,30 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SurfaceGrid:
-    """Discretized closed surface: nodes, area weights, outward unit normals.
+    """Discretized closed surface: nodes and area weights.
 
     Attributes
     ----------
     nodes : (N, 3) float array
     weights : (N,) positive area-element weights, summing to area(S)
-    normals : (N, 3) outward unit normals
     descriptor : dict with the shape kind, parameters and resolution
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    normals: np.ndarray
     descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
         nodes = _readonly(np.asarray(self.nodes, dtype=float))
         weights = _readonly(np.asarray(self.weights, dtype=float))
-        normals = _readonly(np.asarray(self.normals, dtype=float))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "normals", normals)
-        n = len(weights)
-        if nodes.shape != (n, 3) or normals.shape != (n, 3):
-            raise ValueError("nodes/weights/normals size mismatch")
+        if nodes.shape != (len(weights), 3):
+            raise ValueError("nodes/weights size mismatch")
         if not np.isfinite(nodes).all():
             raise ValueError("nodes must be finite")
         if not np.all(np.isfinite(weights) & (weights > 0)):
             raise ValueError("area weights must be positive and finite")
-        # `not <=` rather than `>`, so that a NaN fails too
-        norm_dev = np.abs(np.linalg.norm(normals, axis=1) - 1.0).max()
-        if not norm_dev <= 1e-12:
-            raise ValueError(f"normals not unit vectors (deviation {norm_dev:.2e})")
 
     @property
     def n_nodes(self) -> int:
@@ -163,13 +154,18 @@ def _spherical_coords(points: np.ndarray):
 
 
 def _normalize_perturbation(perturbation):
-    """(HarmonicIndex, eps) pairs of [l, m, eps] terms; a bool, a float l or m
-    or a string is refused, not coerced."""
+    """(HarmonicIndex, eps) pairs of [l, m, eps] terms; a term that is not
+    such a triple, or holds a bool, a float l or m or a string, is refused
+    (ValueError), not coerced."""
     out = []
-    for l, m, eps in perturbation:
+    for term in perturbation:
+        try:
+            l, m, eps = term
+        except (TypeError, ValueError):
+            l = m = eps = None  # not a triple: fails the kinds below
         kinds = zip((l, m, eps), (numbers.Integral, numbers.Integral, numbers.Real))
         if any(isinstance(v, bool) or not isinstance(v, kind) for v, kind in kinds):
-            raise ValueError(f"perturbation terms must be [int l, int m, number eps], got {[l, m, eps]!r}")
+            raise ValueError(f"perturbation terms must be [int l, int m, number eps], got {term!r}")
         out.append((HarmonicIndex(int(l), int(m)), float(eps)))
     return out
 
@@ -188,22 +184,22 @@ def _star_radius_terms(theta, phi, R0, perturbation):
 
 
 def make_sphere(R: float, n_theta: int, n_phi: int) -> SurfaceGrid:
-    """Sphere of radius R: GL x uniform product grid, radial normals."""
+    """Sphere of radius R: GL x uniform product grid."""
     if not 0 < R < np.inf:
         raise ValueError(f"radius must be positive and finite, got {R}")
     theta, phi, w = _product_angles(n_theta, n_phi)
     shat = _unit_vectors(theta, phi)
     desc = {"kind": "sphere", "radius": float(R), "n_theta": int(n_theta), "n_phi": int(n_phi)}
-    return SurfaceGrid(nodes=R * shat, weights=R * R * w, normals=shat, descriptor=desc)
+    return SurfaceGrid(nodes=R * shat, weights=R * R * w, descriptor=desc)
 
 
 def make_star_surface(R0: float, perturbation, n_theta: int, n_phi: int) -> SurfaceGrid:
     """Star-shaped surface r = R0 (1 + sum eps Re Y_lm).
 
-    Area elements and normals come from the closed-form partial derivatives
-    of the parametrization x(theta,phi) = r(theta,phi) * s_hat(theta,phi):
+    Area elements come from the closed-form partial derivatives of the
+    parametrization x(theta,phi) = r(theta,phi) * s_hat(theta,phi):
 
-        dS = |x_theta x x_phi| dtheta dphi,  N = (x_theta x x_phi) / |.|
+        dS = |x_theta x x_phi| dtheta dphi
 
     Raises DegenerateSurfaceError when the radius drops below 0.2*R0
     anywhere on the grid.
@@ -226,8 +222,7 @@ def make_star_surface(R0: float, perturbation, n_theta: int, n_phi: int) -> Surf
     shat, theta_hat, phi_hat = _spherical_frame(theta, phi)
     x_theta = rt[:, None] * shat + r[:, None] * theta_hat
     x_phi = rp[:, None] * shat + (r * st)[:, None] * phi_hat
-    cross = np.cross(x_theta, x_phi)
-    jac = np.linalg.norm(cross, axis=1)  # = |x_theta x x_phi|, equals r^2 sin(theta) on the sphere
+    jac = np.linalg.norm(np.cross(x_theta, x_phi), axis=1)  # equals r^2 sin(theta) on the sphere
     desc = {
         "kind": "star",
         "R0": float(R0),
@@ -236,12 +231,7 @@ def make_star_surface(R0: float, perturbation, n_theta: int, n_phi: int) -> Surf
         "n_phi": int(n_phi),
     }
     # quadrature weight is for du dphi; dtheta = du / sin(theta)
-    return SurfaceGrid(
-        nodes=r[:, None] * shat,
-        weights=w * jac / st,
-        normals=cross / jac[:, None],
-        descriptor=desc,
-    )
+    return SurfaceGrid(nodes=r[:, None] * shat, weights=w * jac / st, descriptor=desc)
 
 
 def make_direction_grid(n_theta: int, n_phi: int) -> DirectionGrid:

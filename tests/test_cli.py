@@ -53,6 +53,9 @@ STAR_SINGLE_LAYER = [
     "--ntheta", "16", "--nphi", "32", "--band-limit", "6",
 ]
 
+# 50 samples on a range this narrow round to repeated wavenumbers
+NARROW_K_RANGE = ["--kmin", "3", "--kmax", "3.000000000000001", "--samples", "50"]
+
 
 # The flags of every subcommand, in the order `--help` lists them: adding,
 # removing or moving one changes the command-line contract, so it must
@@ -289,6 +292,8 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         (STAR_SINGLE_LAYER, {"refine_tol": 1e-4}),
         (["sweep", *FAST_SWEEP], {"surface": "cube"}),
         (["eigs", "--method", "single-layer"], {"surface": "cube"}),
+        (["sweep", *FAST_SWEEP, *NARROW_K_RANGE], None),
+        ([*STAR_SINGLE_LAYER, *NARROW_K_RANGE], None),
     ],
     ids=[
         "eigs-samples-1", "eigs-band-limit-negative", "sweep-interior-count-0", "sweep-refine-tol-0",
@@ -311,6 +316,7 @@ def test_grid_cap_admits_the_phi_derived_from_a_capped_theta():
         "config-eigs-analytic-surface", "sweep-refine-tol-flag-removed", "eigs-refine-tol-flag-removed",
         "config-sweep-refine-tol-key-removed", "config-eigs-refine-tol-key-removed",
         "config-surface-unknown-sweep", "config-surface-unknown-eigs",
+        "sweep-k-samples-unresolved", "eigs-k-samples-unresolved",
     ],
 )
 def test_bad_numeric_input_is_usage_error(runner, tmp_path, args, config):
@@ -370,6 +376,42 @@ def test_odd_direction_phi_is_usage_error(runner, tmp_path, monkeypatch, command
     assert result.exit_code == 2, result.output
     assert "dirs_n_phi must be even" in result.output
     assert not json_path.exists()
+
+
+@pytest.mark.parametrize("args", [["sweep", *FAST_SWEEP], STAR_SINGLE_LAYER], ids=["sweep", "eigs"])
+def test_k_range_too_narrow_for_its_samples_refused_before_work(runner, tmp_path, monkeypatch, args):
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work on a k range it must refuse")
+
+    for name in ("seed_interior_points", "make_single_layer_spectrum"):
+        monkeypatch.setattr(wavetrace.cli, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, [*args, *NARROW_K_RANGE])
+    assert result.exit_code == 2, result.output
+    assert "too narrow for 50 ascending samples" in result.output
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "error, exit_code, shown",
+    [(ValueError("no dip to refine"), 2, "Error: no dip to refine"),
+     (np.linalg.LinAlgError("SVD did not converge"), 3, "numerical failure: SVD did not converge")],
+    ids=["value-error", "linalg-error"],
+)
+def test_library_exception_exit_code(runner, tmp_path, monkeypatch, error, exit_code, shown):
+    # one map for every subcommand: a LinAlgError is a ValueError but a
+    # numerical failure, so it must not exit 2
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(wavetrace.cli, "find_dips", failing)
+    before = _blas_threads()
+    csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+    result = runner.invoke(main, ["sweep", *FAST_SWEEP, "--out-csv", str(csv_path), "--out-json", str(json_path)])
+    assert result.exit_code == exit_code, result.output
+    assert shown in result.output
+    assert not csv_path.exists() and not json_path.exists()
+    assert _blas_threads() == before
 
 
 class TestSweepCommand:
@@ -949,3 +991,11 @@ class TestFitCommand:
         )
         assert result.exit_code == 3, result.output
         assert "numerical failure" in result.output
+
+    def test_wavenumber_too_large_to_allocate_exits_3(self, runner, tmp_path):
+        # the k R default resolutions of k = 1e300 overflow an array size
+        json_path = tmp_path / "fit.json"
+        result = runner.invoke(main, ["fit", "--target", "0,0", "--k", "1e300", "--out-json", str(json_path)])
+        assert result.exit_code == 3, result.output
+        assert "numerical failure" in result.output
+        assert not json_path.exists()

@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import math
 import re
 import types
+from collections import Counter
 from pathlib import Path
 
 import wavetrace
@@ -141,3 +143,30 @@ def test_every_defaulted_parameter_is_passed_inside_the_package():
                 ):
                     unpassed.append(f"{name}({param.name})")
     assert not unpassed
+
+
+def test_every_dataclass_field_is_read_outside_its_class():
+    # a field that no code reads is computed and validated for nothing: each
+    # field of a layer's dataclass is read as an attribute somewhere in the
+    # package outside its own class body. The records the CLI writes whole
+    # through asdict are read by the artifacts' readers, not here.
+    written_whole = {"Dip", "EigenvalueRecord", "VerificationReport"}
+
+    def reads(tree):
+        return Counter(
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+
+    package = Path(wavetrace.__file__).parent
+    everywhere = sum((reads(ast.parse(path.read_text(encoding="utf-8"))) for path in package.glob("*.py")), Counter())
+    unread = []
+    for layer in LAYERS:
+        module = importlib.import_module(f"wavetrace.{layer}")
+        for node in ast.parse(inspect.getsource(module)).body:
+            cls = getattr(module, getattr(node, "name", ""), None)
+            if isinstance(node, ast.ClassDef) and dataclasses.is_dataclass(cls) and node.name not in written_whole:
+                own = reads(node)
+                unread += [
+                    f"{node.name}.{f.name}" for f in dataclasses.fields(cls) if everywhere[f.name] == own[f.name]
+                ]
+    assert not unread

@@ -343,8 +343,7 @@ class TestStaticRowIntegral:
 
         grid = make_sphere(1.0, 12, 24)
         custom = SurfaceGrid(
-            nodes=grid.nodes, weights=grid.weights, normals=grid.normals,
-            descriptor={"kind": "custom"},
+            nodes=grid.nodes, weights=grid.weights, descriptor={"kind": "custom"},
         )
         with pytest.raises(UnsupportedSurfaceError):
             static_row_integral(custom)
@@ -395,8 +394,7 @@ class TestSingleLayerMatrix:
         grid = request.getfixturevalue(surface)
         perm = np.random.default_rng(5).permutation(grid.n_nodes)
         shuffled = SurfaceGrid(
-            nodes=grid.nodes[perm], weights=grid.weights[perm], normals=grid.normals[perm],
-            descriptor=grid.descriptor,
+            nodes=grid.nodes[perm], weights=grid.weights[perm], descriptor=grid.descriptor,
         )
         with pytest.raises(UnsupportedSurfaceError, match="rotated copies of its first sector"):
             make_single_layer_spectrum(shuffled, 8, 3.0, 3.2)
@@ -408,8 +406,7 @@ class TestSingleLayerMatrix:
     def test_grid_other_than_the_descriptor_is_refused(self, sphere_24_48):
         # the descriptor names the product grid the orbit is read from
         half = SurfaceGrid(
-            nodes=sphere_24_48.nodes[:576], weights=sphere_24_48.weights[:576],
-            normals=sphere_24_48.normals[:576], descriptor=sphere_24_48.descriptor,
+            nodes=sphere_24_48.nodes[:576], weights=sphere_24_48.weights[:576], descriptor=sphere_24_48.descriptor,
         )
         with pytest.raises(UnsupportedSurfaceError, match="24x48 sphere descriptor on a grid of 576 nodes"):
             make_single_layer_spectrum(half, 8, 3.0, 3.2)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -38,10 +40,6 @@ class TestMakeSphere:
         theta, phi = node_angles(grid)
         val = np.sum(grid.weights * sph_harm(HarmonicIndex(1, 0), theta, phi))
         assert abs(val) <= 1e-12
-
-    def test_normals_are_radial(self):
-        grid = make_sphere(1.5, 12, 24)
-        assert np.abs(grid.normals - grid.nodes / 1.5).max() < 1e-14
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -85,12 +83,16 @@ class TestMakeStarSurface:
 
     @pytest.mark.parametrize(
         "term",
-        [(2.5, 0, 0.1), (True, 0.9, 0.1), (2, 0.9, 0.1), (2, True, 0.1), ("2", 0, 0.1), (2, 0, True)],
-        ids=["float-degree", "bool-degree", "float-order", "bool-order", "string-degree", "bool-eps"],
+        [(2.5, 0, 0.1), (True, 0.9, 0.1), (2, 0.9, 0.1), (2, True, 0.1), ("2", 0, 0.1), (2, 0, True),
+         5, None, (2, 0)],
+        ids=["float-degree", "bool-degree", "float-order", "bool-order", "string-degree", "bool-eps",
+             "number", "none", "pair"],
     )
     def test_coerced_perturbation_term_raises(self, term):
-        # a coerced term would build another star than the one asked for
-        with pytest.raises(ValueError, match="perturbation terms must be"):
+        # a coerced term would build another star than the one asked for; a
+        # term that is not a triple is refused by the same rule, naming it
+        message = f"perturbation terms must be [int l, int m, number eps], got {term!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             make_star_surface(1.0, [term], 8, 16)
 
     def test_numpy_integer_perturbation_term_accepted(self):
@@ -99,37 +101,6 @@ class TestMakeStarSurface:
         grid = make_star_surface(1.0, [(np.int64(2), np.int32(0), np.float64(0.1))], 8, 16)
         assert grid.descriptor["perturbation"] == [[2, 0, 0.1]]
         assert all(type(v) is int for v in grid.descriptor["perturbation"][0][:2])
-
-    def test_normals_orthogonal_to_tangents_and_outward(self):
-        # finite-difference tangents of the parametrization at interior angles
-        pert = [(2, 0, 0.1), (3, 2, 0.05)]
-        star = make_star_surface(1.0, pert, 30, 60)
-
-        def position(theta, phi):
-            r = 1.0 + sum(
-                eps * np.real(sph_harm(HarmonicIndex(l, m), theta, phi))
-                for l, m, eps in pert
-            )
-            return r * np.array(
-                [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-            )
-
-        def tangent(f, x0, h=1e-3):
-            # Richardson-extrapolated central difference, O(h^4)
-            d1 = (f(x0 + h) - f(x0 - h)) / (2 * h)
-            d2 = (f(x0 + 2 * h) - f(x0 - 2 * h)) / (4 * h)
-            return (4 * d1 - d2) / 3
-
-        theta, phi = node_angles(star)
-        for idx in [5, 201, 777, 1333]:
-            t, p = theta[idx], phi[idx]
-            t_theta = tangent(lambda a: position(a, p), t)
-            t_phi = tangent(lambda a: position(t, a), p)
-            n = star.normals[idx]
-            assert abs(n @ t_theta) / np.linalg.norm(t_theta) <= 1e-10
-            assert abs(n @ t_phi) / np.linalg.norm(t_phi) <= 1e-10
-        centroid = np.average(star.nodes, axis=0, weights=star.weights)
-        assert np.all(np.sum(star.normals * (star.nodes - centroid), axis=1) > 0)
 
     def test_spectral_self_convergence_for_oscillatory_integrand(self):
         # doubling resolution must cut the error at least 10x for analytic data
@@ -231,7 +202,7 @@ _DIRS = make_direction_grid(6, 12)
 
 
 def _surface(**changed):
-    fields = {"nodes": _SPHERE.nodes, "weights": _SPHERE.weights, "normals": _SPHERE.normals}
+    fields = {"nodes": _SPHERE.nodes, "weights": _SPHERE.weights}
     return SurfaceGrid(**{**fields, **changed}, descriptor=_SPHERE.descriptor)
 
 
@@ -245,13 +216,12 @@ def _directions(**changed):
     [
         lambda: _surface(weights=with_value(_SPHERE.weights, 3)),
         lambda: _surface(weights=with_value(_SPHERE.weights, 3, np.inf)),
-        lambda: _surface(normals=with_value(_SPHERE.normals, (3, 0))),
         lambda: _surface(nodes=with_value(_SPHERE.nodes, (3, 1))),
         lambda: _directions(weights=with_value(_DIRS.weights, 5)),
         lambda: _directions(directions=with_value(_DIRS.directions, (5, 2))),
         lambda: _check_interior(_SPHERE, [[0.1, 0.0, 0.0], [np.nan, 0.0, 0.0]]),
     ],
-    ids=["surface-weight", "surface-weight-inf", "surface-normal", "surface-node",
+    ids=["surface-weight", "surface-weight-inf", "surface-node",
          "direction-weight", "direction", "interior-point"],
 )
 def test_non_finite_input_rejected(build):

@@ -83,9 +83,7 @@ def rotated_star_problem():
     star = make_star_surface(1.0, [(2, 0, 0.1), (3, 1, 0.03)], 20, 40)
     dirs = make_direction_grid(10, 20)
     interior = seed_interior_points(star, 400, seed=9)
-    star_rot = SurfaceGrid(
-        nodes=star.nodes @ rot.T, weights=star.weights, normals=star.normals @ rot.T, descriptor={"kind": "custom"}
-    )
+    star_rot = SurfaceGrid(nodes=star.nodes @ rot.T, weights=star.weights, descriptor={"kind": "custom"})
     dirs_rot = DirectionGrid(directions=dirs.directions @ rot.T, weights=dirs.weights)
     return star, dirs, interior, (star_rot, dirs_rot, interior @ rot.T)
 
@@ -238,7 +236,7 @@ def rfft_modes(blocks):
 
 def as_custom(grid):
     """The same nodes under a custom descriptor: group order 1."""
-    return SurfaceGrid(nodes=grid.nodes, weights=grid.weights, normals=grid.normals, descriptor={"kind": "custom"})
+    return SurfaceGrid(nodes=grid.nodes, weights=grid.weights, descriptor={"kind": "custom"})
 
 
 def criterion8_problem(interior_count=300):
