@@ -71,15 +71,22 @@ which is never formed; only the rounding differs. The column-pivoted QR
 mode: the retained columns are the R-diagonal entries above
 DEFAULT_QR_RTOL of the largest leading one of all modes. A dense SVD of
 each mode's retained columns' boundary rows gives its spectrum, and the
-trace spectrum is their sorted union. The QRs release the GIL; only the
-modes' small SVDs hold it. On one BLAS thread, as in a sweep, this fixed
-sequence of LAPACK calls reproduces the values byte for byte with the
-same BLAS library and kernel and the same numpy tan dispatch, given the
-interior points.
+trace spectrum is their sorted union. Each step calls scipy's wrapper of
+its LAPACK routine directly (_lapack), with the workspace that
+scipy.linalg.qr and svd would give it, queried once per shape: the
+routine sees what those functions would pass it, without their Python,
+which holds the GIL, around every call. geqrf, geqp3 and orgqr release
+the GIL while they work; scipy's gesdd holds it (one BLAS thread, two
+threads each repeating one call: a 576 x 12 complex geqrf runs 1.3x,
+a 12 x 12 complex gesdd 0.84x). On one BLAS thread, as in a sweep, this
+fixed sequence of LAPACK calls reproduces the values byte for byte with
+the same BLAS library and kernel and the same numpy tan dispatch, given
+the interior points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -205,6 +212,43 @@ def _check_interior(grid: SurfaceGrid, interior) -> np.ndarray:
     return interior
 
 
+@functools.cache
+def _routine(name: str, dtype: np.dtype):
+    """scipy's f2py wrapper of the LAPACK routine name for dtype (orgqr is
+    ungqr for a complex dtype)."""
+    return la.get_lapack_funcs(name, dtype=dtype)
+
+
+# Optimal workspace sizes by (routine, dtype, shape), one query each: the
+# trace spectrum's mode shapes are the same at every k. Threads that miss
+# at once store the same value.
+_LWORK: dict[tuple[str, np.dtype, tuple[int, ...]], int] = {}
+
+
+def _lapack(name: str, a: np.ndarray, *args, **kwargs) -> list:
+    """LAPACK's name (geqrf, geqp3, orgqr or gesdd) on a and args, with the
+    workspace the scipy.linalg wrappers give it: for the QR routines the
+    lwork = -1 query of their safecall, for gesdd the gesdd_lwork rule of
+    svd (full_matrices=1, compute_uv=0, the one gesdd call made here).
+    Returns the outputs before info; an illegal argument (info < 0) raises
+    ValueError naming the routine, and an SVD that does not converge
+    (info > 0) LinAlgError."""
+    routine = _routine(name, a.dtype)
+    key = (name, a.dtype, a.shape)
+    if key not in _LWORK:
+        if name == "gesdd":
+            work = _routine("gesdd_lwork", a.dtype)(*a.shape, compute_uv=0, full_matrices=1)[0]
+        else:
+            work = routine(a, *args, lwork=-1)[-2][0]
+        _LWORK[key] = int(work.real)
+    *out, info = routine(a, *args, lwork=_LWORK[key], **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {name}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{name} did not converge")
+    return out
+
+
 def _rank_cutoff(diag: np.ndarray) -> int:
     """Retained column count: the pivoted R-diagonal entries above
     DEFAULT_QR_RTOL of the leading one, 0 if that one is not positive.
@@ -283,6 +327,8 @@ def make_trace_spectrum(grid: SurfaceGrid, dirs: DirectionGrid, interior):
         directions = directions[directions < half.n_directions]
     sector = directions[: half.n_directions // n]
     columns = half.directions[sector], half.weights[sector]
+    width = 2 * len(sector)
+    upper = np.triu(np.ones((width, width), dtype=bool))
     orbit = _rotations(interior, n).reshape(-1, 3)
     blocks = (
         (grid.nodes[nodes], np.sqrt(grid.weights[nodes])[:, None]),
@@ -293,27 +339,36 @@ def make_trace_spectrum(grid: SurfaceGrid, dirs: DirectionGrid, interior):
     # spectrum, which counts twice
     real = [2 * p % n == 0 for p in range(n // 2 + 1)]
 
-    def mode_factors(k: float, points: np.ndarray, row_weight) -> list[np.ndarray]:
+    # each mode's two R factors, stacked: the boundary's min(N / n, M / n)
+    # rows over the interior's min(P, M / n), zero below their diagonals
+    heights = [min(len(points) // n, width) for points, _ in blocks]
+    tops = (0, heights[0])
+
+    def factor_block(k: float, points: np.ndarray, row_weight, top: int, rows: int, stacks: list) -> None:
         # one block's rows, sector after sector, against the first sector's
         # columns, transformed over the sectors (over one sector the
         # transform is the identity, and the block is factored in place):
-        # the R factor of each mode, min(rows, M / n) x M / n; a block
-        # shorter than wide passes as its own trapezoid
+        # each mode's R factor, written into the mode's stack at row top; a
+        # block shorter than wide passes as its own trapezoid
         X = _real_columns(k, points, row_weight, *columns).reshape(len(points) // n, n, -1, order="F")
         if n > 1:
             X = np.fft.rfft(X, axis=1)
-        return [
-            la.qr(X[:, p].real if real[p] else X[:, p], mode="raw", overwrite_a=True, check_finite=False)[1]
-            for p in range(n // 2 + 1)
-        ]
+        for p, stack in enumerate(stacks):
+            QR = _lapack("geqrf", X[:, p].real if real[p] else X[:, p], overwrite_a=1)[0]
+            np.copyto(stack[top : top + rows], QR[:rows], where=upper[:rows])
 
     def singular_values(k: float) -> np.ndarray:
         k = _check_wavenumber(k)
+        stacks = [np.zeros((sum(heights), width), float if r else complex, order="F") for r in real]
+        for block, top, rows in zip(blocks, tops, heights):
+            factor_block(k, *block, top, rows, stacks)
         factors = []
-        for R_B, R_I, self_conjugate in zip(*(mode_factors(k, *block) for block in blocks), real):
-            Q, R, _ = la.qr(np.vstack([R_B, R_I]), mode="economic", pivoting=True, overwrite_a=True)
-            # the boundary rows, now the first len(R_B)
-            factors.append((Q[: len(R_B)], np.abs(np.diag(R)), 1 if self_conjugate else 2))
+        for stack, self_conjugate in zip(stacks, real):
+            QR, _, tau, _ = _lapack("geqp3", np.asarray_chkfinite(stack), overwrite_a=1)
+            diag = np.abs(np.diagonal(QR))
+            # the thin Q, written over QR; its boundary rows come first
+            Q, _ = _lapack("orgqr", QR[:, : len(QR)], tau, overwrite_a=1)
+            factors.append((Q[: heights[0]], diag, 1 if self_conjugate else 2))
         # one rank rule over every mode, on their R-diagonals pooled: the
         # entries above DEFAULT_QR_RTOL of the largest leading one; each mode
         # keeps its entries down to the last one counted
@@ -322,12 +377,11 @@ def make_trace_spectrum(grid: SurfaceGrid, dirs: DirectionGrid, interior):
         if cutoff == 0:
             raise IllPosedIndicatorError("trace matrix is numerically zero")
         last = pooled[:cutoff][-1]
-        s = np.concatenate([
-            np.tile(la.svd(Q_B[:, :kept], compute_uv=False), copies)
-            for Q_B, diag, copies in factors
-            if (kept := int((diag >= last).sum()))
-        ])
-        s = np.sort(s)[::-1]
+        values = []
+        for Q_B, diag, copies in factors:
+            if kept := int((diag >= last).sum()):
+                values += [_lapack("gesdd", np.asarray_chkfinite(Q_B[:, :kept]), compute_uv=0)[1]] * copies
+        s = np.sort(np.concatenate(values))[::-1]
         blind = int((1 - s <= _BLIND_SINE_TOL).sum())
         if blind:
             raise IllPosedIndicatorError(

@@ -138,8 +138,8 @@ def sweep_k(spectrum, ks) -> np.ndarray:
 
     Evaluations at distinct k run on a pool of one worker per CPU, one BLAS
     thread each, and merge in k order; they overlap only while they sit in
-    calls that release the GIL, as the trace spectrum's tall factorization
-    steps do.
+    calls that release the GIL, as the trace spectrum's QRs do; its SVDs,
+    scipy's gesdd, hold it.
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or len(ks) < 2 or not np.isfinite(ks).all() or ks[0] <= 0 or np.any(np.diff(ks) <= 0):

@@ -18,6 +18,7 @@ from click.testing import CliRunner
 
 import wavetrace
 import wavetrace.cli
+import wavetrace.herglotz
 import wavetrace.spectra
 import wavetrace.sweep
 import wavetrace.verify
@@ -482,6 +483,24 @@ class TestSweepCommand:
         )
         assert result.exit_code == 3, result.output
         assert _blas_threads() == before
+
+    def test_unconverged_svd_exits_3(self, runner, tmp_path, monkeypatch):
+        # gesdd's info > 0 is a LinAlgError, one of NUMERICAL_ERRORS
+        real = wavetrace.herglotz._routine
+
+        def routine(name, dtype):
+            gesdd = real(name, dtype)
+            return (lambda *args, **kwargs: (*gesdd(*args, **kwargs)[:-1], 1)) if name == "gesdd" else gesdd
+
+        monkeypatch.setattr(wavetrace.herglotz, "_routine", routine)
+        result = runner.invoke(
+            main,
+            [*CRITERION8_SWEEP,
+             "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(tmp_path / "s.json")],
+        )
+        assert result.exit_code == 3, result.output
+        assert "numerical failure: gesdd did not converge" in result.output
+        assert not (tmp_path / "s.csv").exists()
 
     def test_detects_pi_dip_with_multiplicity(self, runner, tmp_path):
         json_path = tmp_path / "dip.json"

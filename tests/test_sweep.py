@@ -36,6 +36,7 @@ from oracles import (
     stacked_trace_matrix,
     thin_q_reference,
 )
+from wavetrace import herglotz
 from wavetrace.herglotz import _group_order, _rank_cutoff
 from wavetrace.surface import _rotations
 from wavetrace.sweep import _blas_threads, _one_blas_thread, _openblas_thread_controls
@@ -332,16 +333,21 @@ class TestFactorization:
         self.assert_keeps_the_raw_spectrum(k, problem)
 
     @staticmethod
-    def spy_on(monkeypatch, name):
-        """Record (pivoting, dtype, shape) of every call to la.<name>."""
+    def spy_on_lapack(monkeypatch, poison=None):
+        """Record (routine, dtype, shape) of every LAPACK call the trace
+        spectrum makes; poison names a routine whose first output gets a
+        NaN in its first entry."""
         calls = []
-        real = getattr(la, name)
+        real = herglotz._lapack
 
-        def spy(a, *args, **kwargs):
-            calls.append((bool(kwargs.get("pivoting")), np.asarray(a).dtype, np.shape(a)))
-            return real(a, *args, **kwargs)
+        def spy(name, a, *args, **kwargs):
+            calls.append((name, a.dtype, a.shape))
+            out = real(name, a, *args, **kwargs)
+            if name == poison:
+                out[0][0, 0] = np.nan
+            return out
 
-        monkeypatch.setattr(la, name, spy)
+        monkeypatch.setattr(herglotz, "_lapack", spy)
         return calls
 
     @staticmethod
@@ -355,28 +361,83 @@ class TestFactorization:
         grid, dirs, _ = problem
         n = _group_order(grid, dirs)
         rows = min(grid.n_nodes, dirs.n_directions) // n
-        calls = self.spy_on(monkeypatch, "svd")
+        calls = self.spy_on_lapack(monkeypatch)
         for k in self.KS:
             calls.clear()
             s = make_trace_spectrum(*problem)(k)
-            assert [(pivoting, dtype, shape[0]) for pivoting, dtype, shape in calls] == [
-                (False, dtype, rows) for dtype in self.mode_dtypes(n)
-            ]
-            assert sum(shape[1] * (1 if dtype == np.float64 else 2) for _, dtype, shape in calls) == len(s)
+            svds = [(dtype, shape) for name, dtype, shape in calls if name == "gesdd"]
+            assert [(dtype, shape[0]) for dtype, shape in svds] == [(dtype, rows) for dtype in self.mode_dtypes(n)]
+            assert sum(shape[1] * (1 if dtype == np.float64 else 2) for dtype, shape in svds) == len(s)
 
     def test_pivoted_qr_factors_real_columns(self, monkeypatch, problem):
         # the real modes 0 and n / 2 factor real columns, the others complex
         grid, dirs, interior = problem
         n = _group_order(grid, dirs)
         N, P, M = grid.n_nodes // n, len(interior), dirs.n_directions // n
-        calls = self.spy_on(monkeypatch, "qr")
+        calls = self.spy_on_lapack(monkeypatch)
         make_trace_spectrum(*problem)(3.0)
         dtypes = self.mode_dtypes(n)
-        assert [c for c in calls if c[0]] == [(True, dtype, (min(N, M) + min(P, M), M)) for dtype in dtypes]
+        assert {name for name, _, _ in calls} == {"geqrf", "geqp3", "orgqr", "gesdd"}
+        # pivoting only on the stacked R factors, whose thin Q follows
+        stacked = (min(N, M) + min(P, M), M)
+        for name in ("geqp3", "orgqr"):
+            assert [c for c in calls if c[0] == name] == [(name, dtype, stacked) for dtype in dtypes]
         # the block QRs only: the boundary's modes, then the interior's
-        assert [c for c in calls if not c[0]] == [
-            (False, dtype, shape) for shape in ((N, M), (P, M)) for dtype in dtypes
+        assert [c for c in calls if c[0] == "geqrf"] == [
+            ("geqrf", dtype, shape) for shape in ((N, M), (P, M)) for dtype in dtypes
         ]
+
+    @pytest.mark.parametrize("poisoned, unreached", [("geqrf", "geqp3"), ("orgqr", "gesdd")], ids=["stacked-block", "svd-input"])
+    def test_non_finite_factor_input_raises(self, monkeypatch, poisoned, unreached):
+        # a NaN in a stacked block (from a block QR) or in an SVD input
+        # (from the thin Q) is refused before the routine that would take it
+        calls = self.spy_on_lapack(monkeypatch, poison=poisoned)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            make_trace_spectrum(*criterion8_problem())(3.0)
+        assert unreached not in {name for name, _, _ in calls}
+
+    @staticmethod
+    def force_info(monkeypatch, name, info):
+        """Make LAPACK's name report info after it runs."""
+        real = herglotz._routine
+
+        def routine(routine_name, dtype):
+            f = real(routine_name, dtype)
+            if routine_name != name:
+                return f
+            return lambda *args, **kwargs: (*f(*args, **kwargs)[:-1], info)
+
+        monkeypatch.setattr(herglotz, "_routine", routine)
+
+    @pytest.mark.parametrize("name", ["geqrf", "geqp3", "orgqr", "gesdd"])
+    def test_illegal_argument_raises_value_error(self, monkeypatch, name):
+        self.force_info(monkeypatch, name, -2)
+        with pytest.raises(ValueError, match=rf"illegal value in argument 2 of {name}$"):
+            make_trace_spectrum(*criterion8_problem())(3.0)
+
+    def test_unconverged_svd_raises_linalg_error(self, monkeypatch):
+        self.force_info(monkeypatch, "gesdd", 1)
+        with pytest.raises(np.linalg.LinAlgError, match="gesdd did not converge"):
+            make_trace_spectrum(*criterion8_problem())(3.0)
+
+    def test_workspace_cache_holds_the_wrappers_sizes(self, monkeypatch, problem):
+        # after every evaluation, one cached size per (routine, dtype, shape)
+        # called, each that of a fresh query: lwork = -1 for the QR routines,
+        # svd's gesdd_lwork rule for gesdd
+        monkeypatch.setattr(herglotz, "_LWORK", {})
+        calls = self.spy_on_lapack(monkeypatch)
+        spectrum = make_trace_spectrum(*problem)
+        for k in self.KS:
+            spectrum(k)
+        assert set(herglotz._LWORK) == set(calls)
+        for (name, dtype, shape), lwork in herglotz._LWORK.items():
+            if name == "gesdd":
+                work = la.get_lapack_funcs("gesdd_lwork", dtype=dtype)(*shape, compute_uv=0, full_matrices=1)[0]
+            else:
+                a = np.zeros(shape, dtype, order="F")
+                args = (np.zeros(min(shape), dtype),) if name == "orgqr" else ()
+                work = la.get_lapack_funcs(name, dtype=dtype)(a, *args, lwork=-1)[-2][0]
+            assert lwork == int(work.real), (name, dtype, shape)
 
 
 class TestRealArithmetic:
